@@ -1,6 +1,10 @@
 """Error-rate analysis: Gaussian tail helpers, the pairwise union bound, and
 a reproducible Monte Carlo BER harness.
 
+The harness only draws signal indices, sends their received means through
+Gaussian noise, decodes through a detector from pmvlc.detectors and counts
+bit errors; every decision rule lives in that module.
+
 Reproducibility contract: a record depends only on (master seed, scheme,
 detector, grid index, batch index). Batches are fixed-size; the harness
 always includes batches 0..k* where k* is the first index at which the
@@ -13,23 +17,30 @@ from __future__ import annotations
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import erfc
 
-from .channel import ChannelMatrix, default_calibration_gain, n0_for_bits
+from .channel import ChannelMatrix, n0_for_bits
 from .codebook import Codebook
 from .detectors import (
     Calibration,
     RcConfig,
     SmConfig,
+    _as_H,
+    _index_to_bits,
     bb_detect,
-    bf_sd_detect,
+    bf_detect_batch,
     iterative_sd_detect,
+    ml_detect_batch,
+    rc_detect_batch,
     rc_encode,
+    signal_stack,
+    sm_detect_batch,
     sm_encode,
 )
-from .txcodec import PamConfig, pam_intensity
+from .txcodec import PamConfig
 
 BATCH_BLOCKS = 4096
 
@@ -45,7 +56,7 @@ def pairwise_error_prob(S, S_hat, H, Es: float, N0: float) -> float:
     """Probability that a minimum-distance receiver prefers S_hat over S."""
     if N0 <= 0:
         raise ValueError("N0 must be positive")
-    H = H.H if isinstance(H, ChannelMatrix) else np.asarray(H, dtype=np.float64)
+    H = _as_H(H)
     d2 = float(np.sum((H @ (np.asarray(S) - np.asarray(S_hat))) ** 2))
     return float(qfunc(np.sqrt(Es / (2.0 * N0) * d2)))
 
@@ -64,55 +75,41 @@ class BoundCurve:
             raise ValueError("bound must be nonincreasing in Eb/N0")
 
 
-def _signaling_blocks(codebook: Codebook, pam: PamConfig):
-    """Physical transmit matrices, bit labels and weights for every
-    signaling (entry, level) pair, ordered entry-major / level-minor."""
-    bits = codebook.bits_per_block(pam.M)
-    n_sig = codebook.signaling_count(pam.M)
-    S = np.empty((n_sig, codebook.L, codebook.L))
-    weights = np.empty(n_sig, dtype=np.int64)
-    for k in range(n_sig):
-        q, m = k // pam.M, k % pam.M
-        w = int(codebook.weight_array[q])
-        a = pam_intensity(m + 1, pam.M, w, pam.I)
-        S[k] = a * codebook.matrix_stack[q]
-        weights[k] = w
-    labels = np.arange(n_sig, dtype=np.int64)
-    return S, labels, weights, bits
+def bit_distance(a, b) -> np.ndarray:
+    """Number of differing bits between integer labels a and b."""
+    return _POPCOUNT[(a ^ b) & 0xFF]
 
 
 def _pair_terms(codebook: Codebook, pam: PamConfig, H: np.ndarray):
     """Bit distances and squared channel-space distances over all ordered
     signaling pairs with distinct labels."""
-    S, labels, _, bits = _signaling_blocks(codebook, pam)
-    n = len(labels)
-    HS = np.einsum("ij,kjl->kil", H, S)
+    bits = codebook.bits_per_block(pam.M)
+    n = codebook.signaling_count(pam.M)
+    HS = np.einsum("ij,kjl->kil", H, signal_stack(codebook, pam)[:n])
     d_bits = []
     d2 = []
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            db = int(_POPCOUNT[(labels[i] ^ labels[j]) & 0xFF])
-            d_bits.append(db)
+            d_bits.append(int(bit_distance(i, j)))
             d2.append(float(np.sum((HS[i] - HS[j]) ** 2)))
     return np.asarray(d_bits, dtype=np.float64), np.asarray(d2), n, bits
 
 
 def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,
-                    scheme: str = "", r: float = 1.0, ts: float = 1.0) -> BoundCurve:
+                    scheme: str = "") -> BoundCurve:
     """Union bound on BER: average pairwise error weighted by bit distance.
 
     Each term uses the physical intensity-bearing transmit matrices, so the
     bound is directly comparable with the simulated receiver operating at
     the same noise density.
     """
-    H = H.H if isinstance(H, ChannelMatrix) else np.asarray(H, dtype=np.float64)
-    d_bits, d2, n_sig, bits = _pair_terms(codebook, pam, H)
+    d_bits, d2, n_sig, bits = _pair_terms(codebook, pam, _as_H(H))
     values = []
     for db in ebn0_grid:
-        n0 = n0_for_bits(db, bits, pam.I, r=r, ts=ts)
-        terms = qfunc(np.sqrt(r * r * ts * d2 / (2.0 * n0)))
+        n0 = n0_for_bits(db, bits, pam.I)
+        terms = qfunc(np.sqrt(d2 / (2.0 * n0)))
         values.append(float(np.sum(d_bits * terms) / (n_sig * bits)))
     return BoundCurve(scheme=scheme, ebn0_db=tuple(float(x) for x in ebn0_grid),
                       values=tuple(values))
@@ -148,9 +145,6 @@ class SimConfig:
     weight_mode: str = "genie"
     calibration: Calibration | None = None
     e_max: int | None = None
-    bb_fallback: bool = False
-    r: float = 1.0
-    ts: float = 1.0
 
     def __post_init__(self):
         if self.detector in ("rc", "sm"):
@@ -168,10 +162,6 @@ class SimConfig:
             raise ValueError("stopping rule must be positive")
 
 
-def _channel_matrix(channel) -> np.ndarray:
-    return channel.H if isinstance(channel, ChannelMatrix) else np.asarray(channel, dtype=np.float64)
-
-
 def _batch_rng(config: SimConfig, point_idx: int, batch_idx: int) -> np.random.Generator:
     ident = zlib.crc32(f"{config.scheme}|{config.detector}".encode())
     ss = np.random.SeedSequence(entropy=(config.seed, ident),
@@ -179,168 +169,75 @@ def _batch_rng(config: SimConfig, point_idx: int, batch_idx: int) -> np.random.G
     return np.random.default_rng(ss)
 
 
-def _estimate_levels(support_sums, denominators, weights, pam: PamConfig):
-    """Vectorized nearest-level rule matching detectors.estimate_intensity."""
-    steps = 2.0 * pam.I / (weights * (pam.M + 1))
-    x = support_sums / (denominators * steps)
-    base = np.floor(x)
-    m = base + (x - base > 0.5 * (1.0 + 1e-9))
-    return np.clip(m, 1, pam.M).astype(np.int64)
+@dataclass(frozen=True)
+class _Link:
+    """One simulated link: the received mean of every signal index, the bits
+    each index carries, the mean optical power and the detector, which maps
+    (received blocks, sent indices, batch rng) to decided indices, -1 where
+    it makes no decision."""
+
+    means: np.ndarray
+    bits: int
+    intensity: float
+    decode: Callable
 
 
-class _CodedBatch:
-    """Precomputed state for one (codebook, pam, channel) simulation."""
-
-    def __init__(self, config: SimConfig):
-        self.config = config
-        self.H = _channel_matrix(config.channel)
-        cb, pam = config.codebook, config.pam
-        self.S, self.labels, self.weights, self.bits = _signaling_blocks(cb, pam)
-        self.n_sig = len(self.labels)
-        self.L = cb.L
-        self.HS = np.einsum("ij,kjl->kil", self.H, self.S)
-        # class-restricted search stacks for the blind detectors
-        self.class_idx = {w: np.asarray(cb.weight_class_indices(w))
-                          for w in cb.weights_present}
-        self.stack = cb.matrix_stack
-        # per-entry denominator for level estimation: sum of Y over the
-        # support divided by this gives the intensity estimate
-        cal = config.calibration or Calibration()
-        w_arr = cb.weight_array.astype(np.float64)
-        if cal.channel is not None:
-            Hc = _channel_matrix(cal.channel)
-            HP = np.einsum("ij,qjk->qik", Hc, self.stack)
-            self.level_den = np.einsum("qij,qij->q", HP, self.stack)
-        else:
-            g = cal.gain if cal.gain is not None else default_calibration_gain()
-            self.level_den = w_arr * w_arr * self.L * g
-
-    def draw(self, rng, size):
-        k = rng.integers(self.n_sig, size=size)
-        return k
-
-    def transmit(self, k, n0, rng):
-        noise = rng.normal(0.0, np.sqrt(n0 / 2.0), size=(len(k), self.L, self.L))
-        return self.HS[k] + noise
-
-    def _levels_for(self, Y, picks):
-        pam = self.config.pam
-        if pam.M == 1:
-            return np.ones(len(picks), dtype=np.int64)
-        P = self.stack[picks]
-        sums = np.einsum("bij,bij->b", Y, P)
-        w = self.config.codebook.weight_array[picks].astype(np.float64)
-        return _estimate_levels(sums, self.level_den[picks], w, pam)
-
-    def decode_ml(self, Y):
-        res = ((Y[:, None, :, :] - self.HS[None, :, :, :]) ** 2).sum(axis=(2, 3))
-        return np.argmin(res, axis=1)
-
-    def decode_bf(self, Y, tx_k):
-        pam = self.config.pam
-        tx_q = tx_k // pam.M
-        tx_w = self.config.codebook.weight_array[tx_q]
-        picks = np.empty(len(tx_k), dtype=np.int64)
-        for w, idx in self.class_idx.items():
-            sel = np.nonzero(tx_w == w)[0]
-            if len(sel) == 0:
-                continue
-            costs = -np.einsum("bij,qij->bq", Y[sel], self.stack[idx])
-            picks[sel] = idx[np.argmin(costs, axis=1)]
-        m = self._levels_for(Y, picks)
-        return picks * pam.M + (m - 1)
-
-    def decode_loop(self, Y, tx_k, fn):
-        pam = self.config.pam
-        out = np.empty(len(tx_k), dtype=np.int64)
-        for b in range(len(tx_k)):
-            r = fn(Y[b], tx_k[b])
-            out[b] = -1 if r.q is None else (r.q - 1) * pam.M + (r.m - 1)
-        return out
-
-    def bit_errors(self, tx_k, rx_k):
-        valid = (rx_k >= 0) & (rx_k < self.n_sig)
-        xor = (self.labels[tx_k] ^ self.labels[np.where(valid, rx_k, 0)]) & 0xFF
-        d = _POPCOUNT[xor]
-        return int(np.where(valid, d, self.bits).sum())
+def _decide_per_block(detect, Y, weights, M: int) -> np.ndarray:
+    # detectors without a batch kernel yet: one call per block
+    out = np.empty(len(Y), dtype=np.int64)
+    for b in range(len(Y)):
+        r = detect(Y[b], int(weights[b]))
+        out[b] = -1 if r.q is None else (r.q - 1) * M + (r.m - 1)
+    return out
 
 
-def _simulate_coded_batch(state: _CodedBatch, n0, point_idx, batch_idx):
-    config = state.config
-    rng = _batch_rng(config, point_idx, batch_idx)
-    tx = state.draw(rng, BATCH_BLOCKS)
-    Y = state.transmit(tx, n0, rng)
+def _link(config: SimConfig) -> _Link:
+    H = _as_H(config.channel)
     det = config.detector
+    if det in ("rc", "sm"):
+        cfg, encode, detect = ((config.rc, rc_encode, rc_detect_batch) if det == "rc"
+                               else (config.sm, sm_encode, sm_detect_batch))
+        sent = np.stack([encode(_index_to_bits(v, cfg.bits), cfg)
+                         for v in range(2 ** cfg.bits)])
+        return _Link(sent @ H.T, cfg.bits, cfg.I, lambda Y, tx, rng: detect(Y, H, cfg))
+
+    cb, pam, cal = config.codebook, config.pam, config.calibration
+    bits = cb.bits_per_block(pam.M)
+    HS = np.einsum("ij,kjl->kil", H, signal_stack(cb, pam)[:2 ** bits])
+    weight_of = lambda tx: cb.weight_array[tx // pam.M]
     if det == "ml":
-        rx = state.decode_ml(Y)
+        decode = lambda Y, tx, rng: ml_detect_batch(Y, HS)[0]
     elif det == "bf":
-        if config.weight_mode == "genie":
-            rx = state.decode_bf(Y, tx)
-        else:
-            rx = state.decode_loop(
-                Y, tx, lambda y, w: bf_sd_detect(
-                    y, config.codebook, config.pam,
-                    weight_mode=config.weight_mode,
-                    calibration=config.calibration))
+        def decode(Y, tx, rng):
+            q, m, _, _ = bf_detect_batch(Y, cb, pam, true_weight=weight_of(tx),
+                                         weight_mode=config.weight_mode, calibration=cal)
+            return q * pam.M + (m - 1)
     elif det == "iterative":
-        pam, cb = config.pam, config.codebook
-        tx_w = cb.weight_array[tx // pam.M]
-        genie = config.weight_mode == "genie"
-        rx = np.empty(len(tx), dtype=np.int64)
-        for b in range(len(tx)):
-            r = iterative_sd_detect(Y[b], cb, pam, config.e_max,
-                                    true_weight=int(tx_w[b]) if genie else None,
-                                    weight_mode=config.weight_mode,
-                                    calibration=config.calibration)
-            rx[b] = -1 if r.q is None else (r.q - 1) * pam.M + (r.m - 1)
+        decode = lambda Y, tx, rng: _decide_per_block(
+            lambda y, w: iterative_sd_detect(y, cb, pam, config.e_max, true_weight=w,
+                                             weight_mode=config.weight_mode,
+                                             calibration=cal),
+            Y, weight_of(tx), pam.M)
     elif det == "bb":
-        rx = state.decode_loop(
-            Y, tx, lambda y, k: bb_detect(y, config.codebook, pam=config.pam,
-                                          calibration=config.calibration,
-                                          nearest_fallback=config.bb_fallback))
+        decode = lambda Y, tx, rng: _decide_per_block(
+            lambda y, w: bb_detect(y, cb, pam=pam, calibration=cal), Y, weight_of(tx), pam.M)
     elif det == "guess":
-        rx = rng.integers(state.n_sig, size=len(tx))
+        decode = lambda Y, tx, rng: rng.integers(len(HS), size=len(tx))
     else:
         raise ValueError(f"unknown detector {det!r}")
-    return state.bit_errors(tx, rx), BATCH_BLOCKS
+    return _Link(HS, bits, pam.I, decode)
 
 
-class _BaselineBatch:
-    """RC / SM single-slot baselines share the block-loop shape."""
-
-    def __init__(self, config: SimConfig):
-        self.config = config
-        self.H = _channel_matrix(config.channel)
-        cfg = config.rc if config.detector == "rc" else config.sm
-        self.cfg = cfg
-        self.bits = cfg.bits
-        self.n_sig = 2 ** self.bits
-        if config.detector == "rc":
-            enc = lambda b: rc_encode(b, cfg)
-        else:
-            enc = lambda b: sm_encode(b, cfg)
-        self.tx_vectors = np.stack([
-            enc(tuple((v >> k) & 1 for k in reversed(range(self.bits))))
-            for v in range(self.n_sig)
-        ])
-        self.Hx = self.tx_vectors @ self.H.T   # received means, one per symbol
-
-    def run_batch(self, n0, point_idx, batch_idx):
-        config = self.config
-        rng = _batch_rng(config, point_idx, batch_idx)
-        tx = rng.integers(self.n_sig, size=BATCH_BLOCKS)
-        Y = self.Hx[tx] + rng.normal(0.0, np.sqrt(n0 / 2.0), size=(BATCH_BLOCKS, len(self.H)))
-        if config.detector == "rc":
-            totals = Y.sum(axis=1)
-            gains = float(self.H.sum())
-            levels = np.array([self.cfg.level(m) * gains for m in range(1, self.cfg.M + 1)])
-            rx = np.argmin(np.abs(totals[:, None] - levels[None, :]), axis=1)
-            # symbol index == bit label for the repetition scheme
-        else:
-            res = ((Y[:, None, :] - self.Hx[None, :, :]) ** 2).sum(axis=2)
-            rx = np.argmin(res, axis=1)
-        d = _POPCOUNT[(tx ^ rx) & 0xFF]
-        return int(d.sum()), BATCH_BLOCKS
+def _simulate_batch(config: SimConfig, link: _Link, n0, point_idx, batch_idx):
+    rng = _batch_rng(config, point_idx, batch_idx)
+    tx = rng.integers(len(link.means), size=BATCH_BLOCKS)
+    Y = link.means[tx] + rng.normal(0.0, np.sqrt(n0 / 2.0),
+                                    size=(BATCH_BLOCKS, *link.means.shape[1:]))
+    rx = link.decode(Y, tx, rng)
+    # a missing decision, or one outside the signaling set, loses every bit
+    valid = (rx >= 0) & (rx < len(link.means))
+    errors = np.where(valid, bit_distance(tx, np.where(valid, rx, 0)), link.bits)
+    return int(errors.sum()), BATCH_BLOCKS
 
 
 def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
@@ -352,21 +249,13 @@ def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if config.detector in ("rc", "sm"):
-        state = _BaselineBatch(config)
-        bits = state.bits
-        batch_fn = state.run_batch
-        intensity = config.rc.I if config.detector == "rc" else config.sm.I
-    else:
-        state = _CodedBatch(config)
-        bits = state.bits
-        batch_fn = lambda n0, p, b: _simulate_coded_batch(state, n0, p, b)
-        intensity = config.pam.I
+    link = _link(config)
+    bits = link.bits
 
     records = []
     max_batches = max(1, -(-config.block_cap // BATCH_BLOCKS))
     for point_idx, ebn0_db in enumerate(config.ebn0_grid):
-        n0 = n0_for_bits(ebn0_db, bits, intensity, r=config.r, ts=config.ts)
+        n0 = n0_for_bits(ebn0_db, bits, link.intensity)
         errors = 0
         blocks = 0
         next_batch = 0
@@ -374,7 +263,8 @@ def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
             pending = {}
             while True:
                 while len(pending) < threads and next_batch < max_batches:
-                    pending[next_batch] = pool.submit(batch_fn, n0, point_idx, next_batch)
+                    pending[next_batch] = pool.submit(_simulate_batch, config, link, n0,
+                                                      point_idx, next_batch)
                     next_batch += 1
                 take = blocks // BATCH_BLOCKS
                 if take not in pending:

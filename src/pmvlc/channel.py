@@ -9,6 +9,7 @@ transmitter grid (h02) and a 0.6 m grid with four blocked links
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -205,6 +206,7 @@ def _load_fixture(name: str) -> np.ndarray:
     return np.array([[float(v) for v in line.split()] for line in text.strip().splitlines()])
 
 
+@functools.cache
 def fixture_h02() -> ChannelMatrix:
     """Gain matrix of the 0.2 m transmitter grid over a 0.1 m receiver grid."""
     return ChannelMatrix.from_gains(_load_fixture("h02.txt"))
@@ -220,6 +222,7 @@ def fixture_h06_blocked() -> ChannelMatrix:
 FIXTURES = {"h02": fixture_h02, "h06_blocked": fixture_h06_blocked}
 
 
+@functools.cache
 def default_calibration_gain() -> float:
     """Mean gain of the h02 fixture; the stock constant for blind receivers."""
     return float(fixture_h02().H.mean())

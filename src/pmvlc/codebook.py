@@ -274,7 +274,7 @@ class Codebook:
     def size(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def weights_present(self) -> tuple[int, ...]:
         return tuple(sorted({cm.weight for cm in self.entries}))
 

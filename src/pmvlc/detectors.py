@@ -1,5 +1,10 @@
 """Block detectors: coherent ML and three channel-blind soft-decision forms.
 
+This module holds every decision rule of the package.  Each rule is written
+once as a batch kernel over a leading block axis (the ``*_batch`` functions,
+which the Monte Carlo harness calls); the per-block functions are batches of
+one around them and return a DetectionResult or a bit tuple.
+
 All soft-decision (SD) detectors work on the sign-flipped observation
 yhat = -Y, so a codeword's decision metric is the negated sum of received
 values over its support; for a multiweight entry that equals the sum of the
@@ -10,16 +15,18 @@ per-component metrics because components never overlap.
 * bb_detect          greedy level-by-level column selection (weight 1 only)
 * iterative_sd_detect assignment-driven search: best assignment first, then
                       next-best assignments until one lands in the codebook
+* rc_detect, sm_detect single-slot repetition-coding and spatial-modulation
+                      baselines
 
 Intensity and weight side-decisions are factored out as estimate_intensity
 and classify_weight; multiweight detection assumes the weight class is known
-(genie mode) unless configured otherwise.
+(genie mode) unless configured otherwise.  bb_detect and iterative_sd_detect
+have no batch kernel yet and run per block.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +34,6 @@ from .assignment import murty_iter
 from .channel import ChannelMatrix, default_calibration_gain, fixture_h02
 from .codebook import Codebook, entry_to_bits
 from .txcodec import PamConfig, pam_intensity
-
-
-class NoDecisionError(RuntimeError):
-    """The detector exhausted its search without producing a codeword."""
 
 
 @dataclass(frozen=True)
@@ -72,91 +75,126 @@ def _decision(q: int, m: int, codebook: Codebook, pam: PamConfig, cost: float,
                            iterations=iterations, op_count=op_count)
 
 
-def estimate_intensity(Y: np.ndarray, support: np.ndarray, pam: PamConfig,
-                       calibration: Calibration | None = None) -> int:
-    """Level index from the mean received value over a candidate support.
+def signal_stack(codebook: Codebook, pam: PamConfig) -> np.ndarray:
+    """Transmit matrices a_m P_q of every (entry, level) pair.
 
-    The estimate sum(Y[support]) / (w L g) inverts the expected support sum;
-    g is the calibration scalar in blind mode, or the exact per-support mean
-    of H P when a channel matrix is supplied.  Ties between neighboring
+    Ordered entry-major / level-minor, so row (q-1) M + (m-1) is pair
+    (q, m) and the first codebook.signaling_count(M) rows are the pairs that
+    carry data.
+    """
+    levels = pam_intensity(np.arange(1, pam.M + 1)[None, :], pam.M,
+                           codebook.weight_array[:, None], pam.I)
+    S = levels[:, :, None, None] * codebook.matrix_stack[:, None, :, :]
+    return S.reshape(-1, codebook.L, codebook.L)
+
+
+def _best_support(Y: np.ndarray, stack: np.ndarray):
+    """Row of `stack` with the smallest negated support sum, per block, and
+    that cost; ties resolve to the lowest row."""
+    costs = -np.einsum("bij,qij->bq", Y, stack)
+    k = np.argmin(costs, axis=1)
+    return k, costs[np.arange(len(k)), k]
+
+
+def estimate_intensity_batch(Y: np.ndarray, supports: np.ndarray, pam: PamConfig,
+                             calibration: Calibration | None = None) -> np.ndarray:
+    """Level index per block from the received sum over its candidate support.
+
+    Y and supports are (B, L, L); each support is a 0/1 entry matrix.  The
+    support sum divided by its expected value at unit intensity inverts the
+    drive level: w^2 L g in blind mode (every support cell accumulates w
+    link gains of the calibration scalar g), or the exact sum of H P over the
+    support when a channel matrix is supplied.  Ties between neighboring
     levels resolve to the lower index; M=1 returns 1 without looking at Y.
     """
+    B = len(Y)
     if pam.M == 1:
-        return 1
-    support = np.asarray(support).astype(bool)
-    L = support.shape[0]
-    w = int(support.sum()) // L
+        return np.ones(B, dtype=np.int64)
+    P = np.asarray(supports, dtype=np.float64)
+    w = P.sum(axis=(1, 2)) / P.shape[-1]
     cal = calibration or Calibration()
     if cal.channel is not None:
-        g = float((_as_H(cal.channel) @ support.astype(np.float64))[support].sum()) / (w * L)
+        HP = np.einsum("ij,bjk->bik", _as_H(cal.channel), P)
+        den = np.einsum("bij,bij->b", HP, P)
     else:
-        # every support cell accumulates w link gains, so the scalar
-        # link-gain calibration scales with the weight
-        g = w * (cal.gain if cal.gain is not None else default_calibration_gain())
-    a_hat = float(np.asarray(Y)[support].sum()) / (w * L * g)
-    step = pam_intensity(1, pam.M, w, pam.I)
-    x = a_hat / step
-    base = int(np.floor(x))
+        g = cal.gain if cal.gain is not None else default_calibration_gain()
+        den = w * w * P.shape[-1] * g
+    x = np.einsum("bij,bij->b", Y, P) / (den * pam_intensity(1, pam.M, w, pam.I))
+    base = np.floor(x)
     # midpoint ties fall to the lower level; the slack absorbs float error
-    m = base if x - base <= 0.5 * (1.0 + 1e-9) else base + 1
-    return min(max(m, 1), pam.M)
+    m = base + (x - base > 0.5 * (1.0 + 1e-9))
+    return np.clip(m, 1, pam.M).astype(np.int64)
+
+
+def estimate_intensity(Y: np.ndarray, support: np.ndarray, pam: PamConfig,
+                       calibration: Calibration | None = None) -> int:
+    """Level index of one block on one candidate support; see
+    estimate_intensity_batch."""
+    if pam.M == 1:
+        return 1
+    support = np.asarray(support, dtype=bool)
+    return int(estimate_intensity_batch(np.asarray(Y, dtype=np.float64)[None], support[None],
+                                        pam, calibration)[0])
+
+
+def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
+                          pam: PamConfig | None = None, true_weight=None,
+                          calibration: Calibration | None = None) -> np.ndarray:
+    """Weight class of each received block in Y (B, L, L).
+
+    genie   trusts the supplied true weights (the standard assumption for
+            multiweight decoding).
+    joint   decodes each class blind, reconstructs each candidate against the
+            calibration gain profile, and keeps the class with the smallest
+            residual; equal residuals go to the lowest weight.
+    energy  is an alias of joint: the intensity rule gives every weight class
+            the same expected block sum, so the sum cannot tell them apart.
+    """
+    weights = codebook.weights_present
+    B = len(Y)
+    if len(weights) == 1:
+        return np.full(B, weights[0], dtype=np.int64)
+    if mode == "genie":
+        if true_weight is None:
+            raise ValueError("genie mode needs the true weight")
+        true_weight = np.asarray(true_weight, dtype=np.int64)
+        if not set(true_weight.ravel().tolist()) <= set(weights):
+            raise ValueError(f"weight {true_weight} not in codebook")
+        return true_weight + np.zeros(B, dtype=np.int64)
+    if pam is None:
+        raise ValueError(f"{mode} mode needs the PAM config")
+    if mode == "energy":
+        mode = "joint"
+    if mode != "joint":
+        raise ValueError(f"unknown mode {mode!r}")
+    cal = calibration or Calibration()
+    H_ref = _as_H(cal.channel) if cal.channel is not None else fixture_h02().H
+    residuals = np.empty((len(weights), B))
+    for k, w in enumerate(weights):
+        stack = codebook.matrix_stack[codebook.weight_class_indices(w)]
+        P = stack[_best_support(Y, stack)[0]]
+        a = pam_intensity(estimate_intensity_batch(Y, P, pam, cal), pam.M, w, pam.I)
+        residuals[k] = ((Y - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2))
+    return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
 
 
 def classify_weight(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
                     pam: PamConfig | None = None, true_weight: int | None = None,
                     calibration: Calibration | None = None) -> int:
-    """Pick the weight class of a received block.
+    """Weight class of one received block; see classify_weight_batch."""
+    if len(codebook.weights_present) == 1:
+        return codebook.weights_present[0]
+    return int(classify_weight_batch(np.asarray(Y, dtype=np.float64)[None], codebook, mode,
+                                     pam, true_weight, calibration)[0])
 
-    genie   trusts the supplied true weight (the standard assumption for
-            multiweight decoding).
-    energy  thresholds the total received sum against per-weight expectations;
-            the intensity rule makes those expectations identical, so with
-            equal mean power this falls back to joint mode.
-    joint   decodes each class blind, reconstructs each candidate against the
-            calibration gain profile, and keeps the class with the smallest
-            residual.
-    """
-    weights = codebook.weights_present
-    if len(weights) == 1:
-        return weights[0]
-    if mode == "genie":
-        if true_weight is None:
-            raise ValueError("genie mode needs the true weight")
-        if true_weight not in weights:
-            raise ValueError(f"weight {true_weight} not in codebook")
-        return true_weight
-    if pam is None:
-        raise ValueError(f"{mode} mode needs the PAM config")
-    cal = calibration or Calibration()
-    H_ref = _as_H(cal.channel) if cal.channel is not None else fixture_h02().H
-    if mode == "energy":
-        g = cal.gain if cal.gain is not None else default_calibration_gain()
-        L = codebook.L
-        expected = {}
-        for w in weights:
-            levels = [w * pam_intensity(m, pam.M, w, pam.I) for m in range(1, pam.M + 1)]
-            expected[w] = L * g * L * float(np.mean(levels))
-        values = np.array([expected[w] for w in weights])
-        if np.ptp(values) > 1e-9 * abs(values).max():
-            total = float(np.asarray(Y).sum())
-            return int(weights[int(np.argmin(np.abs(values - total)))])
-        mode = "joint"  # equal-power codebooks carry no weight in the total
-    if mode == "joint":
-        Y = np.asarray(Y, dtype=np.float64)
-        best_w, best_res = weights[0], np.inf
-        for w in weights:
-            idx = codebook.weight_class_indices(w)
-            stack = codebook.matrix_stack[idx]
-            costs = -np.einsum("ij,qij->q", Y, stack)
-            pick = int(np.argmin(costs))
-            P = stack[pick]
-            m = estimate_intensity(Y, P.astype(bool), pam, cal)
-            a = pam_intensity(m, pam.M, w, pam.I)
-            res = float(((Y - H_ref @ (a * P)) ** 2).sum())
-            if res < best_res:
-                best_w, best_res = w, res
-        return int(best_w)
-    raise ValueError(f"unknown mode {mode!r}")
+
+def ml_detect_batch(Y: np.ndarray, HS: np.ndarray):
+    """Coherent ML over received candidate means HS (K, L, L): the index of
+    the nearest candidate per block of Y (B, L, L), ties to the lowest, and
+    its squared residual."""
+    res = ((Y[:, None, :, :] - HS[None, :, :, :]) ** 2).sum(axis=(2, 3))
+    k = np.argmin(res, axis=1)
+    return k, res[np.arange(len(k)), k]
 
 
 def ml_detect(Y: np.ndarray, channel, codebook: Codebook, pam: PamConfig) -> DetectionResult:
@@ -165,49 +203,53 @@ def ml_detect(Y: np.ndarray, channel, codebook: Codebook, pam: PamConfig) -> Det
     Ties resolve to the lowest (q, m) pair.  op_count models one L x L
     residual evaluation per candidate.
     """
-    H = _as_H(channel)
-    Y = np.asarray(Y, dtype=np.float64)
-    L = codebook.L
-    levels = np.array([[pam_intensity(m, pam.M, int(w), pam.I) for m in range(1, pam.M + 1)]
-                       for w in codebook.weight_array])
-    HP = np.einsum("ij,qjk->qik", H, codebook.matrix_stack)
-    cand = levels[:, :, None, None] * HP[:, None, :, :]           # (Q, M, L, L)
-    residuals = ((Y[None, None, :, :] - cand) ** 2).sum(axis=(2, 3)).reshape(-1)
-    flat = int(np.argmin(residuals))
-    q, m = flat // pam.M + 1, flat % pam.M + 1
-    return _decision(q, m, codebook, pam, float(residuals[flat]),
-                     op_count=codebook.size * pam.M * L * L)
+    HS = np.einsum("ij,kjl->kil", _as_H(channel), signal_stack(codebook, pam))
+    k, res = ml_detect_batch(np.asarray(Y, dtype=np.float64)[None], HS)
+    flat = int(k[0])
+    return _decision(flat // pam.M + 1, flat % pam.M + 1, codebook, pam, float(res[0]),
+                     op_count=codebook.size * pam.M * codebook.L ** 2)
 
 
-def _classify(Y, codebook, pam, weight_mode, true_weight, calibration):
-    if len(codebook.weights_present) == 1:
-        return codebook.weights_present[0]
-    return classify_weight(Y, codebook, weight_mode, pam, true_weight, calibration)
+def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
+                    true_weight=None, weight_mode: str = "genie",
+                    calibration: Calibration | None = None):
+    """Blind exhaustive search per block of Y (B, L, L): smallest negated
+    support sum within the block's weight class, then level estimation on
+    the winning support.
+
+    Returns 0-based entry indices, 1-based levels, costs and the weights.
+    """
+    w = classify_weight_batch(Y, codebook, weight_mode, pam, true_weight, calibration)
+    picks = np.empty(len(Y), dtype=np.int64)
+    costs = np.empty(len(Y))
+    for wv in codebook.weights_present:
+        sel = np.flatnonzero(w == wv)
+        if len(sel) == 0:
+            continue
+        idx = codebook.weight_class_indices(wv)
+        k, costs[sel] = _best_support(Y[sel], codebook.matrix_stack[idx])
+        picks[sel] = idx[k]
+    m = estimate_intensity_batch(Y, codebook.matrix_stack[picks], pam, calibration)
+    return picks, m, costs, w
 
 
 def bf_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
                  true_weight: int | None = None, weight_mode: str = "genie",
                  calibration: Calibration | None = None) -> DetectionResult:
-    """Blind exhaustive search: smallest negated support sum within the
-    weight class, then level estimation on the winning support.
+    """Blind exhaustive search on one block; see bf_detect_batch.
 
     op_count models the w L additions of each entry's metric.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    w = _classify(Y, codebook, pam, weight_mode, true_weight, calibration)
-    idx = codebook.weight_class_indices(w)
-    stack = codebook.matrix_stack[idx]
-    costs = -np.einsum("ij,qij->q", Y, stack)
-    pick = int(np.argmin(costs))
-    q = int(idx[pick]) + 1
-    m = estimate_intensity(Y, stack[pick].astype(bool), pam, calibration)
-    return _decision(q, m, codebook, pam, float(costs[pick]),
-                     op_count=len(idx) * w * codebook.L)
+    picks, m, costs, w = bf_detect_batch(
+        np.asarray(Y, dtype=np.float64)[None], codebook, pam, true_weight=true_weight,
+        weight_mode=weight_mode, calibration=calibration)
+    w = int(w[0])
+    return _decision(int(picks[0]) + 1, int(m[0]), codebook, pam, float(costs[0]),
+                     op_count=len(codebook.weight_class_indices(w)) * w * codebook.L)
 
 
 def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None,
-              calibration: Calibration | None = None,
-              nearest_fallback: bool = False) -> DetectionResult:
+              calibration: Calibration | None = None) -> DetectionResult:
     """Greedy level-by-level column selection for weight-1 codebooks.
 
     Level k scores each unused column with the path cost so far, the
@@ -215,7 +257,7 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     shared path prefix cannot change a level's argmin, so this matches
     scoring each node against the remaining-matrix bound.  Only one node
     survives per level, so the result is a permutation that may fall outside
-    a restricted codebook; by default that outcome carries no bit decision.
+    a restricted codebook; that outcome carries no bit decision.
     """
     if codebook.weights_present != (1,):
         raise ValueError("branch-and-bound decoding applies to weight-1 codebooks only")
@@ -246,11 +288,6 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
         support = codebook.matrix_stack[q - 1].astype(bool)
         m = estimate_intensity(Y, support, pam, calibration)
         return _decision(q, m, codebook, pam, path_cost, iterations=L, op_count=ops)
-    if nearest_fallback:
-        res = bf_sd_detect(Y, codebook, pam, calibration=calibration)
-        res.iterations = L
-        res.op_count += ops
-        return res
     return DetectionResult(q=None, m=1, w=1, bits=None, cost=path_cost,
                            iterations=L, op_count=ops)
 
@@ -274,8 +311,7 @@ _LAP_OPS = lambda L: L ** 3  # nominal work of one assignment solve
 def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
                         e_max: int | None = None, *,
                         true_weight: int | None = None, weight_mode: str = "genie",
-                        calibration: Calibration | None = None,
-                        bf_fallback: bool = True) -> DetectionResult:
+                        calibration: Calibration | None = None) -> DetectionResult:
     """Assignment-driven blind detection.
 
     Weight 1: solve the assignment problem on yhat; if the optimum is not a
@@ -284,13 +320,12 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
     codebook; every row whose component matches a walk's winner becomes a
     candidate, and candidates are scored by the summed support metric.  When
     the walk budget e_max (default: class size) runs dry the detector falls
-    back to exhaustive search within the class, or raises NoDecisionError if
-    the fallback is disabled.
+    back to exhaustive search within the class.
     """
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
-    w = _classify(Y, codebook, pam, weight_mode, true_weight, calibration)
+    w = classify_weight(Y, codebook, weight_mode, pam, true_weight, calibration)
     idx = codebook.weight_class_indices(w)
     budget = e_max if e_max is not None else len(idx)
     if budget < 1:
@@ -325,16 +360,13 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
         if candidates:
             cand = sorted(candidates)
             stack = codebook.matrix_stack[cand]
-            costs = -np.einsum("ij,qij->q", Y, stack)
+            pick, cost = _best_support(Y[None], stack)
             ops += len(cand) * w * L
-            pick = int(np.argmin(costs))
-            q = cand[pick] + 1
-            m = estimate_intensity(Y, stack[pick].astype(bool), pam, calibration)
-            return _decision(q, m, codebook, pam, float(costs[pick]),
+            q = cand[int(pick[0])] + 1
+            m = estimate_intensity(Y, stack[int(pick[0])].astype(bool), pam, calibration)
+            return _decision(q, m, codebook, pam, float(cost[0]),
                              iterations=iterations, op_count=ops)
 
-    if not bf_fallback:
-        raise NoDecisionError("assignment walk exhausted without a codebook member")
     res = bf_sd_detect(Y, codebook, pam, true_weight=w, weight_mode="genie",
                        calibration=calibration)
     res.iterations = iterations
@@ -399,14 +431,19 @@ def rc_encode(bits, config: RcConfig) -> np.ndarray:
     return np.full(config.L, config.level(m))
 
 
-def rc_detect(y: np.ndarray, channel, config: RcConfig) -> tuple[int, ...]:
-    """Sum the photodiode outputs and slice against the known level sums."""
-    H = _as_H(channel)
-    total = float(np.asarray(y).sum())
-    gains = float(H.sum())
+def rc_detect_batch(y: np.ndarray, channel, config: RcConfig) -> np.ndarray:
+    """Sum the photodiode outputs of each row of y (B, n_rx) and slice
+    against the known level sums; returns the symbol index, which is also
+    the bit label."""
+    gains = float(_as_H(channel).sum())
     levels = np.array([config.level(m) * gains for m in range(1, config.M + 1)])
-    m = int(np.argmin(np.abs(levels - total))) + 1
-    return _index_to_bits(m - 1, config.bits)
+    return np.argmin(np.abs(y.sum(axis=1)[:, None] - levels[None, :]), axis=1)
+
+
+def rc_detect(y: np.ndarray, channel, config: RcConfig) -> tuple[int, ...]:
+    """Bits of one repetition-coded slot; see rc_detect_batch."""
+    index = rc_detect_batch(np.asarray(y, dtype=np.float64)[None], channel, config)[0]
+    return _index_to_bits(int(index), config.bits)
 
 
 def sm_encode(bits, config: SmConfig) -> np.ndarray:
@@ -417,13 +454,18 @@ def sm_encode(bits, config: SmConfig) -> np.ndarray:
     return s
 
 
-def sm_detect(y: np.ndarray, channel, config: SmConfig) -> tuple[int, ...]:
-    """Joint ML over (LED, level); ties resolve to the lowest pair."""
+def sm_detect_batch(y: np.ndarray, channel, config: SmConfig) -> np.ndarray:
+    """Joint ML over (LED, level) for each row of y (B, n_rx); ties resolve
+    to the lowest pair.  Returns the symbol index, which is the bit label."""
     H = _as_H(channel)
-    y = np.asarray(y, dtype=np.float64)
     cand = np.stack([
         config.level(m) * H[:, k]
         for k in range(config.L) for m in range(1, config.M + 1)
     ])
-    index = int(np.argmin(((y[None, :] - cand) ** 2).sum(axis=1)))
-    return _index_to_bits(index, config.bits)
+    return np.argmin(((y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+def sm_detect(y: np.ndarray, channel, config: SmConfig) -> tuple[int, ...]:
+    """Bits of one spatial-modulation slot; see sm_detect_batch."""
+    index = sm_detect_batch(np.asarray(y, dtype=np.float64)[None], channel, config)[0]
+    return _index_to_bits(int(index), config.bits)

@@ -139,7 +139,9 @@ class Scenario:
             raise ConfigError("ebn0_db grid must be ascending")
         if not self.scheme and self.codebook is not None:
             self.scheme = scheme_label(self.codebook, self.pam)
-        if self.weight_mode not in ("genie", "energy", "joint"):
+        if self.weight_mode == "energy":
+            self.weight_mode = "joint"  # alias; see detectors.classify_weight_batch
+        if self.weight_mode not in ("genie", "joint"):
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
         if self.calibration not in ("blind", "csi"):
             raise ConfigError(f"calibration must be blind or csi, not {self.calibration!r}")

@@ -24,16 +24,17 @@ class PamConfig:
             raise ValueError("I must be positive")
 
 
-def pam_intensity(m: int, M: int, w: int, I: float) -> float:
+def pam_intensity(m, M: int, w, I: float):
     """Per-LED drive level 2*I*m / (w*(M+1)).
 
     The 1/w factor splits the block power across the w active LEDs per slot,
     so the per-slot total 2*I*m/(M+1) and its mean over levels, I, do not
-    depend on the weight.
+    depend on the weight.  m and w may be integer arrays; the result then
+    takes their broadcast shape.
     """
-    if not 1 <= m <= M:
+    if ((np.asarray(m) < 1) | (np.asarray(m) > M)).any():
         raise ValueError(f"m={m} outside 1..{M}")
-    if w < 1:
+    if (np.asarray(w) < 1).any():
         raise ValueError("w must be at least 1")
     if not I > 0:
         raise ValueError("I must be positive")

@@ -9,8 +9,6 @@ from pmvlc.analysis import (
     BerRecord,
     BoundCurve,
     SimConfig,
-    _BaselineBatch,
-    _CodedBatch,
     _pair_terms,
     ber_union_bound,
     monte_carlo_ber,
@@ -24,12 +22,20 @@ from pmvlc.codebook import combine_codebooks, enumerate_weight_w
 from pmvlc.detectors import (
     RcConfig,
     SmConfig,
+    bf_detect_batch,
     bf_sd_detect,
+    estimate_intensity,
     ml_detect,
+    ml_detect_batch,
     rc_detect,
+    rc_detect_batch,
+    rc_encode,
+    signal_stack,
     sm_detect,
+    sm_detect_batch,
+    sm_encode,
 )
-from pmvlc.txcodec import PamConfig
+from pmvlc.txcodec import PamConfig, pam_intensity
 
 H02 = fixture_h02()
 FULL24 = enumerate_weight_w(4, 1)
@@ -211,67 +217,83 @@ class TestHarnessDeterminism:
             monte_carlo_ber(cfg)
 
 
+def _noisy_blocks(codebook, pam, ebn0_db, n, seed):
+    """Sent signal indices and received blocks, drawn as the harness does."""
+    rng = np.random.default_rng(seed)
+    bits = codebook.bits_per_block(pam.M)
+    HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(codebook, pam)[:2 ** bits])
+    tx = rng.integers(len(HS), size=n)
+    n0 = n0_for_bits(ebn0_db, bits, pam.I)
+    return tx, HS[tx] + rng.normal(0.0, math.sqrt(n0 / 2), size=(n, 4, 4))
+
+
+def _labels(bit_tuples):
+    return np.array([int("".join(str(v) for v in bits), 2) for bits in bit_tuples])
+
+
 class TestBatchPathsMatchScalarDetectors:
-    """The vectorized batch decisions must agree with the per-block
-    reference detectors on identical inputs."""
+    """Each batch kernel the harness decodes with must agree with a
+    brute-force statement of its decision rule, and with the per-block
+    detector, on identical inputs."""
 
     def test_ml_batch_matches_scalar(self):
-        cfg = SimConfig(scheme="c32", detector="ml", ebn0_grid=(99.0,),
-                        channel=H02, codebook=COMBINED32, pam=M1, seed=0)
-        state = _CodedBatch(cfg)
-        rng = np.random.default_rng(77)
-        tx = rng.integers(state.n_sig, size=64)
-        Y = state.transmit(tx, n0_for_bits(99.0, state.bits, 1.0), rng)
-        got = state.decode_ml(Y)
+        pam = PamConfig(M=2, I=1.0)
+        tx, Y = _noisy_blocks(COMBINED32, pam, 99.0, 64, seed=77)
+        HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(COMBINED32, pam))
+        got, _ = ml_detect_batch(Y, HS)
         for b in range(len(tx)):
-            r = ml_detect(Y[b], H02, COMBINED32, M1)
-            assert got[b] == (r.q - 1) * M1.M + (r.m - 1)
+            best, best_res = None, np.inf
+            for q in range(COMBINED32.size):
+                for m in range(1, pam.M + 1):
+                    a = pam_intensity(m, pam.M, int(COMBINED32.weight_array[q]), pam.I)
+                    res = float(((Y[b] - H02.H @ (a * COMBINED32.matrix_stack[q])) ** 2).sum())
+                    if res < best_res:
+                        best, best_res = q * pam.M + (m - 1), res
+            assert got[b] == best
+            r = ml_detect(Y[b], H02, COMBINED32, pam)
+            assert got[b] == (r.q - 1) * pam.M + (r.m - 1)
 
     def test_bf_batch_matches_scalar(self):
         pam = PamConfig(M=2, I=1.0)
-        cfg = SimConfig(scheme="c32", detector="bf", ebn0_grid=(99.0,),
-                        channel=H02, codebook=COMBINED32, pam=pam, seed=0)
-        state = _CodedBatch(cfg)
-        rng = np.random.default_rng(78)
-        tx = rng.integers(state.n_sig, size=64)
-        Y = state.transmit(tx, n0_for_bits(99.0, state.bits, 1.0), rng)
-        got = state.decode_bf(Y, tx)
+        tx, Y = _noisy_blocks(COMBINED32, pam, 99.0, 64, seed=78)
+        tx_w = COMBINED32.weight_array[tx // pam.M]
+        q, m, _, _ = bf_detect_batch(Y, COMBINED32, pam, true_weight=tx_w)
         for b in range(len(tx)):
-            w = int(COMBINED32.weight_array[tx[b] // pam.M])
-            r = bf_sd_detect(Y[b], COMBINED32, pam, true_weight=w)
-            assert got[b] == (r.q - 1) * pam.M + (r.m - 1)
+            cls = np.flatnonzero(COMBINED32.weight_array == tx_w[b])
+            sums = [-(Y[b] * COMBINED32.matrix_stack[i]).sum() for i in cls]
+            pick = int(cls[int(np.argmin(sums))])
+            assert q[b] == pick
+            assert m[b] == estimate_intensity(
+                Y[b], COMBINED32.matrix_stack[pick].astype(bool), pam)
+            r = bf_sd_detect(Y[b], COMBINED32, pam, true_weight=int(tx_w[b]))
+            assert (q[b], m[b]) == (r.q - 1, r.m)
 
     def test_rc_batch_matches_scalar(self):
-        cfg = SimConfig(scheme="rc16", detector="rc", ebn0_grid=(100.0,),
-                        channel=H02, seed=0)
-        state = _BaselineBatch(cfg)
+        cfg = RcConfig()
         rng = np.random.default_rng(79)
-        n0 = n0_for_bits(100.0, 4, 1.0)
-        tx = rng.integers(state.n_sig, size=128)
-        Y = state.Hx[tx] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
+        n0 = n0_for_bits(100.0, cfg.bits, 1.0)
+        means = np.stack([rc_encode(_bits(v, 4), cfg) for v in range(16)]) @ H02.H.T
+        Y = means[rng.integers(16, size=128)] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
         totals = Y.sum(axis=1)
         gains = float(H02.H.sum())
-        levels = np.array([state.cfg.level(m) * gains for m in range(1, 17)])
-        got = np.argmin(np.abs(totals[:, None] - levels[None, :]), axis=1)
-        for b in range(128):
-            bits = rc_detect(Y[b], H02, state.cfg)
-            label = int("".join(str(v) for v in bits), 2)
-            assert got[b] == label
+        levels = np.array([cfg.level(m) * gains for m in range(1, 17)])
+        want = np.argmin(np.abs(totals[:, None] - levels[None, :]), axis=1)
+        np.testing.assert_array_equal(rc_detect_batch(Y, H02, cfg), want)
+        np.testing.assert_array_equal(_labels(rc_detect(y, H02, cfg) for y in Y), want)
 
     def test_sm_batch_matches_scalar(self):
-        cfg = SimConfig(scheme="sm4", detector="sm", ebn0_grid=(100.0,),
-                        channel=H02, seed=0)
-        state = _BaselineBatch(cfg)
+        cfg = SmConfig()
         rng = np.random.default_rng(80)
-        n0 = n0_for_bits(100.0, 4, 1.0)
-        tx = rng.integers(state.n_sig, size=128)
-        Y = state.Hx[tx] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
-        res = ((Y[:, None, :] - state.Hx[None, :, :]) ** 2).sum(axis=2)
-        got = np.argmin(res, axis=1)
-        for b in range(128):
-            bits = sm_detect(Y[b], H02, state.cfg)
-            label = int("".join(str(v) for v in bits), 2)
-            assert got[b] == label
+        n0 = n0_for_bits(100.0, cfg.bits, 1.0)
+        means = np.stack([sm_encode(_bits(v, 4), cfg) for v in range(16)]) @ H02.H.T
+        Y = means[rng.integers(16, size=128)] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
+        want = np.argmin(((Y[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
+        np.testing.assert_array_equal(sm_detect_batch(Y, H02, cfg), want)
+        np.testing.assert_array_equal(_labels(sm_detect(y, H02, cfg) for y in Y), want)
+
+
+def _bits(value, width):
+    return tuple((value >> k) & 1 for k in reversed(range(width)))
 
 
 class TestCsvWriters:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pmvlc import channel
 from pmvlc.assignment import hungarian
 from pmvlc.channel import fixture_h02
 from pmvlc.codebook import (
@@ -20,7 +21,6 @@ from pmvlc.codebook import (
 )
 from pmvlc.detectors import (
     Calibration,
-    NoDecisionError,
     RcConfig,
     SmConfig,
     bb_detect,
@@ -195,6 +195,26 @@ class TestEstimateIntensity:
         assert estimate_intensity(np.diag([-99.0] * 4), support, pam, Calibration(gain=1.0)) == 1
 
 
+def test_default_profile_loaded_once(monkeypatch):
+    # blind level estimation and joint classification read the h02 profile;
+    # repeated decisions must not parse the fixture file again
+    loads = []
+    real = channel._load_fixture
+    monkeypatch.setattr(channel, "_load_fixture", lambda name: loads.append(name) or real(name))
+    channel.fixture_h02.cache_clear()
+    channel.default_calibration_gain.cache_clear()
+    try:
+        pam = PamConfig(M=4, I=1.0)
+        for q in (1, 25, 32):
+            Y = H02 @ block_for(COMBINED32, q, 3, pam)
+            estimate_intensity(Y, COMBINED32.matrix_stack[q - 1].astype(bool), pam)
+            classify_weight(Y, COMBINED32, "joint", pam)
+    finally:
+        channel.fixture_h02.cache_clear()
+        channel.default_calibration_gain.cache_clear()
+    assert loads == ["h02.txt"]
+
+
 class TestClassifyWeight:
     def test_genie_passthrough(self):
         Y = np.zeros((4, 4))
@@ -259,11 +279,6 @@ class TestBbDetect:
         r = bb_detect(Y, CB1)
         assert r.q is None and r.bits is None
 
-    def test_nearest_fallback_matches_bf(self):
-        Y = H02 @ np.eye(4)
-        r = bb_detect(Y, CB1, nearest_fallback=True)
-        assert r.q == bf_sd_detect(Y, CB1, M1).q
-
     def test_divergence_from_exact_assignment_is_measurable(self):
         # the single-survivor tree is greedy: it finds the true optimum on
         # roughly half of unstructured inputs, and that is a feature we
@@ -312,11 +327,6 @@ class TestIterativeSd:
             Y = H02 @ block_for(COMBINED32, q, 1, M1)
             r = iterative_sd_detect(Y, COMBINED32, M1, true_weight=w)
             assert (r.q, r.w) == (q, w)
-
-    def test_no_decision_error_when_fallback_disabled(self):
-        Y = H02 @ np.eye(4)  # identity permutation is not in CB1
-        with pytest.raises(NoDecisionError):
-            iterative_sd_detect(Y, CB1, M1, e_max=1, bf_fallback=False)
 
     def test_fallback_recovers_bf_decision(self):
         Y = H02 @ np.eye(4)
