@@ -44,8 +44,6 @@ from .txcodec import PamConfig
 
 BATCH_BLOCKS = 4096
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
 
 def qfunc(r):
     """Standard normal tail probability, Q(r) = P(Z > r)."""
@@ -77,7 +75,7 @@ class BoundCurve:
 
 def bit_distance(a, b) -> np.ndarray:
     """Number of differing bits between integer labels a and b."""
-    return _POPCOUNT[(a ^ b) & 0xFF]
+    return np.bitwise_count(np.bitwise_xor(a, b))
 
 
 def _pair_terms(codebook: Codebook, pam: PamConfig, H: np.ndarray):

@@ -10,6 +10,7 @@ from pmvlc.analysis import (
     BoundCurve,
     SimConfig,
     _pair_terms,
+    bit_distance,
     ber_union_bound,
     monte_carlo_ber,
     pairwise_error_prob,
@@ -35,6 +36,7 @@ from pmvlc.detectors import (
     sm_detect_batch,
     sm_encode,
 )
+from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
 
 H02 = fixture_h02()
@@ -189,12 +191,20 @@ class TestHarnessDeterminism:
         assert rec.blocks == 2 * BATCH_BLOCKS
         assert rec.ber == 0.0
 
-    def test_guess_detector_near_half(self):
-        cfg = SimConfig(scheme="c32", detector="guess", ebn0_grid=(100.0,),
-                        channel=H02, codebook=COMBINED32, pam=M1,
+    @pytest.mark.parametrize("M", [1, 4, 16])
+    @pytest.mark.parametrize("book", sorted(CODEBOOKS))
+    def test_guess_detector_near_half(self, book, M):
+        # a uniform guess gets every label bit wrong half the time, however
+        # wide the labels are (combined32 at M = 16 carries 9 bits)
+        cfg = SimConfig(scheme=book, detector="guess", ebn0_grid=(100.0,),
+                        channel=H02, codebook=named_codebook(book), pam=PamConfig(M=M),
                         errors_target=1, block_cap=4 * BATCH_BLOCKS, seed=6)
         rec = monte_carlo_ber(cfg)[0]
         assert rec.ber == pytest.approx(0.5, abs=0.02)
+
+    def test_bit_distance_counts_every_label_bit(self):
+        assert int(bit_distance(0, 0b111111111)) == 9
+        np.testing.assert_array_equal(bit_distance(np.array([256, 511]), 0), [1, 9])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
