@@ -84,15 +84,10 @@ def _pair_terms(codebook: Codebook, pam: PamConfig, H: np.ndarray):
     bits = codebook.bits_per_block(pam.M)
     n = codebook.signaling_count(pam.M)
     HS = np.einsum("ij,kjl->kil", H, signal_stack(codebook, pam)[:n])
-    d_bits = []
-    d2 = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d_bits.append(int(bit_distance(i, j)))
-            d2.append(float(np.sum((HS[i] - HS[j]) ** 2)))
-    return np.asarray(d_bits, dtype=np.float64), np.asarray(d2), n, bits
+    labels = np.arange(n)
+    d_bits = bit_distance(labels[:, None], labels[None, :])[~np.eye(n, dtype=bool)]
+    d2 = [float(np.sum((HS[i] - HS[j]) ** 2)) for i in range(n) for j in range(n) if i != j]
+    return d_bits.astype(np.float64), np.asarray(d2), n, bits
 
 
 def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,

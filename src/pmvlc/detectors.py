@@ -132,9 +132,8 @@ def estimate_intensity(Y: np.ndarray, support: np.ndarray, pam: PamConfig,
     estimate_intensity_batch."""
     if pam.M == 1:
         return 1
-    support = np.asarray(support, dtype=bool)
-    return int(estimate_intensity_batch(np.asarray(Y, dtype=np.float64)[None], support[None],
-                                        pam, calibration)[0])
+    return int(estimate_intensity_batch(np.asarray(Y, dtype=np.float64)[None],
+                                        np.asarray(support)[None], pam, calibration)[0])
 
 
 def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
@@ -182,8 +181,6 @@ def classify_weight(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
                     pam: PamConfig | None = None, true_weight: int | None = None,
                     calibration: Calibration | None = None) -> int:
     """Weight class of one received block; see classify_weight_batch."""
-    if len(codebook.weights_present) == 1:
-        return codebook.weights_present[0]
     return int(classify_weight_batch(np.asarray(Y, dtype=np.float64)[None], codebook, mode,
                                      pam, true_weight, calibration)[0])
 
@@ -359,11 +356,10 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
                 )
         if candidates:
             cand = sorted(candidates)
-            stack = codebook.matrix_stack[cand]
-            pick, cost = _best_support(Y[None], stack)
+            pick, cost = _best_support(Y[None], codebook.matrix_stack[cand])
             ops += len(cand) * w * L
             q = cand[int(pick[0])] + 1
-            m = estimate_intensity(Y, stack[int(pick[0])].astype(bool), pam, calibration)
+            m = estimate_intensity(Y, codebook.matrix_stack[q - 1], pam, calibration)
             return _decision(q, m, codebook, pam, float(cost[0]),
                              iterations=iterations, op_count=ops)
 

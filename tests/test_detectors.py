@@ -26,6 +26,7 @@ from pmvlc.detectors import (
     bb_detect,
     bf_sd_detect,
     classify_weight,
+    classify_weight_batch,
     estimate_intensity,
     iterative_sd_detect,
     ml_detect,
@@ -250,6 +251,33 @@ class TestClassifyWeight:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             classify_weight(np.zeros((4, 4)), COMBINED32, "oracle", PamConfig())
+
+    def test_joint_batch_matches_per_block_rule(self):
+        # per block: best support in each class, its level, its residual
+        # against the h02 profile; the strict < keeps the lowest weight on ties
+        pam = PamConfig(M=2, I=1.0)
+        rng = np.random.default_rng(31)
+        qs = rng.integers(1, COMBINED32.size + 1, size=64)
+        Y = np.stack([H02 @ block_for(COMBINED32, int(q), 2, pam) for q in qs])
+        Y = Y + rng.normal(0, 2e-5, Y.shape)
+        got = classify_weight_batch(Y, COMBINED32, "joint", pam)
+        for b in range(len(Y)):
+            best_w, best_res = None, np.inf
+            for w in (1, 2):
+                stack = COMBINED32.matrix_stack[COMBINED32.weight_array == w]
+                P = stack[int(np.argmin([-(Y[b] * S).sum() for S in stack]))]
+                m = estimate_intensity(Y[b], P.astype(bool), pam)
+                res = float(((Y[b] - H02 @ (pam_intensity(m, 2, w, 1.0) * P)) ** 2).sum())
+                if res < best_res:
+                    best_w, best_res = w, res
+            assert got[b] == best_w
+
+    def test_joint_ties_go_to_lowest_weight(self):
+        # a zero reference profile makes every class residual equal to |Y|^2
+        Y = np.random.default_rng(37).normal(0, 1, (16, 4, 4))
+        cal = Calibration(channel=np.zeros((4, 4)))
+        got = classify_weight_batch(Y, COMBINED32, "joint", M1, calibration=cal)
+        np.testing.assert_array_equal(got, 1)
 
 
 class TestBbDetect:
