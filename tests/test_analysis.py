@@ -237,6 +237,10 @@ def _noisy_blocks(codebook, pam, ebn0_db, n, seed):
     return tx, HS[tx] + rng.normal(0.0, math.sqrt(n0 / 2), size=(n, 4, 4))
 
 
+def _bits(value, width):
+    return tuple((value >> k) & 1 for k in reversed(range(width)))
+
+
 def _labels(bit_tuples):
     return np.array([int("".join(str(v) for v in bits), 2) for bits in bit_tuples])
 
@@ -300,10 +304,6 @@ class TestBatchPathsMatchScalarDetectors:
         want = np.argmin(((Y[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
         np.testing.assert_array_equal(sm_detect_batch(Y, H02, cfg), want)
         np.testing.assert_array_equal(_labels(sm_detect(y, H02, cfg) for y in Y), want)
-
-
-def _bits(value, width):
-    return tuple((value >> k) & 1 for k in reversed(range(width)))
 
 
 class TestCsvWriters:
