@@ -86,8 +86,10 @@ def _pair_terms(codebook: Codebook, pam: PamConfig, H: np.ndarray):
     HS = np.einsum("ij,kjl->kil", H, signal_stack(codebook, pam)[:n])
     labels = np.arange(n)
     d_bits = bit_distance(labels[:, None], labels[None, :])[~np.eye(n, dtype=bool)]
-    d2 = [float(np.sum((HS[i] - HS[j]) ** 2)) for i in range(n) for j in range(n) if i != j]
-    return d_bits.astype(np.float64), np.asarray(d2), n, bits
+    # one row of distances per signal; the full (n, n, L, L) difference
+    # would be tens of MB at n = 512
+    d2 = np.stack([((HS[i] - HS) ** 2).sum(axis=(1, 2)) for i in range(n)])
+    return d_bits.astype(np.float64), d2[~np.eye(n, dtype=bool)], n, bits
 
 
 def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,

@@ -1,23 +1,25 @@
-"""Minimum-cost assignment machinery: Hungarian solver and k-best listing.
+"""Minimum-cost assignment: the optimum, and every assignment ranked by cost.
 
-The solver is the shortest-augmenting-path form of the Hungarian method and
-keeps its dual variables, so optimal assignments can be characterized as
-perfect matchings over the zero-reduced-cost edges.  That makes the
-tie-breaking rule exact: among equal-cost optima the lexicographically
-smallest column-per-row tuple is returned.  Next-best assignments come from
-Murty partitioning, which splits the remaining solution space into disjoint
-subproblems by forcing and excluding pairs of the incumbent solution.
+Codebooks are only enumerable up to ENUMERATION_MAX_L columns, so an
+assignment problem here has at most 720 solutions.  Ranking them is
+therefore done in closed form: the costs of all n! column tuples are
+gathered from a cached table in lexicographic order and sorted once,
+stably, which lists assignments by (cost, column tuple).  The single
+optimum comes from scipy's linear_sum_assignment, with equal-cost ties
+resolved to the lexicographically smallest column tuple.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+
+from .codebook import ENUMERATION_MAX_L
 
 
 class InfeasibleError(ValueError):
@@ -40,185 +42,81 @@ def _as_cost_matrix(costs) -> np.ndarray:
         raise ValueError("cost matrix must be nonempty")
     if np.isnan(C).any():
         raise ValueError("cost matrix contains NaN")
-    return C
+    return np.where(np.isinf(C), np.inf, C)  # any infinity forbids the pairing
 
 
-def _big_value(C: np.ndarray) -> float:
-    # Finite stand-in for forbidden entries, large enough that any assignment
-    # touching one costs more than every fully feasible assignment.
-    finite = C[np.isfinite(C)]
-    ma = float(np.abs(finite).max()) if finite.size else 1.0
-    n = C.shape[0]
-    return 2.0 * n * max(ma, 1.0) + 2.0
+@functools.cache
+def _permutations(n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    # Every column tuple of size n in lexicographic order, 0-based as an
+    # index table and 1-based as the tuples an Assignment carries.
+    perms = list(itertools.permutations(range(n)))
+    table = np.array(perms, dtype=np.intp)
+    table.setflags(write=False)
+    return table, [tuple(c + 1 for c in p) for p in perms]
 
-
-def _lap_duals(C: np.ndarray) -> tuple[list[int], list[float], list[float]]:
-    # Shortest-augmenting-path Hungarian; returns columns per row (0-based)
-    # and dual prices with reduced costs nonnegative and zero on the matching.
-    n = C.shape[0]
-    a = C.tolist()
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)    # p[j]: row matched to column j (1-based; 0 = free)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            row = a[i0 - 1]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    cols = [0] * n
-    for j in range(1, n + 1):
-        if p[j]:
-            cols[p[j] - 1] = j - 1
-    return cols, u[1:], v[1:]
-
-
-def _matching_exists(adj: np.ndarray, rows: list[int], free_cols: list[bool]) -> bool:
-    # Kuhn augmenting search restricted to the still-unassigned rows/columns.
-    n = adj.shape[0]
-    match_col = [-1] * n
-
-    def try_row(r: int, visited: list[bool]) -> bool:
-        for c in range(n):
-            if free_cols[c] and adj[r, c] and not visited[c]:
-                visited[c] = True
-                if match_col[c] < 0 or try_row(match_col[c], visited):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in rows:
-        if not try_row(r, [False] * n):
-            return False
-    return True
-
-
-def _lex_min_tight(C: np.ndarray, cols: list[int], u: list[float], v: list[float]) -> list[int]:
-    # Restrict to edges with zero reduced cost; every minimum-cost assignment
-    # lives there, so the lexicographically smallest perfect matching of that
-    # graph is the lexicographically smallest optimum.
-    n = C.shape[0]
-    scale = max(1.0, float(np.abs(C[np.isfinite(C)]).max()) if np.isfinite(C).any() else 1.0)
-    tol = 1e-9 * scale
-    red = C - np.asarray(u)[:, None] - np.asarray(v)[None, :]
-    tight = red <= tol
-    if int(tight.sum()) == n:
-        return cols  # unique optimum
-    free_cols = [True] * n
-    chosen = [0] * n
-    for r in range(n):
-        rest = list(range(r + 1, n))
-        placed = False
-        for c in range(n):
-            if tight[r, c] and free_cols[c]:
-                free_cols[c] = False
-                if _matching_exists(tight, rest, free_cols):
-                    chosen[r] = c
-                    placed = True
-                    break
-                free_cols[c] = True
-        if not placed:  # numerical corner: fall back to the solver's matching
-            return cols
-    return chosen
-
-
-def _solve(C: np.ndarray, big_threshold: float) -> tuple[tuple[int, ...], float] | None:
-    cols, u, v = _lap_duals(C)
-    cols = _lex_min_tight(C, cols, u, v)
-    cost = float(C[np.arange(C.shape[0]), cols].sum())
-    if cost > big_threshold:
-        return None
-    return tuple(c + 1 for c in cols), cost
-
-
-def _prepare(costs) -> tuple[np.ndarray, float]:
-    C = _as_cost_matrix(costs)
-    big = _big_value(C)
-    C = np.where(np.isinf(C), big, C)
-    n = C.shape[0]
-    finite_abs = np.abs(C[C < big])
-    ma = float(finite_abs.max()) if finite_abs.size else 0.0
-    return C, n * ma + 0.5
 
 def hungarian(costs) -> Assignment:
     """Globally minimum-cost assignment; equal-cost ties resolve to the
     lexicographically smallest column tuple.
 
     Entries may be +inf to forbid a pairing; raises InfeasibleError when no
-    assignment avoids them.
+    assignment avoids them.  Costs within 1e-9 * max(1, max|C|) of the
+    optimum count as equal.
     """
-    C, threshold = _prepare(costs)
-    result = _solve(C, threshold)
-    if result is None:
+    from scipy.optimize import linear_sum_assignment  # slow import, so kept off the CLI path
+
+    C = _as_cost_matrix(costs)
+    n = C.shape[0]
+    finite = np.abs(C[np.isfinite(C)])
+    tol = 1e-9 * max(1.0, float(finite.max()) if finite.size else 1.0)
+
+    def best(rows, cols) -> float:
+        # optimal cost over the given rows and columns; +inf if infeasible
+        if not rows:
+            return 0.0
+        sub = C[np.ix_(rows, cols)]
+        try:
+            r, c = linear_sum_assignment(sub)
+        except ValueError:
+            return math.inf
+        return float(sub[r, c].sum())
+
+    optimum = best(list(range(n)), list(range(n)))
+    if math.isinf(optimum):
         raise InfeasibleError("no assignment avoids the forbidden entries")
-    return Assignment(perm=result[0], cost=result[1])
+    # Fix rows in order, each to the smallest column that still completes
+    # to an optimum.
+    cols, free, fixed = [], list(range(n)), 0.0
+    for r in range(n):
+        totals = np.array([fixed + C[r, c] + best(list(range(r + 1, n)), [j for j in free if j != c])
+                           for c in free])
+        c = free[int(np.argmax(totals <= max(optimum + tol, totals.min())))]
+        cols.append(c)
+        free.remove(c)
+        fixed += C[r, c]
+    return Assignment(perm=tuple(c + 1 for c in cols), cost=float(C[np.arange(n), cols].sum()))
 
 
 def murty_iter(costs) -> Iterator[Assignment]:
     """Yield assignments in nondecreasing cost without repetition.
 
-    Each yielded solution's subspace is split into child subproblems that fix
-    a growing prefix of its pairs and exclude the next one, so the children
-    cover everything not yet yielded, exactly once.
+    Equal costs come in lexicographic column-tuple order, the order of
+    Murty's k-best partition scheme, so this is an exact ranking of all n!
+    assignments.  Assignments through a +inf entry are skipped; raises
+    InfeasibleError when none is left, and ValueError above
+    ENUMERATION_MAX_L columns, where the table grows too large.
     """
-    C, threshold = _prepare(costs)
+    C = _as_cost_matrix(costs)
     n = C.shape[0]
-    big = _big_value(C)
-    first = _solve(C, threshold)
-    if first is None:
+    if n > ENUMERATION_MAX_L:
+        raise ValueError(f"ranking needs at most {ENUMERATION_MAX_L} columns, got {n}")
+    table, perms = _permutations(n)
+    total = C[np.arange(n), table].sum(axis=1)
+    order = np.argsort(total, kind="stable")[:np.isfinite(total).sum()]  # +inf sorts last
+    if not order.size:
         raise InfeasibleError("no assignment avoids the forbidden entries")
-    counter = itertools.count()
-    # heap entries: cost, perm (lexicographic tiebreak), tiebreak counter,
-    # node matrix, rows already forced in that matrix
-    heap: list = [(first[1], first[0], next(counter), C, frozenset())]
-    while heap:
-        cost, perm, _, node_C, forced = heapq.heappop(heap)
-        yield Assignment(perm=perm, cost=cost)
-        free_rows = [r for r in range(n) if r not in forced]
-        child_forced = set(forced)
-        child_C = node_C
-        for r in free_rows[:-1]:
-            c = perm[r] - 1
-            excluded = child_C.copy()
-            excluded[r, c] = big
-            sol = _solve(excluded, threshold)
-            if sol is not None:
-                heapq.heappush(heap, (sol[1], sol[0], next(counter), excluded, frozenset(child_forced)))
-            fixed = child_C.copy()
-            fixed[r, :] = big
-            fixed[:, c] = big
-            fixed[r, c] = node_C[r, c]
-            child_C = fixed
-            child_forced.add(r)
+    for i in order.tolist():
+        yield Assignment(perm=perms[i], cost=float(total[i]))
 
 
 def murty_enumerate(costs, k: int) -> list[Assignment]:

@@ -165,14 +165,10 @@ class NoiseParams:
     """Additive real Gaussian noise of variance n0/2 per matrix element."""
 
     n0: float
-    r: float = 1.0   # photodiode responsivity
-    ts: float = 1.0  # slot duration
 
     def __post_init__(self):
         if not self.n0 > 0:
             raise ValueError("n0 must be positive")
-        if not (self.r > 0 and self.ts > 0):
-            raise ValueError("r and ts must be positive")
 
 
 def transmit(
@@ -187,18 +183,18 @@ def transmit(
     return clean + rng.normal(0.0, math.sqrt(noise.n0 / 2.0), size=clean.shape)
 
 
-def n0_for_bits(ebn0_db: float, bits: int, I: float, r: float = 1.0, ts: float = 1.0) -> float:
-    """Noise density giving the requested per-bit SNR at symbol energy (r I)^2 ts."""
+def n0_for_bits(ebn0_db: float, bits: int, I: float) -> float:
+    """Noise density giving the requested per-bit SNR at symbol energy I^2."""
     if bits < 1:
         raise ValueError("bits must be positive")
-    es = (r * I) ** 2 * ts
+    es = I ** 2
     eb = es / bits
     return eb / (10.0 ** (ebn0_db / 10.0))
 
 
-def ebn0_to_n0(ebn0_db: float, pam, codebook, r: float = 1.0, ts: float = 1.0) -> float:
+def ebn0_to_n0(ebn0_db: float, pam, codebook) -> float:
     """Noise density for a codebook scheme, normalized per signaled bit."""
-    return n0_for_bits(ebn0_db, codebook.bits_per_block(pam.M), pam.I, r, ts)
+    return n0_for_bits(ebn0_db, codebook.bits_per_block(pam.M), pam.I)
 
 
 def _load_fixture(name: str) -> np.ndarray:

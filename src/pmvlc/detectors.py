@@ -14,7 +14,8 @@ per-component metrics because components never overlap.
 * bf_sd_detect       exhaustive support-metric search over the codebook
 * bb_detect          greedy level-by-level column selection (weight 1 only)
 * iterative_sd_detect assignment-driven search: best assignment first, then
-                      next-best assignments until one lands in the codebook
+                      next-best assignments until one lands in the codebook;
+                      the walk ranks all L! assignments, so L <= 6
 * rc_detect, sm_detect single-slot repetition-coding and spatial-modulation
                       baselines
 

@@ -1,6 +1,9 @@
 """Assignment solver and k-best enumeration tests against brute force."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -8,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmvlc.assignment as assignment
 from pmvlc.assignment import Assignment, InfeasibleError, hungarian, murty_enumerate, murty_iter
+from pmvlc.codebook import ENUMERATION_MAX_L
 
 
 def brute_force_all(C):
@@ -146,3 +151,34 @@ class TestMurty:
         # Only assignments avoiding the three forbidden cells remain.
         feasible = [p for c, p in brute_force_all(np.where(np.isinf(C), 1e6, C)) if c < 1e5]
         assert len(out) == min(4, len(feasible))
+
+    def test_physical_scale_near_ties_keep_cost_order(self):
+        # Received values are ~1e-4, so assignment costs are ~4e-4; plant a
+        # runner-up 5e-10 above the optimum, inside a unit-floored tolerance.
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            C = rng.uniform(0.0, 4e-4, size=(4, 4))
+            ranked = brute_force_all(C)
+            (c1, p1), (c2, p2) = ranked[0], ranked[1]
+            r = next(i for i in range(4) if p1[i] != p2[i])
+            C[r, p2[r] - 1] -= (c2 - c1) - 5e-10
+            got = murty_enumerate(C, 24)
+            assert [(a.cost, a.perm) for a in got] == brute_force_all(C)
+
+    def test_rejects_sizes_above_enumeration_limit(self, monkeypatch):
+        def no_table(n):
+            raise AssertionError("permutation table built")
+
+        monkeypatch.setattr(assignment, "_permutations", no_table)
+        n = ENUMERATION_MAX_L + 1
+        with pytest.raises(ValueError, match="at most"):
+            next(murty_iter(np.zeros((n, n))))
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # hungarian imports scipy.optimize on first call; the CLI never needs it.
+    code = "import sys, pmvlc.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -163,8 +163,6 @@ class TestTransmit:
     def test_noise_params_validation(self):
         with pytest.raises(ValueError):
             NoiseParams(n0=0.0)
-        with pytest.raises(ValueError):
-            NoiseParams(n0=1.0, r=-1.0)
 
 
 class TestEbN0:
