@@ -16,22 +16,15 @@ import numpy as np
 
 from pmvlc.analysis import ber_union_bound
 from pmvlc.channel import FIXTURES
+from pmvlc.detectors import signal_stack
 from pmvlc.scenarios import CODEBOOKS, named_codebook
-from pmvlc.txcodec import PamConfig, pam_intensity
+from pmvlc.txcodec import PamConfig
 
 
 def spectrum(codebook, pam, H):
-    blocks = []
-    for q in range(1, codebook.size + 1):
-        w = codebook.entries[q - 1].weight
-        for m in range(1, pam.M + 1):
-            a = pam_intensity(m, pam.M, w, pam.I)
-            blocks.append(a * codebook.matrix_stack[q - 1])
-    d2 = []
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            d2.append(float(((H @ (blocks[i] - blocks[j])) ** 2).sum()))
-    return np.array(d2)
+    HS = H @ signal_stack(codebook, pam)
+    return np.concatenate([((HS[i] - HS[i + 1:]) ** 2).sum(axis=(1, 2))
+                           for i in range(len(HS))])
 
 
 def main() -> int:

@@ -3,15 +3,15 @@
 Codebooks are only enumerable up to ENUMERATION_MAX_L columns, so an
 assignment problem here has at most 720 solutions.  Ranking them is
 therefore done in closed form: the costs of all n! column tuples are
-gathered from a cached table in lexicographic order and sorted once,
-stably, which lists assignments by (cost, column tuple).  The single
-optimum comes from scipy's linear_sum_assignment, with equal-cost ties
-resolved to the lexicographically smallest column tuple.
+gathered from codebook.permutation_table, the cached lexicographic table
+that codebook enumeration walks too, and sorted once, stably, which lists
+assignments by (cost, column tuple).  The single optimum comes from
+scipy's linear_sum_assignment, with equal-cost ties resolved to the
+lexicographically smallest column tuple.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .codebook import ENUMERATION_MAX_L
+from .codebook import ENUMERATION_MAX_L, permutation_table
 
 
 class InfeasibleError(ValueError):
@@ -43,16 +43,6 @@ def _as_cost_matrix(costs) -> np.ndarray:
     if np.isnan(C).any():
         raise ValueError("cost matrix contains NaN")
     return np.where(np.isinf(C), np.inf, C)  # any infinity forbids the pairing
-
-
-@functools.cache
-def _permutations(n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    # Every column tuple of size n in lexicographic order, 0-based as an
-    # index table and 1-based as the tuples an Assignment carries.
-    perms = list(itertools.permutations(range(n)))
-    table = np.array(perms, dtype=np.intp)
-    table.setflags(write=False)
-    return table, [tuple(c + 1 for c in p) for p in perms]
 
 
 def hungarian(costs) -> Assignment:
@@ -110,7 +100,7 @@ def murty_iter(costs) -> Iterator[Assignment]:
     n = C.shape[0]
     if n > ENUMERATION_MAX_L:
         raise ValueError(f"ranking needs at most {ENUMERATION_MAX_L} columns, got {n}")
-    table, perms = _permutations(n)
+    table, perms = permutation_table(n)
     total = C[np.arange(n), table].sum(axis=1)
     order = np.argsort(total, kind="stable")[:np.isfinite(total).sum()]  # +inf sorts last
     if not order.size:

@@ -22,7 +22,7 @@ from .analysis import (
     write_bound_csv,
 )
 from .channel import FIXTURES, n0_for_bits
-from .codebook import combine_codebooks, enumerate_weight_w
+from .codebook import ENUMERATION_MAX_L, combine_codebooks, enumerate_weight_w
 from .detectors import (
     Calibration,
     RcConfig,
@@ -52,8 +52,8 @@ PRESETS = {
 
 def codebook_report(L: int, weights, M: int = 1) -> str:
     """Per-weight counts, combined size and rate figures, plus the entries."""
-    if L > 6:
-        raise ConfigError("codebook report supports L <= 6")
+    if L > ENUMERATION_MAX_L:
+        raise ConfigError(f"codebook report supports L <= {ENUMERATION_MAX_L}")
     weights = tuple(sorted(set(int(w) for w in weights)))
     if not weights:
         raise ConfigError("no weights given")

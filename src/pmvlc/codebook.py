@@ -6,18 +6,33 @@ differ in every position gives a weight-w matrix: w ones in every row and
 every column, so every LED fires in w slots and every slot drives w LEDs.
 A codebook is a deduplicated, canonically ordered list of such matrices for
 one or more weights, together with the block bit mapping.
+
+Enumeration walks one cached lexicographic permutation table, the same
+table pmvlc.assignment ranks assignments over, and builds each matrix once
+from the first codeword set that sums to it: that set is its canonical
+decomposition.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations
+from functools import cache, cached_property
 
 import numpy as np
 
 ENUMERATION_MAX_L = 6  # exhaustive search guard
+
+
+@cache
+def permutation_table(L: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Every permutation of L items in lexicographic order, 0-based as a
+    read-only (L!, L) index table and 1-based as tuples."""
+    perms = list(itertools.permutations(range(L)))
+    table = np.array(perms, dtype=np.intp)
+    table.setflags(write=False)
+    return table, tuple(tuple(c + 1 for c in p) for p in perms)
 
 
 @dataclass(frozen=True)
@@ -44,17 +59,10 @@ class Codeword:
         return cls(tuple(int(ch) for ch in text.strip()))
 
 
-def _perm_matrix(symbols: tuple[int, ...]) -> np.ndarray:
-    L = len(symbols)
-    m = np.zeros((L, L), dtype=np.uint8)
-    m[np.arange(L), np.asarray(symbols) - 1] = 1
-    return m
-
-
 def codeword_to_matrix(codeword: Codeword | tuple[int, ...]) -> "CodewordMatrix":
     """Weight-1 matrix of a codeword: row i has its single one at column c_i."""
     cw = codeword if isinstance(codeword, Codeword) else Codeword(tuple(codeword))
-    return CodewordMatrix.from_components((cw,))
+    return CodewordMatrix((cw,))
 
 
 def hamming_distance(c1, c2) -> int:
@@ -91,41 +99,20 @@ def cyclic_latin_codebook(c0: Codeword | tuple[int, ...]) -> list[Codeword]:
     return [Codeword(s[i:] + s[:i]) for i in range(L)]
 
 
-def _lex_min_matching_in(support: np.ndarray) -> tuple[int, ...]:
-    # Lexicographically smallest perfect matching (as a column-per-row tuple,
-    # 0-based) inside a 0/1 support matrix; backtracking over rows in order.
-    L = support.shape[0]
-    cols_used = [False] * L
-    pick = [0] * L
-
-    def place(row: int) -> bool:
-        if row == L:
-            return True
-        for col in range(L):
-            if support[row, col] and not cols_used[col]:
-                cols_used[col] = True
-                pick[row] = col
-                if place(row + 1):
-                    return True
-                cols_used[col] = False
-        return False
-
-    if not place(0):
-        raise ValueError("support admits no perfect matching")
-    return tuple(pick)
-
-
 def _canonical_components(entries: np.ndarray) -> tuple[Codeword, ...]:
-    # Peel lexicographically smallest permutations off the support one at a
-    # time.  A w-regular 0/1 matrix always splits into w disjoint permutation
-    # matrices, and the smallest achievable first component fixes the
-    # lexicographically smallest sorted decomposition overall.
-    remaining = entries.astype(np.uint8).copy()
+    # Peel the lexicographically smallest permutation off the support until
+    # nothing is left.  A w-regular 0/1 matrix always splits into w disjoint
+    # permutation matrices (Koenig), so every permutation inside the support
+    # extends to a decomposition, and the greedy peel is the lexicographically
+    # smallest one.
+    L = entries.shape[0]
+    rows = np.arange(L)
+    remaining = entries.astype(bool)
     comps = []
     while remaining.any():
-        cols = _lex_min_matching_in(remaining)
-        comps.append(Codeword(tuple(c + 1 for c in cols)))
-        remaining[np.arange(remaining.shape[0]), cols] -= 1
+        p = next(p for p in itertools.permutations(range(L)) if remaining[rows, p].all())
+        comps.append(Codeword(tuple(c + 1 for c in p)))
+        remaining[rows, p] = False
     return tuple(comps)
 
 
@@ -133,45 +120,47 @@ def _canonical_components(entries: np.ndarray) -> tuple[Codeword, ...]:
 class CodewordMatrix:
     """A weight-w 0/1 block: the disjoint sum of w permutation matrices.
 
-    ``components`` holds the stored decomposition, lexicographically smallest
-    among all decompositions of ``entries``; two objects are equal exactly
-    when their entry matrices are equal.
+    Only the decomposition ``components`` is stored; ``entries`` and
+    ``weight`` follow from it.  Disjoint permutations of one length already
+    give every row and column w ones, so construction checks nothing else.
+    ``from_components`` and enumeration store the lexicographically
+    smallest decomposition.  Two objects are equal exactly when their entry
+    matrices are equal.
     """
 
-    entries: np.ndarray
-    weight: int
     components: tuple[Codeword, ...]
 
     def __post_init__(self):
-        e = np.ascontiguousarray(np.asarray(self.entries, dtype=np.uint8))
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        L = e.shape[0]
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("entries must be square")
-        if not np.isin(e, (0, 1)).all():
-            raise ValueError("entries must be 0/1")
-        if not (1 <= self.weight <= L - 1):
-            raise ValueError(f"weight {self.weight} outside 1..{L - 1}")
-        if (e.sum(axis=0) != self.weight).any() or (e.sum(axis=1) != self.weight).any():
-            raise ValueError("every row and column must sum to the weight")
-        if len(self.components) != self.weight:
-            raise ValueError("component count must equal the weight")
-        acc = np.zeros((L, L), dtype=np.uint8)
-        for cw in self.components:
-            if cw.length != L:
-                raise ValueError("component length mismatch")
-            acc += _perm_matrix(cw.symbols)
-        if not np.array_equal(acc, e):
-            raise ValueError("components do not sum to the entry matrix")
-        for i, a in enumerate(self.components):
-            for b in self.components[i + 1:]:
-                if hamming_distance(a, b) != L:
-                    raise ValueError("components must pairwise differ in every position")
+        comps = tuple(self.components)
+        object.__setattr__(self, "components", comps)
+        if not comps:
+            raise ValueError("a codeword matrix needs at least one component")
+        L = comps[0].length
+        if any(cw.length != L for cw in comps):
+            raise ValueError("component length mismatch")
+        if not 1 <= len(comps) <= L - 1:
+            raise ValueError(f"weight {len(comps)} outside 1..{L - 1}")
+        if self.entries.sum() != len(comps) * L:
+            raise ValueError("overlapping components: codewords must pairwise differ in every position")
+
+    @property
+    def weight(self) -> int:
+        return len(self.components)
 
     @property
     def L(self) -> int:
-        return self.entries.shape[0]
+        return self.components[0].length
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        # read-only uint8; overlapping components collapse onto shared cells,
+        # which __post_init__ detects from the entry count
+        L = self.L
+        e = np.zeros(L * L, dtype=np.uint8)
+        e[[r * L + s - 1 for cw in self.components for r, s in enumerate(cw.symbols)]] = 1
+        e = e.reshape(L, L)
+        e.setflags(write=False)
+        return e
 
     @property
     def key(self) -> bytes:
@@ -184,70 +173,50 @@ class CodewordMatrix:
         return hash(self.key)
 
     @classmethod
-    def from_components(cls, codewords: tuple[Codeword, ...]) -> "CodewordMatrix":
-        cws = tuple(cw if isinstance(cw, Codeword) else Codeword(tuple(cw)) for cw in codewords)
-        L = cws[0].length
-        acc = np.zeros((L, L), dtype=np.uint8)
-        for cw in cws:
-            acc += _perm_matrix(cw.symbols)
-        if acc.max() > 1:
-            raise ValueError("overlapping components: codewords must pairwise differ in every position")
-        return cls(entries=acc, weight=len(cws), components=_canonical_components(acc))
+    def from_components(cls, codewords) -> "CodewordMatrix":
+        """The block the codewords sum to, under its canonical decomposition."""
+        cm = cls(tuple(cw if isinstance(cw, Codeword) else Codeword(tuple(cw)) for cw in codewords))
+        return cls(_canonical_components(cm.entries))
 
-    @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "CodewordMatrix":
-        e = np.asarray(entries, dtype=np.uint8)
-        w = int(e.sum(axis=1)[0])
-        return cls(entries=e, weight=w, components=_canonical_components(e))
+
+def _disjoint_sets(w: int, allowed: int, compat: list[int]):
+    # Ascending index tuples of w permutations from the bitmask `allowed`
+    # that pairwise differ in every position, in lexicographic order;
+    # compat[j] masks the higher-index permutations that differ from j
+    # everywhere.
+    while allowed:
+        j = (allowed & -allowed).bit_length() - 1
+        allowed &= allowed - 1
+        if w == 1:
+            yield (j,)
+        else:
+            for rest in _disjoint_sets(w - 1, allowed & compat[j], compat):
+                yield (j,) + rest
 
 
 def enumerate_weight_w(L: int, w: int) -> "Codebook":
     """All weight-w matrices built from w pairwise distance-L codewords.
 
     Distinct codeword sets can sum to the same matrix, so results are
-    deduplicated on the matrix itself; each survivor stores its canonical
-    (lexicographically smallest) decomposition, and entries are sorted by
-    that decomposition.
+    deduplicated on the matrix itself.  Sets are met in lexicographic order,
+    so the first set that sums to a matrix is its canonical (lexicographically
+    smallest) decomposition, and first-seen order is the canonical order.
     """
     if not 2 <= L <= ENUMERATION_MAX_L:
         raise ValueError(f"L must be in 2..{ENUMERATION_MAX_L}")
     if not 1 <= w <= L - 1:
         raise ValueError(f"w must be in 1..{L - 1}")
-    perms = sorted(permutations(range(1, L + 1)))
-    if w == 1:
-        entries = [CodewordMatrix.from_components((Codeword(p),)) for p in perms]
-        return Codebook(L=L, entries=tuple(entries), label=f"P({L},{len(entries)},w=1)")
-
-    n = len(perms)
-    compat = [0] * n  # bitmask of higher-index perms at distance L
-    for i in range(n):
-        mask = 0
-        for j in range(i + 1, n):
-            if all(a != b for a, b in zip(perms[i], perms[j])):
-                mask |= 1 << j
-        compat[i] = mask
-
-    seen: dict[bytes, np.ndarray] = {}
-
-    def grow(chosen: list[int], allowed: int) -> None:
-        if len(chosen) == w:
-            acc = np.zeros((L, L), dtype=np.uint8)
-            for idx in chosen:
-                acc += _perm_matrix(perms[idx])
-            seen.setdefault(acc.tobytes(), acc)
-            return
-        rest = allowed
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            grow(chosen + [j], allowed & compat[j])
-
-    for i in range(n):
-        grow([i], compat[i])
-
-    matrices = [CodewordMatrix.from_entries(m) for m in seen.values()]
-    matrices.sort(key=lambda cm: tuple(c.symbols for c in cm.components))
-    return Codebook(L=L, entries=tuple(matrices), label=f"P({L},{len(matrices)},w={w})")
+    table, perms = permutation_table(L)
+    far = np.triu((table[:, None, :] != table[None, :, :]).all(axis=2), 1)
+    compat = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+              for row in far]
+    cells = [sum(1 << (r * L + c) for r, c in enumerate(p)) for p in table.tolist()]
+    first: dict[int, tuple[int, ...]] = {}
+    for idx in _disjoint_sets(w, (1 << len(perms)) - 1, compat):
+        first.setdefault(sum(cells[i] for i in idx), idx)  # disjoint, so sum is union
+    codewords = [Codeword(p) for p in perms]
+    entries = tuple(CodewordMatrix(tuple(codewords[i] for i in idx)) for idx in first.values())
+    return Codebook(L=L, entries=entries, label=f"P({L},{len(entries)},w={w})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +286,7 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
         raise ValueError("codebooks must share the block length")
     entries = [cm for p in parts for cm in p.entries]
     entries.sort(key=lambda cm: (cm.weight, tuple(c.symbols for c in cm.components)))
-    return Codebook(L=L, entries=tuple(entries), label=label)
+    return Codebook(L=entries[0].L, entries=tuple(entries), label=label)
 
 
 def bits_to_entry(bits, codebook: Codebook, M: int = 1) -> tuple[int, int]:
@@ -358,7 +327,6 @@ def export_text(codebook: Codebook) -> str:
 
 def import_text(text: str, label: str = "") -> Codebook:
     entries = []
-    L = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -368,9 +336,7 @@ def import_text(text: str, label: str = "") -> Codebook:
         comps = tuple(Codeword.parse(f) for f in fields[1:])
         if len(comps) != w:
             raise ValueError(f"line {line!r}: weight {w} but {len(comps)} codewords")
-        if L is None:
-            L = comps[0].length
         entries.append(CodewordMatrix.from_components(comps))
     if not entries:
         raise ValueError("no codebook entries found")
-    return Codebook(L=L, entries=tuple(entries), label=label)
+    return Codebook(L=entries[0].L, entries=tuple(entries), label=label)

@@ -169,7 +169,7 @@ class TestMurty:
         def no_table(n):
             raise AssertionError("permutation table built")
 
-        monkeypatch.setattr(assignment, "_permutations", no_table)
+        monkeypatch.setattr(assignment, "permutation_table", no_table)
         n = ENUMERATION_MAX_L + 1
         with pytest.raises(ValueError, match="at most"):
             next(murty_iter(np.zeros((n, n))))

@@ -133,6 +133,22 @@ class TestCodewordMatrix:
         other = CodewordMatrix.from_components((Codeword((1, 2, 4, 3)), Codeword((2, 1, 3, 4))))
         assert other == cm
 
+    def test_rejects_what_is_not_a_disjoint_sum(self):
+        with pytest.raises(ValueError, match="weight"):
+            CodewordMatrix((Codeword((1, 2)), Codeword((2, 1))))  # weight L: every LED always on
+        with pytest.raises(ValueError, match="length"):
+            CodewordMatrix((Codeword((1, 2, 3)), Codeword((2, 1))))
+        with pytest.raises(ValueError, match="at least one"):
+            CodewordMatrix(())
+        with pytest.raises(ValueError, match="at least one"):
+            CodewordMatrix.from_components(())
+
+    def test_entries_are_read_only(self):
+        cm = codeword_to_matrix((2, 1, 3))
+        assert cm.entries.dtype == np.uint8
+        with pytest.raises(ValueError):
+            cm.entries[0, 0] = 1
+
     def test_equality_is_on_entries(self):
         a = CodewordMatrix.from_components((Codeword((1, 2, 3, 4)),))
         b = codeword_to_matrix((1, 2, 3, 4))
@@ -152,9 +168,20 @@ class TestEnumeration:
         assert enumerate_weight_w(4, 2).size == 90
         assert enumerate_weight_w(4, 3).size == 24
 
-    @pytest.mark.parametrize("w", [1, 2, 3])
-    def test_counts_match_regular_matrix_oracle(self, w):
-        assert enumerate_weight_w(4, w).size == brute_force_regular_matrix_count(4, w)
+    @pytest.mark.parametrize("L, w", [pytest.param(4, w, id=str(w)) for w in (1, 2, 3)]
+                             + [pytest.param(5, w, id=f"L5-{w}") for w in (1, 2, 3, 4)])
+    def test_counts_match_regular_matrix_oracle(self, L, w):
+        assert enumerate_weight_w(L, w).size == brute_force_regular_matrix_count(L, w)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_entries_store_canonical_decomposition_in_order(self, L):
+        for w in range(1, L):
+            cb = enumerate_weight_w(L, w)
+            keys = [tuple(c.symbols for c in cm.components) for cm in cb.entries]
+            for cm in cb.entries:
+                again = CodewordMatrix.from_components(reversed(cm.components))
+                assert again.components == cm.components
+            assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_row_and_column_sums(self):
         cb = enumerate_weight_w(4, 2)
@@ -284,6 +311,18 @@ class TestExportImport:
     def test_bad_weight_rejected(self):
         with pytest.raises(ValueError):
             import_text("2 1234\n")
+
+    def test_weight_zero_line_rejected(self):
+        with pytest.raises(ValueError):
+            import_text("0\n")
+
+    def test_imports_blocks_beyond_the_enumeration_limit(self):
+        # L = 7 is never enumerated, but an imported entry is still stored
+        # under its canonical decomposition
+        shifts = cyclic_latin_codebook((1, 2, 3, 4, 5, 6, 7))
+        cb = import_text(f"2 {shifts[3]} {shifts[0]}\n")
+        assert cb.L == 7
+        assert tuple(str(c) for c in cb.entries[0].components) == ("1234567", "4567123")
 
 
 @settings(max_examples=30, deadline=None)
