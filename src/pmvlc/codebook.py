@@ -52,11 +52,14 @@ class Codeword:
         return len(self.symbols)
 
     def __str__(self) -> str:
-        return "".join(str(x) for x in self.symbols)
+        # digit strings while every symbol is one digit; commas from L = 10 on
+        return ("," if self.length >= 10 else "").join(str(x) for x in self.symbols)
 
     @classmethod
     def parse(cls, text: str) -> "Codeword":
-        return cls(tuple(int(ch) for ch in text.strip()))
+        """Inverse of str(): a digit string or comma-separated symbols."""
+        text = text.strip()
+        return cls(tuple(int(f) for f in (text.split(",") if "," in text else text)))
 
 
 def codeword_to_matrix(codeword: Codeword | tuple[int, ...]) -> "CodewordMatrix":
@@ -317,7 +320,8 @@ def entry_to_bits(q: int, m: int, codebook: Codebook, M: int = 1) -> tuple[int, 
 
 
 def export_text(codebook: Codebook) -> str:
-    """One line per entry: weight, then the component codewords as digit strings."""
+    """One line per entry: weight, then the component codewords as digit
+    strings (comma-separated symbols for L >= 10)."""
     lines = []
     for cm in codebook.entries:
         comps = " ".join(str(c) for c in cm.components)

@@ -10,14 +10,21 @@ yhat = -Y, so a codeword's decision metric is the negated sum of received
 values over its support; for a multiweight entry that equals the sum of the
 per-component metrics because components never overlap.
 
-* ml_detect          exhaustive argmin of ||Y - H a_m P_q||_F^2 (needs CSI)
+* ml_detect          exhaustive argmin of ||Y - H a_m P_q||_F^2 (needs CSI),
+                      scored in expanded-norm form as one matrix product
 * bf_sd_detect       exhaustive support-metric search over the codebook
 * bb_detect          greedy level-by-level column selection (weight 1 only)
 * iterative_sd_detect assignment-driven search: best assignment first, then
                       next-best assignments until one lands in the codebook;
                       the walk ranks all L! assignments, so L <= 6
 * rc_detect, sm_detect single-slot repetition-coding and spatial-modulation
-                      baselines
+                      baselines; sm is the ML nearest-mean rule on vectors
+
+The coherent rules (ml, sm) share one nearest-mean kernel, ml_detect_batch.
+It scores ||HS_k||^2 - 2<Y, HS_k> for every candidate with one matrix
+product; ||Y||^2 is common to all candidates of a block, so dropping it
+leaves the argmin unchanged and no (block, candidate, ...) difference tensor
+is built.
 
 Intensity and weight side-decisions are factored out as estimate_intensity
 and classify_weight; multiweight detection assumes the weight class is known
@@ -187,12 +194,22 @@ def classify_weight(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
 
 
 def ml_detect_batch(Y: np.ndarray, HS: np.ndarray):
-    """Coherent ML over received candidate means HS (K, L, L): the index of
-    the nearest candidate per block of Y (B, L, L), ties to the lowest, and
-    its squared residual."""
-    res = ((Y[:, None, :, :] - HS[None, :, :, :]) ** 2).sum(axis=(2, 3))
-    k = np.argmin(res, axis=1)
-    return k, res[np.arange(len(k)), k]
+    """Nearest-mean decision: for each block of Y (B, ...) the index of the
+    nearest candidate mean in HS (K, ...), ties to the lowest, and its
+    squared residual.  Trailing shapes are flattened, so blocks (B, L, L)
+    and single-slot vectors (B, n_rx) share the rule.
+
+    ||Y - HS_k||^2 = ||Y||^2 - 2<Y, HS_k> + ||HS_k||^2 and the first term is
+    the same for every k, so the argmin is taken over ||HS_k||^2 - 2<Y, HS_k>:
+    one (B, K) matrix product and no (B, K, ...) difference tensor.  Scaling
+    by -2 is exact; only the winner's residual is recomputed in full.
+    """
+    Yf = Y.reshape(len(Y), -1)
+    Sf = HS.reshape(len(HS), -1)
+    score = Yf @ (-2.0 * Sf.T)
+    score += (Sf * Sf).sum(axis=1)
+    k = np.argmin(score, axis=1)
+    return k, ((Yf - Sf[k]) ** 2).sum(axis=1)
 
 
 def ml_detect(Y: np.ndarray, channel, codebook: Codebook, pam: PamConfig) -> DetectionResult:
@@ -459,7 +476,7 @@ def sm_detect_batch(y: np.ndarray, channel, config: SmConfig) -> np.ndarray:
         config.level(m) * H[:, k]
         for k in range(config.L) for m in range(1, config.M + 1)
     ])
-    return np.argmin(((y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2), axis=1)
+    return ml_detect_batch(y, cand)[0]
 
 
 def sm_detect(y: np.ndarray, channel, config: SmConfig) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,52 @@ class TestBatchPathsMatchScalarDetectors:
         want = np.argmin(((Y[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
         np.testing.assert_array_equal(sm_detect_batch(Y, H02, cfg), want)
         np.testing.assert_array_equal(_labels(sm_detect(y, H02, cfg) for y in Y), want)
+
+
+class TestNearestMeanKernel:
+    """ml_detect_batch scores candidates in expanded-norm form; its decisions
+    and residuals must match the difference form at physical scale."""
+
+    PAM16 = PamConfig(M=16, I=1.0)
+
+    def _means(self):
+        return np.einsum("ij,kjl->kil", H02.H, signal_stack(COMBINED32, self.PAM16))
+
+    def test_matches_difference_form_at_physical_scale(self):
+        HS = self._means()
+        assert len(HS) == 512
+        _, Y = _noisy_blocks(COMBINED32, self.PAM16, 100.0, 256, seed=81)
+        assert 1e-6 < np.abs(Y).mean() < 1e-3  # received values are ~1e-4
+        res = ((Y[:, None] - HS[None]) ** 2).sum(axis=(2, 3))
+        k, got = ml_detect_batch(Y, HS)
+        np.testing.assert_array_equal(k, np.argmin(res, axis=1))
+        np.testing.assert_allclose(got, ((Y - HS[k]) ** 2).sum(axis=(1, 2)), rtol=1e-12, atol=0)
+
+    def test_batch_memory_stays_at_one_score_matrix(self):
+        # a (4096, 512, 4, 4) difference tensor alone would be 268 MB; the
+        # (4096, 512) score matrix is 17 MB
+        HS = self._means()
+        Y = np.random.default_rng(82).normal(1e-4, 1e-5, size=(BATCH_BLOCKS, 4, 4))
+        tracemalloc.start()
+        try:
+            ml_detect_batch(Y, HS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+    def test_accepts_vectors_and_breaks_ties_low(self):
+        rng = np.random.default_rng(83)
+        y = rng.normal(size=(64, 4))
+        cand = rng.normal(size=(16, 4))
+        k, res = ml_detect_batch(y, cand)
+        full = ((y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(k, np.argmin(full, axis=1))
+        np.testing.assert_allclose(res, full.min(axis=1), rtol=1e-12)
+        # integer data keeps every score exact: three equidistant means
+        means = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+        k, res = ml_detect_batch(np.zeros((1, 2)), means)
+        assert (k[0], res[0]) == (1, 1.0)
 
 
 class TestCsvWriters:

@@ -324,6 +324,24 @@ class TestExportImport:
         assert cb.L == 7
         assert tuple(str(c) for c in cb.entries[0].components) == ("1234567", "4567123")
 
+    def test_roundtrip_with_two_digit_symbols(self):
+        # from L = 10 a digit string is ambiguous ("10987654321" reads as 11
+        # symbols), so symbols are written comma-separated
+        reverse = Codeword(tuple(range(10, 0, -1)))
+        shifts = cyclic_latin_codebook(tuple(range(1, 11)))
+        cb = Codebook(L=10, entries=(
+            codeword_to_matrix(reverse),
+            CodewordMatrix.from_components((shifts[0], shifts[5])),
+        ))
+        text = export_text(cb)
+        assert text.splitlines()[0] == "1 10,9,8,7,6,5,4,3,2,1"
+        back = import_text(text)
+        assert back.L == 10
+        assert back.entries == cb.entries
+
+    def test_parse_reads_both_forms(self):
+        assert Codeword.parse("2314") == Codeword.parse("2,3,1,4") == Codeword((2, 3, 1, 4))
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(1, 5))), st.permutations(list(range(1, 5))))
