@@ -10,21 +10,18 @@ yhat = -Y, so a codeword's decision metric is the negated sum of received
 values over its support; for a multiweight entry that equals the sum of the
 per-component metrics because components never overlap.
 
-* ml_detect          exhaustive argmin of ||Y - H a_m P_q||_F^2 (needs CSI),
-                      scored in expanded-norm form as one matrix product
+* ml_detect          exhaustive argmin of ||Y - H a_m P_q||_F^2 (needs CSI)
 * bf_sd_detect       exhaustive support-metric search over the codebook
 * bb_detect          greedy level-by-level column selection (weight 1 only)
 * iterative_sd_detect assignment-driven search: best assignment first, then
                       next-best assignments until one lands in the codebook;
                       the walk ranks all L! assignments, so L <= 6
 * rc_detect, sm_detect single-slot repetition-coding and spatial-modulation
-                      baselines; sm is the ML nearest-mean rule on vectors
+                      baselines
 
-The coherent rules (ml, sm) share one nearest-mean kernel, ml_detect_batch.
-It scores ||HS_k||^2 - 2<Y, HS_k> for every candidate with one matrix
-product; ||Y||^2 is common to all candidates of a block, so dropping it
-leaves the argmin unchanged and no (block, candidate, ...) difference tensor
-is built.
+The coherent rules (ml, sm) share one nearest-mean kernel, ml_detect_batch,
+which scores ||HS_k||^2 - 2<Y, HS_k> with one matrix product: ||Y||^2 is the
+same for every candidate of a block, so dropping it keeps the argmin.
 
 Intensity and weight side-decisions are factored out as estimate_intensity
 and classify_weight; multiweight detection assumes the weight class is known
@@ -194,16 +191,14 @@ def classify_weight(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
 
 
 def ml_detect_batch(Y: np.ndarray, HS: np.ndarray):
-    """Nearest-mean decision: for each block of Y (B, ...) the index of the
-    nearest candidate mean in HS (K, ...), ties to the lowest, and its
-    squared residual.  Trailing shapes are flattened, so blocks (B, L, L)
-    and single-slot vectors (B, n_rx) share the rule.
+    """Index of the nearest candidate mean in HS (K, ...) for each block of
+    Y (B, ...), ties to the lowest, and its squared residual.  Trailing
+    shapes are flattened, so (B, L, L) blocks and (B, n_rx) slots share it.
 
-    ||Y - HS_k||^2 = ||Y||^2 - 2<Y, HS_k> + ||HS_k||^2 and the first term is
-    the same for every k, so the argmin is taken over ||HS_k||^2 - 2<Y, HS_k>:
-    one (B, K) matrix product and no (B, K, ...) difference tensor.  Scaling
-    by -2 is exact; only the winner's residual is recomputed in full.
-    """
+    ||Y - HS_k||^2 = ||Y||^2 - 2<Y, HS_k> + ||HS_k||^2, and ||Y||^2 is the
+    same for every k: the argmin of the other two terms needs one (B, K)
+    matrix product and no (B, K, ...) difference tensor.  Scaling by -2 is
+    exact; only the winner's residual is computed in full."""
     Yf = Y.reshape(len(Y), -1)
     Sf = HS.reshape(len(HS), -1)
     score = Yf @ (-2.0 * Sf.T)
