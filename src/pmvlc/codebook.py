@@ -53,7 +53,8 @@ class Codeword:
 
     def __str__(self) -> str:
         # digit strings while every symbol is one digit; commas from L = 10 on
-        return ("," if self.length >= 10 else "").join(str(x) for x in self.symbols)
+        sep = "" if len(self.symbols) < 10 else ","
+        return sep.join(str(x) for x in self.symbols)
 
     @classmethod
     def parse(cls, text: str) -> "Codeword":
