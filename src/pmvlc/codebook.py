@@ -53,8 +53,7 @@ class Codeword:
 
     def __str__(self) -> str:
         # digit strings while every symbol is one digit; commas from L = 10 on
-        sep = "" if len(self.symbols) < 10 else ","
-        return sep.join(str(x) for x in self.symbols)
+        return ("" if len(self.symbols) < 10 else ",").join(str(x) for x in self.symbols)
 
     @classmethod
     def parse(cls, text: str) -> "Codeword":
