@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -86,7 +87,7 @@ def _scheme_for(scenario: Scenario, detector: str) -> str:
     return scenario.scheme
 
 
-def _sim_config(scenario: Scenario, detector: str, overrides) -> SimConfig:
+def _sim_config(scenario: Scenario, detector: str) -> SimConfig:
     cal = None
     if scenario.calibration == "csi":
         cal = Calibration(channel=scenario.channel)
@@ -101,9 +102,9 @@ def _sim_config(scenario: Scenario, detector: str, overrides) -> SimConfig:
         if detector == "rc" else None,
         sm=SmConfig(L=scenario.channel.H.shape[1], M=scenario.sm_m, I=scenario.pam.I)
         if detector == "sm" else None,
-        errors_target=overrides.get("errors_target") or scenario.errors_target,
-        block_cap=overrides.get("block_cap") or scenario.block_cap,
-        seed=overrides["seed"] if overrides.get("seed") is not None else scenario.seed,
+        errors_target=scenario.errors_target,
+        block_cap=scenario.block_cap,
+        seed=scenario.seed,
         weight_mode=scenario.weight_mode,
         calibration=cal,
         e_max=scenario.e_max,
@@ -145,6 +146,7 @@ def _op_probe(scenario: Scenario, detector: str, samples: int = 32):
 
 def run_scenario(scenario: Scenario, out_dir: Path, threads: int, overrides,
                  with_bound: bool = True) -> list[Path]:
+    scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     records = []
@@ -155,7 +157,7 @@ def run_scenario(scenario: Scenario, out_dir: Path, threads: int, overrides,
              f"{'bit_errors':>10} {'elapsed_s':>9} {'mean_ops':>9}"
     print(header)
     for detector in scenario.detectors:
-        cfg = _sim_config(scenario, detector, overrides)
+        cfg = _sim_config(scenario, detector)
         t0 = time.perf_counter()
         recs = monte_carlo_ber(cfg, threads=threads)
         elapsed = time.perf_counter() - t0

@@ -8,7 +8,7 @@ A codebook is a deduplicated, canonically ordered list of such matrices for
 one or more weights, together with the block bit mapping.
 
 Enumeration walks one cached lexicographic permutation table, the same
-table pmvlc.assignment ranks assignments over, and builds each matrix once
+table detectors.murty_iter ranks assignments over, and builds each matrix once
 from the first codeword set that sums to it: that set is its canonical
 decomposition.
 """

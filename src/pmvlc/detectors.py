@@ -15,7 +15,8 @@ per-component metrics because components never overlap.
 * bb_detect          greedy level-by-level column selection (weight 1 only)
 * iterative_sd_detect assignment-driven search: best assignment first, then
                       next-best assignments until one lands in the codebook;
-                      the walk ranks all L! assignments, so L <= 6
+                      the walk follows murty_iter, defined here, which ranks
+                      all L! assignments, so L <= 6
 * rc_detect, sm_detect single-slot repetition-coding and spatial-modulation
                       baselines
 
@@ -32,12 +33,12 @@ have no batch kernel yet and run per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .assignment import murty_iter
 from .channel import ChannelMatrix, default_calibration_gain, fixture_h02
-from .codebook import Codebook, entry_to_bits
+from .codebook import ENUMERATION_MAX_L, Codebook, entry_to_bits, permutation_table
 from .txcodec import PamConfig, pam_intensity
 
 
@@ -262,12 +263,14 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
               calibration: Calibration | None = None) -> DetectionResult:
     """Greedy level-by-level column selection for weight-1 codebooks.
 
-    Level k scores each unused column with the path cost so far, the
-    candidate entry, and the sum of everything still selectable below; the
-    shared path prefix cannot change a level's argmin, so this matches
-    scoring each node against the remaining-matrix bound.  Only one node
-    survives per level, so the result is a permutation that may fall outside
-    a restricted codebook; that outcome carries no bit decision.
+    Row k scores each free column c by the path cost so far, yhat[k, c] and
+    the sum of the free columns below once c is taken.  The path cost and
+    the free total below are common to every c, so the choice is the closed
+    form argmin of yhat[k, c] - sum(yhat[k+1:, c]), ties to the lowest c.
+    op_count models the node-by-node bound: f (1 + (f-1)^2) additions at a
+    level with f free columns, 60 in all at L = 4.  One node survives per
+    level, so the result may fall outside a restricted codebook; that
+    outcome carries no bit decision.
     """
     if codebook.weights_present != (1,):
         raise ValueError("branch-and-bound decoding applies to weight-1 codebooks only")
@@ -275,31 +278,52 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
-    ops = 0
     used: list[int] = []
-    free = list(range(L))
-    path_cost = 0.0
+    free = np.arange(L)
     for row in range(L):
-        best_col, best_score = -1, np.inf
-        for col in free:
-            rest = [c for c in free if c != col]
-            bound = float(yhat[row + 1:, rest].sum()) if row + 1 < L else 0.0
-            score = path_cost + float(yhat[row, col]) + bound
-            ops += 1 + (L - row - 1) * len(rest)
-            if score < best_score:
-                best_col, best_score = col, score
-        used.append(best_col)
-        free.remove(best_col)
-        path_cost += float(yhat[row, best_col])
+        col = int(free[np.argmin(yhat[row, free] - yhat[row + 1:, free].sum(axis=0))])
+        used.append(col)
+        free = free[free != col]
+    ops = sum(f * (1 + (f - 1) ** 2) for f in range(1, L + 1))
+    path_cost = sum(float(yhat[row, col]) for row, col in enumerate(used))
     perm = tuple(c + 1 for c in used)
     lookup = {cm.components[0].symbols: i for i, cm in enumerate(codebook.entries)}
     if perm in lookup:
         q = lookup[perm] + 1
-        support = codebook.matrix_stack[q - 1].astype(bool)
-        m = estimate_intensity(Y, support, pam, calibration)
+        m = estimate_intensity(Y, codebook.matrix_stack[q - 1].astype(bool), pam, calibration)
         return _decision(q, m, codebook, pam, path_cost, iterations=L, op_count=ops)
     return DetectionResult(q=None, m=1, w=1, bits=None, cost=path_cost,
                            iterations=L, op_count=ops)
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """Column choice per row (1-based) and the summed cost."""
+
+    perm: tuple[int, ...]
+    cost: float
+
+
+def murty_iter(costs) -> Iterator[Assignment]:
+    """Yield every assignment of a square cost matrix by (cost, column tuple),
+    the order of Murty's k-best ranking (Operations Research 16, 1968).
+
+    Each assignment is a row of codebook.permutation_table, so one gather
+    and one stable sort rank all n!.  Raises ValueError for a non-square or
+    non-finite matrix, and above ENUMERATION_MAX_L columns.
+    """
+    C = np.asarray(costs, dtype=np.float64)
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
+        raise ValueError("cost matrix must be square and nonempty")
+    if not np.isfinite(C).all():
+        raise ValueError("cost matrix must be finite")
+    n = C.shape[0]
+    if n > ENUMERATION_MAX_L:
+        raise ValueError(f"ranking needs at most {ENUMERATION_MAX_L} columns, got {n}")
+    table, perms = permutation_table(n)
+    total = C[np.arange(n), table].sum(axis=1)
+    for i in np.argsort(total, kind="stable").tolist():
+        yield Assignment(perm=perms[i], cost=float(total[i]))
 
 
 def _walk_until_member(yhat: np.ndarray, members: set[tuple[int, ...]], e_max: int):
@@ -315,7 +339,9 @@ def _walk_until_member(yhat: np.ndarray, members: set[tuple[int, ...]], e_max: i
     return None, None, tries
 
 
-_LAP_OPS = lambda L: L ** 3  # nominal work of one assignment solve
+# The paper's decoder solves one assignment problem per try, O(L^3) with the
+# Hungarian method; op_count models that work, not the table walk above.
+_LAP_OPS = lambda L: L ** 3
 
 
 def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,

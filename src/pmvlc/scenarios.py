@@ -19,6 +19,7 @@ from .channel import (
     square_grid_geometry,
 )
 from .codebook import Codebook, Codeword, CodewordMatrix, combine_codebooks, enumerate_weight_w
+from .detectors import RcConfig, SmConfig
 from .txcodec import PamConfig
 
 
@@ -145,6 +146,17 @@ class Scenario:
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
         if self.calibration not in ("blind", "csi"):
             raise ConfigError(f"calibration must be blind or csi, not {self.calibration!r}")
+        for key in ("errors_target", "block_cap", "e_max"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ConfigError(f"{key} must be at least 1, got {value}")
+        L = self.channel.H.shape[1]
+        for det, config in (("rc", RcConfig(L, self.rc_m)), ("sm", SmConfig(L, self.sm_m))):
+            if det in self.detectors:
+                try:
+                    config.bits  # raises unless a power of two
+                except ValueError as exc:
+                    raise ConfigError(f"{det}_m = {config.M}: {exc}") from None
 
 
 def _parse_grid(value: str, where: str) -> tuple[float, ...]:
@@ -242,7 +254,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         try:
             return int(kv[key])
         except ValueError:
-            raise ConfigError(f"{source}: field {key!r} must be an integer, got {kv[key]!r}") from None
+            raise ValueError(f"field {key!r} must be an integer, got {kv[key]!r}") from None
 
     def _float(key, default):
         if key not in kv:
@@ -250,7 +262,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         try:
             return float(kv[key])
         except ValueError:
-            raise ConfigError(f"{source}: field {key!r} must be a number, got {kv[key]!r}") from None
+            raise ValueError(f"field {key!r} must be a number, got {kv[key]!r}") from None
 
     if "detectors" not in kv:
         raise ConfigError(f"{source}: missing required key 'detectors'")
@@ -261,8 +273,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     grid = _parse_grid(kv["ebn0_db"], source)
     channel, channel_desc = _resolve_channel(kv, source)
     codebook = named_codebook(kv["codebook"]) if "codebook" in kv else None
-    pam = PamConfig(M=_int("m", 1), I=_float("i", 1.0))
-    e_max = _int("e_max", None) if "e_max" in kv else None
 
     try:
         return Scenario(
@@ -272,18 +282,18 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             channel=channel,
             channel_desc=channel_desc,
             codebook=codebook,
-            pam=pam,
+            pam=PamConfig(M=_int("m", 1), I=_float("i", 1.0)),
             scheme=kv.get("scheme", ""),
             errors_target=_int("errors_target", 200),
             block_cap=_int("block_cap", 10_000_000),
             seed=_int("seed", 0),
             weight_mode=kv.get("weight_mode", "genie"),
-            e_max=e_max,
+            e_max=_int("e_max", None),
             calibration=kv.get("calibration", "blind"),
             rc_m=_int("rc_m", 16),
             sm_m=_int("sm_m", 4),
         )
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 

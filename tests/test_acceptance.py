@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from pmvlc.analysis import SimConfig, ber_union_bound, monte_carlo_ber
-from pmvlc.assignment import hungarian, murty_enumerate
 from pmvlc.channel import build_channel, fixture_h02, square_grid_geometry
 from pmvlc.cli import main
 from pmvlc.codebook import combine_codebooks, count_distance_L, enumerate_weight_w
@@ -23,6 +23,7 @@ from pmvlc.detectors import (
     bf_sd_detect,
     iterative_sd_detect,
     ml_detect,
+    murty_iter,
 )
 from pmvlc.scenarios import named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
@@ -122,20 +123,19 @@ def test_criterion_04_assignment_oracle():
         C = rng.random((1000, L, L))
         best = np.array([
             min(Ck[np.arange(L), p].sum() for p in perms) for Ck in C])
-        hung = np.array([hungarian(Ck).cost for Ck in C])
-        np.testing.assert_allclose(hung, best, rtol=0, atol=1e-9)
+        first = np.array([next(murty_iter(Ck)).cost for Ck in C])
+        np.testing.assert_allclose(first, best, rtol=0, atol=1e-9)
     for L in (3, 4):
-        perms = list(itertools.permutations(range(L)))
         for _ in range(50):
             Ck = rng.random((L, L))
-            ranked = murty_enumerate(Ck, k=math.factorial(L))
+            ranked = [(a.cost, a.perm) for a in murty_iter(Ck)]
+            brute = sorted((float(sum(Ck[i, p[i]] for i in range(L))),
+                            tuple(c + 1 for c in p))
+                           for p in itertools.permutations(range(L)))
             assert len(ranked) == math.factorial(L)
-            seq = [a.cost for a in ranked]
-            assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
-            allc = sorted(Ck[np.arange(L), p].sum() for p in perms)
-            np.testing.assert_allclose(sorted(seq), allc, atol=1e-9)
-    _verdict(4, True, "hungarian==exhaustive on 3000 matrices; "
-                      "murty ranks complete and nondecreasing")
+            assert ranked == brute
+    _verdict(4, True, "first ranked assignment==exhaustive minimum on 3000 matrices; "
+                      "full ranking==brute-force (cost, column tuple) sort")
 
 
 def test_criterion_05_sd_cost_exactness():
@@ -272,8 +272,9 @@ def test_criterion_09_scheme_comparison_4bit():
     closest = np.isclose(pm_d2["h02"], d2["h02"][0], rtol=1e-6, atol=0.0)
     even = np.linalg.det(full24.matrix_stack) > 0
     assert not closest[np.ix_(even, even)].any() and not closest[np.ix_(~even, ~even)].any()
-    matching = even.sum() - hungarian(1.0 - closest[np.ix_(even, ~even)]).cost
-    largest_free = full24.size - round(matching)
+    sub = closest[np.ix_(even, ~even)]
+    rows, cols = linear_sum_assignment(sub, maximize=True)
+    largest_free = full24.size - int(sub[rows, cols].sum())
     assert largest_free < named_codebook("pm16").size
 
     _verdict(9, True, "; ".join(details) + f"; min d2 pm/rc h02 "

@@ -1,5 +1,6 @@
 """Scenario parsing, the named-codebook registry, and the command line."""
 
+import os
 import subprocess
 import sys
 
@@ -234,6 +235,28 @@ class TestCommandLine:
         assert main(["simulate", "--scenario", str(scen)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detector,line", [
+        ("bf", "m = 0"), ("bf", "i = -1"), ("iterative", "e_max = 0"),
+        ("bf", "errors_target = 0"), ("bf", "block_cap = 0"), ("rc", "rc_m = 12"),
+        ("sm", "sm_m = 3"),
+    ], ids=lambda v: v.replace(" ", ""))
+    def test_bad_scenario_values_exit_one(self, tmp_path, capsys, detector, line):
+        scen = tmp_path / "bad.ini"
+        scen.write_text(f"codebook = cb1\nebn0_db = 96\ndetectors = {detector}\n{line}\n")
+        with pytest.raises(ConfigError, match="bad.ini"):
+            parse_scenario(scen.read_text(), source=str(scen))
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--errors-target", "--block-cap"])
+    def test_zero_stopping_override_exit_one(self, tmp_path, capsys, flag):
+        scen = tmp_path / "tiny.ini"
+        scen.write_text(TINY)
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path),
+                     flag, "0"]) == 1
+        assert "must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "tiny_ber.csv").exists()
+
     def test_runtime_error_exit_two(self, tmp_path, capsys):
         scen = tmp_path / "tiny.ini"
         scen.write_text(TINY)
@@ -299,3 +322,13 @@ class TestPresets:
         for stem in ("fig4-cb1", "fig4-cb2"):
             assert (tmp_path / f"{stem}_ber.csv").exists()
             assert (tmp_path / f"{stem}_bound.csv").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is slow to import and no package code needs it; only the
+    # tests call its linear_sum_assignment.
+    code = "import sys, pmvlc.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,9 @@
 """Detector behavior: exact recovery without noise, documented tie rules,
-cost-equality guarantees, and the measured divergence of the greedy search.
+cost-equality guarantees, the measured divergence of the greedy search, and
+the assignment ranking the iterative walk follows, against brute force.
 """
+
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pmvlc import channel
-from pmvlc.assignment import hungarian
+from pmvlc import channel, detectors
 from pmvlc.channel import fixture_h02
 from pmvlc.codebook import (
+    ENUMERATION_MAX_L,
     Codebook,
     Codeword,
     CodewordMatrix,
@@ -30,6 +33,7 @@ from pmvlc.detectors import (
     estimate_intensity,
     iterative_sd_detect,
     ml_detect,
+    murty_iter,
     rc_detect,
     rc_encode,
     sm_detect,
@@ -58,6 +62,42 @@ def block_for(codebook, q, m, pam):
 def perm_codebook(perms):
     entries = [CodewordMatrix.from_components([Codeword(p)]) for p in perms]
     return Codebook(L=4, entries=tuple(entries), label="restricted")
+
+
+def brute_force_all(C):
+    # Exhaustive oracle: every assignment with its cost, sorted by
+    # (cost, column tuple).
+    n = C.shape[0]
+    out = []
+    for perm in permutations(range(n)):
+        cost = float(sum(C[i, perm[i]] for i in range(n)))
+        out.append((cost, tuple(p + 1 for p in perm)))
+    out.sort()
+    return out
+
+
+def bb_reference(Y, L):
+    # The node-by-node search that bb_detect replaces with its closed form:
+    # each free column is scored with the path cost, its entry and the sum of
+    # the submatrix left below, and every node's additions are counted.
+    yhat = -np.asarray(Y, dtype=np.float64)
+    ops = 0
+    used: list[int] = []
+    free = list(range(L))
+    path_cost = 0.0
+    for row in range(L):
+        best_col, best_score = -1, np.inf
+        for col in free:
+            rest = [c for c in free if c != col]
+            bound = float(yhat[row + 1:, rest].sum()) if row + 1 < L else 0.0
+            score = path_cost + float(yhat[row, col]) + bound
+            ops += 1 + (L - row - 1) * len(rest)
+            if score < best_score:
+                best_col, best_score = col, score
+        used.append(best_col)
+        free.remove(best_col)
+        path_cost += float(yhat[row, best_col])
+    return tuple(c + 1 for c in used), path_cost, ops
 
 
 CB1 = perm_codebook([(4, 3, 2, 1), (4, 1, 3, 2), (3, 1, 2, 4), (3, 4, 1, 2),
@@ -317,10 +357,41 @@ class TestBbDetect:
         for _ in range(trials):
             Y = rng.normal(0, 1, (4, 4))
             r = bb_detect(Y, FULL24)
-            opt = hungarian(-Y)
+            opt = next(murty_iter(-Y))
             if abs(r.cost - opt.cost) > 1e-12:
                 diverged += 1
         assert 0.3 < diverged / trials < 0.6
+
+
+    # The closed form sums in another order, so only float near-ties could
+    # move a decision, and random inputs have none; the path cost is summed
+    # in the reference's order and must match exactly.
+    @pytest.mark.parametrize("L", [4, 5])
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    def test_closed_form_matches_node_search(self, L, scale):
+        book = FULL24 if L == 4 else enumerate_weight_w(5, 1)
+        rng = np.random.default_rng(L)
+        for _ in range(500):
+            Y = scale * rng.normal(0, 1, (L, L))
+            r = bb_detect(Y, book)
+            perm, cost, ops = bb_reference(Y, L)
+            assert book.entries[r.q - 1].components[0].symbols == perm
+            assert r.cost == cost
+            assert r.op_count == ops
+
+    def test_op_count_is_the_node_search_total(self):
+        # f (1 + (f-1)^2) additions for f = 4, 3, 2, 1 free columns
+        assert bb_detect(np.zeros((4, 4)), FULL24).op_count == 40 + 15 + 4 + 1
+
+    def test_closed_form_matches_node_search_on_noisy_fixture_blocks(self):
+        rng = np.random.default_rng(41)
+        for _ in range(1000):
+            q = int(rng.integers(1, 25))
+            Y = H02 @ block_for(FULL24, q, 1, M1) + rng.normal(0, 2e-5, (4, 4))
+            r = bb_detect(Y, FULL24)
+            perm, cost, ops = bb_reference(Y, 4)
+            assert (FULL24.entries[r.q - 1].components[0].symbols, r.cost, r.op_count) \
+                == (perm, cost, ops)
 
 
 class TestIterativeSd:
@@ -330,7 +401,7 @@ class TestIterativeSd:
             Y = rng.normal(0, 1, (4, 4))
             r = iterative_sd_detect(Y, FULL24, M1)
             assert r.iterations == 1
-            assert r.cost == pytest.approx(hungarian(-Y).cost)
+            assert r.cost == pytest.approx(next(murty_iter(-Y)).cost)
 
     def test_cost_equals_bf_on_restricted_codebook(self):
         rng = np.random.default_rng(23)
@@ -380,6 +451,96 @@ class TestIterativeSd:
         a = iterative_sd_detect(Y, FULL24, M1).op_count
         b = iterative_sd_detect(Y, sub, M1).op_count
         assert a == b
+
+
+class TestAssignmentRanking:
+    def test_two_by_two_example(self):
+        a = next(murty_iter([[1.0, 2.0], [2.0, 4.0]]))
+        assert a.perm == (2, 1)
+        assert a.cost == pytest.approx(4.0)
+
+    def test_identity_favoring_matrix(self):
+        a = next(murty_iter(np.ones((4, 4)) - np.eye(4)))
+        assert a.perm == (1, 2, 3, 4)
+        assert a.cost == pytest.approx(0.0)
+
+    def test_all_equal_ties_resolve_lexicographically(self):
+        assert next(murty_iter(np.ones((4, 4)))).perm == (1, 2, 3, 4)
+
+    def test_crafted_tie(self):
+        # Two optima of cost 2: (1,2,3) and (2,1,3); the smaller tuple wins.
+        C = np.array([[0.0, 0.0, 9.0], [0.0, 0.0, 9.0], [9.0, 9.0, 2.0]])
+        assert next(murty_iter(C)).perm == (1, 2, 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_brute_force_on_random(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            C = rng.normal(size=(n, n))
+            best_cost, best_perm = brute_force_all(C)[0]
+            a = next(murty_iter(C))
+            assert a.cost == pytest.approx(best_cost, abs=1e-9)
+            assert a.perm == best_perm
+
+    def test_matches_scipy(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            C = rng.normal(size=(5, 5))
+            rows, cols = linear_sum_assignment(C)
+            assert next(murty_iter(C)).cost == pytest.approx(float(C[rows, cols].sum()), abs=1e-9)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            next(murty_iter(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_costs(self, bad):
+        C = np.eye(3)
+        C[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            next(murty_iter(C))
+
+    def test_two_by_two_full_order(self):
+        out = list(murty_iter([[1.0, 2.0], [2.0, 4.0]]))
+        assert [a.perm for a in out] == [(2, 1), (1, 2)]
+        assert [a.cost for a in out] == [pytest.approx(4.0), pytest.approx(5.0)]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_complete_enumeration_matches_brute_force(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            C = rng.normal(size=(n, n))
+            assert [(a.cost, a.perm) for a in murty_iter(C)] == brute_force_all(C)
+
+    def test_iterator_is_lazy_and_complete(self):
+        C = np.arange(16.0).reshape(4, 4)
+        it = murty_iter(C)
+        first = next(it)
+        assert (first.cost, first.perm) == brute_force_all(C)[0]
+        assert len(list(it)) == 23
+
+    def test_physical_scale_near_ties_keep_cost_order(self):
+        # Received values are ~1e-4, so assignment costs are ~4e-4; plant a
+        # runner-up 5e-10 above the optimum, inside a unit-floored tolerance.
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            C = rng.uniform(0.0, 4e-4, size=(4, 4))
+            ranked = brute_force_all(C)
+            (c1, p1), (c2, p2) = ranked[0], ranked[1]
+            r = next(i for i in range(4) if p1[i] != p2[i])
+            C[r, p2[r] - 1] -= (c2 - c1) - 5e-10
+            assert [(a.cost, a.perm) for a in murty_iter(C)] == brute_force_all(C)
+
+    def test_rejects_sizes_above_enumeration_limit(self, monkeypatch):
+        def no_table(n):
+            raise AssertionError("permutation table built")
+
+        monkeypatch.setattr(detectors, "permutation_table", no_table)
+        n = ENUMERATION_MAX_L + 1
+        with pytest.raises(ValueError, match="at most"):
+            next(murty_iter(np.zeros((n, n))))
 
 
 class TestBaselines:
