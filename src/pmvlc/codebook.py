@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,20 +103,31 @@ def cyclic_latin_codebook(c0: Codeword | tuple[int, ...]) -> list[Codeword]:
     return [Codeword(s[i:] + s[:i]) for i in range(L)]
 
 
+def _smallest_permutation(support: list[list[int]], used: tuple[int, ...] = ()):
+    # Depth-first over rows in order, trying each row's free support columns
+    # in ascending order, so the first complete permutation is the smallest.
+    if len(used) == len(support):
+        return used
+    for c in support[len(used)]:
+        if c not in used:
+            found = _smallest_permutation(support, used + (c,))
+            if found is not None:
+                return found
+    return None
+
+
 def _canonical_components(entries: np.ndarray) -> tuple[Codeword, ...]:
     # Peel the lexicographically smallest permutation off the support until
     # nothing is left.  A w-regular 0/1 matrix always splits into w disjoint
     # permutation matrices (Koenig), so every permutation inside the support
     # extends to a decomposition, and the greedy peel is the lexicographically
-    # smallest one.
-    L = entries.shape[0]
-    rows = np.arange(L)
-    remaining = entries.astype(bool)
+    # smallest one.  The search stops at the permutation it peels.
+    support = [np.flatnonzero(row).tolist() for row in entries]
     comps = []
-    while remaining.any():
-        p = next(p for p in itertools.permutations(range(L)) if remaining[rows, p].all())
+    while support[0]:
+        p = _smallest_permutation(support)
         comps.append(Codeword(tuple(c + 1 for c in p)))
-        remaining[rows, p] = False
+        support = [[c for c in row if c != pc] for row, pc in zip(support, p)]
     return tuple(comps)
 
 
@@ -271,8 +283,30 @@ class Codebook:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def _class_indices(self) -> dict[int, np.ndarray]:
+        out = {w: np.flatnonzero(self.weight_array == w) for w in self.weights_present}
+        for idx in out.values():
+            idx.setflags(write=False)
+        return out
+
     def weight_class_indices(self, w: int) -> np.ndarray:
-        return np.flatnonzero(self.weight_array == w)
+        """Ascending indices of the weight-w entries, read-only if w is present."""
+        idx = self._class_indices.get(w)
+        return idx if idx is not None else np.flatnonzero(self.weight_array == w)
+
+    @cached_property
+    def slot_table(self) -> MappingProxyType:
+        """Read-only weight -> component slot -> {permutation: ascending indices
+        of the entries with that canonical component in that slot}."""
+        table = {}
+        for w in self.weights_present:
+            slots = [{} for _ in range(w)]
+            for i in self.weight_class_indices(w).tolist():
+                for slot, cw in zip(slots, self.entries[i].components):
+                    slot.setdefault(cw.symbols, []).append(i)
+            table[w] = tuple(MappingProxyType({p: tuple(i) for p, i in s.items()}) for s in slots)
+        return MappingProxyType(table)
 
     def subset(self, indices, label: str = "") -> "Codebook":
         picked = tuple(self.entries[int(i)] for i in indices)

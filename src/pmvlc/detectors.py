@@ -33,12 +33,14 @@ have no batch kernel yet and run per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import add
 from typing import Iterator
 
 import numpy as np
 
 from .channel import ChannelMatrix, default_calibration_gain, fixture_h02
-from .codebook import ENUMERATION_MAX_L, Codebook, entry_to_bits, permutation_table
+from .codebook import ENUMERATION_MAX_L, Codebook, permutation_table
 from .txcodec import PamConfig, pam_intensity
 
 
@@ -72,12 +74,10 @@ def _as_H(channel) -> np.ndarray:
 
 def _decision(q: int, m: int, codebook: Codebook, pam: PamConfig, cost: float,
               iterations: int = 0, op_count: int = 0) -> DetectionResult:
-    entry = codebook.entries[q - 1]
     index = (q - 1) * pam.M + (m - 1)
-    bits = None
-    if index < codebook.signaling_count(pam.M):
-        bits = entry_to_bits(q, m, codebook, pam.M)
-    return DetectionResult(q=q, m=m, w=entry.weight, bits=bits, cost=cost,
+    width = codebook.bits_per_block(pam.M)
+    bits = _index_to_bits(index, width) if index < 2 ** width else None
+    return DetectionResult(q=q, m=m, w=codebook.entries[q - 1].weight, bits=bits, cost=cost,
                            iterations=iterations, op_count=op_count)
 
 
@@ -270,27 +270,33 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     op_count models the node-by-node bound: f (1 + (f-1)^2) additions at a
     level with f free columns, 60 in all at L = 4.  One node survives per
     level, so the result may fall outside a restricted codebook; that
-    outcome carries no bit decision.
+    outcome carries no bit decision.  Raises ValueError for a non-finite Y.
+    The loop adds yhat.tolist() floats down the rows below in ascending
+    order, as numpy's column sum does (builtin sum compensates from 3.12),
+    and keeps the first of equal scores: bit for bit the numpy form.
     """
     if codebook.weights_present != (1,):
         raise ValueError("branch-and-bound decoding applies to weight-1 codebooks only")
     pam = pam or PamConfig()
     Y = np.asarray(Y, dtype=np.float64)
-    yhat = -Y
+    if not np.isfinite(Y).all():
+        raise ValueError("received block must be finite")
+    yhat = (-Y).tolist()
     L = codebook.L
     used: list[int] = []
-    free = np.arange(L)
+    free = list(range(L))
     for row in range(L):
-        col = int(free[np.argmin(yhat[row, free] - yhat[row + 1:, free].sum(axis=0))])
+        rest, here = yhat[row + 1:], yhat[row]
+        below = [reduce(add, c) for c in zip(*rest)] if rest else [0.0] * L
+        col = min(free, key=lambda c: here[c] - below[c])
         used.append(col)
-        free = free[free != col]
+        free.remove(col)
     ops = sum(f * (1 + (f - 1) ** 2) for f in range(1, L + 1))
-    path_cost = sum(float(yhat[row, col]) for row, col in enumerate(used))
-    perm = tuple(c + 1 for c in used)
-    lookup = {cm.components[0].symbols: i for i, cm in enumerate(codebook.entries)}
-    if perm in lookup:
-        q = lookup[perm] + 1
-        m = estimate_intensity(Y, codebook.matrix_stack[q - 1].astype(bool), pam, calibration)
+    path_cost = sum(yhat[row][col] for row, col in enumerate(used))
+    hit = codebook.slot_table[1][0].get(tuple(c + 1 for c in used))
+    if hit is not None:
+        q = hit[0] + 1
+        m = estimate_intensity(Y, codebook.matrix_stack[q - 1], pam, calibration)
         return _decision(q, m, codebook, pam, path_cost, iterations=L, op_count=ops)
     return DetectionResult(q=None, m=1, w=1, bits=None, cost=path_cost,
                            iterations=L, op_count=ops)
@@ -304,13 +310,20 @@ class Assignment:
     cost: float
 
 
+@cache
+def _ranking_table(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    table, perms = permutation_table(n)
+    return table + n * np.arange(n), perms
+
+
 def murty_iter(costs) -> Iterator[Assignment]:
     """Yield every assignment of a square cost matrix by (cost, column tuple),
     the order of Murty's k-best ranking (Operations Research 16, 1968).
 
     Each assignment is a row of codebook.permutation_table, so one gather
-    and one stable sort rank all n!.  Raises ValueError for a non-square or
-    non-finite matrix, and above ENUMERATION_MAX_L columns.
+    and one stable sort rank all n!; the gather reads C.ravel() at the
+    cached flat indices table + n * arange(n).  Raises ValueError for a
+    non-square or non-finite matrix, and above ENUMERATION_MAX_L columns.
     """
     C = np.asarray(costs, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
@@ -320,13 +333,13 @@ def murty_iter(costs) -> Iterator[Assignment]:
     n = C.shape[0]
     if n > ENUMERATION_MAX_L:
         raise ValueError(f"ranking needs at most {ENUMERATION_MAX_L} columns, got {n}")
-    table, perms = permutation_table(n)
-    total = C[np.arange(n), table].sum(axis=1)
+    flat, perms = _ranking_table(n)
+    total = C.ravel()[flat].sum(axis=1)
     for i in np.argsort(total, kind="stable").tolist():
         yield Assignment(perm=perms[i], cost=float(total[i]))
 
 
-def _walk_until_member(yhat: np.ndarray, members: set[tuple[int, ...]], e_max: int):
+def _walk_until_member(yhat: np.ndarray, members, e_max: int):
     # Enumerate assignments from best cost upward; stop at the first codebook
     # member.  Returns (perm, cost, tries) with perm None if e_max ran out.
     tries = 0
@@ -362,37 +375,30 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
     yhat = -Y
     L = codebook.L
     w = classify_weight(Y, codebook, weight_mode, pam, true_weight, calibration)
-    idx = codebook.weight_class_indices(w)
-    budget = e_max if e_max is not None else len(idx)
+    budget = e_max if e_max is not None else len(codebook.weight_class_indices(w))
     if budget < 1:
         raise ValueError("e_max must be at least 1")
     ops = 0
     iterations = 0
+    slots = codebook.slot_table[w]
 
     if w == 1:
-        members = {}
-        for pos, i in enumerate(idx):
-            members[codebook.entries[int(i)].components[0].symbols] = int(i)
-        perm, cost, tries = _walk_until_member(yhat, set(members), budget)
+        perm, cost, tries = _walk_until_member(yhat, slots[0], budget)
         iterations += tries
         ops += tries * _LAP_OPS(L) + tries * L
         if perm is not None:
-            q = members[perm] + 1
-            m = estimate_intensity(Y, codebook.matrix_stack[q - 1].astype(bool), pam, calibration)
+            q = slots[0][perm][0] + 1
+            m = estimate_intensity(Y, codebook.matrix_stack[q - 1], pam, calibration)
             return _decision(q, m, codebook, pam, float(cost),
                              iterations=iterations, op_count=ops)
     else:
         candidates: set[int] = set()
-        for slot in range(w):
-            slot_perms = {codebook.entries[int(i)].components[slot].symbols for i in idx}
-            perm, _, tries = _walk_until_member(yhat, slot_perms, budget)
+        for slot in slots:
+            perm, _, tries = _walk_until_member(yhat, slot, budget)
             iterations += tries
             ops += tries * _LAP_OPS(L) + tries * L
             if perm is not None:
-                candidates.update(
-                    int(i) for i in idx
-                    if codebook.entries[int(i)].components[slot].symbols == perm
-                )
+                candidates.update(slot[perm])
         if candidates:
             cand = sorted(candidates)
             pick, cost = _best_support(Y[None], codebook.matrix_stack[cand])

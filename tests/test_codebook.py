@@ -50,6 +50,29 @@ def brute_force_regular_matrix_count(L, w):
     return count
 
 
+def scan_canonical_components(entries):
+    # The L!-scan the depth-first search replaced: peel the first permutation,
+    # in itertools order, that fits inside what is left of the support.
+    L = entries.shape[0]
+    remaining = entries.astype(bool).tolist()
+    comps = []
+    while any(any(row) for row in remaining):
+        p = next(p for p in permutations(range(L))
+                 if all(remaining[r][c] for r, c in enumerate(p)))
+        comps.append(Codeword(tuple(c + 1 for c in p)))
+        for r, c in enumerate(p):
+            remaining[r][c] = False
+    return tuple(comps)
+
+
+def random_regular_components(rng, L, w):
+    # w rows of a random Latin square: disjoint permutations whose sum is a
+    # w-regular support
+    cols, shift = rng.permutation(L), rng.permutation(L)
+    return [Codeword(tuple(int(cols[(shift[r] + k) % L]) + 1 for r in range(L)))
+            for k in rng.choice(L, size=w, replace=False)]
+
+
 class TestCodeword:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -143,6 +166,21 @@ class TestCodewordMatrix:
             CodewordMatrix(())
         with pytest.raises(ValueError, match="at least one"):
             CodewordMatrix.from_components(())
+
+    @pytest.mark.parametrize("L", [4, 5])
+    def test_search_matches_permutation_scan_on_every_enumerated_matrix(self, L):
+        for w in range(1, L):
+            for cm in enumerate_weight_w(L, w).entries:
+                assert CodewordMatrix.from_components(cm.components[::-1]).components \
+                    == scan_canonical_components(cm.entries)
+
+    def test_search_matches_permutation_scan_on_random_regular_supports(self):
+        rng = np.random.default_rng(12)
+        for L in (5, 6, 7):
+            for w in range(1, L):
+                for _ in range(3):
+                    cm = CodewordMatrix.from_components(random_regular_components(rng, L, w))
+                    assert cm.components == scan_canonical_components(cm.entries)
 
     def test_entries_are_read_only(self):
         cm = codeword_to_matrix((2, 1, 3))
@@ -252,6 +290,46 @@ class TestCombine:
         w1 = enumerate_weight_w(4, 1)
         with pytest.raises(ValueError):
             combine_codebooks([w1, w1.subset([0])])
+
+
+class TestLookupTables:
+    BOOKS = [
+        enumerate_weight_w(4, 1),
+        enumerate_weight_w(4, 2),
+        combine_codebooks([enumerate_weight_w(4, 1), enumerate_weight_w(4, 2).subset(range(0, 90, 11))]),
+        combine_codebooks([enumerate_weight_w(5, 2).subset(range(0, 2040, 97)),
+                           enumerate_weight_w(5, 3).subset(range(5, 2040, 131))]),
+    ]
+
+    @pytest.mark.parametrize("cb", BOOKS, ids=lambda cb: f"{cb.L}-{cb.size}")
+    def test_tables_equal_a_build_from_entries(self, cb):
+        assert set(cb.slot_table) == set(cb.weights_present)
+        for w in cb.weights_present:
+            idx = [i for i, cm in enumerate(cb.entries) if cm.weight == w]
+            assert cb.weight_class_indices(w).tolist() == idx
+            assert len(cb.slot_table[w]) == w
+            for slot, table in enumerate(cb.slot_table[w]):
+                perms = {cb.entries[i].components[slot].symbols for i in idx}
+                assert set(table) == perms
+                for p in perms:
+                    assert table[p] == tuple(i for i in idx if cb.entries[i].components[slot].symbols == p)
+        assert len(cb.weight_class_indices(max(cb.weights_present) + 1)) == 0
+
+    def test_tables_are_built_once_and_read_only(self):
+        cb = self.BOOKS[2]
+        assert cb.weight_class_indices(2) is cb.weight_class_indices(2)
+        assert cb.slot_table is cb.slot_table
+        with pytest.raises(ValueError):
+            cb.weight_class_indices(1)[0] = 5
+        with pytest.raises(TypeError):
+            cb.slot_table[3] = ()
+        with pytest.raises(TypeError):
+            cb.slot_table[2][0] = {}
+        table = cb.slot_table[2][1]
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = (0,)
+        with pytest.raises(TypeError):
+            table[next(iter(table))][0] = 0
 
 
 class TestBitMapping:

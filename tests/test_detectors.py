@@ -100,6 +100,64 @@ def bb_reference(Y, L):
     return tuple(c + 1 for c in used), path_cost, ops
 
 
+def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weight_mode="genie"):
+    # iterative_sd_detect as it was before the codebook cached its lookup
+    # tables: the member dict (weight 1) or the per-slot component sets are
+    # rebuilt from codebook.entries on every block, and the label comes from
+    # entry_to_bits.  Returns ((q, m, bits, cost, iterations, op_count),
+    # whether the exhaustive fallback decided).
+    Y = np.asarray(Y, dtype=np.float64)
+    yhat = -Y
+    L = codebook.L
+    w = classify_weight(Y, codebook, weight_mode, pam, true_weight)
+    idx = np.flatnonzero(codebook.weight_array == w)
+    budget = e_max if e_max is not None else len(idx)
+
+    def walk(members):
+        tries = 0
+        for a in murty_iter(yhat):
+            tries += 1
+            if a.perm in members:
+                return a.perm, a.cost, tries
+            if tries >= budget:
+                break
+        return None, None, tries
+
+    def decided(q, cost):
+        m = estimate_intensity(Y, codebook.matrix_stack[q - 1], pam)
+        index = (q - 1) * pam.M + (m - 1)
+        bits = None
+        if index < codebook.signaling_count(pam.M):
+            bits = entry_to_bits(q, m, codebook, pam.M)
+        return (q, m, bits, cost, iterations, ops), False
+
+    iterations = ops = 0
+    if w == 1:
+        members = {codebook.entries[int(i)].components[0].symbols: int(i) for i in idx}
+        perm, cost, tries = walk(set(members))
+        iterations += tries
+        ops += tries * (L ** 3 + L)
+        if perm is not None:
+            return decided(members[perm] + 1, float(cost))
+    else:
+        candidates = set()
+        for slot in range(w):
+            slot_perms = {codebook.entries[int(i)].components[slot].symbols for i in idx}
+            perm, _, tries = walk(slot_perms)
+            iterations += tries
+            ops += tries * (L ** 3 + L)
+            if perm is not None:
+                candidates.update(int(i) for i in idx
+                                  if codebook.entries[int(i)].components[slot].symbols == perm)
+        if candidates:
+            cand = sorted(candidates)
+            pick, cost = detectors._best_support(Y[None], codebook.matrix_stack[cand])
+            ops += len(cand) * w * L
+            return decided(cand[int(pick[0])] + 1, float(cost[0]))
+    res = bf_sd_detect(Y, codebook, pam, true_weight=w)
+    return (res.q, res.m, res.bits, res.cost, iterations, res.op_count + ops), True
+
+
 CB1 = perm_codebook([(4, 3, 2, 1), (4, 1, 3, 2), (3, 1, 2, 4), (3, 4, 1, 2),
                      (2, 4, 3, 1), (2, 1, 4, 3), (2, 3, 1, 4), (1, 3, 4, 2)])
 
@@ -383,6 +441,22 @@ class TestBbDetect:
         # f (1 + (f-1)^2) additions for f = 4, 3, 2, 1 free columns
         assert bb_detect(np.zeros((4, 4)), FULL24).op_count == 40 + 15 + 4 + 1
 
+    def test_ties_go_to_the_lowest_column(self):
+        # small integers sum exactly in any order, so equal scores are exact ties
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            Y = rng.integers(-1, 2, (4, 4)).astype(np.float64)
+            r = bb_detect(Y, FULL24)
+            perm, cost, _ = bb_reference(Y, 4)
+            assert (FULL24.entries[r.q - 1].components[0].symbols, r.cost) == (perm, cost)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_blocks(self, bad):
+        Y = H02 @ block_for(FULL24, 3, 1, M1)
+        Y[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bb_detect(Y, FULL24)
+
     def test_closed_form_matches_node_search_on_noisy_fixture_blocks(self):
         rng = np.random.default_rng(41)
         for _ in range(1000):
@@ -442,6 +516,31 @@ class TestIterativeSd:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             iterative_sd_detect(np.zeros((4, 4)), CB1, M1, e_max=0)
+
+    # Physical-scale noise from a near-certain hit to frequent misses; e_max
+    # = 1 reaches the exhaustive fallback, and joint mode picks the weight.
+    @pytest.mark.parametrize("book, M, e_max, mode", [
+        (COMBINED32, 1, None, "genie"), (COMBINED32, 4, 2, "genie"), (COMBINED32, 1, None, "joint"),
+        (W2SEL8, 1, None, "genie"), (W2SEL8, 1, 1, "genie"), (FULL24, 2, None, "genie"),
+        (CB1, 1, None, "genie"), (CB1, 4, 1, "genie"),
+    ], ids=["combined32", "combined32-M4-emax2", "combined32-joint", "w2sel8", "w2sel8-emax1",
+            "full24-M2", "cb1", "cb1-M4-emax1"])
+    def test_matches_per_block_reference(self, book, M, e_max, mode):
+        pam = PamConfig(M=M, I=1.0)
+        rng = np.random.default_rng(M + (e_max or 0) + book.size)
+        fallbacks = 0
+        for sigma in (5e-6, 2e-5, 6e-5):
+            for _ in range(100):
+                q, m = int(rng.integers(1, book.size + 1)), int(rng.integers(1, M + 1))
+                w = book.entries[q - 1].weight
+                Y = H02 @ block_for(book, q, m, pam) + rng.normal(0, sigma, (4, 4))
+                r = iterative_sd_detect(Y, book, pam, e_max, true_weight=w, weight_mode=mode)
+                want, fell_back = iterative_reference(Y, book, pam, e_max, true_weight=w,
+                                                      weight_mode=mode)
+                assert (r.q, r.m, r.bits, r.cost, r.iterations, r.op_count) == want
+                fallbacks += fell_back
+        if e_max == 1:
+            assert fallbacks > 0
 
     def test_op_count_independent_of_class_size_on_immediate_hits(self):
         # a decode that terminates at the first assignment costs the same
