@@ -305,7 +305,7 @@ class Codebook:
             for i in self.weight_class_indices(w).tolist():
                 for slot, cw in zip(slots, self.entries[i].components):
                     slot.setdefault(cw.symbols, []).append(i)
-            table[w] = tuple(MappingProxyType({p: tuple(i) for p, i in s.items()}) for s in slots)
+            table[w] = tuple(MappingProxyType({p: tuple(ix) for p, ix in s.items()}) for s in slots)
         return MappingProxyType(table)
 
     def subset(self, indices, label: str = "") -> "Codebook":

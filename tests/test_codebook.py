@@ -296,7 +296,8 @@ class TestLookupTables:
     BOOKS = [
         enumerate_weight_w(4, 1),
         enumerate_weight_w(4, 2),
-        combine_codebooks([enumerate_weight_w(4, 1), enumerate_weight_w(4, 2).subset(range(0, 90, 11))]),
+        combine_codebooks([enumerate_weight_w(4, 1),
+                           enumerate_weight_w(4, 2).subset(range(0, 90, 11))]),
         combine_codebooks([enumerate_weight_w(5, 2).subset(range(0, 2040, 97)),
                            enumerate_weight_w(5, 3).subset(range(5, 2040, 131))]),
     ]
@@ -312,7 +313,8 @@ class TestLookupTables:
                 perms = {cb.entries[i].components[slot].symbols for i in idx}
                 assert set(table) == perms
                 for p in perms:
-                    assert table[p] == tuple(i for i in idx if cb.entries[i].components[slot].symbols == p)
+                    assert table[p] == tuple(
+                        i for i in idx if cb.entries[i].components[slot].symbols == p)
         assert len(cb.weight_class_indices(max(cb.weights_present) + 1)) == 0
 
     def test_tables_are_built_once_and_read_only(self):
