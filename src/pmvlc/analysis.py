@@ -3,7 +3,8 @@ a reproducible Monte Carlo BER harness.
 
 The harness only draws signal indices, sends their received means through
 Gaussian noise, decodes through a detector from pmvlc.detectors and counts
-bit errors; every decision rule lives in that module.
+bit errors and the detector's modelled op counts; every decision rule and
+op model lives in that module.
 
 Reproducibility contract: a record depends only on (master seed, scheme,
 detector, grid index, batch index). Batches are fixed-size; the harness
@@ -32,8 +33,10 @@ from .detectors import (
     _index_to_bits,
     bb_detect,
     bf_detect_batch,
+    bf_op_count,
     iterative_sd_detect,
     ml_detect_batch,
+    ml_op_count,
     rc_detect_batch,
     rc_encode,
     signal_stack,
@@ -120,6 +123,7 @@ class BerRecord:
     bits: int
     blocks: int
     seed: int
+    ops: int = 0  # modelled detector work summed over the blocks; not in the CSV
 
 
 @dataclass
@@ -169,7 +173,8 @@ class _Link:
     """One simulated link: the received mean of every signal index, the bits
     each index carries, the mean optical power and the detector, which maps
     (received blocks, sent indices, batch rng) to decided indices, -1 where
-    it makes no decision."""
+    it makes no decision, and the op_count those decisions sum to (0 for
+    rc, sm and guess)."""
 
     means: np.ndarray
     bits: int
@@ -177,13 +182,15 @@ class _Link:
     decode: Callable
 
 
-def _decide_per_block(detect, Y, weights, M: int) -> np.ndarray:
+def _decide_per_block(detect, Y, weights, M: int):
     # detectors without a batch kernel yet: one call per block
     out = np.empty(len(Y), dtype=np.int64)
+    ops = 0
     for b in range(len(Y)):
         r = detect(Y[b], int(weights[b]))
         out[b] = -1 if r.q is None else (r.q - 1) * M + (r.m - 1)
-    return out
+        ops += r.op_count
+    return out, ops
 
 
 def _link(config: SimConfig) -> _Link:
@@ -194,19 +201,19 @@ def _link(config: SimConfig) -> _Link:
                                else (config.sm, sm_encode, sm_detect_batch))
         sent = np.stack([encode(_index_to_bits(v, cfg.bits), cfg)
                          for v in range(2 ** cfg.bits)])
-        return _Link(sent @ H.T, cfg.bits, cfg.I, lambda Y, tx, rng: detect(Y, H, cfg))
+        return _Link(sent @ H.T, cfg.bits, cfg.I, lambda Y, tx, rng: (detect(Y, H, cfg), 0))
 
     cb, pam, cal = config.codebook, config.pam, config.calibration
     bits = cb.bits_per_block(pam.M)
     HS = np.einsum("ij,kjl->kil", H, signal_stack(cb, pam)[:2 ** bits])
     weight_of = lambda tx: cb.weight_array[tx // pam.M]
     if det == "ml":
-        decode = lambda Y, tx, rng: ml_detect_batch(Y, HS)[0]
+        decode = lambda Y, tx, rng: (ml_detect_batch(Y, HS)[0], len(Y) * ml_op_count(cb, pam))
     elif det == "bf":
         def decode(Y, tx, rng):
-            q, m, _, _ = bf_detect_batch(Y, cb, pam, true_weight=weight_of(tx),
+            q, m, _, w = bf_detect_batch(Y, cb, pam, true_weight=weight_of(tx),
                                          weight_mode=config.weight_mode, calibration=cal)
-            return q * pam.M + (m - 1)
+            return q * pam.M + (m - 1), bf_op_count(cb, w)
     elif det == "iterative":
         decode = lambda Y, tx, rng: _decide_per_block(
             lambda y, w: iterative_sd_detect(y, cb, pam, config.e_max, true_weight=w,
@@ -217,7 +224,7 @@ def _link(config: SimConfig) -> _Link:
         decode = lambda Y, tx, rng: _decide_per_block(
             lambda y, w: bb_detect(y, cb, pam=pam, calibration=cal), Y, weight_of(tx), pam.M)
     elif det == "guess":
-        decode = lambda Y, tx, rng: rng.integers(len(HS), size=len(tx))
+        decode = lambda Y, tx, rng: (rng.integers(len(HS), size=len(tx)), 0)
     else:
         raise ValueError(f"unknown detector {det!r}")
     return _Link(HS, bits, pam.I, decode)
@@ -228,11 +235,11 @@ def _simulate_batch(config: SimConfig, link: _Link, n0, point_idx, batch_idx):
     tx = rng.integers(len(link.means), size=BATCH_BLOCKS)
     Y = link.means[tx] + rng.normal(0.0, np.sqrt(n0 / 2.0),
                                     size=(BATCH_BLOCKS, *link.means.shape[1:]))
-    rx = link.decode(Y, tx, rng)
+    rx, ops = link.decode(Y, tx, rng)
     # a missing decision, or one outside the signaling set, loses every bit
     valid = (rx >= 0) & (rx < len(link.means))
     errors = np.where(valid, bit_distance(tx, np.where(valid, rx, 0)), link.bits)
-    return int(errors.sum()), BATCH_BLOCKS
+    return int(errors.sum()), BATCH_BLOCKS, ops
 
 
 def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
@@ -251,8 +258,7 @@ def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
     max_batches = max(1, -(-config.block_cap // BATCH_BLOCKS))
     for point_idx, ebn0_db in enumerate(config.ebn0_grid):
         n0 = n0_for_bits(ebn0_db, bits, link.intensity)
-        errors = 0
-        blocks = 0
+        errors = blocks = ops = 0
         next_batch = 0
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending = {}
@@ -264,9 +270,10 @@ def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
                 take = blocks // BATCH_BLOCKS
                 if take not in pending:
                     break
-                e, nblocks = pending.pop(take).result()
+                e, nblocks, nops = pending.pop(take).result()
                 errors += e
                 blocks += nblocks
+                ops += nops
                 if errors >= config.errors_target or blocks >= config.block_cap:
                     for fut in pending.values():
                         fut.cancel()
@@ -276,7 +283,7 @@ def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
             ebn0_db=float(ebn0_db),
             ber=errors / (blocks * bits),
             bit_errors=errors, bits=blocks * bits, blocks=blocks,
-            seed=config.seed))
+            seed=config.seed, ops=ops))
     return records
 
 

@@ -22,17 +22,9 @@ from .analysis import (
     write_ber_csv,
     write_bound_csv,
 )
-from .channel import FIXTURES, n0_for_bits
+from .channel import FIXTURES
 from .codebook import ENUMERATION_MAX_L, combine_codebooks, enumerate_weight_w
-from .detectors import (
-    Calibration,
-    RcConfig,
-    SmConfig,
-    bb_detect,
-    bf_sd_detect,
-    iterative_sd_detect,
-    ml_detect,
-)
+from .detectors import Calibration, RcConfig, SmConfig
 from .scenarios import (
     ConfigError,
     Scenario,
@@ -40,7 +32,6 @@ from .scenarios import (
     load_scenario,
     parse_scenario,
 )
-from .txcodec import pam_intensity
 
 PRESETS = {
     "fig2": ("fig2-h02.ini", "fig2-h06.ini"),
@@ -55,6 +46,8 @@ def codebook_report(L: int, weights, M: int = 1) -> str:
     """Per-weight counts, combined size and rate figures, plus the entries."""
     if L > ENUMERATION_MAX_L:
         raise ConfigError(f"codebook report supports L <= {ENUMERATION_MAX_L}")
+    if M < 1:
+        raise ConfigError(f"M must be at least 1, got {M}")
     weights = tuple(sorted(set(int(w) for w in weights)))
     if not weights:
         raise ConfigError("no weights given")
@@ -111,44 +104,19 @@ def _sim_config(scenario: Scenario, detector: str) -> SimConfig:
     )
 
 
-def _op_probe(scenario: Scenario, detector: str, samples: int = 32):
-    """Mean op_count of the scalar detector on noisy mid-grid blocks."""
-    if detector in ("rc", "sm", "guess") or scenario.codebook is None:
-        return None
-    cb, pam = scenario.codebook, scenario.pam
-    H = scenario.channel.H
-    mid = scenario.ebn0_grid[len(scenario.ebn0_grid) // 2]
-    n0 = n0_for_bits(mid, cb.bits_per_block(pam.M), pam.I)
-    rng = np.random.default_rng(0)
-    cal = Calibration(channel=scenario.channel) if scenario.calibration == "csi" else None
-    ops = []
-    for _ in range(samples):
-        q = int(rng.integers(1, cb.size + 1))
-        m = int(rng.integers(1, pam.M + 1))
-        w = cb.entries[q - 1].weight
-        S = pam_intensity(m, pam.M, w, pam.I) * cb.matrix_stack[q - 1]
-        Y = H @ S + rng.normal(0.0, np.sqrt(n0 / 2.0), size=H.shape)
-        if detector == "ml":
-            r = ml_detect(Y, scenario.channel, cb, pam)
-        elif detector == "bf":
-            r = bf_sd_detect(Y, cb, pam, true_weight=w,
-                             weight_mode=scenario.weight_mode, calibration=cal)
-        elif detector == "bb":
-            r = bb_detect(Y, cb, pam=pam, calibration=cal)
-        elif detector == "iterative":
-            r = iterative_sd_detect(Y, cb, pam, scenario.e_max, true_weight=w,
-                                    weight_mode=scenario.weight_mode, calibration=cal)
-        else:
-            return None
-        ops.append(r.op_count)
-    return float(np.mean(ops))
+def _write_bound(scenario: Scenario, out_dir: Path) -> Path:
+    curve = ber_union_bound(scenario.codebook, scenario.pam, scenario.channel,
+                            scenario.ebn0_grid, scheme=scenario.scheme)
+    path = out_dir / f"{scenario.name}_bound.csv"
+    write_bound_csv(curve, path)
+    return path
 
 
-def run_scenario(scenario: Scenario, out_dir: Path, threads: int, overrides,
-                 with_bound: bool = True) -> list[Path]:
+def run_scenario(scenario: Scenario, out_dir: Path, threads: int, overrides) -> list[Path]:
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     records = []
     print(f"scenario {scenario.name}: channel={scenario.channel_desc} "
           f"grid={scenario.ebn0_grid[0]:g}..{scenario.ebn0_grid[-1]:g} dB "
@@ -162,21 +130,17 @@ def run_scenario(scenario: Scenario, out_dir: Path, threads: int, overrides,
         recs = monte_carlo_ber(cfg, threads=threads)
         elapsed = time.perf_counter() - t0
         records.extend(recs)
-        ops = _op_probe(scenario, detector)
-        ops_s = "-" if ops is None else f"{ops:.1f}"
-        print(f"{cfg.scheme:<20} {detector:<10} {len(recs):>6} "
-              f"{sum(r.blocks for r in recs):>12} "
+        blocks = sum(r.blocks for r in recs)
+        # rc, sm and guess decode without modelled work
+        ops_s = "-" if detector in ("rc", "sm", "guess") else \
+            f"{sum(r.ops for r in recs) / blocks:.1f}"
+        print(f"{cfg.scheme:<20} {detector:<10} {len(recs):>6} {blocks:>12} "
               f"{sum(r.bit_errors for r in recs):>10} {elapsed:>9.2f} "
               f"{ops_s:>9}")
-    ber_path = out_dir / f"{scenario.name}_ber.csv"
-    write_ber_csv(records, ber_path)
-    written.append(ber_path)
-    if with_bound and scenario.codebook is not None:
-        curve = ber_union_bound(scenario.codebook, scenario.pam, scenario.channel,
-                                scenario.ebn0_grid, scheme=scenario.scheme)
-        bound_path = out_dir / f"{scenario.name}_bound.csv"
-        write_bound_csv(curve, bound_path)
-        written.append(bound_path)
+    written = [out_dir / f"{scenario.name}_ber.csv"]
+    write_ber_csv(records, written[0])
+    if scenario.codebook is not None:
+        written.append(_write_bound(scenario, out_dir))
     for p in written:
         print(f"wrote {p}")
     return written
@@ -194,19 +158,17 @@ def cmd_codebook(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    if args.fixture:
-        if args.fixture not in FIXTURES:
-            raise ConfigError(f"unknown fixture {args.fixture!r}; "
-                              f"available: {', '.join(sorted(FIXTURES))}")
-        channel = FIXTURES[args.fixture]()
-    else:
-        kv = {"channel": "geometry"}
+    if args.fixture and args.fixture not in FIXTURES:
+        raise ConfigError(f"unknown fixture {args.fixture!r}; "
+                          f"available: {', '.join(sorted(FIXTURES))}")
+    kv = {"channel": args.fixture or "geometry"}
+    if not args.fixture:
         for k in ("tx_spacing", "rx_spacing", "height", "phi_half", "psi_fov",
                   "a_pd", "rx_offset_x", "rx_offset_y"):
             kv[k] = str(getattr(args, k))
-        if args.blockage:
-            kv["blockage"] = args.blockage
-        channel, _ = _resolve_channel(kv, "<channel args>")
+    if args.blockage:
+        kv["blockage"] = args.blockage  # a fixture rejects it as a geometry key
+    channel, _ = _resolve_channel(kv, "<channel args>")
     for row in channel.H:
         print(" ".join(f"{v:.6e}" for v in row))
     return 0
@@ -218,11 +180,7 @@ def cmd_bound(args) -> int:
         raise ConfigError("bound requires a scenario with a codebook")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curve = ber_union_bound(scenario.codebook, scenario.pam, scenario.channel,
-                            scenario.ebn0_grid, scheme=scenario.scheme)
-    path = out_dir / f"{scenario.name}_bound.csv"
-    write_bound_csv(curve, path)
-    print(f"wrote {path}")
+    print(f"wrote {_write_bound(scenario, out_dir)}")
     return 0
 
 

@@ -152,9 +152,9 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
     joint   decodes each class blind, reconstructs each candidate against the
             calibration gain profile, and keeps the class with the smallest
             residual; equal residuals go to the lowest weight.
-    energy  is an alias of joint: the intensity rule gives every weight class
-            the same expected block sum, so the sum cannot tell them apart.
     """
+    if mode not in ("genie", "joint"):
+        raise ValueError(f"unknown mode {mode!r}")
     weights = codebook.weights_present
     B = len(Y)
     if len(weights) == 1:
@@ -167,11 +167,7 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
             raise ValueError(f"weight {true_weight} not in codebook")
         return true_weight + np.zeros(B, dtype=np.int64)
     if pam is None:
-        raise ValueError(f"{mode} mode needs the PAM config")
-    if mode == "energy":
-        mode = "joint"
-    if mode != "joint":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError("joint mode needs the PAM config")
     cal = calibration or Calibration()
     H_ref = _as_H(cal.channel) if cal.channel is not None else fixture_h02().H
     residuals = np.empty((len(weights), B))
@@ -208,17 +204,22 @@ def ml_detect_batch(Y: np.ndarray, HS: np.ndarray):
     return k, ((Yf - Sf[k]) ** 2).sum(axis=1)
 
 
+def ml_op_count(codebook: Codebook, pam: PamConfig) -> int:
+    """Modelled work of one ML decision: an L x L residual per (entry, level)
+    candidate."""
+    return codebook.size * pam.M * codebook.L ** 2
+
+
 def ml_detect(Y: np.ndarray, channel, codebook: Codebook, pam: PamConfig) -> DetectionResult:
     """Exhaustive coherent detection over every (entry, level) candidate.
 
-    Ties resolve to the lowest (q, m) pair.  op_count models one L x L
-    residual evaluation per candidate.
+    Ties resolve to the lowest (q, m) pair; op_count is ml_op_count.
     """
     HS = np.einsum("ij,kjl->kil", _as_H(channel), signal_stack(codebook, pam))
     k, res = ml_detect_batch(np.asarray(Y, dtype=np.float64)[None], HS)
     flat = int(k[0])
     return _decision(flat // pam.M + 1, flat % pam.M + 1, codebook, pam, float(res[0]),
-                     op_count=codebook.size * pam.M * codebook.L ** 2)
+                     op_count=ml_op_count(codebook, pam))
 
 
 def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
@@ -244,19 +245,25 @@ def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
     return picks, m, costs, w
 
 
+def bf_op_count(codebook: Codebook, w) -> int:
+    """Modelled work of blind exhaustive search, summed over the decided
+    weights w (an int or an array, one per block): the w L additions of
+    each entry's metric in class w."""
+    w = np.asarray(w)
+    return int(sum((w == v).sum() * len(codebook.weight_class_indices(v)) * v * codebook.L
+                   for v in codebook.weights_present))
+
+
 def bf_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
                  true_weight: int | None = None, weight_mode: str = "genie",
                  calibration: Calibration | None = None) -> DetectionResult:
-    """Blind exhaustive search on one block; see bf_detect_batch.
-
-    op_count models the w L additions of each entry's metric.
-    """
+    """Blind exhaustive search on one block; see bf_detect_batch.  op_count
+    is bf_op_count."""
     picks, m, costs, w = bf_detect_batch(
         np.asarray(Y, dtype=np.float64)[None], codebook, pam, true_weight=true_weight,
         weight_mode=weight_mode, calibration=calibration)
-    w = int(w[0])
     return _decision(int(picks[0]) + 1, int(m[0]), codebook, pam, float(costs[0]),
-                     op_count=len(codebook.weight_class_indices(w)) * w * codebook.L)
+                     op_count=bf_op_count(codebook, w))
 
 
 def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None,

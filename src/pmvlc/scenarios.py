@@ -140,8 +140,10 @@ class Scenario:
             raise ConfigError("ebn0_db grid must be ascending")
         if not self.scheme and self.codebook is not None:
             self.scheme = scheme_label(self.codebook, self.pam)
+        # energy is an alias of joint: the intensity rule gives every weight
+        # class the same expected block sum, so the sum cannot tell them apart
         if self.weight_mode == "energy":
-            self.weight_mode = "joint"  # alias; see detectors.classify_weight_batch
+            self.weight_mode = "joint"
         if self.weight_mode not in ("genie", "joint"):
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
         if self.calibration not in ("blind", "csi"):

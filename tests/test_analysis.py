@@ -156,6 +156,18 @@ class TestHarnessDeterminism:
         b = monte_carlo_ber(cfg, threads=3)
         assert a == b
 
+    @pytest.mark.parametrize("detector,book,mode", [
+        ("iterative", "combined32", "genie"), ("bb", "cb1", "genie"),
+        ("bf", "combined32", "joint"),
+    ])
+    def test_op_totals_thread_count_invariant(self, detector, book, mode):
+        cfg = SimConfig(scheme="s", detector=detector, ebn0_grid=(96.0, 100.0),
+                        channel=H02, codebook=named_codebook(book), pam=M1, weight_mode=mode,
+                        errors_target=30, block_cap=3 * BATCH_BLOCKS, seed=2)
+        a = monte_carlo_ber(cfg, threads=1)
+        assert a == monte_carlo_ber(cfg, threads=2)
+        assert all(r.ops > 0 for r in a)
+
     def test_seed_changes_stream(self):
         base = dict(scheme="c32", detector="ml", ebn0_grid=(98.0,), channel=H02,
                     codebook=COMBINED32, pam=M1, errors_target=50, block_cap=50_000)

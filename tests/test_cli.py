@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from pmvlc import analysis
 from pmvlc.analysis import SimConfig, monte_carlo_ber
 from pmvlc.channel import fixture_h06_blocked
 from pmvlc.cli import PRESETS, codebook_report, main, preset_scenarios
@@ -196,6 +197,12 @@ class TestCommandLine:
     def test_channel_unknown_fixture(self, capsys):
         assert main(["channel", "--fixture", "h03"]) == 1
 
+    def test_channel_fixture_rejects_blockage(self, capsys):
+        assert main(["channel", "--fixture", "h02", "--blockage", "1-4"]) == 1
+        captured = capsys.readouterr()
+        assert "conflicts with geometry keys ['blockage']" in captured.err
+        assert captured.out == ""
+
     def test_bad_cli_args(self):
         assert main(["simulate"]) == 1  # --scenario is required
         assert main(["no-such-command"]) == 1
@@ -257,6 +264,22 @@ class TestCommandLine:
         assert "must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "tiny_ber.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "{scen}", "--threads", "0"],
+        ["preset", "fig3", "--threads", "0"],
+        ["codebook", "--m", "0"],
+    ], ids=["simulate-threads", "preset-threads", "codebook-m"])
+    def test_zero_count_option_exit_one(self, tmp_path, capsys, argv):
+        scen = tmp_path / "tiny.ini"
+        scen.write_text(TINY)
+        out_dir = tmp_path / "out"
+        argv = [a.format(scen=scen) for a in argv] + ["--out-dir", str(out_dir)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "must be at least 1, got 0" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_runtime_error_exit_two(self, tmp_path, capsys):
         scen = tmp_path / "tiny.ini"
         scen.write_text(TINY)
@@ -284,6 +307,61 @@ class TestCommandLine:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "weight 1: 6 codewords" in proc.stdout
+
+
+def _summary_ops(out: str) -> dict[str, str]:
+    # summary rows: scheme, detector, points, blocks, bit_errors, elapsed_s, mean_ops
+    rows = [line.split() for line in out.splitlines()]
+    return {r[1]: r[6] for r in rows if len(r) == 7 and r[2].isdigit()}
+
+
+class TestSummaryOps:
+    """The summary's mean_ops is the mean op_count of the blocks the run
+    decoded, collected here by wrapping the detectors the harness calls."""
+
+    RUN = "channel = h02\nebn0_db = 96,100\nerrors_target = 30\nblock_cap = 8192\n"
+
+    def _run(self, tmp_path, capsys, text):
+        scen = tmp_path / "run.ini"
+        scen.write_text(self.RUN + text)
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 0
+        return _summary_ops(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("detector,book", [("iterative", "combined32"), ("bb", "cb1")])
+    def test_per_block_detectors(self, tmp_path, capsys, monkeypatch, detector, book):
+        name = f"{detector}_sd_detect" if detector == "iterative" else "bb_detect"
+        inner, counts = getattr(analysis, name), []
+
+        def counted(*args, **kwargs):
+            r = inner(*args, **kwargs)
+            counts.append(r.op_count)
+            return r
+
+        monkeypatch.setattr(analysis, name, counted)
+        ops = self._run(tmp_path, capsys, f"codebook = {book}\ndetectors = {detector}\n")
+        assert counts
+        assert ops[detector] == f"{np.mean(counts):.1f}"
+
+    def test_bf_joint(self, tmp_path, capsys, monkeypatch):
+        inner, decided = analysis.bf_detect_batch, []
+
+        def recorded(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            decided.extend(out[3].tolist())
+            return out
+
+        monkeypatch.setattr(analysis, "bf_detect_batch", recorded)
+        book = named_codebook("combined32")
+        ops = self._run(tmp_path, capsys,
+                        "codebook = combined32\ndetectors = bf\nweight_mode = joint\n")
+        # exhaustive search adds w L values for each entry of the decided class
+        per_block = [w * 4 * sum(e.weight == w for e in book.entries) for w in decided]
+        assert len(set(per_block)) == 2
+        assert ops["bf"] == f"{np.mean(per_block):.1f}"
+
+    def test_baselines_and_guess_print_dash(self, tmp_path, capsys):
+        ops = self._run(tmp_path, capsys, "codebook = cb1\ndetectors = ml,rc,sm,guess\n")
+        assert ops == {"ml": f"{8 * 16:.1f}", "rc": "-", "sm": "-", "guess": "-"}
 
 
 class TestPresets:

@@ -326,18 +326,15 @@ class TestClassifyWeight:
             classify_weight(np.zeros((4, 4)), COMBINED32, "genie", true_weight=3)
 
     def test_single_weight_shortcut(self):
-        assert classify_weight(np.zeros((4, 4)), FULL24, "energy") == 1
+        assert classify_weight(np.zeros((4, 4)), FULL24, "joint") == 1
 
-    @pytest.mark.parametrize("mode", ["energy", "joint"])
-    def test_noiseless_classification(self, mode):
-        # equal-power intensities carry no weight information in the block sum,
-        # so energy mode must fall back to the joint comparison and still win
+    def test_noiseless_classification(self):
         pam = PamConfig(M=2, I=1.0)
         cal = Calibration(channel=H02)
         for q in range(1, COMBINED32.size + 1):
             w = COMBINED32.entries[q - 1].weight
             Y = H02 @ block_for(COMBINED32, q, 2, pam)
-            assert classify_weight(Y, COMBINED32, mode, pam, calibration=cal) == w
+            assert classify_weight(Y, COMBINED32, "joint", pam, calibration=cal) == w
 
     def test_joint_with_default_profile(self):
         pam = PamConfig(M=1, I=1.0)
@@ -349,6 +346,11 @@ class TestClassifyWeight:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             classify_weight(np.zeros((4, 4)), COMBINED32, "oracle", PamConfig())
+        # the scenario parser maps weight_mode = energy to joint; the kernel
+        # takes the resolved name only, even where one class needs no decision
+        for book in (COMBINED32, FULL24):
+            with pytest.raises(ValueError, match="unknown mode 'energy'"):
+                classify_weight(np.zeros((4, 4)), book, "energy", PamConfig())
 
     def test_joint_batch_matches_per_block_rule(self):
         # per block: best support in each class, its level, its residual
