@@ -2,8 +2,9 @@
 """Distance accounting for the named codebooks under a channel fixture.
 
 For each book: the spectrum of pairwise received-signal distances
-||H (S_i - S_j)||_F^2, the minimum (which controls the high-SNR error
-floor position), and the Eb/N0 where the union bound crosses 1e-3.
+||H (S_i - S_j)||_F^2 over the signals that carry data, the minimum (which
+controls the high-SNR error floor position), and the Eb/N0 where the union
+bound crosses 1e-3.
 Useful when choosing subsets: books with the same size can sit >3 dB
 apart purely through the pairs they keep.
 """
@@ -22,7 +23,8 @@ from pmvlc.txcodec import PamConfig
 
 
 def spectrum(codebook, pam, H):
-    HS = H @ signal_stack(codebook, pam)
+    # the signaling rows only, the pairs the union bound sums over
+    HS = H @ signal_stack(codebook, pam)[:codebook.signaling_count(pam.M)]
     return np.concatenate([((HS[i] - HS[i + 1:]) ** 2).sum(axis=(1, 2))
                            for i in range(len(HS))])
 

@@ -30,7 +30,6 @@ from .detectors import (
     RcConfig,
     SmConfig,
     _as_H,
-    _index_to_bits,
     bb_detect,
     bf_detect_batch,
     bf_op_count,
@@ -38,10 +37,8 @@ from .detectors import (
     ml_detect_batch,
     ml_op_count,
     rc_detect_batch,
-    rc_encode,
     signal_stack,
     sm_detect_batch,
-    sm_encode,
 )
 from .txcodec import PamConfig
 
@@ -53,13 +50,21 @@ def qfunc(r):
     return 0.5 * erfc(np.asarray(r, dtype=np.float64) / np.sqrt(2.0))
 
 
-def pairwise_error_prob(S, S_hat, H, Es: float, N0: float) -> float:
-    """Probability that a minimum-distance receiver prefers S_hat over S."""
+def pair_tail(d2, n0):
+    """Q(sqrt(d2 / 2 n0)): the probability that noise of variance n0/2 per
+    element carries a received mean past the midpoint towards a mean at
+    squared distance d2.  The one Q term of the union bound."""
+    return qfunc(np.sqrt(d2 / (2.0 * n0)))
+
+
+def pairwise_error_prob(S, S_hat, H, N0: float) -> float:
+    """Probability that a minimum-distance receiver prefers S_hat over S;
+    S carries the drive intensity."""
     if N0 <= 0:
         raise ValueError("N0 must be positive")
     H = _as_H(H)
     d2 = float(np.sum((H @ (np.asarray(S) - np.asarray(S_hat))) ** 2))
-    return float(qfunc(np.sqrt(Es / (2.0 * N0) * d2)))
+    return float(pair_tail(d2, N0))
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,
     values = []
     for db in ebn0_grid:
         n0 = n0_for_bits(db, bits, pam.I)
-        terms = qfunc(np.sqrt(d2 / (2.0 * n0)))
+        terms = pair_tail(d2, n0)
         values.append(float(np.sum(d_bits * terms) / (n_sig * bits)))
     return BoundCurve(scheme=scheme, ebn0_db=tuple(float(x) for x in ebn0_grid),
                       values=tuple(values))
@@ -197,18 +202,18 @@ def _link(config: SimConfig) -> _Link:
     H = _as_H(config.channel)
     det = config.detector
     if det in ("rc", "sm"):
-        cfg, encode, detect = ((config.rc, rc_encode, rc_detect_batch) if det == "rc"
-                               else (config.sm, sm_encode, sm_detect_batch))
-        sent = np.stack([encode(_index_to_bits(v, cfg.bits), cfg)
-                         for v in range(2 ** cfg.bits)])
-        return _Link(sent @ H.T, cfg.bits, cfg.I, lambda Y, tx, rng: (detect(Y, H, cfg), 0))
+        cfg, detect = (config.rc, rc_detect_batch) if det == "rc" else (config.sm, sm_detect_batch)
+        return _Link(cfg.signals @ H.T, cfg.bits, cfg.I,
+                     lambda Y, tx, rng: (detect(Y, H, cfg), 0))
 
     cb, pam, cal = config.codebook, config.pam, config.calibration
     bits = cb.bits_per_block(pam.M)
     HS = np.einsum("ij,kjl->kil", H, signal_stack(cb, pam)[:2 ** bits])
     weight_of = lambda tx: cb.weight_array[tx // pam.M]
     if det == "ml":
-        decode = lambda Y, tx, rng: (ml_detect_batch(Y, HS)[0], len(Y) * ml_op_count(cb, pam))
+        # scores only the 2**bits signaling means
+        decode = lambda Y, tx, rng: (ml_detect_batch(Y, HS)[0],
+                                     len(Y) * ml_op_count(len(HS), cb.L))
     elif det == "bf":
         def decode(Y, tx, rng):
             q, m, _, w = bf_detect_batch(Y, cb, pam, true_weight=weight_of(tx),

@@ -1,7 +1,8 @@
-"""Line-of-sight optical MIMO channel: Lambertian gains, noise, fixtures.
+"""Line-of-sight optical MIMO channel: Lambertian gains and fixtures.
 
 The received block is Y = H S + N where H[i][j] is the DC gain from LED j to
-photodiode i and N has independent real Gaussian entries of variance N0/2.
+photodiode i and N has independent real Gaussian entries of variance N0/2;
+n0_for_bits sets N0 from Eb/N0, and pmvlc.analysis draws N.
 Two measured-style gain matrices ship as plain-text fixtures: a 0.2 m
 transmitter grid (h02) and a 0.6 m grid with four blocked links
 (h06_blocked).
@@ -160,29 +161,6 @@ def apply_blockage(channel: ChannelMatrix | np.ndarray, pairs) -> ChannelMatrix:
     return ChannelMatrix(H=H, blockage_mask=mask)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Additive real Gaussian noise of variance n0/2 per matrix element."""
-
-    n0: float
-
-    def __post_init__(self):
-        if not self.n0 > 0:
-            raise ValueError("n0 must be positive")
-
-
-def transmit(
-    S: np.ndarray,
-    channel: ChannelMatrix | np.ndarray,
-    noise: NoiseParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One noisy channel use: H S plus elementwise Gaussian noise."""
-    H = channel.H if isinstance(channel, ChannelMatrix) else np.asarray(channel)
-    clean = H @ np.asarray(S, dtype=np.float64)
-    return clean + rng.normal(0.0, math.sqrt(noise.n0 / 2.0), size=clean.shape)
-
-
 def n0_for_bits(ebn0_db: float, bits: int, I: float) -> float:
     """Noise density giving the requested per-bit SNR at symbol energy I^2."""
     if bits < 1:
@@ -190,11 +168,6 @@ def n0_for_bits(ebn0_db: float, bits: int, I: float) -> float:
     es = I ** 2
     eb = es / bits
     return eb / (10.0 ** (ebn0_db / 10.0))
-
-
-def ebn0_to_n0(ebn0_db: float, pam, codebook) -> float:
-    """Noise density for a codebook scheme, normalized per signaled bit."""
-    return n0_for_bits(ebn0_db, codebook.bits_per_block(pam.M), pam.I)
 
 
 def _load_fixture(name: str) -> np.ndarray:

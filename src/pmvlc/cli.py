@@ -26,6 +26,7 @@ from .channel import FIXTURES
 from .codebook import ENUMERATION_MAX_L, combine_codebooks, enumerate_weight_w
 from .detectors import Calibration, RcConfig, SmConfig
 from .scenarios import (
+    _GEOMETRY_KEYS,
     ConfigError,
     Scenario,
     _resolve_channel,
@@ -161,13 +162,10 @@ def cmd_channel(args) -> int:
     if args.fixture and args.fixture not in FIXTURES:
         raise ConfigError(f"unknown fixture {args.fixture!r}; "
                           f"available: {', '.join(sorted(FIXTURES))}")
-    kv = {"channel": args.fixture or "geometry"}
-    if not args.fixture:
-        for k in ("tx_spacing", "rx_spacing", "height", "phi_half", "psi_fov",
-                  "a_pd", "rx_offset_x", "rx_offset_y"):
-            kv[k] = str(getattr(args, k))
-    if args.blockage:
-        kv["blockage"] = args.blockage  # a fixture rejects it as a geometry key
+    # only the flags given: _resolve_channel owns the defaults, and a fixture
+    # rejects any geometry key
+    kv = {k: str(getattr(args, k)) for k in _GEOMETRY_KEYS if getattr(args, k) is not None}
+    kv["channel"] = args.fixture or "geometry"
     channel, _ = _resolve_channel(kv, "<channel args>")
     for row in channel.H:
         print(" ".join(f"{v:.6e}" for v in row))
@@ -234,15 +232,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel", parents=[common],
                        help="print a channel gain matrix")
     p.add_argument("--fixture", default=None)
-    p.add_argument("--tx-spacing", type=float, default=0.2, dest="tx_spacing")
-    p.add_argument("--rx-spacing", type=float, default=0.1, dest="rx_spacing")
-    p.add_argument("--height", type=float, default=1.75)
-    p.add_argument("--phi-half", type=float, default=15.0, dest="phi_half")
-    p.add_argument("--psi-fov", type=float, default=15.0, dest="psi_fov")
-    p.add_argument("--a-pd", type=float, default=1e-4, dest="a_pd")
-    p.add_argument("--rx-offset-x", type=float, default=0.0, dest="rx_offset_x")
-    p.add_argument("--rx-offset-y", type=float, default=0.0, dest="rx_offset_y")
-    p.add_argument("--blockage", default="")
+    p.add_argument("--tx-spacing", type=float, dest="tx_spacing")
+    p.add_argument("--rx-spacing", type=float, dest="rx_spacing")
+    p.add_argument("--height", type=float)
+    p.add_argument("--phi-half", type=float, dest="phi_half")
+    p.add_argument("--psi-fov", type=float, dest="psi_fov")
+    p.add_argument("--a-pd", type=float, dest="a_pd")
+    p.add_argument("--rx-offset-x", type=float, dest="rx_offset_x")
+    p.add_argument("--rx-offset-y", type=float, dest="rx_offset_y")
+    p.add_argument("--blockage")
     p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("bound", parents=[common],

@@ -5,7 +5,8 @@ with a single one per row.  Summing w such matrices whose codewords pairwise
 differ in every position gives a weight-w matrix: w ones in every row and
 every column, so every LED fires in w slots and every slot drives w LEDs.
 A codebook is a deduplicated, canonically ordered list of such matrices for
-one or more weights, together with the block bit mapping.
+one or more weights; its first signaling_count(M) (entry, level) pairs carry
+data.
 
 Enumeration walks one cached lexicographic permutation table, the same
 table detectors.murty_iter ranks assignments over, and builds each matrix once
@@ -324,33 +325,6 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
     entries = [cm for p in parts for cm in p.entries]
     entries.sort(key=lambda cm: (cm.weight, tuple(c.symbols for c in cm.components)))
     return Codebook(L=entries[0].L, entries=tuple(entries), label=label)
-
-
-def bits_to_entry(bits, codebook: Codebook, M: int = 1) -> tuple[int, int]:
-    """Map a bit block to (q, m), both 1-based; level index m varies fastest."""
-    width = codebook.bits_per_block(M)
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != width:
-        raise ValueError(f"expected {width} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0/1")
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    return index // M + 1, index % M + 1
-
-
-def entry_to_bits(q: int, m: int, codebook: Codebook, M: int = 1) -> tuple[int, ...]:
-    """Inverse of bits_to_entry; rejects pairs outside the signaling subset."""
-    width = codebook.bits_per_block(M)
-    if not 1 <= q <= codebook.size:
-        raise ValueError(f"q={q} outside 1..{codebook.size}")
-    if not 1 <= m <= M:
-        raise ValueError(f"m={m} outside 1..{M}")
-    index = (q - 1) * M + (m - 1)
-    if index >= 2 ** width:
-        raise ValueError(f"(q={q}, m={m}) is outside the signaling subset")
-    return tuple((index >> k) & 1 for k in reversed(range(width)))
 
 
 def export_text(codebook: Codebook) -> str:

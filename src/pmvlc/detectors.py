@@ -72,6 +72,11 @@ def _as_H(channel) -> np.ndarray:
     return channel.H if isinstance(channel, ChannelMatrix) else np.asarray(channel, dtype=np.float64)
 
 
+def _index_to_bits(index: int, width: int) -> tuple[int, ...]:
+    # the one label rule: signal index v carries v's width-bit big-endian bits
+    return tuple((index >> k) & 1 for k in reversed(range(width)))
+
+
 def _decision(q: int, m: int, codebook: Codebook, pam: PamConfig, cost: float,
               iterations: int = 0, op_count: int = 0) -> DetectionResult:
     index = (q - 1) * pam.M + (m - 1)
@@ -86,7 +91,7 @@ def signal_stack(codebook: Codebook, pam: PamConfig) -> np.ndarray:
 
     Ordered entry-major / level-minor, so row (q-1) M + (m-1) is pair
     (q, m) and the first codebook.signaling_count(M) rows are the pairs that
-    carry data.
+    carry data; row v carries label v.
     """
     levels = pam_intensity(np.arange(1, pam.M + 1)[None, :], pam.M,
                            codebook.weight_array[:, None], pam.I)
@@ -204,22 +209,22 @@ def ml_detect_batch(Y: np.ndarray, HS: np.ndarray):
     return k, ((Yf - Sf[k]) ** 2).sum(axis=1)
 
 
-def ml_op_count(codebook: Codebook, pam: PamConfig) -> int:
-    """Modelled work of one ML decision: an L x L residual per (entry, level)
-    candidate."""
-    return codebook.size * pam.M * codebook.L ** 2
+def ml_op_count(candidates: int, L: int) -> int:
+    """Modelled work of one ML decision: an L x L residual per candidate."""
+    return candidates * L ** 2
 
 
 def ml_detect(Y: np.ndarray, channel, codebook: Codebook, pam: PamConfig) -> DetectionResult:
     """Exhaustive coherent detection over every (entry, level) candidate.
 
-    Ties resolve to the lowest (q, m) pair; op_count is ml_op_count.
+    Ties resolve to the lowest (q, m) pair; op_count is ml_op_count over
+    all size * M pairs, data-carrying or not.
     """
     HS = np.einsum("ij,kjl->kil", _as_H(channel), signal_stack(codebook, pam))
     k, res = ml_detect_batch(np.asarray(Y, dtype=np.float64)[None], HS)
     flat = int(k[0])
     return _decision(flat // pam.M + 1, flat % pam.M + 1, codebook, pam, float(res[0]),
-                     op_count=ml_op_count(codebook, pam))
+                     op_count=ml_op_count(len(HS), codebook.L))
 
 
 def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
@@ -425,7 +430,9 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
 # ---------------------------------------------------------------------------
 # Single-stream baselines at matched mean optical power.  Both transmit once
 # per slot: repetition drives all L LEDs with one PAM symbol, spatial
-# modulation drives a single LED selected by the leading bits.
+# modulation drives a single LED selected by the leading bits.  Each
+# config's `signals` stacks the slot vector of every symbol: row v is the
+# symbol whose big-endian label is v.
 
 @dataclass(frozen=True)
 class RcConfig:
@@ -443,6 +450,12 @@ class RcConfig:
     def level(self, m: int) -> float:
         # Weight-L scaling keeps the slot total at mean I across levels.
         return pam_intensity(m, self.M, self.L, self.I)
+
+    @property
+    def signals(self) -> np.ndarray:
+        """(M, L): row v drives every LED at level v + 1."""
+        levels = self.level(np.arange(1, self.M + 1))
+        return np.repeat(levels[:, None], self.L, axis=1)
 
 
 @dataclass(frozen=True)
@@ -462,21 +475,11 @@ class SmConfig:
     def level(self, m: int) -> float:
         return pam_intensity(m, self.M, 1, self.I)
 
-
-def _bits_to_index(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
-def _index_to_bits(index: int, width: int) -> tuple[int, ...]:
-    return tuple((index >> k) & 1 for k in reversed(range(width)))
-
-
-def rc_encode(bits, config: RcConfig) -> np.ndarray:
-    m = _bits_to_index(bits) + 1
-    return np.full(config.L, config.level(m))
+    @property
+    def signals(self) -> np.ndarray:
+        """(L M, L): row k M + (m - 1) drives LED k alone at level m."""
+        levels = self.level(np.arange(1, self.M + 1))
+        return (np.eye(self.L)[:, None, :] * levels[None, :, None]).reshape(-1, self.L)
 
 
 def rc_detect_batch(y: np.ndarray, channel, config: RcConfig) -> np.ndarray:
@@ -494,23 +497,11 @@ def rc_detect(y: np.ndarray, channel, config: RcConfig) -> tuple[int, ...]:
     return _index_to_bits(int(index), config.bits)
 
 
-def sm_encode(bits, config: SmConfig) -> np.ndarray:
-    index = _bits_to_index(bits)
-    k, m = index // config.M, index % config.M + 1
-    s = np.zeros(config.L)
-    s[k] = config.level(m)
-    return s
-
-
 def sm_detect_batch(y: np.ndarray, channel, config: SmConfig) -> np.ndarray:
-    """Joint ML over (LED, level) for each row of y (B, n_rx); ties resolve
-    to the lowest pair.  Returns the symbol index, which is the bit label."""
-    H = _as_H(channel)
-    cand = np.stack([
-        config.level(m) * H[:, k]
-        for k in range(config.L) for m in range(1, config.M + 1)
-    ])
-    return ml_detect_batch(y, cand)[0]
+    """Joint ML over (LED, level) for each row of y (B, n_rx): the nearest
+    received mean config.signals @ H.T, ties to the lowest.  Returns the
+    symbol index, which is the bit label."""
+    return ml_detect_batch(y, config.signals @ _as_H(channel).T)[0]
 
 
 def sm_detect(y: np.ndarray, channel, config: SmConfig) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pmvlc import analysis
 from pmvlc.analysis import (
     BATCH_BLOCKS,
     BerRecord,
@@ -19,7 +20,7 @@ from pmvlc.analysis import (
     write_ber_csv,
     write_bound_csv,
 )
-from pmvlc.channel import fixture_h02, n0_for_bits
+from pmvlc.channel import build_channel, fixture_h02, n0_for_bits, square_grid_geometry
 from pmvlc.codebook import combine_codebooks, enumerate_weight_w
 from pmvlc.detectors import (
     RcConfig,
@@ -31,11 +32,9 @@ from pmvlc.detectors import (
     ml_detect_batch,
     rc_detect,
     rc_detect_batch,
-    rc_encode,
     signal_stack,
     sm_detect,
     sm_detect_batch,
-    sm_encode,
 )
 from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
@@ -75,17 +74,17 @@ class TestPairwiseErrorProb:
     def test_rejects_bad_n0(self):
         S = np.eye(4)
         with pytest.raises(ValueError):
-            pairwise_error_prob(S, S, H02, 1.0, 0.0)
+            pairwise_error_prob(S, S, H02, 0.0)
 
     def test_vanishes_at_high_snr(self):
         S1 = FULL24.matrix_stack[0]
         S2 = FULL24.matrix_stack[1]
-        p = pairwise_error_prob(S1, S2, H02, Es=1.0, N0=1e-16)
+        p = pairwise_error_prob(S1, S2, H02, N0=1e-16)
         assert p < 1e-12
 
     def test_monotone_in_n0(self):
         S1, S2 = FULL24.matrix_stack[0], FULL24.matrix_stack[5]
-        probs = [pairwise_error_prob(S1, S2, H02, 1.0, n0) for n0 in (1e-10, 1e-11, 1e-12)]
+        probs = [pairwise_error_prob(S1, S2, H02, n0) for n0 in (1e-10, 1e-11, 1e-12)]
         assert probs[0] > probs[1] > probs[2]
 
     def test_matches_two_candidate_simulation(self):
@@ -95,7 +94,7 @@ class TestPairwiseErrorProb:
         H = H02.H
         d2 = float(np.sum((H @ (S1 - S2)) ** 2))
         n0 = d2 / (2 * 2.326**2)  # target PEP ~ Q(2.326) ~ 1e-2
-        pep = pairwise_error_prob(S1, S2, H, Es=1.0, N0=n0)
+        pep = pairwise_error_prob(S1, S2, H, N0=n0)
         total = 0
         trials = 2_000_000
         chunk = 200_000
@@ -250,10 +249,6 @@ def _noisy_blocks(codebook, pam, ebn0_db, n, seed):
     return tx, HS[tx] + rng.normal(0.0, math.sqrt(n0 / 2), size=(n, 4, 4))
 
 
-def _bits(value, width):
-    return tuple((value >> k) & 1 for k in reversed(range(width)))
-
-
 def _labels(bit_tuples):
     return np.array([int("".join(str(v) for v in bits), 2) for bits in bit_tuples])
 
@@ -299,7 +294,7 @@ class TestBatchPathsMatchScalarDetectors:
         cfg = RcConfig()
         rng = np.random.default_rng(79)
         n0 = n0_for_bits(100.0, cfg.bits, 1.0)
-        means = np.stack([rc_encode(_bits(v, 4), cfg) for v in range(16)]) @ H02.H.T
+        means = cfg.signals @ H02.H.T
         Y = means[rng.integers(16, size=128)] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
         totals = Y.sum(axis=1)
         gains = float(H02.H.sum())
@@ -312,11 +307,23 @@ class TestBatchPathsMatchScalarDetectors:
         cfg = SmConfig()
         rng = np.random.default_rng(80)
         n0 = n0_for_bits(100.0, cfg.bits, 1.0)
-        means = np.stack([sm_encode(_bits(v, 4), cfg) for v in range(16)]) @ H02.H.T
+        means = cfg.signals @ H02.H.T
         Y = means[rng.integers(16, size=128)] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
         want = np.argmin(((Y[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
         np.testing.assert_array_equal(sm_detect_batch(Y, H02, cfg), want)
         np.testing.assert_array_equal(_labels(sm_detect(y, H02, cfg) for y in Y), want)
+
+    @pytest.mark.parametrize("M", [1, 2, 4, 8])
+    @pytest.mark.parametrize("spacing", [0.2, 0.6])
+    def test_sm_means_are_led_columns_at_each_level(self, M, spacing):
+        # the received means the harness sends and sm_detect_batch scores
+        # are bit for bit level(m) H[:, k], LED-major
+        H = H02.H if spacing == 0.2 else build_channel(square_grid_geometry(tx_spacing=0.6)).H
+        cfg = SmConfig(L=4, M=M)
+        per_led = np.stack([cfg.level(m) * H[:, k] for k in range(4) for m in range(1, M + 1)])
+        np.testing.assert_array_equal(cfg.signals @ H.T, per_led)
+        np.testing.assert_array_equal(analysis._link(SimConfig(
+            scheme="sm", detector="sm", ebn0_grid=(100.0,), channel=H, sm=cfg)).means, per_led)
 
 
 class TestNearestMeanKernel:

@@ -1,28 +1,29 @@
-"""Lambertian gain, fixture, blockage, and noise-scaling tests."""
+"""Lambertian gain, fixture, blockage and noise-scaling tests; the noise is
+checked on the blocks the Monte Carlo harness decodes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pmvlc import analysis
+from pmvlc.analysis import BATCH_BLOCKS, SimConfig
 from pmvlc.channel import (
     ChannelMatrix,
     LambertianParams,
-    NoiseParams,
     apply_blockage,
     build_channel,
     default_calibration_gain,
-    ebn0_to_n0,
     fixture_h02,
     fixture_h06_blocked,
     lambertian_gain,
     n0_for_bits,
     square_grid_geometry,
-    transmit,
 )
 from pmvlc.codebook import enumerate_weight_w
-from pmvlc.txcodec import PamConfig
 
+FULL24 = enumerate_weight_w(4, 1)
 H02_ROW = (1.0708e-4, 9.937e-5, 9.937e-5, 9.226e-5)
 
 
@@ -140,29 +141,48 @@ class TestBlockage:
             ChannelMatrix(H=np.ones((2, 2)), blockage_mask=np.zeros((2, 2)))
 
 
+def harness_blocks(monkeypatch, ebn0_db, seed=0):
+    """One batch of received blocks as monte_carlo_ber decodes them for
+    full24 under ML, and the signal indices sent, captured through a link
+    whose decode records its input."""
+    seen = []
+    build = analysis._link
+
+    def recording_link(config):
+        link = build(config)
+
+        def decode(Y, tx, rng):
+            seen.append((Y.copy(), tx.copy()))
+            return link.decode(Y, tx, rng)
+
+        return dataclasses.replace(link, decode=decode)
+
+    monkeypatch.setattr(analysis, "_link", recording_link)
+    config = SimConfig(scheme="full24", detector="ml", ebn0_grid=(ebn0_db,),
+                       channel=fixture_h02(), codebook=FULL24, seed=seed,
+                       block_cap=BATCH_BLOCKS)
+    [record] = analysis.monte_carlo_ber(config)
+    assert record.blocks == BATCH_BLOCKS
+    [(Y, tx)] = seen
+    return Y, tx
+
+
 class TestTransmit:
-    def test_noiseless_limit(self):
-        rng = np.random.default_rng(0)
-        S = enumerate_weight_w(4, 1).entries[3].entries.astype(float)
-        H = fixture_h02().H
-        Y = transmit(S, fixture_h02(), NoiseParams(n0=1e-300), rng)
-        assert np.allclose(Y, H @ S, atol=1e-12)
+    def test_noiseless_limit(self, monkeypatch):
+        # at M = 1 and I = 1 signal v is entry v + 1 at unit intensity
+        Y, tx = harness_blocks(monkeypatch, 400.0)
+        assert Y.shape == (BATCH_BLOCKS, 4, 4)
+        assert set(tx.tolist()) == set(range(16))  # the 16 signaling entries of 24
+        np.testing.assert_allclose(Y, fixture_h02().H @ FULL24.matrix_stack[tx],
+                                   rtol=0, atol=1e-18)
 
-    def test_noise_statistics(self):
-        # Sample mean ~ H S and per-element variance ~ n0/2 over many draws.
-        rng = np.random.default_rng(7)
-        n0 = 0.5
-        S = np.zeros((2, 2))
-        H = np.zeros((2, 2))
-        draws = np.stack(
-            [transmit(S, H, NoiseParams(n0=n0), rng) for _ in range(20000)]
-        )
-        assert abs(draws.mean()) < 4 * math.sqrt(n0 / 2 / draws.size)
-        assert draws.var() == pytest.approx(n0 / 2, rel=0.05)
-
-    def test_noise_params_validation(self):
-        with pytest.raises(ValueError):
-            NoiseParams(n0=0.0)
+    def test_noise_statistics(self, monkeypatch):
+        # Y - H S has mean ~ 0 and per-element variance ~ n0/2 over one batch.
+        Y, tx = harness_blocks(monkeypatch, 100.0, seed=7)
+        n0 = n0_for_bits(100.0, FULL24.bits_per_block(1), 1.0)
+        noise = Y - fixture_h02().H @ FULL24.matrix_stack[tx]
+        assert abs(noise.mean()) < 4 * math.sqrt(n0 / 2 / noise.size)
+        assert noise.var() == pytest.approx(n0 / 2, rel=0.05)
 
 
 class TestEbN0:
@@ -175,9 +195,8 @@ class TestEbN0:
 
     def test_codebook_normalization(self):
         cb = enumerate_weight_w(4, 1)  # 24 entries -> 16 signal -> 4 bits
-        pam = PamConfig(M=1, I=2.0)
-        n0 = ebn0_to_n0(0.0, pam, cb)
+        n0 = n0_for_bits(0.0, cb.bits_per_block(1), 2.0)
         assert n0 == pytest.approx((2.0 ** 2) / 4.0)
         # 5 bits once M=2 doubles the constellation.
-        n0_m2 = ebn0_to_n0(0.0, PamConfig(M=2, I=2.0), cb)
+        n0_m2 = n0_for_bits(0.0, cb.bits_per_block(2), 2.0)
         assert n0_m2 == pytest.approx((2.0 ** 2) / 5.0)

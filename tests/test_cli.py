@@ -9,7 +9,7 @@ import pytest
 
 from pmvlc import analysis
 from pmvlc.analysis import SimConfig, monte_carlo_ber
-from pmvlc.channel import fixture_h06_blocked
+from pmvlc.channel import build_channel, fixture_h06_blocked, square_grid_geometry
 from pmvlc.cli import PRESETS, codebook_report, main, preset_scenarios
 from pmvlc.scenarios import (
     CB1_PERMS,
@@ -203,6 +203,28 @@ class TestCommandLine:
         assert "conflicts with geometry keys ['blockage']" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tx-spacing", "0.6"), ("--rx-spacing", "0.2"), ("--height", "2.0"),
+        ("--phi-half", "20"), ("--psi-fov", "30"), ("--a-pd", "2e-4"),
+        ("--rx-offset-x", "0.1"), ("--rx-offset-y", "0.1"),
+    ])
+    def test_channel_fixture_rejects_geometry_flags(self, capsys, flag, value):
+        assert main(["channel", "--fixture", "h02", flag, value]) == 1
+        captured = capsys.readouterr()
+        key = flag[2:].replace("-", "_")
+        assert f"conflicts with geometry keys ['{key}']" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,geometry", [
+        ([], {}), (["--tx-spacing", "0.6"], {"tx_spacing": 0.6}),
+        (["--rx-offset-x", "0.2"], {"rx_offset": (0.2, 0.0)}),
+    ])
+    def test_channel_geometry_flags(self, capsys, argv, geometry):
+        assert main(["channel", *argv]) == 0
+        H = build_channel(square_grid_geometry(**geometry)).H
+        assert capsys.readouterr().out.splitlines() == [
+            " ".join(f"{v:.6e}" for v in row) for row in H]
+
     def test_bad_cli_args(self):
         assert main(["simulate"]) == 1  # --scenario is required
         assert main(["no-such-command"]) == 1
@@ -362,6 +384,11 @@ class TestSummaryOps:
     def test_baselines_and_guess_print_dash(self, tmp_path, capsys):
         ops = self._run(tmp_path, capsys, "codebook = cb1\ndetectors = ml,rc,sm,guess\n")
         assert ops == {"ml": f"{8 * 16:.1f}", "rc": "-", "sm": "-", "guess": "-"}
+
+    def test_ml_counts_the_signaling_means_it_scores(self, tmp_path, capsys):
+        # full24 signals 16 of its 24 entries; the harness scores only those
+        ops = self._run(tmp_path, capsys, "codebook = full24\ndetectors = ml\n")
+        assert ops == {"ml": f"{16 * 16:.1f}"}
 
 
 class TestPresets:

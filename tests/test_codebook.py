@@ -1,5 +1,6 @@
 """Codebook construction, counting, and bit-mapping tests."""
 
+import dataclasses
 import math
 from itertools import combinations, permutations, product
 
@@ -8,21 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmvlc import analysis
+from pmvlc.analysis import SimConfig
+from pmvlc.channel import fixture_h02
 from pmvlc.codebook import (
     Codebook,
     Codeword,
     CodewordMatrix,
-    bits_to_entry,
     codeword_to_matrix,
     combine_codebooks,
     count_distance_L,
     cyclic_latin_codebook,
-    entry_to_bits,
     enumerate_weight_w,
     export_text,
     hamming_distance,
     import_text,
 )
+from pmvlc.detectors import _index_to_bits, signal_stack
+from pmvlc.txcodec import PamConfig, pam_intensity
 
 
 def brute_force_distance_L_count(L):
@@ -335,9 +339,14 @@ class TestLookupTables:
 
 
 class TestBitMapping:
+    """Signal v is row v of detectors.signal_stack and carries the big-endian
+    bits of v (detectors._index_to_bits), the mapping the harness sends."""
+
     def test_all_zero_bits(self):
         cb = enumerate_weight_w(4, 1)
-        assert bits_to_entry((0, 0, 0, 0), cb, M=1) == (1, 1)
+        assert _index_to_bits(0, cb.bits_per_block(1)) == (0, 0, 0, 0)
+        np.testing.assert_array_equal(signal_stack(cb, PamConfig(M=1))[0],
+                                      cb.entries[0].entries)
 
     def test_roundtrip_bijection(self):
         w1 = enumerate_weight_w(4, 1)
@@ -345,27 +354,37 @@ class TestBitMapping:
         cb = combine_codebooks([w1, w2])
         for M in (1, 2):
             width = cb.bits_per_block(M)
-            seen = set()
-            for index in range(2 ** width):
-                bits = tuple((index >> k) & 1 for k in reversed(range(width)))
-                q, m = bits_to_entry(bits, cb, M)
-                assert entry_to_bits(q, m, cb, M) == bits
-                seen.add((q, m))
-            assert len(seen) == 2 ** width
+            n = cb.signaling_count(M)
+            labels = [_index_to_bits(v, width) for v in range(n)]
+            assert all(len(b) == width and set(b) <= {0, 1} for b in labels)
+            assert [int("".join(map(str, b)), 2) for b in labels] == list(range(n))
+            rows = signal_stack(cb, PamConfig(M=M))[:n]
+            assert len({r.tobytes() for r in rows}) == n
 
     def test_level_index_varies_fastest(self):
         cb = enumerate_weight_w(4, 1)
-        assert bits_to_entry((0, 0, 0, 0, 0), cb, M=2) == (1, 1)
-        assert bits_to_entry((0, 0, 0, 0, 1), cb, M=2) == (1, 2)
-        assert bits_to_entry((0, 0, 0, 1, 0), cb, M=2) == (2, 1)
+        pam = PamConfig(M=2)
+        S = signal_stack(cb, pam)
+        for row, (q, m) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]):
+            expected = pam_intensity(m, 2, 1, 1.0) * cb.entries[q - 1].entries
+            np.testing.assert_allclose(S[row], expected, rtol=1e-15)
+        assert _index_to_bits(1, 5) == (0, 0, 0, 0, 1)
+        assert _index_to_bits(2, 5) == (0, 0, 0, 1, 0)
         assert cb.bits_per_block(M=2) == 5
 
     def test_width_checks(self):
+        # a decision outside the 16 signaling indices of full24, or none,
+        # loses every bit of the block
         cb = enumerate_weight_w(4, 1)
-        with pytest.raises(ValueError):
-            bits_to_entry((0, 0, 0), cb, M=1)
-        with pytest.raises(ValueError):
-            entry_to_bits(24, 1, cb, M=1)  # beyond the 16-entry signaling subset
+        config = SimConfig(scheme="full24", detector="ml", ebn0_grid=(400.0,),
+                           channel=fixture_h02(), codebook=cb)
+        link = analysis._link(config)
+        assert len(link.means) == cb.signaling_count(1) == 16
+        for wrong in (16, 23, -1):
+            off = dataclasses.replace(
+                link, decode=lambda Y, tx, rng, v=wrong: (np.full(len(tx), v), 0))
+            errors, blocks, _ = analysis._simulate_batch(config, off, 1e-40, 0, 0)
+            assert errors == 4 * blocks
 
     def test_truncation_to_power_of_two(self):
         cb = enumerate_weight_w(4, 1)

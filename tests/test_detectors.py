@@ -19,7 +19,6 @@ from pmvlc.codebook import (
     Codeword,
     CodewordMatrix,
     combine_codebooks,
-    entry_to_bits,
     enumerate_weight_w,
 )
 from pmvlc.detectors import (
@@ -33,11 +32,10 @@ from pmvlc.detectors import (
     estimate_intensity,
     iterative_sd_detect,
     ml_detect,
+    ml_op_count,
     murty_iter,
     rc_detect,
-    rc_encode,
     sm_detect,
-    sm_encode,
 )
 from pmvlc.txcodec import PamConfig, pam_intensity
 
@@ -103,9 +101,9 @@ def bb_reference(Y, L):
 def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weight_mode="genie"):
     # iterative_sd_detect as it was before the codebook cached its lookup
     # tables: the member dict (weight 1) or the per-slot component sets are
-    # rebuilt from codebook.entries on every block, and the label comes from
-    # entry_to_bits.  Returns ((q, m, bits, cost, iterations, op_count),
-    # whether the exhaustive fallback decided).
+    # rebuilt from codebook.entries on every block, and the label is the
+    # big-endian bits of the signal index.  Returns ((q, m, bits, cost,
+    # iterations, op_count), whether the exhaustive fallback decided).
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
@@ -128,7 +126,8 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
         index = (q - 1) * pam.M + (m - 1)
         bits = None
         if index < codebook.signaling_count(pam.M):
-            bits = entry_to_bits(q, m, codebook, pam.M)
+            width = codebook.bits_per_block(pam.M)
+            bits = tuple((index >> k) & 1 for k in reversed(range(width)))
         return (q, m, bits, cost, iterations, ops), False
 
     iterations = ops = 0
@@ -194,11 +193,12 @@ class TestMlDetect:
     def test_op_count_model(self):
         Y = H02 @ block_for(FULL24, 1, 1, M1)
         assert ml_detect(Y, H02, FULL24, M1).op_count == 24 * 1 * 16
+        assert ml_op_count(16, 4) == 16 * 16
 
     def test_bits_match_mapping(self):
         Y = H02 @ block_for(COMBINED32, 5, 1, M1)
         r = ml_detect(Y, H02, COMBINED32, M1)
-        assert r.bits == entry_to_bits(5, 1, COMBINED32, 1)
+        assert r.bits == (0, 0, 1, 0, 0)  # signal index 4 of 32
 
     def test_bits_none_outside_signaling_subset(self):
         # full24 with M=1 signals 16 of 24 entries
@@ -644,31 +644,39 @@ class TestAssignmentRanking:
             next(murty_iter(np.zeros((n, n))))
 
 
+def label(value, width):
+    return tuple((value >> k) & 1 for k in reversed(range(width)))
+
+
 class TestBaselines:
+    """Row v of each baseline's `signals` is the symbol labelled v."""
+
     def test_rc_roundtrip_all_symbols(self):
         cfg = RcConfig(L=4, M=16, I=1.0)
+        assert cfg.signals.shape == (16, 4)
         for value in range(16):
-            bits = tuple((value >> k) & 1 for k in reversed(range(4)))
-            y = H02 @ rc_encode(bits, cfg)
-            assert rc_detect(y, H02, cfg) == bits
+            y = H02 @ cfg.signals[value]
+            assert rc_detect(y, H02, cfg) == label(value, 4)
 
     def test_sm_roundtrip_all_symbols(self):
         cfg = SmConfig(L=4, M=4, I=1.0)
+        assert cfg.signals.shape == (16, 4)
         for value in range(16):
-            bits = tuple((value >> k) & 1 for k in reversed(range(4)))
-            y = H02 @ sm_encode(bits, cfg)
-            assert sm_detect(y, H02, cfg) == bits
+            y = H02 @ cfg.signals[value]
+            assert sm_detect(y, H02, cfg) == label(value, 4)
 
     def test_rc_slot_power_matches_mean_intensity(self):
         cfg = RcConfig(L=4, M=16, I=1.0)
-        totals = [rc_encode(tuple((v >> k) & 1 for k in reversed(range(4))), cfg).sum()
-                  for v in range(16)]
+        totals = cfg.signals.sum(axis=1)
+        assert np.all(np.diff(totals) > 0)  # row v is level v + 1
         assert np.mean(totals) == pytest.approx(1.0)
 
     def test_sm_single_active_led(self):
+        # the leading bits pick the LED, the trailing bits the level
         cfg = SmConfig(L=4, M=4, I=1.0)
-        s = sm_encode((1, 0, 1, 1), cfg)
-        assert np.count_nonzero(s) == 1
+        for value, s in enumerate(cfg.signals):
+            assert np.flatnonzero(s).tolist() == [value // 4]
+            assert s[value // 4] == pytest.approx(pam_intensity(value % 4 + 1, 4, 1, 1.0))
 
     def test_rc_requires_power_of_two(self):
         with pytest.raises(ValueError):

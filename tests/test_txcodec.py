@@ -1,4 +1,4 @@
-"""Intensity scaling and block encoding tests."""
+"""Intensity scaling tests, and the transmit matrices the harness sends."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmvlc.codebook import combine_codebooks, enumerate_weight_w
-from pmvlc.txcodec import (
-    PamConfig,
-    block_optical_power,
-    encode,
-    frame_bits,
-    pam_intensity,
-)
+from pmvlc.detectors import signal_stack
+from pmvlc.txcodec import PamConfig, pam_intensity
 
 
 def test_intensity_reference_values():
@@ -40,28 +35,26 @@ def test_pam_config_validation():
 
 
 def test_encode_scales_entry():
+    # row (q-1) M + (m-1) of the signal stack is a_m P_q
     cb = enumerate_weight_w(4, 1)
     pam = PamConfig(M=2, I=1.0)
-    block = encode((0, 0, 0, 0, 1), cb, pam)
-    assert (block.q, block.m, block.w) == (1, 2, 1)
     expected = pam_intensity(2, 2, 1, 1.0) * cb.entries[0].entries
-    assert np.allclose(block.S, expected)
-    assert not block.S.flags.writeable
+    np.testing.assert_allclose(signal_stack(cb, pam)[1], expected, rtol=1e-15)
 
 
 def test_block_power_weight_invariant():
     # Same level index, same L: total block power must not depend on the
-    # weight because the per-LED level carries a 1/w split.
+    # weight because the per-LED level carries a 1/w split; it scales with
+    # the level.
     w1 = enumerate_weight_w(4, 1)
     w2 = enumerate_weight_w(4, 2).subset(range(8))
     cb = combine_codebooks([w1, w2])
-    pam = PamConfig(M=1, I=2.5)
-    powers = set()
-    for index in (0, 30):  # a weight-1 and a weight-2 entry
-        bits = tuple((index >> k) & 1 for k in reversed(range(5)))
-        block = encode(bits, cb, pam)
-        powers.add(round(block_optical_power(block.S), 12))
-    assert len(powers) == 1
+    pam = PamConfig(M=3, I=2.5)
+    power = signal_stack(cb, pam).sum(axis=(1, 2)).reshape(cb.size, pam.M)
+    assert set(cb.weight_array.tolist()) == {1, 2}
+    for m in range(1, 4):
+        np.testing.assert_allclose(power[:, m - 1], 4 * pam_intensity(m, 3, 1, 2.5),
+                                   rtol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -71,19 +64,3 @@ def test_mean_slot_power_is_I(M, w):
     I = 1.7
     mean = sum(w * pam_intensity(m, M, w, I) for m in range(1, M + 1)) / M
     assert mean == pytest.approx(I)
-
-
-def test_frame_bits_pads_and_flags():
-    blocks, padded = frame_bits((1, 0, 1, 1, 0), 4)
-    assert blocks == ((1, 0, 1, 1), (0, 0, 0, 0))
-    assert padded
-    blocks, padded = frame_bits((1, 0, 1, 1), 4)
-    assert blocks == ((1, 0, 1, 1),)
-    assert not padded
-
-
-def test_frame_bits_validation():
-    with pytest.raises(ValueError):
-        frame_bits((1, 2), 4)
-    with pytest.raises(ValueError):
-        frame_bits((1, 0), 0)
