@@ -7,10 +7,11 @@ bit errors and the detector's modelled op counts; every decision rule and
 op model lives in that module.
 
 Reproducibility contract: a record depends only on (master seed, scheme,
-detector, grid index, batch index). Batches are fixed-size; the harness
-always includes batches 0..k* where k* is the first index at which the
-cumulative stopping rule fires, so the output is byte-identical for any
-worker count: speculative batches beyond k* are discarded.
+detector, grid index, batch index).  Batches are fixed-size and each seeds
+its own generator from that tuple.  Grid points run in parallel, but each
+point runs its batches 0, 1, ... in order and stops at the first one after
+which the cumulative stopping rule holds, so no batch is computed and
+dropped, and the output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ def pair_tail(d2, n0):
     element carries a received mean past the midpoint towards a mean at
     squared distance d2.  The one Q term of the union bound."""
     return qfunc(np.sqrt(d2 / (2.0 * n0)))
-
-
-def pairwise_error_prob(S, S_hat, H, N0: float) -> float:
-    """Probability that a minimum-distance receiver prefers S_hat over S;
-    S carries the drive intensity."""
-    if N0 <= 0:
-        raise ValueError("N0 must be positive")
-    H = _as_H(H)
-    d2 = float(np.sum((H @ (np.asarray(S) - np.asarray(S_hat))) ** 2))
-    return float(pair_tail(d2, N0))
 
 
 @dataclass(frozen=True)
@@ -247,49 +238,30 @@ def _simulate_batch(config: SimConfig, link: _Link, n0, point_idx, batch_idx):
     return int(errors.sum()), BATCH_BLOCKS, ops
 
 
-def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
-    """Simulate the configured detector over the Eb/N0 grid.
+def _simulate_point(config: SimConfig, link: _Link, point_idx: int, ebn0_db: float) -> BerRecord:
+    """Batches 0, 1, ... of one grid point, in order, until the cumulative
+    bit-error target or the block cap is reached."""
+    n0 = n0_for_bits(ebn0_db, link.bits, link.intensity)
+    errors = blocks = ops = 0
+    while errors < config.errors_target and blocks < config.block_cap:
+        e, nblocks, nops = _simulate_batch(config, link, n0, point_idx, blocks // BATCH_BLOCKS)
+        errors += e
+        blocks += nblocks
+        ops += nops
+    return BerRecord(scheme=config.scheme, detector=config.detector, ebn0_db=float(ebn0_db),
+                     ber=errors / (blocks * link.bits), bit_errors=errors,
+                     bits=blocks * link.bits, blocks=blocks, seed=config.seed, ops=ops)
 
-    Per point, fixed-size batches run until the cumulative bit-error target
-    or the block cap is reached; the included batch set is independent of
-    the thread count.
-    """
+
+def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
+    """Simulate the configured detector over the Eb/N0 grid, up to `threads`
+    grid points at a time; records come back in grid order."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     link = _link(config)
-    bits = link.bits
-
-    records = []
-    max_batches = max(1, -(-config.block_cap // BATCH_BLOCKS))
-    for point_idx, ebn0_db in enumerate(config.ebn0_grid):
-        n0 = n0_for_bits(ebn0_db, bits, link.intensity)
-        errors = blocks = ops = 0
-        next_batch = 0
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = {}
-            while True:
-                while len(pending) < threads and next_batch < max_batches:
-                    pending[next_batch] = pool.submit(_simulate_batch, config, link, n0,
-                                                      point_idx, next_batch)
-                    next_batch += 1
-                take = blocks // BATCH_BLOCKS
-                if take not in pending:
-                    break
-                e, nblocks, nops = pending.pop(take).result()
-                errors += e
-                blocks += nblocks
-                ops += nops
-                if errors >= config.errors_target or blocks >= config.block_cap:
-                    for fut in pending.values():
-                        fut.cancel()
-                    break
-        records.append(BerRecord(
-            scheme=config.scheme, detector=config.detector,
-            ebn0_db=float(ebn0_db),
-            ber=errors / (blocks * bits),
-            bit_errors=errors, bits=blocks * bits, blocks=blocks,
-            seed=config.seed, ops=ops))
-    return records
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda p: _simulate_point(config, link, *p),
+                             enumerate(config.ebn0_grid)))
 
 
 def write_ber_csv(records, path):

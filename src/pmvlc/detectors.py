@@ -2,32 +2,36 @@
 
 This module holds every decision rule of the package.  Each rule is written
 once as a batch kernel over a leading block axis (the ``*_batch`` functions,
-which the Monte Carlo harness calls); the per-block functions are batches of
-one around them and return a DetectionResult or a bit tuple.
+which the Monte Carlo harness calls).  The blind rules bf_sd_detect,
+bb_detect and iterative_sd_detect also have a per-block form returning a
+DetectionResult; for bf it is a batch of one.
 
 All soft-decision (SD) detectors work on the sign-flipped observation
 yhat = -Y, so a codeword's decision metric is the negated sum of received
 values over its support; for a multiweight entry that equals the sum of the
 per-component metrics because components never overlap.
 
-* ml_detect          exhaustive argmin of ||Y - H a_m P_q||_F^2 (needs CSI)
-* bf_sd_detect       exhaustive support-metric search over the codebook
-* bb_detect          greedy level-by-level column selection (weight 1 only)
+* ml_detect_batch     exhaustive argmin of ||Y - H a_m P_q||_F^2 over the
+                      received means it is given (needs CSI)
+* bf_detect_batch     exhaustive support-metric search over the codebook
+* bb_detect           greedy level-by-level column selection (weight 1 only)
 * iterative_sd_detect assignment-driven search: best assignment first, then
                       next-best assignments until one lands in the codebook;
                       the walk follows murty_iter, defined here, which ranks
                       all L! assignments, so L <= 6
-* rc_detect, sm_detect single-slot repetition-coding and spatial-modulation
-                      baselines
+* rc_detect_batch, sm_detect_batch single-slot repetition-coding and
+                      spatial-modulation baselines; each returns the symbol
+                      index, which is the bit label
 
 The coherent rules (ml, sm) share one nearest-mean kernel, ml_detect_batch,
 which scores ||HS_k||^2 - 2<Y, HS_k> with one matrix product: ||Y||^2 is the
 same for every candidate of a block, so dropping it keeps the argmin.
 
-Intensity and weight side-decisions are factored out as estimate_intensity
-and classify_weight; multiweight detection assumes the weight class is known
-(genie mode) unless configured otherwise.  bb_detect and iterative_sd_detect
-have no batch kernel yet and run per block.
+Intensity and weight side-decisions are factored out as
+estimate_intensity_batch and classify_weight_batch (with per-block forms
+estimate_intensity and classify_weight); multiweight detection assumes the
+weight class is known (genie mode) unless configured otherwise.  bb_detect
+and iterative_sd_detect have no batch kernel yet and run per block.
 """
 
 from __future__ import annotations
@@ -212,19 +216,6 @@ def ml_detect_batch(Y: np.ndarray, HS: np.ndarray):
 def ml_op_count(candidates: int, L: int) -> int:
     """Modelled work of one ML decision: an L x L residual per candidate."""
     return candidates * L ** 2
-
-
-def ml_detect(Y: np.ndarray, channel, codebook: Codebook, pam: PamConfig) -> DetectionResult:
-    """Exhaustive coherent detection over every (entry, level) candidate.
-
-    Ties resolve to the lowest (q, m) pair; op_count is ml_op_count over
-    all size * M pairs, data-carrying or not.
-    """
-    HS = np.einsum("ij,kjl->kil", _as_H(channel), signal_stack(codebook, pam))
-    k, res = ml_detect_batch(np.asarray(Y, dtype=np.float64)[None], HS)
-    flat = int(k[0])
-    return _decision(flat // pam.M + 1, flat % pam.M + 1, codebook, pam, float(res[0]),
-                     op_count=ml_op_count(len(HS), codebook.L))
 
 
 def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
@@ -442,9 +433,10 @@ class RcConfig:
 
     @property
     def bits(self) -> int:
+        # M = 1 would carry no bits, and a zero-bit link has no BER
         b = (self.M).bit_length() - 1
-        if 2 ** b != self.M:
-            raise ValueError("M must be a power of two")
+        if self.M < 2 or 2 ** b != self.M:
+            raise ValueError("M must be a power of two, at least 2")
         return b
 
     def level(self, m: int) -> float:
@@ -491,20 +483,8 @@ def rc_detect_batch(y: np.ndarray, channel, config: RcConfig) -> np.ndarray:
     return np.argmin(np.abs(y.sum(axis=1)[:, None] - levels[None, :]), axis=1)
 
 
-def rc_detect(y: np.ndarray, channel, config: RcConfig) -> tuple[int, ...]:
-    """Bits of one repetition-coded slot; see rc_detect_batch."""
-    index = rc_detect_batch(np.asarray(y, dtype=np.float64)[None], channel, config)[0]
-    return _index_to_bits(int(index), config.bits)
-
-
 def sm_detect_batch(y: np.ndarray, channel, config: SmConfig) -> np.ndarray:
     """Joint ML over (LED, level) for each row of y (B, n_rx): the nearest
     received mean config.signals @ H.T, ties to the lowest.  Returns the
     symbol index, which is the bit label."""
     return ml_detect_batch(y, config.signals @ _as_H(channel).T)[0]
-
-
-def sm_detect(y: np.ndarray, channel, config: SmConfig) -> tuple[int, ...]:
-    """Bits of one spatial-modulation slot; see sm_detect_batch."""
-    index = sm_detect_batch(np.asarray(y, dtype=np.float64)[None], channel, config)[0]
-    return _index_to_bits(int(index), config.bits)

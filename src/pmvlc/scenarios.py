@@ -140,10 +140,6 @@ class Scenario:
             raise ConfigError("ebn0_db grid must be ascending")
         if not self.scheme and self.codebook is not None:
             self.scheme = scheme_label(self.codebook, self.pam)
-        # energy is an alias of joint: the intensity rule gives every weight
-        # class the same expected block sum, so the sum cannot tell them apart
-        if self.weight_mode == "energy":
-            self.weight_mode = "joint"
         if self.weight_mode not in ("genie", "joint"):
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
         if self.calibration not in ("blind", "csi"):
@@ -156,7 +152,7 @@ class Scenario:
         for det, config in (("rc", RcConfig(L, self.rc_m)), ("sm", SmConfig(L, self.sm_m))):
             if det in self.detectors:
                 try:
-                    config.bits  # raises unless a power of two
+                    config.bits  # raises for sizes that give no whole, positive bit count
                 except ValueError as exc:
                     raise ConfigError(f"{det}_m = {config.M}: {exc}") from None
 

@@ -22,8 +22,9 @@ from pmvlc.detectors import (
     SmConfig,
     bf_sd_detect,
     iterative_sd_detect,
-    ml_detect,
+    ml_detect_batch,
     murty_iter,
+    signal_stack,
 )
 from pmvlc.scenarios import named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
@@ -99,12 +100,14 @@ def test_criterion_03_zero_noise_roundtrip():
         cb = named_codebook(name)
         for M in (1, 2):
             pam = PamConfig(M=M)
+            # every (entry, level) mean, so non-signalling pairs decode too
+            HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(cb, pam))
             for q in range(1, cb.size + 1):
                 w = cb.entries[q - 1].weight
                 for m in range(1, M + 1):
                     Y = H02.H @ _block(cb, q, m, pam)
-                    got = ml_detect(Y, H02, cb, pam)
-                    assert (got.q, got.m) == (q, m), f"ml {name} M={M} q={q} m={m}"
+                    got = int(ml_detect_batch(Y[None], HS)[0][0])
+                    assert got == (q - 1) * M + (m - 1), f"ml {name} M={M} q={q} m={m}"
                     got = bf_sd_detect(Y, cb, pam, true_weight=w)
                     assert (got.q, got.m) == (q, m), f"bf {name} M={M} q={q} m={m}"
                     got = iterative_sd_detect(Y, cb, pam, true_weight=w)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from pmvlc import analysis
-from pmvlc.analysis import SimConfig, monte_carlo_ber
 from pmvlc.channel import build_channel, fixture_h06_blocked, square_grid_geometry
 from pmvlc.cli import PRESETS, codebook_report, main, preset_scenarios
 from pmvlc.scenarios import (
@@ -113,19 +112,6 @@ class TestScenarioParsing:
     def test_comments_and_blanks_ignored(self):
         sc = parse_scenario("# comment\n\n; other comment\n" + MINIMAL)
         assert sc.detectors == ("ml",)
-
-    def test_energy_weight_mode_is_joint_alias(self):
-        text = "codebook = combined32\nm = 2\ndetectors = bf\nebn0_db = 96,100\n"
-        records = {}
-        for mode in ("energy", "joint"):
-            sc = parse_scenario(text + f"weight_mode = {mode}\n")
-            cfg = SimConfig(scheme=sc.scheme, detector="bf", ebn0_grid=sc.ebn0_grid,
-                            channel=sc.channel, codebook=sc.codebook, pam=sc.pam,
-                            errors_target=10**6, block_cap=4096, seed=4,
-                            weight_mode=sc.weight_mode)
-            records[mode] = monte_carlo_ber(cfg)
-        assert records["energy"] == records["joint"]
-        assert records["joint"][0].bit_errors > 0
 
 
 class TestRegistries:
@@ -267,7 +253,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("detector,line", [
         ("bf", "m = 0"), ("bf", "i = -1"), ("iterative", "e_max = 0"),
         ("bf", "errors_target = 0"), ("bf", "block_cap = 0"), ("rc", "rc_m = 12"),
-        ("sm", "sm_m = 3"),
+        ("sm", "sm_m = 3"), ("rc", "rc_m = 1"), ("bf", "weight_mode = energy"),
     ], ids=lambda v: v.replace(" ", ""))
     def test_bad_scenario_values_exit_one(self, tmp_path, capsys, detector, line):
         scen = tmp_path / "bad.ini"

@@ -25,17 +25,19 @@ from pmvlc.detectors import (
     Calibration,
     RcConfig,
     SmConfig,
+    _index_to_bits,
     bb_detect,
     bf_sd_detect,
     classify_weight,
     classify_weight_batch,
     estimate_intensity,
     iterative_sd_detect,
-    ml_detect,
+    ml_detect_batch,
     ml_op_count,
     murty_iter,
-    rc_detect,
-    sm_detect,
+    rc_detect_batch,
+    signal_stack,
+    sm_detect_batch,
 )
 from pmvlc.txcodec import PamConfig, pam_intensity
 
@@ -161,50 +163,53 @@ CB1 = perm_codebook([(4, 3, 2, 1), (4, 1, 3, 2), (3, 1, 2, 4), (3, 4, 1, 2),
                      (2, 4, 3, 1), (2, 1, 4, 3), (2, 3, 1, 4), (1, 3, 4, 2)])
 
 
+def ml_index(Y, H, codebook, pam):
+    """Whole-book ML decision on one block: the index (q-1) M + (m-1) of the
+    nearest of all size * M received means, data-carrying or not."""
+    HS = np.einsum("ij,kjl->kil", H, signal_stack(codebook, pam))
+    return int(ml_detect_batch(np.asarray(Y, dtype=np.float64)[None], HS)[0][0])
+
+
 class TestMlDetect:
     def test_zero_noise_roundtrip_combined32(self):
         for q in range(1, COMBINED32.size + 1):
             Y = H02 @ block_for(COMBINED32, q, 1, M1)
-            r = ml_detect(Y, H02, COMBINED32, M1)
-            assert (r.q, r.m) == (q, 1)
-            assert r.w == COMBINED32.entries[q - 1].weight
+            assert ml_index(Y, H02, COMBINED32, M1) == q - 1
 
     def test_identity_channel_small_noise(self):
         rng = np.random.default_rng(3)
         eye = np.eye(4)
         for q in (1, 7, 20):
             Y = block_for(FULL24, q, 1, M1) + rng.normal(0, 1e-6, (4, 4))
-            assert ml_detect(Y, eye, FULL24, M1).q == q
+            assert ml_index(Y, eye, FULL24, M1) == q - 1
 
     def test_tie_resolves_to_lowest_q(self):
         eye = np.eye(4)
         Y = 0.5 * (block_for(FULL24, 3, 1, M1) + block_for(FULL24, 9, 1, M1))
-        r = ml_detect(Y, eye, FULL24, M1)
-        assert r.q == 3
+        assert ml_index(Y, eye, FULL24, M1) == 2
 
     def test_intensity_levels_recovered(self):
         pam = PamConfig(M=4, I=1.0)
         for q in (1, 30):
             for m in range(1, 5):
                 Y = H02 @ block_for(COMBINED32, q, m, pam)
-                r = ml_detect(Y, H02, COMBINED32, pam)
-                assert (r.q, r.m) == (q, m)
+                assert ml_index(Y, H02, COMBINED32, pam) == (q - 1) * 4 + (m - 1)
 
     def test_op_count_model(self):
-        Y = H02 @ block_for(FULL24, 1, 1, M1)
-        assert ml_detect(Y, H02, FULL24, M1).op_count == 24 * 1 * 16
+        assert ml_op_count(24, 4) == 384
         assert ml_op_count(16, 4) == 16 * 16
 
     def test_bits_match_mapping(self):
         Y = H02 @ block_for(COMBINED32, 5, 1, M1)
-        r = ml_detect(Y, H02, COMBINED32, M1)
-        assert r.bits == (0, 0, 1, 0, 0)  # signal index 4 of 32
+        k = ml_index(Y, H02, COMBINED32, M1)
+        assert _index_to_bits(k, COMBINED32.bits_per_block(1)) == (0, 0, 1, 0, 0)  # 4 of 32
 
     def test_bits_none_outside_signaling_subset(self):
-        # full24 with M=1 signals 16 of 24 entries
+        # full24 with M=1 signals 16 of 24 entries; the whole-book means
+        # still decode entry 20, which carries no label
         Y = H02 @ block_for(FULL24, 20, 1, M1)
-        r = ml_detect(Y, H02, FULL24, M1)
-        assert r.q == 20 and r.bits is None
+        k = ml_index(Y, H02, FULL24, M1)
+        assert k == 19 and k >= FULL24.signaling_count(1)
 
 
 class TestBfSd:
@@ -212,6 +217,7 @@ class TestBfSd:
         for q in range(1, 25):
             r = bf_sd_detect(FULL24.matrix_stack[q - 1], FULL24, M1)
             assert r.q == q
+            assert (r.bits is None) == (q > FULL24.signaling_count(1))
 
     def test_fixture_diagonal_is_columnwise_maximal(self):
         # the property that makes blind detection exact without noise
@@ -346,8 +352,7 @@ class TestClassifyWeight:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             classify_weight(np.zeros((4, 4)), COMBINED32, "oracle", PamConfig())
-        # the scenario parser maps weight_mode = energy to joint; the kernel
-        # takes the resolved name only, even where one class needs no decision
+        # only genie and joint exist, even where one class needs no decision
         for book in (COMBINED32, FULL24):
             with pytest.raises(ValueError, match="unknown mode 'energy'"):
                 classify_weight(np.zeros((4, 4)), book, "energy", PamConfig())
@@ -654,16 +659,14 @@ class TestBaselines:
     def test_rc_roundtrip_all_symbols(self):
         cfg = RcConfig(L=4, M=16, I=1.0)
         assert cfg.signals.shape == (16, 4)
-        for value in range(16):
-            y = H02 @ cfg.signals[value]
-            assert rc_detect(y, H02, cfg) == label(value, 4)
+        got = rc_detect_batch(cfg.signals @ H02.T, H02, cfg)
+        assert [_index_to_bits(int(v), cfg.bits) for v in got] == [label(v, 4) for v in range(16)]
 
     def test_sm_roundtrip_all_symbols(self):
         cfg = SmConfig(L=4, M=4, I=1.0)
         assert cfg.signals.shape == (16, 4)
-        for value in range(16):
-            y = H02 @ cfg.signals[value]
-            assert sm_detect(y, H02, cfg) == label(value, 4)
+        got = sm_detect_batch(cfg.signals @ H02.T, H02, cfg)
+        assert [_index_to_bits(int(v), cfg.bits) for v in got] == [label(v, 4) for v in range(16)]
 
     def test_rc_slot_power_matches_mean_intensity(self):
         cfg = RcConfig(L=4, M=16, I=1.0)
