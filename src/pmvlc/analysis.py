@@ -77,6 +77,12 @@ def bit_distance(a, b) -> np.ndarray:
     return np.bitwise_count(np.bitwise_xor(a, b))
 
 
+def _check_finite(ebn0_grid):
+    # nan gives a BER of 1/2 at a nan point, inf a noiseless one
+    if not np.isfinite(np.asarray(ebn0_grid, dtype=np.float64)).all():
+        raise ValueError(f"Eb/N0 values must be finite, got {tuple(ebn0_grid)}")
+
+
 def _pair_terms(codebook: Codebook, pam: PamConfig, H: np.ndarray):
     """Bit distances and squared channel-space distances over all ordered
     signaling pairs with distinct labels."""
@@ -99,6 +105,7 @@ def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,
     bound is directly comparable with the simulated receiver operating at
     the same noise density.
     """
+    _check_finite(ebn0_grid)
     d_bits, d2, n_sig, bits = _pair_terms(codebook, pam, _as_H(H))
     values = []
     for db in ebn0_grid:
@@ -151,6 +158,7 @@ class SimConfig:
             raise ValueError(f"detector {self.detector!r} needs a codebook")
         if len(self.ebn0_grid) == 0:
             raise ValueError("empty Eb/N0 grid")
+        _check_finite(self.ebn0_grid)
         if list(self.ebn0_grid) != sorted(self.ebn0_grid):
             raise ValueError("Eb/N0 grid must be ascending")
         if self.errors_target < 1 or self.block_cap < 1:
@@ -203,7 +211,7 @@ def _link(config: SimConfig) -> _Link:
     weight_of = lambda tx: cb.weight_array[tx // pam.M]
     if det == "ml":
         # scores only the 2**bits signaling means
-        decode = lambda Y, tx, rng: (ml_detect_batch(Y, HS)[0],
+        decode = lambda Y, tx, rng: (ml_detect_batch(Y, HS, pam.M),
                                      len(Y) * ml_op_count(len(HS), cb.L))
     elif det == "bf":
         def decode(Y, tx, rng):

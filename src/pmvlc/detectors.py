@@ -11,8 +11,8 @@ yhat = -Y, so a codeword's decision metric is the negated sum of received
 values over its support; for a multiweight entry that equals the sum of the
 per-component metrics because components never overlap.
 
-* ml_detect_batch     exhaustive argmin of ||Y - H a_m P_q||_F^2 over the
-                      received means it is given (needs CSI)
+* ml_detect_batch     argmin of ||Y - H a_m P_q||_F^2 over the received
+                      means it is given (needs CSI), level-sliced per entry
 * bf_detect_batch     exhaustive support-metric search over the codebook
 * bb_detect           greedy level-by-level column selection (weight 1 only)
 * iterative_sd_detect assignment-driven search: best assignment first, then
@@ -23,9 +23,11 @@ per-component metrics because components never overlap.
                       spatial-modulation baselines; each returns the symbol
                       index, which is the bit label
 
-The coherent rules (ml, sm) share one nearest-mean kernel, ml_detect_batch,
-which scores ||HS_k||^2 - 2<Y, HS_k> with one matrix product: ||Y||^2 is the
-same for every candidate of a block, so dropping it keeps the argmin.
+The coherent rules (ml, sm) share one nearest-mean kernel, ml_detect_batch.
+PAM levels are linear in m, so the means of one entry (or, for sm, one LED)
+lie on a line m U_q, and the nearest of them is the received correlation
+with U_q sliced to the nearest level: one (B, Q) matrix product per batch
+scores every entry at its best level, as a unipolar PAM slicer does.
 
 Intensity and weight side-decisions are factored out as
 estimate_intensity_batch and classify_weight_batch (with per-block forms
@@ -196,25 +198,43 @@ def classify_weight(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
                                      pam, true_weight, calibration)[0])
 
 
-def ml_detect_batch(Y: np.ndarray, HS: np.ndarray):
-    """Index of the nearest candidate mean in HS (K, ...) for each block of
-    Y (B, ...), ties to the lowest, and its squared residual.  Trailing
-    shapes are flattened, so (B, L, L) blocks and (B, n_rx) slots share it.
+def ml_detect_batch(Y: np.ndarray, HS: np.ndarray, M: int) -> np.ndarray:
+    """Index of the nearest received mean in HS for each block of Y (B, ...),
+    ties to the lowest.  Trailing shapes are flattened, so (B, L, L) blocks
+    and (B, n_rx) slots share it.
 
-    ||Y - HS_k||^2 = ||Y||^2 - 2<Y, HS_k> + ||HS_k||^2, and ||Y||^2 is the
-    same for every k: the argmin of the other two terms needs one (B, K)
-    matrix product and no (B, K, ...) difference tensor.  Scaling by -2 is
-    exact; only the winner's residual is computed in full."""
+    HS is entry-major / level-minor with M PAM levels per entry: row
+    q M + m - 1 is m U_q, where U_q = HS[q M] is entry q's level-1 mean; the
+    last entry may carry fewer than M levels.  With e_q = ||U_q||^2 and
+    u_q = <Y, U_q> / e_q, ||Y - m U_q||^2 = ||Y||^2 + e_q m (m - 2 u_q), a
+    parabola in m, so entry q's best level is u_q rounded to the nearest
+    level (half-way to the lower) and clipped to its range: one (B, Q)
+    product and one argmin per batch, not a score per (entry, level).  An
+    entry with e_q = 0 scores 0 at level 1.
+    """
     Yf = Y.reshape(len(Y), -1)
-    Sf = HS.reshape(len(HS), -1)
-    score = Yf @ (-2.0 * Sf.T)
-    score += (Sf * Sf).sum(axis=1)
-    k = np.argmin(score, axis=1)
-    return k, ((Yf - Sf[k]) ** 2).sum(axis=1)
+    U = HS[::M].reshape(-1, Yf.shape[1])
+    e = np.einsum("qd,qd->q", U, U)
+    u = Yf @ (U / np.where(e > 0, e, 1.0)[:, None]).T
+    m = 1.0
+    if M > 1:
+        m = np.ceil(u - 0.5)
+        np.clip(m, 1, np.minimum(M, len(HS) - M * np.arange(len(U))), out=m)
+    # e m (m - 2u), in place: u and m are the only (B, Q) arrays
+    u *= -2.0
+    u += m
+    u *= m
+    u *= e
+    q = np.argmin(u, axis=1)
+    if M == 1:
+        return q
+    return q * M + m[np.arange(len(q)), q].astype(np.int64) - 1
 
 
 def ml_op_count(candidates: int, L: int) -> int:
-    """Modelled work of one ML decision: an L x L residual per candidate."""
+    """Modelled work of one exhaustive ML decision, the paper's count: an
+    L x L residual per candidate.  It models that search, not the work of
+    ml_detect_batch's level-sliced kernel."""
     return candidates * L ** 2
 
 
@@ -485,6 +505,7 @@ def rc_detect_batch(y: np.ndarray, channel, config: RcConfig) -> np.ndarray:
 
 def sm_detect_batch(y: np.ndarray, channel, config: SmConfig) -> np.ndarray:
     """Joint ML over (LED, level) for each row of y (B, n_rx): the nearest
-    received mean config.signals @ H.T, ties to the lowest.  Returns the
-    symbol index, which is the bit label."""
-    return ml_detect_batch(y, config.signals @ _as_H(channel).T)[0]
+    received mean config.signals @ H.T, ties to the lowest.  Its rows are
+    level(m) H[:, k], LED-major, so ml_detect_batch slices the level per
+    LED.  Returns the symbol index, which is the bit label."""
+    return ml_detect_batch(y, config.signals @ _as_H(channel).T, config.M)

@@ -7,6 +7,7 @@ stopping rule. Parse errors carry the file name and line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,6 +137,8 @@ class Scenario:
                 raise ConfigError("bb detector requires a weight-1 codebook")
         if not self.ebn0_grid:
             raise ConfigError("empty ebn0_db grid")
+        if not all(map(math.isfinite, self.ebn0_grid)):
+            raise ConfigError(f"ebn0_db values must be finite, got {self.ebn0_grid}")
         if list(self.ebn0_grid) != sorted(self.ebn0_grid):
             raise ConfigError("ebn0_db grid must be ascending")
         if not self.scheme and self.codebook is not None:
@@ -165,7 +168,7 @@ def _parse_grid(value: str, where: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError
             start, stop, step = parts
-            if step <= 0 or stop < start:
+            if not all(map(math.isfinite, parts)) or step <= 0 or stop < start:
                 raise ValueError
             out = []
             x = start
@@ -222,9 +225,8 @@ def _resolve_channel(kv: dict, source: str) -> tuple[ChannelMatrix, str]:
     channel = build_channel(geo, params)
     if kv.get("blockage"):
         channel = apply_blockage(channel, _parse_blockage(kv["blockage"], source))
-    desc = "geometry tx_spacing={} rx_offset_x={}".format(
-        kv.get("tx_spacing", 0.2), kv.get("rx_offset_x", 0.0))
-    return channel, desc
+    # every key the scenario sets, so distinct geometries print distinct lines
+    return channel, " ".join(["geometry", *(f"{k}={kv[k]}" for k in geometry_used)])
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:

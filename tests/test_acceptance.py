@@ -106,7 +106,7 @@ def test_criterion_03_zero_noise_roundtrip():
                 w = cb.entries[q - 1].weight
                 for m in range(1, M + 1):
                     Y = H02.H @ _block(cb, q, m, pam)
-                    got = int(ml_detect_batch(Y[None], HS)[0][0])
+                    got = int(ml_detect_batch(Y[None], HS, M)[0])
                     assert got == (q - 1) * M + (m - 1), f"ml {name} M={M} q={q} m={m}"
                     got = bf_sd_detect(Y, cb, pam, true_weight=w)
                     assert (got.q, got.m) == (q, m), f"bf {name} M={M} q={q} m={m}"

@@ -118,6 +118,14 @@ class TestUnionBound:
         with pytest.raises(ValueError):
             BoundCurve("x", (0.0,), (-1e-3,))
 
+    @pytest.mark.parametrize("grid", [(math.nan,), (100.0, math.nan), (math.inf,),
+                                      (-math.inf, 100.0)])
+    def test_rejects_non_finite_ebn0(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            ber_union_bound(PM16, M1, H02, grid)
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(scheme="x", detector="ml", ebn0_grid=grid, channel=H02, codebook=PM16)
+
     def test_linear_in_bit_distance(self):
         # the bound is a weighted sum of pairwise tails; doubling every bit
         # distance must double the value
@@ -272,7 +280,7 @@ class TestBatchPathsMatchScalarDetectors:
         pam = PamConfig(M=2, I=1.0)
         tx, Y = _noisy_blocks(COMBINED32, pam, 99.0, 64, seed=77)
         HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(COMBINED32, pam))
-        got, _ = ml_detect_batch(Y, HS)
+        got = ml_detect_batch(Y, HS, pam.M)
         for b in range(len(tx)):
             best, best_res = None, np.inf
             for q in range(COMBINED32.size):
@@ -332,9 +340,16 @@ class TestBatchPathsMatchScalarDetectors:
             scheme="sm", detector="sm", ebn0_grid=(100.0,), channel=H, sm=cfg)).means, per_led)
 
 
+def _brute_nearest(Y, HS):
+    """Difference-form oracle: argmin of ||Y - HS_k||^2, ties to the lowest k."""
+    d = Y.reshape(len(Y), 1, -1) - HS.reshape(1, len(HS), -1)
+    return np.argmin((d ** 2).sum(axis=2), axis=1)
+
+
 class TestNearestMeanKernel:
-    """ml_detect_batch scores candidates in expanded-norm form; its decisions
-    and residuals must match the difference form at physical scale."""
+    """ml_detect_batch slices each entry's level in closed form; its decisions
+    must match the difference form at physical scale, on truncated alphabets
+    and on channels with dead LEDs."""
 
     PAM16 = PamConfig(M=16, I=1.0)
 
@@ -346,36 +361,89 @@ class TestNearestMeanKernel:
         assert len(HS) == 512
         _, Y = _noisy_blocks(COMBINED32, self.PAM16, 100.0, 256, seed=81)
         assert 1e-6 < np.abs(Y).mean() < 1e-3  # received values are ~1e-4
-        res = ((Y[:, None] - HS[None]) ** 2).sum(axis=(2, 3))
-        k, got = ml_detect_batch(Y, HS)
-        np.testing.assert_array_equal(k, np.argmin(res, axis=1))
-        np.testing.assert_allclose(got, ((Y - HS[k]) ** 2).sum(axis=(1, 2)), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(ml_detect_batch(Y, HS, 16), _brute_nearest(Y, HS))
+
+    @pytest.mark.parametrize("book, M", [("combined32", 3), ("full24", 1), ("full24", 3)])
+    def test_truncated_alphabet(self, book, M):
+        # only the first 2**bits (entry, level) pairs signal: combined32 at
+        # M = 3 keeps 64 of 96, so its last entry carries one level
+        cb, pam = named_codebook(book), PamConfig(M=M)
+        tx, Y = _noisy_blocks(cb, pam, 94.0, 2048, seed=84)
+        HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(cb, pam)[:2 ** cb.bits_per_block(M)])
+        if (book, M) == ("combined32", 3):
+            assert len(HS) % M == 1
+        # noisy blocks at the last entry's levels past the alphabet, which an
+        # unclipped slice would decide; the noise breaks the exact ties of
+        # the symmetric h02 channel
+        far = Y[:3] - HS[tx[:3]] + HS[-1][None] * np.array([2.0, 3.0, 5.0])[:, None, None]
+        Y = np.concatenate([Y, far])
+        got = ml_detect_batch(Y, HS, M)
+        assert got.max() < len(HS)
+        np.testing.assert_array_equal(got, _brute_nearest(Y, HS))
+
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    def test_sm_with_dead_leds(self, M):
+        # fig5-x04's channel: two LEDs reach no photodiode, so their level-1
+        # means have zero energy
+        H = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset=(0.4, 0.0))).H
+        assert (np.abs(H).sum(axis=0) == 0).sum() == 2
+        cfg = SmConfig(L=4, M=M)
+        means = cfg.signals @ H.T
+        rng = np.random.default_rng(85)
+        for db in (80.0, 95.0, 110.0):
+            n0 = n0_for_bits(db, cfg.bits, 1.0)
+            Y = means[rng.integers(len(means), size=1024)] + rng.normal(
+                0.0, math.sqrt(n0 / 2), size=(1024, 4))
+            np.testing.assert_array_equal(sm_detect_batch(Y, H, cfg), _brute_nearest(Y, means))
+
+    def test_ties_break_to_the_lowest_index(self):
+        # integer data keeps every score exact; level-1 means (2, 0), (0, 2)
+        # and a dead entry, three levels each
+        U = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+        HS = (np.arange(1, 4)[None, :, None] * U[:, None, :]).reshape(-1, 2)
+        Y = np.array([
+            [3.0, 0.0],   # half-way between levels 1 and 2 of entry 0
+            [0.0, 5.0],   # half-way between levels 2 and 3 of entry 1
+            [3.0, 3.0],   # entries 0 and 1 score the same at level 1
+            [1.0, 0.0],   # entry 0 at level 1 and the dead entry score the same
+            [0.0, 0.0],   # the dead entry alone is nearest
+        ])
+        want = [0, 4, 0, 0, 6]
+        np.testing.assert_array_equal(_brute_nearest(Y, HS), want)
+        np.testing.assert_array_equal(ml_detect_batch(Y, HS, 3), want)
+
+    @pytest.mark.parametrize("M", [1, 3, 16])
+    @pytest.mark.parametrize("book", sorted(CODEBOOKS))
+    def test_signal_rows_lie_on_level_lines(self, book, M):
+        # the kernel's premise: row q M + m - 1 is m times row q M
+        S = signal_stack(named_codebook(book), PamConfig(M=M)).reshape(-1, M, 16)
+        np.testing.assert_allclose(S, np.arange(1, M + 1)[None, :, None] * S[:, :1],
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("M", [2, 4, 8, 16])
+    def test_sm_rows_lie_on_level_lines(self, M):
+        S = SmConfig(L=4, M=M).signals.reshape(4, M, 4)
+        np.testing.assert_allclose(S, np.arange(1, M + 1)[None, :, None] * S[:, :1],
+                                   rtol=1e-15, atol=0)
 
     def test_batch_memory_stays_at_one_score_matrix(self):
-        # a (4096, 512, 4, 4) difference tensor alone would be 268 MB; the
-        # (4096, 512) score matrix is 17 MB
+        # the old (4096, 512) score matrix alone was 17 MB; the kernel's
+        # (4096, 32) correlation and level arrays are 1 MB each
         HS = self._means()
         Y = np.random.default_rng(82).normal(1e-4, 1e-5, size=(BATCH_BLOCKS, 4, 4))
         tracemalloc.start()
         try:
-            ml_detect_batch(Y, HS)
+            ml_detect_batch(Y, HS, 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+        assert peak < 8e6
 
-    def test_accepts_vectors_and_breaks_ties_low(self):
+    def test_accepts_vectors(self):
         rng = np.random.default_rng(83)
         y = rng.normal(size=(64, 4))
-        cand = rng.normal(size=(16, 4))
-        k, res = ml_detect_batch(y, cand)
-        full = ((y[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_array_equal(k, np.argmin(full, axis=1))
-        np.testing.assert_allclose(res, full.min(axis=1), rtol=1e-12)
-        # integer data keeps every score exact: three equidistant means
-        means = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
-        k, res = ml_detect_batch(np.zeros((1, 2)), means)
-        assert (k[0], res[0]) == (1, 1.0)
+        HS = (np.arange(1, 5)[None, :, None] * rng.normal(size=(16, 1, 4))).reshape(-1, 4)
+        np.testing.assert_array_equal(ml_detect_batch(y, HS, 4), _brute_nearest(y, HS))
 
 
 class TestCsvWriters:

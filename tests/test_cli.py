@@ -11,6 +11,7 @@ from pmvlc import analysis
 from pmvlc.channel import build_channel, fixture_h06_blocked, square_grid_geometry
 from pmvlc.cli import PRESETS, codebook_report, main, preset_scenarios
 from pmvlc.scenarios import (
+    _GEOMETRY_KEYS,
     CB1_PERMS,
     CB2_PERMS,
     CODEBOOKS,
@@ -108,6 +109,28 @@ class TestScenarioParsing:
                                       fixture_h06_blocked().H == 0.0)
         # off-blockage gains follow the generated geometry
         assert sc.channel.H[0, 0] == pytest.approx(6.888e-5, rel=1e-3)
+
+    def test_geometry_description_names_every_key_set(self):
+        base = MINIMAL + "channel = geometry\n"
+        values = {"tx_spacing": "0.6", "rx_spacing": "0.2", "height": "2.0",
+                  "phi_half": "20", "psi_fov": "30", "a_pd": "2e-4",
+                  "rx_offset_x": "0.1", "rx_offset_y": "0.1", "blockage": "1-2"}
+        assert set(values) == set(_GEOMETRY_KEYS)
+        descs = {parse_scenario(base).channel_desc}
+        for key, value in values.items():
+            desc = parse_scenario(base + f"{key} = {value}\n").channel_desc
+            assert f"{key}={value}" in desc.split()
+            descs.add(desc)
+        assert len(descs) == len(values) + 1
+        every = parse_scenario(base + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert every.channel_desc == "geometry " + " ".join(
+            f"{k}={values[k]}" for k in _GEOMETRY_KEYS)
+
+    @pytest.mark.parametrize("grid", ["nan", "100,nan", "inf", "90,inf", "-inf,90",
+                                      "nan:100:2", "90:100:nan"])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ConfigError, match="finite|bad grid"):
+            parse_scenario(MINIMAL.replace("90,100", grid))
 
     def test_comments_and_blanks_ignored(self):
         sc = parse_scenario("# comment\n\n; other comment\n" + MINIMAL)
@@ -262,6 +285,14 @@ class TestCommandLine:
             parse_scenario(scen.read_text(), source=str(scen))
         assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["nan", "100,nan", "inf"])
+    def test_non_finite_ebn0_exit_one(self, tmp_path, capsys, grid):
+        scen = tmp_path / "bad.ini"
+        scen.write_text(f"codebook = cb1\ndetectors = ml\nebn0_db = {grid}\nblock_cap = 4096\n")
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bad_ber.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--errors-target", "--block-cap"])
     def test_zero_stopping_override_exit_one(self, tmp_path, capsys, flag):

@@ -167,7 +167,7 @@ def ml_index(Y, H, codebook, pam):
     """Whole-book ML decision on one block: the index (q-1) M + (m-1) of the
     nearest of all size * M received means, data-carrying or not."""
     HS = np.einsum("ij,kjl->kil", H, signal_stack(codebook, pam))
-    return int(ml_detect_batch(np.asarray(Y, dtype=np.float64)[None], HS)[0][0])
+    return int(ml_detect_batch(np.asarray(Y, dtype=np.float64)[None], HS, pam.M)[0])
 
 
 class TestMlDetect:
