@@ -68,7 +68,7 @@ def codebook_report(L: int, weights, M: int = 1) -> str:
     lines.append(f"bits per symbol: {np.log2(q * M) / L:.4g}")
     lines.append("entries:")
     for idx, entry in enumerate(combined.entries, 1):
-        comps = " + ".join(str(c) for c in entry.components)
+        comps = " + ".join(map(str, entry.components))
         lines.append(f"  {idx:4d}  w={entry.weight}  {comps}")
     return "\n".join(lines)
 
@@ -153,7 +153,10 @@ def _overrides(args) -> dict:
 
 
 def cmd_codebook(args) -> int:
-    weights = [int(w) for w in args.weights.split(",") if w.strip()]
+    try:
+        weights = [int(w) for w in args.weights.split(",") if w.strip()]
+    except ValueError:
+        raise ConfigError(f"--weights must be comma-separated integers, got {args.weights!r}") from None
     print(codebook_report(args.length, weights, args.m))
     return 0
 

@@ -8,6 +8,9 @@ A codebook is a deduplicated, canonically ordered list of such matrices for
 one or more weights; its first signaling_count(M) (entry, level) pairs carry
 data.
 
+A matrix is identified by its cell bitmask, a Python int with bit r*L + c - 1
+set for symbol c in row r: equality, hashing and deduplication compare these
+ints, and the uint8 entry array is unpacked from the mask only when read.
 Enumeration walks one cached lexicographic permutation table, the same
 table detectors.murty_iter ranks assignments over, and builds each matrix once
 from the first codeword set that sums to it: that set is its canonical
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from types import MappingProxyType
 
@@ -53,9 +56,19 @@ class Codeword:
     def length(self) -> int:
         return len(self.symbols)
 
-    def __str__(self) -> str:
+    @cached_property
+    def cells(self) -> int:
+        """Cell bitmask of the codeword's matrix: bit r*L + c - 1 for symbol c in row r."""
+        L = len(self.symbols)
+        return sum(1 << (r * L + c - 1) for r, c in enumerate(self.symbols))
+
+    @cached_property
+    def _text(self) -> str:
         # digit strings while every symbol is one digit; commas from L = 10 on
         return ("" if len(self.symbols) < 10 else ",").join(str(x) for x in self.symbols)
+
+    def __str__(self) -> str:
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "Codeword":
@@ -104,47 +117,55 @@ def cyclic_latin_codebook(c0: Codeword | tuple[int, ...]) -> list[Codeword]:
     return [Codeword(s[i:] + s[:i]) for i in range(L)]
 
 
-def _smallest_permutation(support: list[list[int]], used: tuple[int, ...] = ()):
+def _smallest_permutation(rows: list[int], used: int = 0):
     # Depth-first over rows in order, trying each row's free support columns
-    # in ascending order, so the first complete permutation is the smallest.
-    if len(used) == len(support):
-        return used
-    for c in support[len(used)]:
-        if c not in used:
-            found = _smallest_permutation(support, used + (c,))
-            if found is not None:
-                return found
+    # (bitmask rows[r]) in ascending order, so the first complete
+    # permutation is the smallest.  Returns its 0-based columns.
+    r = used.bit_count()
+    if r == len(rows):
+        return ()
+    free = rows[r] & ~used
+    while free:
+        bit = free & -free
+        rest = _smallest_permutation(rows, used | bit)
+        if rest is not None:
+            return (bit.bit_length() - 1,) + rest
+        free ^= bit
     return None
 
 
-def _canonical_components(entries: np.ndarray) -> tuple[Codeword, ...]:
+def _canonical_components(key: int, L: int) -> list[tuple[int, ...]]:
     # Peel the lexicographically smallest permutation off the support until
     # nothing is left.  A w-regular 0/1 matrix always splits into w disjoint
     # permutation matrices (Koenig), so every permutation inside the support
     # extends to a decomposition, and the greedy peel is the lexicographically
-    # smallest one.  The search stops at the permutation it peels.
-    support = [np.flatnonzero(row).tolist() for row in entries]
+    # smallest one.  The search stops at the permutation it peels.  Returns
+    # the 1-based symbols of each component.
+    row = (1 << L) - 1
     comps = []
-    while support[0]:
-        p = _smallest_permutation(support)
-        comps.append(Codeword(tuple(c + 1 for c in p)))
-        support = [[c for c in row if c != pc] for row, pc in zip(support, p)]
-    return tuple(comps)
+    while key:
+        p = _smallest_permutation([key >> (r * L) & row for r in range(L)])
+        comps.append(tuple(c + 1 for c in p))
+        key &= ~sum(1 << (r * L + c) for r, c in enumerate(p))
+    return comps
 
 
 @dataclass(frozen=True, eq=False)
 class CodewordMatrix:
     """A weight-w 0/1 block: the disjoint sum of w permutation matrices.
 
-    Only the decomposition ``components`` is stored; ``entries`` and
-    ``weight`` follow from it.  Disjoint permutations of one length already
-    give every row and column w ones, so construction checks nothing else.
-    ``from_components`` and enumeration store the lexicographically
-    smallest decomposition.  Two objects are equal exactly when their entry
-    matrices are equal.
+    Only the decomposition ``components`` and its cell bitmask ``key`` are
+    stored: ``key`` is the union of the components' ``Codeword.cells``, an int
+    with bit r*L + c - 1 set for symbol c in row r, and it alone identifies
+    the matrix, so equality and hashing compare keys.  ``entries``, the
+    read-only uint8 array, is unpacked from the key on first read.
+    Disjoint permutations of one length already give every row and column w
+    ones, so construction checks nothing else.  ``from_components`` and
+    enumeration store the lexicographically smallest decomposition.
     """
 
     components: tuple[Codeword, ...]
+    key: int = field(init=False, repr=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -152,12 +173,17 @@ class CodewordMatrix:
         if not comps:
             raise ValueError("a codeword matrix needs at least one component")
         L = comps[0].length
-        if any(cw.length != L for cw in comps):
-            raise ValueError("component length mismatch")
+        key = 0
+        for cw in comps:
+            if cw.length != L:
+                raise ValueError("component length mismatch")
+            key |= cw.cells
         if not 1 <= len(comps) <= L - 1:
             raise ValueError(f"weight {len(comps)} outside 1..{L - 1}")
-        if self.entries.sum() != len(comps) * L:
+        # overlapping components collapse onto shared cells
+        if key.bit_count() != len(comps) * L:
             raise ValueError("overlapping components: codewords must pairwise differ in every position")
+        object.__setattr__(self, "key", key)
 
     @property
     def weight(self) -> int:
@@ -169,18 +195,9 @@ class CodewordMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        # read-only uint8; overlapping components collapse onto shared cells,
-        # which __post_init__ detects from the entry count
-        L = self.L
-        e = np.zeros(L * L, dtype=np.uint8)
-        e[[r * L + s - 1 for cw in self.components for r, s in enumerate(cw.symbols)]] = 1
-        e = e.reshape(L, L)
+        e = _unpack_keys([self.key], self.L)[0]
         e.setflags(write=False)
         return e
-
-    @property
-    def key(self) -> bytes:
-        return self.entries.tobytes()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CodewordMatrix) and self.key == other.key
@@ -192,7 +209,16 @@ class CodewordMatrix:
     def from_components(cls, codewords) -> "CodewordMatrix":
         """The block the codewords sum to, under its canonical decomposition."""
         cm = cls(tuple(cw if isinstance(cw, Codeword) else Codeword(tuple(cw)) for cw in codewords))
-        return cls(_canonical_components(cm.entries))
+        given = {cw.symbols: cw for cw in cm.components}
+        return cls(tuple(given.get(p) or Codeword(p) for p in _canonical_components(cm.key, cm.L)))
+
+
+def _unpack_keys(keys, L: int) -> np.ndarray:
+    # (len(keys), L, L) uint8 cells of the given cell bitmasks, one unpack
+    n = (L * L + 7) // 8
+    buf = np.frombuffer(b"".join(k.to_bytes(n, "little") for k in keys), dtype=np.uint8)
+    bits = np.unpackbits(buf.reshape(-1, n), axis=1, count=L * L, bitorder="little")
+    return bits.reshape(-1, L, L)
 
 
 def _disjoint_sets(w: int, allowed: int, compat: list[int]):
@@ -226,11 +252,11 @@ def enumerate_weight_w(L: int, w: int) -> "Codebook":
     far = np.triu((table[:, None, :] != table[None, :, :]).all(axis=2), 1)
     compat = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
               for row in far]
-    cells = [sum(1 << (r * L + c) for r, c in enumerate(p)) for p in table.tolist()]
+    codewords = [Codeword(p) for p in perms]
+    cells = [cw.cells for cw in codewords]
     first: dict[int, tuple[int, ...]] = {}
     for idx in _disjoint_sets(w, (1 << len(perms)) - 1, compat):
         first.setdefault(sum(cells[i] for i in idx), idx)  # disjoint, so sum is union
-    codewords = [Codeword(p) for p in perms]
     entries = tuple(CodewordMatrix(tuple(codewords[i] for i in idx)) for idx in first.values())
     return Codebook(L=L, entries=entries, label=f"P({L},{len(entries)},w={w})")
 
@@ -247,13 +273,10 @@ class Codebook:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("codebook must contain at least one entry")
-        keys = set()
-        for cm in self.entries:
-            if cm.L != self.L:
-                raise ValueError("entry size mismatch")
-            if cm.key in keys:
-                raise ValueError("duplicate matrix in codebook")
-            keys.add(cm.key)
+        if any(cm.L != self.L for cm in self.entries):
+            raise ValueError("entry size mismatch")
+        if len({cm.key for cm in self.entries}) != len(self.entries):
+            raise ValueError("duplicate matrix in codebook")
 
     @property
     def size(self) -> int:
@@ -274,7 +297,7 @@ class Codebook:
 
     @cached_property
     def matrix_stack(self) -> np.ndarray:
-        s = np.stack([cm.entries for cm in self.entries]).astype(np.float64)
+        s = _unpack_keys([cm.key for cm in self.entries], self.L).astype(np.float64)
         s.setflags(write=False)
         return s
 
@@ -323,7 +346,7 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
     if any(p.L != L for p in parts):
         raise ValueError("codebooks must share the block length")
     entries = [cm for p in parts for cm in p.entries]
-    entries.sort(key=lambda cm: (cm.weight, tuple(c.symbols for c in cm.components)))
+    entries.sort(key=lambda cm: (cm.weight, [c.symbols for c in cm.components]))
     return Codebook(L=entries[0].L, entries=tuple(entries), label=label)
 
 
@@ -339,13 +362,14 @@ def export_text(codebook: Codebook) -> str:
 
 def import_text(text: str, label: str = "") -> Codebook:
     entries = []
+    parsed: dict[str, Codeword] = {}  # one Codeword per distinct codeword text
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         w = int(fields[0])
-        comps = tuple(Codeword.parse(f) for f in fields[1:])
+        comps = tuple(parsed.get(f) or parsed.setdefault(f, Codeword.parse(f)) for f in fields[1:])
         if len(comps) != w:
             raise ValueError(f"line {line!r}: weight {w} but {len(comps)} codewords")
         entries.append(CodewordMatrix.from_components(comps))

@@ -224,7 +224,10 @@ def _resolve_channel(kv: dict, source: str) -> tuple[ChannelMatrix, str]:
         raise ConfigError(f"{source}: bad geometry value ({exc})") from None
     channel = build_channel(geo, params)
     if kv.get("blockage"):
-        channel = apply_blockage(channel, _parse_blockage(kv["blockage"], source))
+        try:
+            channel = apply_blockage(channel, _parse_blockage(kv["blockage"], source))
+        except ValueError as exc:
+            raise ConfigError(f"{source}: bad blockage ({exc})") from None
     # every key the scenario sets, so distinct geometries print distinct lines
     return channel, " ".join(["geometry", *(f"{k}={kv[k]}" for k in geometry_used)])
 

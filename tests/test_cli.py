@@ -1,5 +1,6 @@
 """Scenario parsing, the named-codebook registry, and the command line."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -101,6 +102,11 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="not tx-rx"):
             parse_scenario(MINIMAL + "channel = geometry\nblockage = 1-2-3\n")
 
+    @pytest.mark.parametrize("pair", ["5-1", "0-1", "1-5"])
+    def test_out_of_range_blockage_pair(self, pair):
+        with pytest.raises(ConfigError, match=r"bad blockage \(pair .* out of range\)"):
+            parse_scenario(MINIMAL + f"channel = geometry\nblockage = {pair}\n")
+
     def test_geometry_blockage_zero_pattern_matches_fixture(self):
         sc = parse_scenario(
             "detectors = ml\nebn0_db = 90\ncodebook = cb1\n"
@@ -187,6 +193,16 @@ class TestCodebookReport:
         with pytest.raises(ConfigError):
             codebook_report(4, (4,))
 
+    # the report text is pinned, so a change to how entries are built,
+    # ordered or printed cannot pass unnoticed
+    @pytest.mark.parametrize("L,weights,digest", [
+        (5, (1, 2, 3, 4), "bfecb45b710f0ba5d766ed0610f3ded260ecc5cb761c6bf7ee690f67a74fb232"),
+        (6, (1, 2), "e0ab76c6ace4a800e837629e6821fc5d0a3ae27e36f3a1bf5ad8bc182106dd69"),
+    ])
+    def test_report_text_is_pinned(self, L, weights, digest):
+        text = codebook_report(L, weights)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 TINY = ("name = tiny\ncodebook = cb1\nchannel = h02\ndetectors = bf\n"
         "ebn0_db = 96,100\nerrors_target = 40\nblock_cap = 20000\n")
@@ -205,6 +221,26 @@ class TestCommandLine:
 
     def test_channel_unknown_fixture(self, capsys):
         assert main(["channel", "--fixture", "h03"]) == 1
+
+    def test_channel_out_of_range_blockage_exit_one(self, capsys):
+        assert main(["channel", "--blockage", "0-1"]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "pair (0, 1) out of range" in captured.err
+        assert captured.out == ""
+
+    def test_scenario_out_of_range_blockage_exit_one(self, tmp_path, capsys):
+        scen = tmp_path / "blocked.ini"
+        scen.write_text(MINIMAL + "channel = geometry\nblockage = 5-1\n")
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "pair (5, 1) out of range" in captured.err
+        assert captured.out == ""
+
+    def test_codebook_non_integer_weight_exit_one(self, capsys):
+        assert main(["codebook", "--weights", "1,a"]) == 1
+        captured = capsys.readouterr()
+        assert "config error: --weights" in captured.err and "'1,a'" in captured.err
+        assert captured.out == ""
 
     def test_channel_fixture_rejects_blockage(self, capsys):
         assert main(["channel", "--fixture", "h02", "--blockage", "1-4"]) == 1

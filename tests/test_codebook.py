@@ -69,6 +69,13 @@ def scan_canonical_components(entries):
     return tuple(comps)
 
 
+def cell_count_oracle(book):
+    # Independent oracle for entries: cell (r, c) counts the components
+    # whose row-r symbol is c + 1, read straight from the decompositions.
+    symbols = np.array([[cw.symbols for cw in cm.components] for cm in book.entries])
+    return (symbols[..., None] == np.arange(1, book.L + 1)).sum(axis=1)
+
+
 def random_regular_components(rng, L, w):
     # w rows of a random Latin square: disjoint permutations whose sum is a
     # w-regular support
@@ -196,6 +203,42 @@ class TestCodewordMatrix:
         a = CodewordMatrix.from_components((Codeword((1, 2, 3, 4)),))
         b = codeword_to_matrix((1, 2, 3, 4))
         assert a == b and hash(a) == hash(b)
+
+    def test_two_decompositions_compare_and_hash_equal(self):
+        # (1234)+(2143) and (1243)+(2134) are one matrix stored under two
+        # decompositions: equality and hashing follow the cells alone
+        a = CodewordMatrix((Codeword((1, 2, 3, 4)), Codeword((2, 1, 4, 3))))
+        b = CodewordMatrix((Codeword((1, 2, 4, 3)), Codeword((2, 1, 3, 4))))
+        assert a.components != b.components
+        assert a == b and hash(a) == hash(b) and a.key == b.key
+        assert len({a, b}) == 1
+        np.testing.assert_array_equal(a.entries, b.entries)
+        assert a != CodewordMatrix((Codeword((1, 2, 3, 4)), Codeword((2, 3, 4, 1))))
+
+    def test_overlapping_components_rejected_by_constructor(self):
+        # (1234) and (1324) share cells (0, 0) and (3, 3)
+        with pytest.raises(ValueError, match="overlapping"):
+            CodewordMatrix((Codeword((1, 2, 3, 4)), Codeword((1, 3, 2, 4))))
+        with pytest.raises(ValueError, match="overlapping"):
+            CodewordMatrix((Codeword((1, 2, 3, 4, 5)), Codeword((2, 3, 4, 5, 1)),
+                            Codeword((3, 4, 5, 1, 2)), Codeword((3, 1, 2, 5, 4))))
+
+    def test_key_is_the_cell_bitmask(self):
+        # bit r*L + c - 1 is set for symbol c in row r
+        cm = CodewordMatrix((Codeword((2, 3, 1)),))
+        assert cm.key == (1 << 1) | (1 << 5) | (1 << 6)
+        assert cm.key == Codeword((2, 3, 1)).cells
+
+    @pytest.mark.parametrize("L,ws", [(3, (1, 2)), (4, (1, 2, 3)), (5, (1, 2, 3, 4)), (6, (1, 2))])
+    def test_entries_and_matrix_stack_match_cell_oracle(self, L, ws):
+        for w in ws:
+            book = enumerate_weight_w(L, w)
+            oracle = cell_count_oracle(book)
+            assert oracle.max() == 1  # disjoint components
+            np.testing.assert_array_equal(book.matrix_stack, oracle)
+            entries = [cm.entries for cm in book.entries]
+            assert all(e.dtype == np.uint8 and not e.flags.writeable for e in entries)
+            np.testing.assert_array_equal(np.stack(entries), oracle)
 
 
 def _perm(*symbols):
