@@ -27,7 +27,6 @@ from scipy.special import erfc
 from .channel import ChannelMatrix, n0_for_bits
 from .codebook import Codebook
 from .detectors import (
-    Calibration,
     RcConfig,
     SmConfig,
     _as_H,
@@ -66,8 +65,8 @@ class BoundCurve:
 
     def __post_init__(self):
         v = np.asarray(self.values)
-        if (v < 0).any():
-            raise ValueError("bound values must be nonnegative")
+        if not (np.isfinite(v).all() and (v >= 0).all()):
+            raise ValueError("bound values must be finite and nonnegative")
         if (np.diff(v) > 1e-12).any():
             raise ValueError("bound must be nonincreasing in Eb/N0")
 
@@ -129,9 +128,18 @@ class BerRecord:
     ops: int = 0  # modelled detector work summed over the blocks; not in the CSV
 
 
+DETECTOR_NAMES = ("ml", "bf", "iterative", "bb", "rc", "sm", "guess")
+
+
 @dataclass
 class SimConfig:
-    """Everything one BER sweep needs, already resolved to objects."""
+    """Everything one BER sweep needs, already resolved to objects.
+
+    Each field's default is the library default, and __post_init__ is the
+    one check of each setting.  calibration is the gain matrix the blind
+    detectors' level and weight decisions take as channel knowledge; None
+    leaves them blind (see pmvlc.detectors).
+    """
 
     scheme: str
     detector: str
@@ -145,24 +153,39 @@ class SimConfig:
     block_cap: int = 10_000_000
     seed: int = 0
     weight_mode: str = "genie"
-    calibration: Calibration | None = None
+    calibration: np.ndarray | None = None
     e_max: int | None = None
 
     def __post_init__(self):
+        if self.detector not in DETECTOR_NAMES:
+            raise ValueError(f"unknown detector {self.detector!r}")
         if self.detector in ("rc", "sm"):
             if self.detector == "rc" and self.rc is None:
                 self.rc = RcConfig()
             if self.detector == "sm" and self.sm is None:
                 self.sm = SmConfig()
+            baseline = self.rc if self.detector == "rc" else self.sm
+            try:
+                baseline.bits  # raises for sizes that give no whole, positive bit count
+            except ValueError as exc:
+                raise ValueError(f"{self.detector} M = {baseline.M}: {exc}") from None
         elif self.codebook is None:
-            raise ValueError(f"detector {self.detector!r} needs a codebook")
+            raise ValueError(f"detector {self.detector!r}: coded detectors need a codebook")
+        elif self.detector == "bb" and self.codebook.weights_present != (1,):
+            raise ValueError("bb detector requires a weight-1 codebook")
         if len(self.ebn0_grid) == 0:
             raise ValueError("empty Eb/N0 grid")
         _check_finite(self.ebn0_grid)
         if list(self.ebn0_grid) != sorted(self.ebn0_grid):
             raise ValueError("Eb/N0 grid must be ascending")
-        if self.errors_target < 1 or self.block_cap < 1:
-            raise ValueError("stopping rule must be positive")
+        for key in ("errors_target", "block_cap", "e_max"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.weight_mode not in ("genie", "joint"):
+            raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
 
 def _batch_rng(config: SimConfig, point_idx: int, batch_idx: int) -> np.random.Generator:
@@ -227,10 +250,8 @@ def _link(config: SimConfig) -> _Link:
     elif det == "bb":
         decode = lambda Y, tx, rng: _decide_per_block(
             lambda y, w: bb_detect(y, cb, pam=pam, calibration=cal), Y, weight_of(tx), pam.M)
-    elif det == "guess":
+    else:  # guess
         decode = lambda Y, tx, rng: (rng.integers(len(HS), size=len(tx)), 0)
-    else:
-        raise ValueError(f"unknown detector {det!r}")
     return _Link(HS, bits, pam.I, decode)
 
 

@@ -31,8 +31,8 @@ class LambertianParams:
             raise ValueError("phi_half_deg must be in (0, 90)")
         if not 0 < self.psi_fov_deg <= 90:
             raise ValueError("psi_fov_deg must be in (0, 90]")
-        if not self.area_pd > 0:
-            raise ValueError("area_pd must be positive")
+        if not 0 < self.area_pd < math.inf:
+            raise ValueError("area_pd must be positive and finite")
 
     @property
     def order(self) -> float:
@@ -50,11 +50,12 @@ class RoomGeometry:
     def __post_init__(self):
         if not self.led_positions or not self.pd_positions:
             raise ValueError("geometry needs at least one LED and one photodiode")
+        if not np.isfinite([*self.led_positions, *self.pd_positions]).all():
+            raise ValueError("positions must be finite")
 
 
-def _square_grid(spacing: float, z: float, offset: tuple[float, float] = (0.0, 0.0)):
+def _square_grid(spacing: float, z: float, ox: float, oy: float):
     half = spacing / 2.0
-    ox, oy = offset
     corners = ((-1, -1), (-1, 1), (1, -1), (1, 1))
     return tuple((ox + sx * half, oy + sy * half, z) for (sx, sy) in corners)
 
@@ -63,14 +64,15 @@ def square_grid_geometry(
     tx_spacing: float = 0.2,
     rx_spacing: float = 0.1,
     height: float = 1.75,
-    rx_offset: tuple[float, float] = (0.0, 0.0),
+    rx_offset_x: float = 0.0,
+    rx_offset_y: float = 0.0,
 ) -> RoomGeometry:
     """Co-centered 2x2 grids; indices run over the same corner order on both
     sides, so index k faces index k and the two grid diagonals face each
     other at positions (1,4), (2,3), (3,2), (4,1)."""
     return RoomGeometry(
-        led_positions=_square_grid(tx_spacing, height),
-        pd_positions=_square_grid(rx_spacing, 0.0, rx_offset),
+        led_positions=_square_grid(tx_spacing, height, 0.0, 0.0),
+        pd_positions=_square_grid(rx_spacing, 0.0, rx_offset_x, rx_offset_y),
     )
 
 
@@ -103,31 +105,19 @@ def lambertian_gain(led, pd, params: LambertianParams = DEFAULT_LAMBERTIAN) -> f
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Gain matrix plus a 0/1 mask recording which links are blocked."""
+    """Gain matrix H[i][j] from LED j to photodiode i; a blocked link has
+    zero gain."""
 
     H: np.ndarray
-    blockage_mask: np.ndarray
 
     def __post_init__(self):
         h = np.ascontiguousarray(np.asarray(self.H, dtype=np.float64))
         h.setflags(write=False)
         object.__setattr__(self, "H", h)
-        mask = np.ascontiguousarray(np.asarray(self.blockage_mask, dtype=np.uint8))
-        mask.setflags(write=False)
-        object.__setattr__(self, "blockage_mask", mask)
         if h.ndim != 2:
             raise ValueError("H must be a matrix")
-        if mask.shape != h.shape:
-            raise ValueError("mask shape mismatch")
-        if (h < 0).any():
-            raise ValueError("gains must be nonnegative")
-        if ((mask == 0) & (h != 0)).any():
-            raise ValueError("blocked links must have zero gain")
-
-    @classmethod
-    def from_gains(cls, H) -> "ChannelMatrix":
-        H = np.asarray(H, dtype=np.float64)
-        return cls(H=H, blockage_mask=np.ones_like(H, dtype=np.uint8))
+        if not (np.isfinite(h).all() and (h >= 0).all()):
+            raise ValueError("gains must be finite and nonnegative")
 
 
 def build_channel(
@@ -141,24 +131,19 @@ def build_channel(
         ],
         dtype=np.float64,
     )
-    return ChannelMatrix.from_gains(H)
+    return ChannelMatrix(H)
 
 
 def apply_blockage(channel: ChannelMatrix | np.ndarray, pairs) -> ChannelMatrix:
     """Zero the gain of each (transmitter, receiver) pair, 1-based indices."""
-    if isinstance(channel, ChannelMatrix):
-        H = channel.H.copy()
-        mask = channel.blockage_mask.copy()
-    else:
-        H = np.asarray(channel, dtype=np.float64).copy()
-        mask = np.ones_like(H, dtype=np.uint8)
+    H = np.array(channel.H if isinstance(channel, ChannelMatrix) else channel,
+                 dtype=np.float64)
     n_rx, n_tx = H.shape
     for tx, rx in pairs:
         if not (1 <= tx <= n_tx and 1 <= rx <= n_rx):
             raise ValueError(f"pair ({tx}, {rx}) out of range")
         H[rx - 1, tx - 1] = 0.0
-        mask[rx - 1, tx - 1] = 0
-    return ChannelMatrix(H=H, blockage_mask=mask)
+    return ChannelMatrix(H)
 
 
 def n0_for_bits(ebn0_db: float, bits: int, I: float) -> float:
@@ -178,14 +163,12 @@ def _load_fixture(name: str) -> np.ndarray:
 @functools.cache
 def fixture_h02() -> ChannelMatrix:
     """Gain matrix of the 0.2 m transmitter grid over a 0.1 m receiver grid."""
-    return ChannelMatrix.from_gains(_load_fixture("h02.txt"))
+    return ChannelMatrix(_load_fixture("h02.txt"))
 
 
 def fixture_h06_blocked() -> ChannelMatrix:
     """0.6 m transmitter grid with the four diagonal-facing links blocked."""
-    H = _load_fixture("h06_blocked.txt")
-    mask = (H != 0).astype(np.uint8)
-    return ChannelMatrix(H=H, blockage_mask=mask)
+    return ChannelMatrix(_load_fixture("h06_blocked.txt"))
 
 
 FIXTURES = {"h02": fixture_h02, "h06_blocked": fixture_h06_blocked}

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    SimConfig,
     ber_union_bound,
     monte_carlo_ber,
     write_ber_csv,
@@ -24,7 +23,6 @@ from .analysis import (
 )
 from .channel import FIXTURES
 from .codebook import ENUMERATION_MAX_L, combine_codebooks, enumerate_weight_w
-from .detectors import Calibration, RcConfig, SmConfig
 from .scenarios import (
     _GEOMETRY_KEYS,
     ConfigError,
@@ -73,38 +71,6 @@ def codebook_report(L: int, weights, M: int = 1) -> str:
     return "\n".join(lines)
 
 
-def _scheme_for(scenario: Scenario, detector: str) -> str:
-    if detector == "rc":
-        return f"RC({scenario.channel.H.shape[1]},{scenario.rc_m})"
-    if detector == "sm":
-        return f"SM({scenario.channel.H.shape[1]},{scenario.sm_m})"
-    return scenario.scheme
-
-
-def _sim_config(scenario: Scenario, detector: str) -> SimConfig:
-    cal = None
-    if scenario.calibration == "csi":
-        cal = Calibration(channel=scenario.channel)
-    return SimConfig(
-        scheme=_scheme_for(scenario, detector),
-        detector=detector,
-        ebn0_grid=scenario.ebn0_grid,
-        channel=scenario.channel,
-        codebook=scenario.codebook,
-        pam=scenario.pam,
-        rc=RcConfig(L=scenario.channel.H.shape[1], M=scenario.rc_m, I=scenario.pam.I)
-        if detector == "rc" else None,
-        sm=SmConfig(L=scenario.channel.H.shape[1], M=scenario.sm_m, I=scenario.pam.I)
-        if detector == "sm" else None,
-        errors_target=scenario.errors_target,
-        block_cap=scenario.block_cap,
-        seed=scenario.seed,
-        weight_mode=scenario.weight_mode,
-        calibration=cal,
-        e_max=scenario.e_max,
-    )
-
-
 def _write_bound(scenario: Scenario, out_dir: Path) -> Path:
     curve = ber_union_bound(scenario.codebook, scenario.pam, scenario.channel,
                             scenario.ebn0_grid, scheme=scenario.scheme)
@@ -125,17 +91,16 @@ def run_scenario(scenario: Scenario, out_dir: Path, threads: int, overrides) -> 
     header = f"{'scheme':<20} {'detector':<10} {'points':>6} {'blocks':>12} " \
              f"{'bit_errors':>10} {'elapsed_s':>9} {'mean_ops':>9}"
     print(header)
-    for detector in scenario.detectors:
-        cfg = _sim_config(scenario, detector)
+    for cfg in scenario.configs:
         t0 = time.perf_counter()
         recs = monte_carlo_ber(cfg, threads=threads)
         elapsed = time.perf_counter() - t0
         records.extend(recs)
         blocks = sum(r.blocks for r in recs)
         # rc, sm and guess decode without modelled work
-        ops_s = "-" if detector in ("rc", "sm", "guess") else \
+        ops_s = "-" if cfg.detector in ("rc", "sm", "guess") else \
             f"{sum(r.ops for r in recs) / blocks:.1f}"
-        print(f"{cfg.scheme:<20} {detector:<10} {len(recs):>6} {blocks:>12} "
+        print(f"{cfg.scheme:<20} {cfg.detector:<10} {len(recs):>6} {blocks:>12} "
               f"{sum(r.bit_errors for r in recs):>10} {elapsed:>9.2f} "
               f"{ops_s:>9}")
     written = [out_dir / f"{scenario.name}_ber.csv"]
@@ -165,8 +130,8 @@ def cmd_channel(args) -> int:
     if args.fixture and args.fixture not in FIXTURES:
         raise ConfigError(f"unknown fixture {args.fixture!r}; "
                           f"available: {', '.join(sorted(FIXTURES))}")
-    # only the flags given: _resolve_channel owns the defaults, and a fixture
-    # rejects any geometry key
+    # only the flags given, as a scenario file sets keys: a flag left out
+    # takes the geometry's own default, and a fixture rejects any geometry key
     kv = {k: str(getattr(args, k)) for k in _GEOMETRY_KEYS if getattr(args, k) is not None}
     kv["channel"] = args.fixture or "geometry"
     channel, _ = _resolve_channel(kv, "<channel args>")

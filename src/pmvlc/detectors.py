@@ -30,10 +30,13 @@ with U_q sliced to the nearest level: one (B, Q) matrix product per batch
 scores every entry at its best level, as a unipolar PAM slicer does.
 
 Intensity and weight side-decisions are factored out as
-estimate_intensity_batch and classify_weight_batch (with per-block forms
-estimate_intensity and classify_weight); multiweight detection assumes the
-weight class is known (genie mode) unless configured otherwise.  bb_detect
-and iterative_sd_detect have no batch kernel yet and run per block.
+estimate_intensity_batch and classify_weight_batch; multiweight detection
+assumes the weight class is known (genie mode) unless configured otherwise.
+Both take an optional gain matrix, `calibration`, as the receiver's channel
+knowledge (CSI); without one they assume every link has the blind gain
+default_calibration_gain() and, for the weight decision, the h02 profile.
+bb_detect and iterative_sd_detect have no batch kernel yet: they run per
+block and call the side-decision kernels with a batch of one.
 """
 
 from __future__ import annotations
@@ -48,19 +51,6 @@ import numpy as np
 from .channel import ChannelMatrix, default_calibration_gain, fixture_h02
 from .codebook import ENUMERATION_MAX_L, Codebook, permutation_table
 from .txcodec import PamConfig, pam_intensity
-
-
-@dataclass(frozen=True)
-class Calibration:
-    """Receiver-side gain knowledge for intensity and weight decisions.
-
-    gain: scalar expected per-link gain (blind mode); defaults to the mean of
-    the h02 fixture when left unset.  channel: full gain matrix for exact
-    support inversion and calibrated weight scoring.
-    """
-
-    gain: float | None = None
-    channel: np.ndarray | None = None
 
 
 @dataclass
@@ -114,28 +104,27 @@ def _best_support(Y: np.ndarray, stack: np.ndarray):
 
 
 def estimate_intensity_batch(Y: np.ndarray, supports: np.ndarray, pam: PamConfig,
-                             calibration: Calibration | None = None) -> np.ndarray:
+                             calibration: np.ndarray | None = None) -> np.ndarray:
     """Level index per block from the received sum over its candidate support.
 
     Y and supports are (B, L, L); each support is a 0/1 entry matrix.  The
     support sum divided by its expected value at unit intensity inverts the
     drive level: w^2 L g in blind mode (every support cell accumulates w
-    link gains of the calibration scalar g), or the exact sum of H P over the
-    support when a channel matrix is supplied.  Ties between neighboring
-    levels resolve to the lower index; M=1 returns 1 without looking at Y.
+    link gains of the blind gain g = default_calibration_gain()), or the
+    exact sum of H P over the support when a calibration matrix H is
+    supplied.  Ties between neighboring levels resolve to the lower index;
+    M=1 returns 1 without looking at Y.
     """
     B = len(Y)
     if pam.M == 1:
         return np.ones(B, dtype=np.int64)
     P = np.asarray(supports, dtype=np.float64)
     w = P.sum(axis=(1, 2)) / P.shape[-1]
-    cal = calibration or Calibration()
-    if cal.channel is not None:
-        HP = np.einsum("ij,bjk->bik", _as_H(cal.channel), P)
+    if calibration is not None:
+        HP = np.einsum("ij,bjk->bik", _as_H(calibration), P)
         den = np.einsum("bij,bij->b", HP, P)
     else:
-        g = cal.gain if cal.gain is not None else default_calibration_gain()
-        den = w * w * P.shape[-1] * g
+        den = w * w * P.shape[-1] * default_calibration_gain()
     x = np.einsum("bij,bij->b", Y, P) / (den * pam_intensity(1, pam.M, w, pam.I))
     base = np.floor(x)
     # midpoint ties fall to the lower level; the slack absorbs float error
@@ -143,26 +132,17 @@ def estimate_intensity_batch(Y: np.ndarray, supports: np.ndarray, pam: PamConfig
     return np.clip(m, 1, pam.M).astype(np.int64)
 
 
-def estimate_intensity(Y: np.ndarray, support: np.ndarray, pam: PamConfig,
-                       calibration: Calibration | None = None) -> int:
-    """Level index of one block on one candidate support; see
-    estimate_intensity_batch."""
-    if pam.M == 1:
-        return 1
-    return int(estimate_intensity_batch(np.asarray(Y, dtype=np.float64)[None],
-                                        np.asarray(support)[None], pam, calibration)[0])
-
-
 def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
                           pam: PamConfig | None = None, true_weight=None,
-                          calibration: Calibration | None = None) -> np.ndarray:
+                          calibration: np.ndarray | None = None) -> np.ndarray:
     """Weight class of each received block in Y (B, L, L).
 
     genie   trusts the supplied true weights (the standard assumption for
             multiweight decoding).
     joint   decodes each class blind, reconstructs each candidate against the
-            calibration gain profile, and keeps the class with the smallest
-            residual; equal residuals go to the lowest weight.
+            calibration matrix (the h02 profile when there is none), and
+            keeps the class with the smallest residual; equal residuals go
+            to the lowest weight.
     """
     if mode not in ("genie", "joint"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -179,23 +159,14 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
         return true_weight + np.zeros(B, dtype=np.int64)
     if pam is None:
         raise ValueError("joint mode needs the PAM config")
-    cal = calibration or Calibration()
-    H_ref = _as_H(cal.channel) if cal.channel is not None else fixture_h02().H
+    H_ref = _as_H(calibration) if calibration is not None else fixture_h02().H
     residuals = np.empty((len(weights), B))
     for k, w in enumerate(weights):
         stack = codebook.matrix_stack[codebook.weight_class_indices(w)]
         P = stack[_best_support(Y, stack)[0]]
-        a = pam_intensity(estimate_intensity_batch(Y, P, pam, cal), pam.M, w, pam.I)
+        a = pam_intensity(estimate_intensity_batch(Y, P, pam, calibration), pam.M, w, pam.I)
         residuals[k] = ((Y - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2))
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
-
-
-def classify_weight(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
-                    pam: PamConfig | None = None, true_weight: int | None = None,
-                    calibration: Calibration | None = None) -> int:
-    """Weight class of one received block; see classify_weight_batch."""
-    return int(classify_weight_batch(np.asarray(Y, dtype=np.float64)[None], codebook, mode,
-                                     pam, true_weight, calibration)[0])
 
 
 def ml_detect_batch(Y: np.ndarray, HS: np.ndarray, M: int) -> np.ndarray:
@@ -240,7 +211,7 @@ def ml_op_count(candidates: int, L: int) -> int:
 
 def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
                     true_weight=None, weight_mode: str = "genie",
-                    calibration: Calibration | None = None):
+                    calibration: np.ndarray | None = None):
     """Blind exhaustive search per block of Y (B, L, L): smallest negated
     support sum within the block's weight class, then level estimation on
     the winning support.
@@ -272,7 +243,7 @@ def bf_op_count(codebook: Codebook, w) -> int:
 
 def bf_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
                  true_weight: int | None = None, weight_mode: str = "genie",
-                 calibration: Calibration | None = None) -> DetectionResult:
+                 calibration: np.ndarray | None = None) -> DetectionResult:
     """Blind exhaustive search on one block; see bf_detect_batch.  op_count
     is bf_op_count."""
     picks, m, costs, w = bf_detect_batch(
@@ -283,7 +254,7 @@ def bf_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
 
 
 def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None,
-              calibration: Calibration | None = None) -> DetectionResult:
+              calibration: np.ndarray | None = None) -> DetectionResult:
     """Greedy level-by-level column selection for weight-1 codebooks.
 
     Row k scores each free column c by the path cost so far, yhat[k, c] and
@@ -319,8 +290,8 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     hit = codebook.slot_table[1][0].get(tuple(c + 1 for c in used))
     if hit is not None:
         q = hit[0] + 1
-        m = estimate_intensity(Y, codebook.matrix_stack[q - 1], pam, calibration)
-        return _decision(q, m, codebook, pam, path_cost, iterations=L, op_count=ops)
+        m = estimate_intensity_batch(Y[None], codebook.matrix_stack[q - 1][None], pam, calibration)
+        return _decision(q, int(m[0]), codebook, pam, path_cost, iterations=L, op_count=ops)
     return DetectionResult(q=None, m=1, w=1, bits=None, cost=path_cost,
                            iterations=L, op_count=ops)
 
@@ -383,7 +354,7 @@ _LAP_OPS = lambda L: L ** 3
 def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
                         e_max: int | None = None, *,
                         true_weight: int | None = None, weight_mode: str = "genie",
-                        calibration: Calibration | None = None) -> DetectionResult:
+                        calibration: np.ndarray | None = None) -> DetectionResult:
     """Assignment-driven blind detection.
 
     Weight 1: solve the assignment problem on yhat; if the optimum is not a
@@ -397,13 +368,15 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
-    w = classify_weight(Y, codebook, weight_mode, pam, true_weight, calibration)
+    w = int(classify_weight_batch(Y[None], codebook, weight_mode, pam, true_weight,
+                                  calibration)[0])
     budget = e_max if e_max is not None else len(codebook.weight_class_indices(w))
     if budget < 1:
         raise ValueError("e_max must be at least 1")
     ops = 0
     iterations = 0
     slots = codebook.slot_table[w]
+    q = None
 
     if w == 1:
         perm, cost, tries = _walk_until_member(yhat, slots[0], budget)
@@ -411,9 +384,6 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
         ops += tries * _LAP_OPS(L) + tries * L
         if perm is not None:
             q = slots[0][perm][0] + 1
-            m = estimate_intensity(Y, codebook.matrix_stack[q - 1], pam, calibration)
-            return _decision(q, m, codebook, pam, float(cost),
-                             iterations=iterations, op_count=ops)
     else:
         candidates: set[int] = set()
         for slot in slots:
@@ -424,18 +394,19 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
                 candidates.update(slot[perm])
         if candidates:
             cand = sorted(candidates)
-            pick, cost = _best_support(Y[None], codebook.matrix_stack[cand])
+            pick, costs = _best_support(Y[None], codebook.matrix_stack[cand])
             ops += len(cand) * w * L
-            q = cand[int(pick[0])] + 1
-            m = estimate_intensity(Y, codebook.matrix_stack[q - 1], pam, calibration)
-            return _decision(q, m, codebook, pam, float(cost[0]),
-                             iterations=iterations, op_count=ops)
+            q, cost = cand[int(pick[0])] + 1, costs[0]
 
-    res = bf_sd_detect(Y, codebook, pam, true_weight=w, weight_mode="genie",
-                       calibration=calibration)
-    res.iterations = iterations
-    res.op_count += ops
-    return res
+    if q is None:
+        res = bf_sd_detect(Y, codebook, pam, true_weight=w, weight_mode="genie",
+                           calibration=calibration)
+        res.iterations = iterations
+        res.op_count += ops
+        return res
+    m = estimate_intensity_batch(Y[None], codebook.matrix_stack[q - 1][None], pam, calibration)
+    return _decision(q, int(m[0]), codebook, pam, float(cost),
+                     iterations=iterations, op_count=ops)
 
 
 # ---------------------------------------------------------------------------

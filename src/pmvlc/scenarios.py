@@ -3,6 +3,12 @@
 A scenario is a flat text file of `key = value` lines describing one
 experiment: codebook, PAM sizing, channel, detector list, Eb/N0 grid and
 stopping rule. Parse errors carry the file name and line number.
+
+This module only parses and forwards.  Each key the file sets goes, typed,
+to the library object that owns it (PamConfig, square_grid_geometry,
+LambertianParams, SimConfig); a key left out takes that object's default.
+A Scenario builds one analysis.SimConfig per detector, and SimConfig's
+checks are the checks of every run setting.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .analysis import SimConfig
 from .channel import (
     FIXTURES,
     ChannelMatrix,
@@ -95,72 +102,8 @@ def scheme_label(codebook: Codebook, pam: PamConfig) -> str:
 _GEOMETRY_KEYS = ("tx_spacing", "rx_spacing", "height", "phi_half", "psi_fov",
                   "a_pd", "rx_offset_x", "rx_offset_y", "blockage")
 
-_KNOWN_KEYS = {
-    "name", "scheme", "codebook", "m", "i", "channel", "detectors", "ebn0_db",
-    "errors_target", "block_cap", "seed", "weight_mode", "e_max",
-    "calibration", "rc_m", "sm_m", *_GEOMETRY_KEYS,
-}
 
-DETECTOR_NAMES = ("ml", "bf", "iterative", "bb", "rc", "sm", "guess")
-
-
-@dataclass
-class Scenario:
-    name: str
-    detectors: tuple[str, ...]
-    ebn0_grid: tuple[float, ...]
-    channel: ChannelMatrix
-    channel_desc: str
-    codebook: Codebook | None = None
-    pam: PamConfig = field(default_factory=PamConfig)
-    scheme: str = ""
-    errors_target: int = 200
-    block_cap: int = 10_000_000
-    seed: int = 0
-    weight_mode: str = "genie"
-    e_max: int | None = None
-    calibration: str = "blind"
-    rc_m: int = 16
-    sm_m: int = 4
-
-    def __post_init__(self):
-        if not self.detectors:
-            raise ConfigError("scenario lists no detectors")
-        for d in self.detectors:
-            if d not in DETECTOR_NAMES:
-                raise ConfigError(f"unknown detector {d!r}")
-        coded = [d for d in self.detectors if d not in ("rc", "sm")]
-        if coded and self.codebook is None:
-            raise ConfigError(f"detectors {coded} need a codebook")
-        if "bb" in self.detectors and self.codebook is not None:
-            if tuple(self.codebook.weights_present) != (1,):
-                raise ConfigError("bb detector requires a weight-1 codebook")
-        if not self.ebn0_grid:
-            raise ConfigError("empty ebn0_db grid")
-        if not all(map(math.isfinite, self.ebn0_grid)):
-            raise ConfigError(f"ebn0_db values must be finite, got {self.ebn0_grid}")
-        if list(self.ebn0_grid) != sorted(self.ebn0_grid):
-            raise ConfigError("ebn0_db grid must be ascending")
-        if not self.scheme and self.codebook is not None:
-            self.scheme = scheme_label(self.codebook, self.pam)
-        if self.weight_mode not in ("genie", "joint"):
-            raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
-        if self.calibration not in ("blind", "csi"):
-            raise ConfigError(f"calibration must be blind or csi, not {self.calibration!r}")
-        for key in ("errors_target", "block_cap", "e_max"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ConfigError(f"{key} must be at least 1, got {value}")
-        L = self.channel.H.shape[1]
-        for det, config in (("rc", RcConfig(L, self.rc_m)), ("sm", SmConfig(L, self.sm_m))):
-            if det in self.detectors:
-                try:
-                    config.bits  # raises for sizes that give no whole, positive bit count
-                except ValueError as exc:
-                    raise ConfigError(f"{det}_m = {config.M}: {exc}") from None
-
-
-def _parse_grid(value: str, where: str) -> tuple[float, ...]:
+def _parse_grid(value: str) -> tuple[float, ...]:
     value = value.strip()
     try:
         if ":" in value:
@@ -178,10 +121,10 @@ def _parse_grid(value: str, where: str) -> tuple[float, ...]:
             return tuple(out)
         return tuple(float(v) for v in value.split(","))
     except ValueError:
-        raise ConfigError(f"{where}: bad grid {value!r}; use start:stop:step or v1,v2,...") from None
+        raise ValueError(f"bad grid {value!r}; use start:stop:step or v1,v2,...") from None
 
 
-def _parse_blockage(value: str, where: str):
+def _parse_blockage(value: str):
     pairs = []
     for token in value.split(","):
         token = token.strip()
@@ -189,12 +132,123 @@ def _parse_blockage(value: str, where: str):
             continue
         bits = token.split("-")
         if len(bits) != 2:
-            raise ConfigError(f"{where}: blockage pair {token!r} is not tx-rx")
+            raise ValueError(f"blockage pair {token!r} is not tx-rx")
         try:
             pairs.append((int(bits[0]), int(bits[1])))
         except ValueError:
-            raise ConfigError(f"{where}: blockage pair {token!r} is not numeric") from None
+            raise ValueError(f"blockage pair {token!r} is not numeric") from None
     return tuple(pairs)
+
+
+# Every scenario key: the object it sets, that object's parameter and the
+# parser of its text.  A key the file leaves out is not passed, so the
+# object's own default applies.  channel and blockage are read by
+# _resolve_channel.
+_KEYS = {
+    "name": ("scenario", "name", str),
+    "scheme": ("scenario", "scheme", str),
+    "codebook": ("scenario", "codebook", named_codebook),
+    "detectors": ("scenario", "detectors",
+                  lambda v: tuple(d.strip().lower() for d in v.split(",") if d.strip())),
+    "ebn0_db": ("scenario", "ebn0_grid", _parse_grid),
+    "errors_target": ("scenario", "errors_target", int),
+    "block_cap": ("scenario", "block_cap", int),
+    "seed": ("scenario", "seed", int),
+    "weight_mode": ("scenario", "weight_mode", str),
+    "e_max": ("scenario", "e_max", int),
+    "calibration": ("scenario", "calibration", str),
+    "rc_m": ("scenario", "rc_m", int),
+    "sm_m": ("scenario", "sm_m", int),
+    "m": ("pam", "M", int),
+    "i": ("pam", "I", float),
+    "channel": ("channel", None, None),
+    "tx_spacing": ("geometry", "tx_spacing", float),
+    "rx_spacing": ("geometry", "rx_spacing", float),
+    "height": ("geometry", "height", float),
+    "rx_offset_x": ("geometry", "rx_offset_x", float),
+    "rx_offset_y": ("geometry", "rx_offset_y", float),
+    "phi_half": ("lambertian", "phi_half_deg", float),
+    "psi_fov": ("lambertian", "psi_fov_deg", float),
+    "a_pd": ("lambertian", "area_pd", float),
+    "blockage": ("channel", None, None),
+}
+
+
+def _typed(kv: dict[str, str], target: str) -> dict:
+    """The keys of kv that set `target`, parsed and named as its parameters."""
+    out = {}
+    for key, value in kv.items():
+        dest, param, parse = _KEYS[key]
+        if dest == target:
+            try:
+                out[param] = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return out
+
+
+@dataclass
+class Scenario:
+    """One experiment.  A setting the scenario leaves unset takes the
+    default of the library config that owns it, and `configs` holds the
+    checked SimConfig of each detector, in order; a bad setting raises
+    ConfigError when the scenario is built or replaced."""
+
+    name: str
+    detectors: tuple[str, ...]
+    ebn0_grid: tuple[float, ...]
+    channel: ChannelMatrix
+    channel_desc: str
+    codebook: Codebook | None = None
+    pam: PamConfig = field(default_factory=PamConfig)
+    scheme: str = ""
+    errors_target: int = SimConfig.errors_target
+    block_cap: int = SimConfig.block_cap
+    seed: int = SimConfig.seed
+    weight_mode: str = SimConfig.weight_mode
+    e_max: int | None = SimConfig.e_max
+    calibration: str = "blind"
+    rc_m: int = RcConfig.M
+    sm_m: int = SmConfig.M
+    configs: tuple[SimConfig, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.detectors:
+            raise ConfigError("scenario lists no detectors")
+        if self.calibration not in ("blind", "csi"):
+            raise ConfigError(f"calibration must be blind or csi, not {self.calibration!r}")
+        if not self.scheme and self.codebook is not None:
+            self.scheme = scheme_label(self.codebook, self.pam)
+        try:
+            self.configs = tuple(_sim_config(self, d) for d in self.detectors)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+
+def _sim_config(scenario: Scenario, detector: str) -> SimConfig:
+    # the one place a scenario's rc and sm sizes become RcConfig and SmConfig
+    L = scenario.channel.H.shape[1]
+    scheme, rc, sm = scenario.scheme, None, None
+    if detector == "rc":
+        scheme, rc = f"RC({L},{scenario.rc_m})", RcConfig(L=L, M=scenario.rc_m, I=scenario.pam.I)
+    if detector == "sm":
+        scheme, sm = f"SM({L},{scenario.sm_m})", SmConfig(L=L, M=scenario.sm_m, I=scenario.pam.I)
+    return SimConfig(
+        scheme=scheme,
+        detector=detector,
+        ebn0_grid=scenario.ebn0_grid,
+        channel=scenario.channel,
+        codebook=scenario.codebook,
+        pam=scenario.pam,
+        rc=rc,
+        sm=sm,
+        errors_target=scenario.errors_target,
+        block_cap=scenario.block_cap,
+        seed=scenario.seed,
+        weight_mode=scenario.weight_mode,
+        calibration=scenario.channel.H if scenario.calibration == "csi" else None,
+        e_max=scenario.e_max,
+    )
 
 
 def _resolve_channel(kv: dict, source: str) -> tuple[ChannelMatrix, str]:
@@ -209,23 +263,13 @@ def _resolve_channel(kv: dict, source: str) -> tuple[ChannelMatrix, str]:
         raise ConfigError(
             f"{source}: channel must be one of {', '.join(sorted(FIXTURES))} or 'geometry'")
     try:
-        geo = square_grid_geometry(
-            tx_spacing=float(kv.get("tx_spacing", 0.2)),
-            rx_spacing=float(kv.get("rx_spacing", 0.1)),
-            height=float(kv.get("height", 1.75)),
-            rx_offset=(float(kv.get("rx_offset_x", 0.0)), float(kv.get("rx_offset_y", 0.0))),
-        )
-        params = LambertianParams(
-            phi_half_deg=float(kv.get("phi_half", 15.0)),
-            psi_fov_deg=float(kv.get("psi_fov", 15.0)),
-            area_pd=float(kv.get("a_pd", 1e-4)),
-        )
+        channel = build_channel(square_grid_geometry(**_typed(kv, "geometry")),
+                                LambertianParams(**_typed(kv, "lambertian")))
     except ValueError as exc:
         raise ConfigError(f"{source}: bad geometry value ({exc})") from None
-    channel = build_channel(geo, params)
-    if kv.get("blockage"):
+    if "blockage" in kv:
         try:
-            channel = apply_blockage(channel, _parse_blockage(kv["blockage"], source))
+            channel = apply_blockage(channel, _parse_blockage(kv["blockage"]))
         except ValueError as exc:
             raise ConfigError(f"{source}: bad blockage ({exc})") from None
     # every key the scenario sets, so distinct geometries print distinct lines
@@ -243,7 +287,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in kv:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -251,51 +295,15 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
         kv[key] = value
 
-    def _int(key, default):
+    for key in ("detectors", "ebn0_db"):
         if key not in kv:
-            return default
-        try:
-            return int(kv[key])
-        except ValueError:
-            raise ValueError(f"field {key!r} must be an integer, got {kv[key]!r}") from None
-
-    def _float(key, default):
-        if key not in kv:
-            return default
-        try:
-            return float(kv[key])
-        except ValueError:
-            raise ValueError(f"field {key!r} must be a number, got {kv[key]!r}") from None
-
-    if "detectors" not in kv:
-        raise ConfigError(f"{source}: missing required key 'detectors'")
-    if "ebn0_db" not in kv:
-        raise ConfigError(f"{source}: missing required key 'ebn0_db'")
-
-    detectors = tuple(d.strip().lower() for d in kv["detectors"].split(",") if d.strip())
-    grid = _parse_grid(kv["ebn0_db"], source)
+            raise ConfigError(f"{source}: missing required key {key!r}")
     channel, channel_desc = _resolve_channel(kv, source)
-    codebook = named_codebook(kv["codebook"]) if "codebook" in kv else None
-
     try:
-        return Scenario(
-            name=kv.get("name", Path(source).stem if source != "<scenario>" else "scenario"),
-            detectors=detectors,
-            ebn0_grid=grid,
-            channel=channel,
-            channel_desc=channel_desc,
-            codebook=codebook,
-            pam=PamConfig(M=_int("m", 1), I=_float("i", 1.0)),
-            scheme=kv.get("scheme", ""),
-            errors_target=_int("errors_target", 200),
-            block_cap=_int("block_cap", 10_000_000),
-            seed=_int("seed", 0),
-            weight_mode=kv.get("weight_mode", "genie"),
-            e_max=_int("e_max", None),
-            calibration=kv.get("calibration", "blind"),
-            rc_m=_int("rc_m", 16),
-            sm_m=_int("sm_m", 4),
-        )
+        fields = {"name": Path(source).stem if source != "<scenario>" else "scenario",
+                  **_typed(kv, "scenario")}
+        return Scenario(**fields, channel=channel, channel_desc=channel_desc,
+                        pam=PamConfig(**_typed(kv, "pam")))
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
 

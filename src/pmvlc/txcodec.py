@@ -18,8 +18,8 @@ class PamConfig:
         if int(self.M) != self.M or self.M < 1:
             raise ValueError("M must be a positive integer")
         object.__setattr__(self, "M", int(self.M))
-        if not self.I > 0:
-            raise ValueError("I must be positive")
+        if not 0 < self.I < np.inf:
+            raise ValueError(f"I must be positive and finite, got {self.I}")
 
 
 def pam_intensity(m, M: int, w, I: float):

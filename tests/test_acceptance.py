@@ -290,7 +290,7 @@ def test_criterion_10_mobile_receiver_floor():
     grid = (90.0, 96.0, 108.0)
     curves = {}
     for x in (0.0, 0.2, 0.4):
-        ch = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset=(x, 0.0)))
+        ch = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset_x=x))
         curves[x] = _run("bf", grid, cb, channel=ch, errors_target=150,
                          block_cap=60_000)
     for i, db in enumerate(grid):

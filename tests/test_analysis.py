@@ -27,7 +27,7 @@ from pmvlc.detectors import (
     SmConfig,
     bf_detect_batch,
     bf_sd_detect,
-    estimate_intensity,
+    estimate_intensity_batch,
     ml_detect_batch,
     rc_detect_batch,
     signal_stack,
@@ -115,8 +115,9 @@ class TestUnionBound:
     def test_bound_curve_validation(self):
         with pytest.raises(ValueError):
             BoundCurve("x", (0.0, 1.0), (1e-3, 2e-3))
-        with pytest.raises(ValueError):
-            BoundCurve("x", (0.0,), (-1e-3,))
+        for value in (-1e-3, math.nan):
+            with pytest.raises(ValueError):
+                BoundCurve("x", (0.0,), (value,))
 
     @pytest.mark.parametrize("grid", [(math.nan,), (100.0, math.nan), (math.inf,),
                                       (-math.inf, 100.0)])
@@ -253,12 +254,24 @@ class TestHarnessDeterminism:
             monte_carlo_ber(SimConfig(scheme="x", detector="ml", ebn0_grid=(100.0,),
                                       channel=H02, codebook=COMBINED32), threads=0)
 
+    @pytest.mark.parametrize("setting,match", [
+        ({"detector": "bf", "weight_mode": "energy"}, "unknown weight_mode"),
+        ({"detector": "iterative", "e_max": 0}, "e_max must be at least 1"),
+        ({"detector": "bb"}, "weight-1"),
+        ({"detector": "rc", "rc": RcConfig(M=12)}, "rc M = 12"),
+        ({"detector": "sm", "sm": SmConfig(M=3)}, "sm M = 3"),
+        ({"detector": "ml", "seed": -1}, "seed must be non-negative"),
+    ], ids=["weight_mode", "e_max", "bb-multiweight", "rc-size", "sm-size", "seed"])
+    def test_rejects_bad_setting(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            SimConfig(scheme="x", ebn0_grid=(100.0,), channel=H02, codebook=COMBINED32,
+                      **setting)
+
     def test_unknown_detector_raises(self):
-        cfg = SimConfig(scheme="x", detector="zf", ebn0_grid=(100.0,),
-                        channel=H02, codebook=COMBINED32, pam=M1,
-                        errors_target=1, block_cap=BATCH_BLOCKS)
-        with pytest.raises(ValueError):
-            monte_carlo_ber(cfg)
+        with pytest.raises(ValueError, match="unknown detector 'zf'"):
+            SimConfig(scheme="x", detector="zf", ebn0_grid=(100.0,),
+                      channel=H02, codebook=COMBINED32, pam=M1,
+                      errors_target=1, block_cap=BATCH_BLOCKS)
 
 
 def _noisy_blocks(codebook, pam, ebn0_db, n, seed):
@@ -301,8 +314,8 @@ class TestBatchPathsMatchScalarDetectors:
             sums = [-(Y[b] * COMBINED32.matrix_stack[i]).sum() for i in cls]
             pick = int(cls[int(np.argmin(sums))])
             assert q[b] == pick
-            assert m[b] == estimate_intensity(
-                Y[b], COMBINED32.matrix_stack[pick].astype(bool), pam)
+            assert m[b] == estimate_intensity_batch(
+                Y[b][None], COMBINED32.matrix_stack[pick][None], pam)[0]
             r = bf_sd_detect(Y[b], COMBINED32, pam, true_weight=int(tx_w[b]))
             assert (q[b], m[b]) == (r.q - 1, r.m)
 
@@ -385,7 +398,7 @@ class TestNearestMeanKernel:
     def test_sm_with_dead_leds(self, M):
         # fig5-x04's channel: two LEDs reach no photodiode, so their level-1
         # means have zero energy
-        H = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset=(0.4, 0.0))).H
+        H = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset_x=0.4)).H
         assert (np.abs(H).sum(axis=0) == 0).sum() == 2
         cfg = SmConfig(L=4, M=M)
         means = cfg.signals @ H.T

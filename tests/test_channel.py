@@ -58,8 +58,9 @@ class TestLambertianGain:
             LambertianParams(phi_half_deg=0.0)
         with pytest.raises(ValueError):
             LambertianParams(psi_fov_deg=100.0)
-        with pytest.raises(ValueError):
-            LambertianParams(area_pd=-1.0)
+        for area in (-1.0, math.inf):
+            with pytest.raises(ValueError):
+                LambertianParams(area_pd=area)
 
 
 class TestGeometry:
@@ -82,9 +83,14 @@ class TestGeometry:
             assert cm.H[i, j] == 0.0
         assert int((cm.H == 0).sum()) == 4
 
+    @pytest.mark.parametrize("gain", [-1e-5, math.nan, math.inf])
+    def test_gains_must_be_finite_and_nonnegative(self, gain):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ChannelMatrix(np.full((2, 2), gain))
+
     def test_receiver_offset_drops_more_links(self):
         base = build_channel(square_grid_geometry(tx_spacing=0.6))
-        moved = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset=(0.4, 0.0)))
+        moved = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset_x=0.4))
         assert int((moved.H == 0).sum()) > int((base.H == 0).sum())
 
 
@@ -103,8 +109,7 @@ class TestFixtures:
         zeros = [(0, 3), (1, 2), (2, 1), (3, 0)]
         for i, j in zeros:
             assert cm.H[i, j] == 0.0
-            assert cm.blockage_mask[i, j] == 0
-        assert cm.blockage_mask.sum() == 12
+        assert int((cm.H != 0).sum()) == 12
 
     def test_calibration_gain_is_fixture_mean(self):
         assert default_calibration_gain() == pytest.approx(fixture_h02().H.mean())
@@ -116,14 +121,12 @@ class TestBlockage:
         # (tx, rx) pairs: entry [rx-1, tx-1] goes dark.
         for tx, rx in [(1, 4), (2, 3), (3, 2), (4, 1)]:
             assert cm.H[rx - 1, tx - 1] == 0.0
-            assert cm.blockage_mask[rx - 1, tx - 1] == 0
         assert int((cm.H == 0).sum()) == 4
 
     def test_empty_pairs_identity(self):
         fx = fixture_h02()
         cm = apply_blockage(fx, [])
         assert np.array_equal(cm.H, fx.H)
-        assert cm.blockage_mask.all()
 
     def test_all_pairs_dark(self):
         pairs = [(tx, rx) for tx in range(1, 5) for rx in range(1, 5)]
@@ -135,10 +138,6 @@ class TestBlockage:
             apply_blockage(fixture_h02(), [(0, 1)])
         with pytest.raises(ValueError):
             apply_blockage(fixture_h02(), [(1, 5)])
-
-    def test_mask_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ChannelMatrix(H=np.ones((2, 2)), blockage_mask=np.zeros((2, 2)))
 
 
 def harness_blocks(monkeypatch, ebn0_db, seed=0):

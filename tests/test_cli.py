@@ -262,7 +262,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv,geometry", [
         ([], {}), (["--tx-spacing", "0.6"], {"tx_spacing": 0.6}),
-        (["--rx-offset-x", "0.2"], {"rx_offset": (0.2, 0.0)}),
+        (["--rx-offset-x", "0.2"], {"rx_offset_x": 0.2}),
     ])
     def test_channel_geometry_flags(self, capsys, argv, geometry):
         assert main(["channel", *argv]) == 0
@@ -329,6 +329,36 @@ class TestCommandLine:
         assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "bad_ber.csv").exists()
+
+    @pytest.mark.parametrize("line", ["tx_spacing = nan", "height = inf", "a_pd = inf",
+                                      "rx_offset_y = nan", "i = inf"])
+    def test_non_finite_setting_exit_one(self, tmp_path, capsys, line):
+        scen = tmp_path / "bad.ini"
+        scen.write_text(f"codebook = cb1\ndetectors = ml\nebn0_db = 96\nblock_cap = 4096\n"
+                        f"channel = geometry\n{line}\n")
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_channel_non_finite_flag_exit_one(self, capsys):
+        assert main(["channel", "--tx-spacing", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_negative_seed_exit_one(self, tmp_path, capsys, where):
+        scen = tmp_path / "tiny.ini"
+        scen.write_text(TINY + ("seed = -1\n" if where == "file" else ""))
+        flags = ["--seed", "-3"] if where == "flag" else []
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path),
+                     *flags]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "seed must be non-negative" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("flag", ["--errors-target", "--block-cap"])
     def test_zero_stopping_override_exit_one(self, tmp_path, capsys, flag):

@@ -22,15 +22,13 @@ from pmvlc.codebook import (
     enumerate_weight_w,
 )
 from pmvlc.detectors import (
-    Calibration,
     RcConfig,
     SmConfig,
     _index_to_bits,
     bb_detect,
     bf_sd_detect,
-    classify_weight,
     classify_weight_batch,
-    estimate_intensity,
+    estimate_intensity_batch,
     iterative_sd_detect,
     ml_detect_batch,
     ml_op_count,
@@ -109,7 +107,7 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
-    w = classify_weight(Y, codebook, weight_mode, pam, true_weight)
+    w = int(classify_weight_batch(Y[None], codebook, weight_mode, pam, true_weight)[0])
     idx = np.flatnonzero(codebook.weight_array == w)
     budget = e_max if e_max is not None else len(idx)
 
@@ -124,7 +122,7 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
         return None, None, tries
 
     def decided(q, cost):
-        m = estimate_intensity(Y, codebook.matrix_stack[q - 1], pam)
+        m = int(estimate_intensity_batch(Y[None], codebook.matrix_stack[q - 1][None], pam)[0])
         index = (q - 1) * pam.M + (m - 1)
         bits = None
         if index < codebook.signaling_count(pam.M):
@@ -264,40 +262,47 @@ class TestBfSd:
         assert bf_sd_detect(Y, sub8, M1).op_count == 8 * 1 * 4
 
 
+def _all_levels(codebook, pam):
+    """Noiseless h02 blocks of every (entry, level) pair, their supports and
+    the levels sent."""
+    qm = [(q, m) for q in range(1, codebook.size + 1) for m in range(1, pam.M + 1)]
+    Y = np.stack([H02 @ block_for(codebook, q, m, pam) for q, m in qm])
+    supports = codebook.matrix_stack[[q - 1 for q, _ in qm]]
+    return Y, supports, np.array([m for _, m in qm])
+
+
 class TestEstimateIntensity:
     def test_m1_unconditional(self):
-        assert estimate_intensity(np.zeros((4, 4)), np.eye(4, dtype=bool), M1) == 1
+        # M = 1 returns level 1 without reading Y, even a non-finite one
+        Y = np.full((3, 4, 4), np.nan)
+        got = estimate_intensity_batch(Y, np.broadcast_to(np.eye(4), (3, 4, 4)), M1)
+        np.testing.assert_array_equal(got, 1)
 
     @pytest.mark.parametrize("M", [2, 4])
     def test_csi_mode_inverts_exactly(self, M):
         pam = PamConfig(M=M, I=1.0)
-        cal = Calibration(channel=H02)
-        for q in range(1, COMBINED32.size + 1):
-            support = COMBINED32.matrix_stack[q - 1].astype(bool)
-            for m in range(1, M + 1):
-                Y = H02 @ block_for(COMBINED32, q, m, pam)
-                assert estimate_intensity(Y, support, pam, cal) == m
+        Y, supports, m = _all_levels(COMBINED32, pam)
+        np.testing.assert_array_equal(estimate_intensity_batch(Y, supports, pam, H02), m)
 
     def test_blind_mode_default_gain_close_enough(self):
         pam = PamConfig(M=2, I=1.0)
-        for q in range(1, COMBINED32.size + 1):
-            support = COMBINED32.matrix_stack[q - 1].astype(bool)
-            for m in (1, 2):
-                Y = H02 @ block_for(COMBINED32, q, m, pam)
-                assert estimate_intensity(Y, support, pam) == m
+        Y, supports, m = _all_levels(COMBINED32, pam)
+        np.testing.assert_array_equal(estimate_intensity_batch(Y, supports, pam), m)
 
+    # a unit gain matrix is the blind rule at gain 1: every support cell of a
+    # weight-w entry collects w unit gains
     def test_midpoint_ties_to_lower_level(self):
         pam = PamConfig(M=4, I=1.0)
-        support = np.eye(4, dtype=bool)
         step = pam_intensity(1, 4, 1, 1.0)
-        Y = np.diag([1.5 * step] * 4)
-        assert estimate_intensity(Y, support, pam, Calibration(gain=1.0)) == 1
+        Y = np.diag([1.5 * step] * 4)[None]
+        assert estimate_intensity_batch(Y, np.eye(4)[None], pam, np.ones((4, 4)))[0] == 1
 
     def test_clipping(self):
         pam = PamConfig(M=4, I=1.0)
-        support = np.eye(4, dtype=bool)
-        assert estimate_intensity(np.diag([99.0] * 4), support, pam, Calibration(gain=1.0)) == 4
-        assert estimate_intensity(np.diag([-99.0] * 4), support, pam, Calibration(gain=1.0)) == 1
+        Y = np.stack([np.diag([99.0] * 4), np.diag([-99.0] * 4)])
+        supports = np.stack([np.eye(4)] * 2)
+        got = estimate_intensity_batch(Y, supports, pam, np.ones((4, 4)))
+        np.testing.assert_array_equal(got, [4, 1])
 
 
 def test_default_profile_loaded_once(monkeypatch):
@@ -311,9 +316,9 @@ def test_default_profile_loaded_once(monkeypatch):
     try:
         pam = PamConfig(M=4, I=1.0)
         for q in (1, 25, 32):
-            Y = H02 @ block_for(COMBINED32, q, 3, pam)
-            estimate_intensity(Y, COMBINED32.matrix_stack[q - 1].astype(bool), pam)
-            classify_weight(Y, COMBINED32, "joint", pam)
+            Y = (H02 @ block_for(COMBINED32, q, 3, pam))[None]
+            estimate_intensity_batch(Y, COMBINED32.matrix_stack[q - 1][None], pam)
+            classify_weight_batch(Y, COMBINED32, "joint", pam)
     finally:
         channel.fixture_h02.cache_clear()
         channel.default_calibration_gain.cache_clear()
@@ -322,40 +327,45 @@ def test_default_profile_loaded_once(monkeypatch):
 
 class TestClassifyWeight:
     def test_genie_passthrough(self):
-        Y = np.zeros((4, 4))
-        assert classify_weight(Y, COMBINED32, "genie", true_weight=2) == 2
+        Y = np.zeros((3, 4, 4))
+        got = classify_weight_batch(Y, COMBINED32, "genie", true_weight=[2, 1, 2])
+        np.testing.assert_array_equal(got, [2, 1, 2])
+        got = classify_weight_batch(Y, COMBINED32, "genie", true_weight=2)
+        np.testing.assert_array_equal(got, 2)
 
     def test_genie_requires_weight(self):
+        Y = np.zeros((1, 4, 4))
         with pytest.raises(ValueError):
-            classify_weight(np.zeros((4, 4)), COMBINED32, "genie")
+            classify_weight_batch(Y, COMBINED32, "genie")
         with pytest.raises(ValueError):
-            classify_weight(np.zeros((4, 4)), COMBINED32, "genie", true_weight=3)
+            classify_weight_batch(Y, COMBINED32, "genie", true_weight=3)
 
     def test_single_weight_shortcut(self):
-        assert classify_weight(np.zeros((4, 4)), FULL24, "joint") == 1
+        got = classify_weight_batch(np.zeros((2, 4, 4)), FULL24, "joint")
+        np.testing.assert_array_equal(got, 1)
 
     def test_noiseless_classification(self):
         pam = PamConfig(M=2, I=1.0)
-        cal = Calibration(channel=H02)
-        for q in range(1, COMBINED32.size + 1):
-            w = COMBINED32.entries[q - 1].weight
-            Y = H02 @ block_for(COMBINED32, q, 2, pam)
-            assert classify_weight(Y, COMBINED32, "joint", pam, calibration=cal) == w
+        Y = np.stack([H02 @ block_for(COMBINED32, q, 2, pam)
+                      for q in range(1, COMBINED32.size + 1)])
+        got = classify_weight_batch(Y, COMBINED32, "joint", pam, calibration=H02)
+        np.testing.assert_array_equal(got, COMBINED32.weight_array)
 
     def test_joint_with_default_profile(self):
         pam = PamConfig(M=1, I=1.0)
-        for q in (1, 25, 32):
-            w = COMBINED32.entries[q - 1].weight
-            Y = H02 @ block_for(COMBINED32, q, 1, pam)
-            assert classify_weight(Y, COMBINED32, "joint", pam) == w
+        qs = (1, 25, 32)
+        Y = np.stack([H02 @ block_for(COMBINED32, q, 1, pam) for q in qs])
+        got = classify_weight_batch(Y, COMBINED32, "joint", pam)
+        np.testing.assert_array_equal(got, [COMBINED32.entries[q - 1].weight for q in qs])
 
     def test_unknown_mode(self):
+        Y = np.zeros((1, 4, 4))
         with pytest.raises(ValueError):
-            classify_weight(np.zeros((4, 4)), COMBINED32, "oracle", PamConfig())
+            classify_weight_batch(Y, COMBINED32, "oracle", PamConfig())
         # only genie and joint exist, even where one class needs no decision
         for book in (COMBINED32, FULL24):
             with pytest.raises(ValueError, match="unknown mode 'energy'"):
-                classify_weight(np.zeros((4, 4)), book, "energy", PamConfig())
+                classify_weight_batch(Y, book, "energy", PamConfig())
 
     def test_joint_batch_matches_per_block_rule(self):
         # per block: best support in each class, its level, its residual
@@ -371,7 +381,7 @@ class TestClassifyWeight:
             for w in (1, 2):
                 stack = COMBINED32.matrix_stack[COMBINED32.weight_array == w]
                 P = stack[int(np.argmin([-(Y[b] * S).sum() for S in stack]))]
-                m = estimate_intensity(Y[b], P.astype(bool), pam)
+                m = estimate_intensity_batch(Y[b][None], P[None], pam)[0]
                 res = float(((Y[b] - H02 @ (pam_intensity(m, 2, w, 1.0) * P)) ** 2).sum())
                 if res < best_res:
                     best_w, best_res = w, res
@@ -380,8 +390,7 @@ class TestClassifyWeight:
     def test_joint_ties_go_to_lowest_weight(self):
         # a zero reference profile makes every class residual equal to |Y|^2
         Y = np.random.default_rng(37).normal(0, 1, (16, 4, 4))
-        cal = Calibration(channel=np.zeros((4, 4)))
-        got = classify_weight_batch(Y, COMBINED32, "joint", M1, calibration=cal)
+        got = classify_weight_batch(Y, COMBINED32, "joint", M1, calibration=np.zeros((4, 4)))
         np.testing.assert_array_equal(got, 1)
 
 

@@ -30,8 +30,9 @@ def test_intensity_validation():
 def test_pam_config_validation():
     with pytest.raises(ValueError):
         PamConfig(M=0)
-    with pytest.raises(ValueError):
-        PamConfig(M=1, I=-1.0)
+    for I in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            PamConfig(M=1, I=I)
 
 
 def test_encode_scales_entry():
