@@ -17,14 +17,14 @@ import numpy as np
 
 from pmvlc.analysis import ber_union_bound
 from pmvlc.channel import FIXTURES
-from pmvlc.detectors import signal_stack
+from pmvlc.detectors import received_means
 from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig
 
 
 def spectrum(codebook, pam, H):
     # the signaling rows only, the pairs the union bound sums over
-    HS = H @ signal_stack(codebook, pam)[:codebook.signaling_count(pam.M)]
+    HS = received_means(codebook, pam, H)
     return np.concatenate([((HS[i] - HS[i + 1:]) ** 2).sum(axis=(1, 2))
                            for i in range(len(HS))])
 

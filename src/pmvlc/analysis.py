@@ -37,7 +37,7 @@ from .detectors import (
     ml_detect_batch,
     ml_op_count,
     rc_detect_batch,
-    signal_stack,
+    received_means,
     sm_detect_batch,
 )
 from .txcodec import PamConfig
@@ -82,12 +82,12 @@ def _check_finite(ebn0_grid):
         raise ValueError(f"Eb/N0 values must be finite, got {tuple(ebn0_grid)}")
 
 
-def _pair_terms(codebook: Codebook, pam: PamConfig, H: np.ndarray):
+def _pair_terms(codebook: Codebook, pam: PamConfig, H):
     """Bit distances and squared channel-space distances over all ordered
     signaling pairs with distinct labels."""
     bits = codebook.bits_per_block(pam.M)
-    n = codebook.signaling_count(pam.M)
-    HS = np.einsum("ij,kjl->kil", H, signal_stack(codebook, pam)[:n])
+    HS = received_means(codebook, pam, H)
+    n = len(HS)
     labels = np.arange(n)
     d_bits = bit_distance(labels[:, None], labels[None, :])[~np.eye(n, dtype=bool)]
     # one row of distances per signal; the full (n, n, L, L) difference
@@ -100,15 +100,14 @@ def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,
                     scheme: str = "") -> BoundCurve:
     """Union bound on BER: average pairwise error weighted by bit distance.
 
-    Each term uses the physical intensity-bearing transmit matrices, so the
-    bound is directly comparable with the simulated receiver operating at
-    the same noise density.
+    Each term uses the received means the simulated receiver sees, so the
+    bound is directly comparable with it at the same noise density.
     """
     _check_finite(ebn0_grid)
-    d_bits, d2, n_sig, bits = _pair_terms(codebook, pam, _as_H(H))
+    d_bits, d2, n_sig, bits = _pair_terms(codebook, pam, H)
     values = []
     for db in ebn0_grid:
-        n0 = n0_for_bits(db, bits, pam.I)
+        n0 = n0_for_bits(db, bits)
         terms = pair_tail(d2, n0)
         values.append(float(np.sum(d_bits * terms) / (n_sig * bits)))
     return BoundCurve(scheme=scheme, ebn0_db=tuple(float(x) for x in ebn0_grid),
@@ -198,14 +197,12 @@ def _batch_rng(config: SimConfig, point_idx: int, batch_idx: int) -> np.random.G
 @dataclass(frozen=True)
 class _Link:
     """One simulated link: the received mean of every signal index, the bits
-    each index carries, the mean optical power and the detector, which maps
-    (received blocks, sent indices, batch rng) to decided indices, -1 where
-    it makes no decision, and the op_count those decisions sum to (0 for
-    rc, sm and guess)."""
+    each index carries and the detector, which maps (received blocks, sent
+    indices, batch rng) to decided indices, -1 where it makes no decision,
+    and the op_count those decisions sum to (0 for rc, sm and guess)."""
 
     means: np.ndarray
     bits: int
-    intensity: float
     decode: Callable
 
 
@@ -225,12 +222,11 @@ def _link(config: SimConfig) -> _Link:
     det = config.detector
     if det in ("rc", "sm"):
         cfg, detect = (config.rc, rc_detect_batch) if det == "rc" else (config.sm, sm_detect_batch)
-        return _Link(cfg.signals @ H.T, cfg.bits, cfg.I,
+        return _Link(cfg.signals @ H.T, cfg.bits,
                      lambda Y, tx, rng: (detect(Y, H, cfg), 0))
 
     cb, pam, cal = config.codebook, config.pam, config.calibration
-    bits = cb.bits_per_block(pam.M)
-    HS = np.einsum("ij,kjl->kil", H, signal_stack(cb, pam)[:2 ** bits])
+    HS = received_means(cb, pam, H)
     weight_of = lambda tx: cb.weight_array[tx // pam.M]
     if det == "ml":
         # scores only the 2**bits signaling means
@@ -252,7 +248,7 @@ def _link(config: SimConfig) -> _Link:
             lambda y, w: bb_detect(y, cb, pam=pam, calibration=cal), Y, weight_of(tx), pam.M)
     else:  # guess
         decode = lambda Y, tx, rng: (rng.integers(len(HS), size=len(tx)), 0)
-    return _Link(HS, bits, pam.I, decode)
+    return _Link(HS, cb.bits_per_block(pam.M), decode)
 
 
 def _simulate_batch(config: SimConfig, link: _Link, n0, point_idx, batch_idx):
@@ -270,7 +266,7 @@ def _simulate_batch(config: SimConfig, link: _Link, n0, point_idx, batch_idx):
 def _simulate_point(config: SimConfig, link: _Link, point_idx: int, ebn0_db: float) -> BerRecord:
     """Batches 0, 1, ... of one grid point, in order, until the cumulative
     bit-error target or the block cap is reached."""
-    n0 = n0_for_bits(ebn0_db, link.bits, link.intensity)
+    n0 = n0_for_bits(ebn0_db, link.bits)
     errors = blocks = ops = 0
     while errors < config.errors_target and blocks < config.block_cap:
         e, nblocks, nops = _simulate_batch(config, link, n0, point_idx, blocks // BATCH_BLOCKS)

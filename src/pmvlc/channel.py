@@ -70,6 +70,10 @@ def square_grid_geometry(
     """Co-centered 2x2 grids; indices run over the same corner order on both
     sides, so index k faces index k and the two grid diagonals face each
     other at positions (1,4), (2,3), (3,2), (4,1)."""
+    if height <= 0:
+        raise ValueError(f"height must be positive, got {height}")
+    if tx_spacing < 0 or rx_spacing < 0:
+        raise ValueError(f"grid spacings must be non-negative, got {tx_spacing}, {rx_spacing}")
     return RoomGeometry(
         led_positions=_square_grid(tx_spacing, height, 0.0, 0.0),
         pd_positions=_square_grid(rx_spacing, 0.0, rx_offset_x, rx_offset_y),
@@ -146,13 +150,12 @@ def apply_blockage(channel: ChannelMatrix | np.ndarray, pairs) -> ChannelMatrix:
     return ChannelMatrix(H)
 
 
-def n0_for_bits(ebn0_db: float, bits: int, I: float) -> float:
-    """Noise density giving the requested per-bit SNR at symbol energy I^2."""
+def n0_for_bits(ebn0_db: float, bits: int) -> float:
+    """Noise density giving the requested per-bit SNR.  Transmit power is
+    fixed at unit mean (see pmvlc.txcodec), so Eb = 1/bits."""
     if bits < 1:
         raise ValueError("bits must be positive")
-    es = I ** 2
-    eb = es / bits
-    return eb / (10.0 ** (ebn0_db / 10.0))
+    return 1.0 / bits / (10.0 ** (ebn0_db / 10.0))
 
 
 def _load_fixture(name: str) -> np.ndarray:

@@ -132,7 +132,7 @@ def cmd_channel(args) -> int:
                           f"available: {', '.join(sorted(FIXTURES))}")
     # only the flags given, as a scenario file sets keys: a flag left out
     # takes the geometry's own default, and a fixture rejects any geometry key
-    kv = {k: str(getattr(args, k)) for k in _GEOMETRY_KEYS if getattr(args, k) is not None}
+    kv = {k: getattr(args, k) for k in _GEOMETRY_KEYS if getattr(args, k) is not None}
     kv["channel"] = args.fixture or "geometry"
     channel, _ = _resolve_channel(kv, "<channel args>")
     for row in channel.H:
@@ -178,50 +178,44 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pmvlc",
         description="Permutation-modulation space-time codes for optical MIMO: "
                     "codebook tools, channel models and BER experiments.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed override")
-    common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the Monte Carlo pool")
-    common.add_argument("--errors-target", type=int, default=None,
-                        help="stop a point after this many bit errors")
-    common.add_argument("--block-cap", type=int, default=None,
-                        help="hard per-point block limit")
+    # bound writes a file; simulate and preset also run the Monte Carlo
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=".", help="output directory")
+    run = argparse.ArgumentParser(add_help=False, parents=[out])
+    run.add_argument("--seed", type=int, default=None,
+                     help="master seed override")
+    run.add_argument("--threads", type=int, default=1,
+                     help="worker threads for the Monte Carlo pool")
+    run.add_argument("--errors-target", type=int, default=None,
+                     help="stop a point after this many bit errors")
+    run.add_argument("--block-cap", type=int, default=None,
+                     help="hard per-point block limit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("codebook", parents=[common],
-                       help="print per-weight counts and entry listing")
+    p = sub.add_parser("codebook", help="print per-weight counts and entry listing")
     p.add_argument("--length", type=int, default=4)
     p.add_argument("--weights", default="1")
     p.add_argument("--m", type=int, default=1, help="PAM levels per entry")
     p.set_defaults(func=cmd_codebook)
 
-    p = sub.add_parser("channel", parents=[common],
-                       help="print a channel gain matrix")
+    p = sub.add_parser("channel", help="print a channel gain matrix")
     p.add_argument("--fixture", default=None)
-    p.add_argument("--tx-spacing", type=float, dest="tx_spacing")
-    p.add_argument("--rx-spacing", type=float, dest="rx_spacing")
-    p.add_argument("--height", type=float)
-    p.add_argument("--phi-half", type=float, dest="phi_half")
-    p.add_argument("--psi-fov", type=float, dest="psi_fov")
-    p.add_argument("--a-pd", type=float, dest="a_pd")
-    p.add_argument("--rx-offset-x", type=float, dest="rx_offset_x")
-    p.add_argument("--rx-offset-y", type=float, dest="rx_offset_y")
-    p.add_argument("--blockage")
+    # the scenario geometry keys; their text is parsed as a scenario's is
+    for key in _GEOMETRY_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
     p.set_defaults(func=cmd_channel)
 
-    p = sub.add_parser("bound", parents=[common],
+    p = sub.add_parser("bound", parents=[out],
                        help="union bound curve for a scenario file")
     p.add_argument("--scenario", required=True)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[run],
                        help="Monte Carlo BER for a scenario file")
     p.add_argument("--scenario", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("preset", parents=[common],
+    p = sub.add_parser("preset", parents=[run],
                        help="run a canned experiment")
     p.add_argument("name")
     p.set_defaults(func=cmd_preset)

@@ -90,9 +90,16 @@ def signal_stack(codebook: Codebook, pam: PamConfig) -> np.ndarray:
     carry data; row v carries label v.
     """
     levels = pam_intensity(np.arange(1, pam.M + 1)[None, :], pam.M,
-                           codebook.weight_array[:, None], pam.I)
+                           codebook.weight_array[:, None])
     S = levels[:, :, None, None] * codebook.matrix_stack[:, None, :, :]
     return S.reshape(-1, codebook.L, codebook.L)
+
+
+def received_means(codebook: Codebook, pam: PamConfig, channel) -> np.ndarray:
+    """H a_m P_q for the signaling rows of signal_stack: row v is the
+    noiseless received block of label v."""
+    S = signal_stack(codebook, pam)[:codebook.signaling_count(pam.M)]
+    return np.einsum("ij,kjl->kil", _as_H(channel), S)
 
 
 def _best_support(Y: np.ndarray, stack: np.ndarray):
@@ -108,7 +115,7 @@ def estimate_intensity_batch(Y: np.ndarray, supports: np.ndarray, pam: PamConfig
     """Level index per block from the received sum over its candidate support.
 
     Y and supports are (B, L, L); each support is a 0/1 entry matrix.  The
-    support sum divided by its expected value at unit intensity inverts the
+    support sum divided by its expected value at level 1 inverts the
     drive level: w^2 L g in blind mode (every support cell accumulates w
     link gains of the blind gain g = default_calibration_gain()), or the
     exact sum of H P over the support when a calibration matrix H is
@@ -125,7 +132,7 @@ def estimate_intensity_batch(Y: np.ndarray, supports: np.ndarray, pam: PamConfig
         den = np.einsum("bij,bij->b", HP, P)
     else:
         den = w * w * P.shape[-1] * default_calibration_gain()
-    x = np.einsum("bij,bij->b", Y, P) / (den * pam_intensity(1, pam.M, w, pam.I))
+    x = np.einsum("bij,bij->b", Y, P) / (den * pam_intensity(1, pam.M, w))
     base = np.floor(x)
     # midpoint ties fall to the lower level; the slack absorbs float error
     m = base + (x - base > 0.5 * (1.0 + 1e-9))
@@ -164,7 +171,7 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
     for k, w in enumerate(weights):
         stack = codebook.matrix_stack[codebook.weight_class_indices(w)]
         P = stack[_best_support(Y, stack)[0]]
-        a = pam_intensity(estimate_intensity_batch(Y, P, pam, calibration), pam.M, w, pam.I)
+        a = pam_intensity(estimate_intensity_batch(Y, P, pam, calibration), pam.M, w)
         residuals[k] = ((Y - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2))
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
 
@@ -420,7 +427,6 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
 class RcConfig:
     L: int = 4
     M: int = 16
-    I: float = 1.0
 
     @property
     def bits(self) -> int:
@@ -431,8 +437,8 @@ class RcConfig:
         return b
 
     def level(self, m: int) -> float:
-        # Weight-L scaling keeps the slot total at mean I across levels.
-        return pam_intensity(m, self.M, self.L, self.I)
+        # Weight-L scaling keeps the slot total at unit mean across levels.
+        return pam_intensity(m, self.M, self.L)
 
     @property
     def signals(self) -> np.ndarray:
@@ -445,7 +451,6 @@ class RcConfig:
 class SmConfig:
     L: int = 4
     M: int = 4
-    I: float = 1.0
 
     @property
     def bits(self) -> int:
@@ -456,7 +461,7 @@ class SmConfig:
         return lb + mb
 
     def level(self, m: int) -> float:
-        return pam_intensity(m, self.M, 1, self.I)
+        return pam_intensity(m, self.M, 1)
 
     @property
     def signals(self) -> np.ndarray:

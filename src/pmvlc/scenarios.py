@@ -160,7 +160,6 @@ _KEYS = {
     "rc_m": ("scenario", "rc_m", int),
     "sm_m": ("scenario", "sm_m", int),
     "m": ("pam", "M", int),
-    "i": ("pam", "I", float),
     "channel": ("channel", None, None),
     "tx_spacing": ("geometry", "tx_spacing", float),
     "rx_spacing": ("geometry", "rx_spacing", float),
@@ -230,9 +229,9 @@ def _sim_config(scenario: Scenario, detector: str) -> SimConfig:
     L = scenario.channel.H.shape[1]
     scheme, rc, sm = scenario.scheme, None, None
     if detector == "rc":
-        scheme, rc = f"RC({L},{scenario.rc_m})", RcConfig(L=L, M=scenario.rc_m, I=scenario.pam.I)
+        scheme, rc = f"RC({L},{scenario.rc_m})", RcConfig(L=L, M=scenario.rc_m)
     if detector == "sm":
-        scheme, sm = f"SM({L},{scenario.sm_m})", SmConfig(L=L, M=scenario.sm_m, I=scenario.pam.I)
+        scheme, sm = f"SM({L},{scenario.sm_m})", SmConfig(L=L, M=scenario.sm_m)
     return SimConfig(
         scheme=scheme,
         detector=detector,

@@ -63,7 +63,7 @@ def _crossing_db(records, level: float) -> float:
 
 def _block(codebook, q, m, pam):
     entry = codebook.entries[q - 1]
-    a = pam_intensity(m, pam.M, entry.weight, pam.I)
+    a = pam_intensity(m, pam.M, entry.weight)
     return a * codebook.matrix_stack[q - 1]
 
 
@@ -244,14 +244,14 @@ def test_criterion_09_scheme_comparison_4bit():
     # as the distance fact itself.  At 0.6 m the distances are 1.31e-8 against
     # 1.12e-10 (~20.7 dB in PM's favour).
     h06 = build_channel(square_grid_geometry(tx_spacing=0.6))
-    rc_cfg = RcConfig(L=4, M=16, I=1.0)
+    rc_cfg = RcConfig(L=4, M=16)
     bpb = rc_cfg.bits
     details = []
     for tag, channel, grid, rivals in (("h02", H02, (101.0, 102.0), ("sm",)),
                                        ("h06", h06, (87.0, 88.0), ("rc", "sm"))):
         pm = _run("ml", grid, named_codebook("pm16"), channel=channel)
         rival = {"rc": _run("rc", grid, rc=rc_cfg, channel=channel),
-                 "sm": _run("sm", grid, sm=SmConfig(L=4, M=4, I=1.0), channel=channel)}
+                 "sm": _run("sm", grid, sm=SmConfig(L=4, M=4), channel=channel)}
         assert all(r.ber <= 1e-3 for r in pm), f"{tag}: grid must sit at PM BER <= 1e-3"
         details += [f"{tag} {p.ebn0_db:g} dB pm {p.ber:.2e} rc {r.ber:.2e} sm {s.ber:.2e}"
                     for p, r, s in zip(pm, rival["rc"], rival["sm"])]

@@ -41,7 +41,7 @@ FULL24 = enumerate_weight_w(4, 1)
 PM16 = FULL24.subset(range(16), label="pm16")
 W2SEL8 = enumerate_weight_w(4, 2).subset((2, 17, 28, 38, 45, 59, 65, 80), label="w2sel8")
 COMBINED32 = combine_codebooks([FULL24, W2SEL8], label="combined32")
-M1 = PamConfig(M=1, I=1.0)
+M1 = PamConfig(M=1)
 
 
 class TestQfunc:
@@ -131,7 +131,7 @@ class TestUnionBound:
         # the bound is a weighted sum of pairwise tails; doubling every bit
         # distance must double the value
         d_bits, d2, n_sig, bits = _pair_terms(PM16, M1, H02.H)
-        n0 = n0_for_bits(100.0, bits, 1.0)
+        n0 = n0_for_bits(100.0, bits)
         terms = qfunc(np.sqrt(d2 / (2 * n0)))
         base = float(np.sum(d_bits * terms) / (n_sig * bits))
         doubled = float(np.sum(2 * d_bits * terms) / (n_sig * bits))
@@ -280,7 +280,7 @@ def _noisy_blocks(codebook, pam, ebn0_db, n, seed):
     bits = codebook.bits_per_block(pam.M)
     HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(codebook, pam)[:2 ** bits])
     tx = rng.integers(len(HS), size=n)
-    n0 = n0_for_bits(ebn0_db, bits, pam.I)
+    n0 = n0_for_bits(ebn0_db, bits)
     return tx, HS[tx] + rng.normal(0.0, math.sqrt(n0 / 2), size=(n, 4, 4))
 
 
@@ -290,7 +290,7 @@ class TestBatchPathsMatchScalarDetectors:
     form, on identical inputs."""
 
     def test_ml_batch_matches_scalar(self):
-        pam = PamConfig(M=2, I=1.0)
+        pam = PamConfig(M=2)
         tx, Y = _noisy_blocks(COMBINED32, pam, 99.0, 64, seed=77)
         HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(COMBINED32, pam))
         got = ml_detect_batch(Y, HS, pam.M)
@@ -298,14 +298,14 @@ class TestBatchPathsMatchScalarDetectors:
             best, best_res = None, np.inf
             for q in range(COMBINED32.size):
                 for m in range(1, pam.M + 1):
-                    a = pam_intensity(m, pam.M, int(COMBINED32.weight_array[q]), pam.I)
+                    a = pam_intensity(m, pam.M, int(COMBINED32.weight_array[q]))
                     res = float(((Y[b] - H02.H @ (a * COMBINED32.matrix_stack[q])) ** 2).sum())
                     if res < best_res:
                         best, best_res = q * pam.M + (m - 1), res
             assert got[b] == best
 
     def test_bf_batch_matches_scalar(self):
-        pam = PamConfig(M=2, I=1.0)
+        pam = PamConfig(M=2)
         tx, Y = _noisy_blocks(COMBINED32, pam, 99.0, 64, seed=78)
         tx_w = COMBINED32.weight_array[tx // pam.M]
         q, m, _, _ = bf_detect_batch(Y, COMBINED32, pam, true_weight=tx_w)
@@ -322,7 +322,7 @@ class TestBatchPathsMatchScalarDetectors:
     def test_rc_batch_matches_scalar(self):
         cfg = RcConfig()
         rng = np.random.default_rng(79)
-        n0 = n0_for_bits(100.0, cfg.bits, 1.0)
+        n0 = n0_for_bits(100.0, cfg.bits)
         means = cfg.signals @ H02.H.T
         Y = means[rng.integers(16, size=128)] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
         totals = Y.sum(axis=1)
@@ -334,7 +334,7 @@ class TestBatchPathsMatchScalarDetectors:
     def test_sm_batch_matches_scalar(self):
         cfg = SmConfig()
         rng = np.random.default_rng(80)
-        n0 = n0_for_bits(100.0, cfg.bits, 1.0)
+        n0 = n0_for_bits(100.0, cfg.bits)
         means = cfg.signals @ H02.H.T
         Y = means[rng.integers(16, size=128)] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
         want = np.argmin(((Y[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
@@ -364,7 +364,7 @@ class TestNearestMeanKernel:
     must match the difference form at physical scale, on truncated alphabets
     and on channels with dead LEDs."""
 
-    PAM16 = PamConfig(M=16, I=1.0)
+    PAM16 = PamConfig(M=16)
 
     def _means(self):
         return np.einsum("ij,kjl->kil", H02.H, signal_stack(COMBINED32, self.PAM16))
@@ -404,7 +404,7 @@ class TestNearestMeanKernel:
         means = cfg.signals @ H.T
         rng = np.random.default_rng(85)
         for db in (80.0, 95.0, 110.0):
-            n0 = n0_for_bits(db, cfg.bits, 1.0)
+            n0 = n0_for_bits(db, cfg.bits)
             Y = means[rng.integers(len(means), size=1024)] + rng.normal(
                 0.0, math.sqrt(n0 / 2), size=(1024, 4))
             np.testing.assert_array_equal(sm_detect_batch(Y, H, cfg), _brute_nearest(Y, means))

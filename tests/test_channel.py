@@ -88,6 +88,18 @@ class TestGeometry:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             ChannelMatrix(np.full((2, 2), gain))
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"height": -1.75}, "height must be positive"),
+        ({"height": 0.0}, "height must be positive"),
+        ({"tx_spacing": -0.6}, "spacings must be non-negative"),
+        ({"rx_spacing": -0.1}, "spacings must be non-negative"),
+    ])
+    def test_impossible_room_rejected(self, kwargs, message):
+        # a negative height puts the LEDs below the floor (every gain zero),
+        # and a negative spacing mirrors the grid onto the other corners
+        with pytest.raises(ValueError, match=message):
+            square_grid_geometry(**kwargs)
+
     def test_receiver_offset_drops_more_links(self):
         base = build_channel(square_grid_geometry(tx_spacing=0.6))
         moved = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset_x=0.4))
@@ -168,7 +180,7 @@ def harness_blocks(monkeypatch, ebn0_db, seed=0):
 
 class TestTransmit:
     def test_noiseless_limit(self, monkeypatch):
-        # at M = 1 and I = 1 signal v is entry v + 1 at unit intensity
+        # at M = 1 signal v is entry v + 1 at unit level
         Y, tx = harness_blocks(monkeypatch, 400.0)
         assert Y.shape == (BATCH_BLOCKS, 4, 4)
         assert set(tx.tolist()) == set(range(16))  # the 16 signaling entries of 24
@@ -178,7 +190,7 @@ class TestTransmit:
     def test_noise_statistics(self, monkeypatch):
         # Y - H S has mean ~ 0 and per-element variance ~ n0/2 over one batch.
         Y, tx = harness_blocks(monkeypatch, 100.0, seed=7)
-        n0 = n0_for_bits(100.0, FULL24.bits_per_block(1), 1.0)
+        n0 = n0_for_bits(100.0, FULL24.bits_per_block(1))
         noise = Y - fixture_h02().H @ FULL24.matrix_stack[tx]
         assert abs(noise.mean()) < 4 * math.sqrt(n0 / 2 / noise.size)
         assert noise.var() == pytest.approx(n0 / 2, rel=0.05)
@@ -187,15 +199,15 @@ class TestTransmit:
 class TestEbN0:
     def test_zero_db_unit_case(self):
         # One signaled bit, unit power: N0 equals Es at 0 dB.
-        assert n0_for_bits(0.0, 1, 1.0) == pytest.approx(1.0)
+        assert n0_for_bits(0.0, 1) == pytest.approx(1.0)
 
     def test_ten_db_scaling(self):
-        assert n0_for_bits(10.0, 1, 1.0) == pytest.approx(0.1)
+        assert n0_for_bits(10.0, 1) == pytest.approx(0.1)
 
     def test_codebook_normalization(self):
         cb = enumerate_weight_w(4, 1)  # 24 entries -> 16 signal -> 4 bits
-        n0 = n0_for_bits(0.0, cb.bits_per_block(1), 2.0)
-        assert n0 == pytest.approx((2.0 ** 2) / 4.0)
+        n0 = n0_for_bits(0.0, cb.bits_per_block(1))
+        assert n0 == pytest.approx(1.0 / 4.0)
         # 5 bits once M=2 doubles the constellation.
-        n0_m2 = n0_for_bits(0.0, cb.bits_per_block(2), 2.0)
-        assert n0_m2 == pytest.approx((2.0 ** 2) / 5.0)
+        n0_m2 = n0_for_bits(0.0, cb.bits_per_block(2))
+        assert n0_m2 == pytest.approx(1.0 / 5.0)

@@ -138,6 +138,11 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="finite|bad grid"):
             parse_scenario(MINIMAL.replace("90,100", grid))
 
+    def test_intensity_key_rejected(self):
+        # transmit power is fixed at unit mean, so there is no power setting
+        with pytest.raises(ConfigError, match=r":4: unknown key 'i'"):
+            parse_scenario(MINIMAL + "i = 2\n", source="x.ini")
+
     def test_comments_and_blanks_ignored(self):
         sc = parse_scenario("# comment\n\n; other comment\n" + MINIMAL)
         assert sc.detectors == ("ml",)
@@ -310,7 +315,7 @@ class TestCommandLine:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("detector,line", [
-        ("bf", "m = 0"), ("bf", "i = -1"), ("iterative", "e_max = 0"),
+        ("bf", "m = 0"), ("iterative", "e_max = 0"),
         ("bf", "errors_target = 0"), ("bf", "block_cap = 0"), ("rc", "rc_m = 12"),
         ("sm", "sm_m = 3"), ("rc", "rc_m = 1"), ("bf", "weight_mode = energy"),
     ], ids=lambda v: v.replace(" ", ""))
@@ -331,7 +336,7 @@ class TestCommandLine:
         assert not (tmp_path / "bad_ber.csv").exists()
 
     @pytest.mark.parametrize("line", ["tx_spacing = nan", "height = inf", "a_pd = inf",
-                                      "rx_offset_y = nan", "i = inf"])
+                                      "rx_offset_y = nan"])
     def test_non_finite_setting_exit_one(self, tmp_path, capsys, line):
         scen = tmp_path / "bad.ini"
         scen.write_text(f"codebook = cb1\ndetectors = ml\nebn0_db = 96\nblock_cap = 4096\n"
@@ -339,6 +344,46 @@ class TestCommandLine:
         assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert "config error" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--height", "-1.75", "height must be positive"),
+        ("--height", "0", "height must be positive"),
+        ("--tx-spacing", "-0.6", "spacings must be non-negative"),
+        ("--rx-spacing", "-0.1", "spacings must be non-negative"),
+        ("--a-pd", "abc", "could not convert"),
+    ])
+    def test_channel_impossible_room_exit_one(self, capsys, flag, value, message):
+        assert main(["channel", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line", ["height = -1.75", "tx_spacing = -0.6"])
+    def test_scenario_impossible_room_exit_one(self, tmp_path, capsys, line):
+        scen = tmp_path / "room.ini"
+        scen.write_text(MINIMAL + f"channel = geometry\n{line}\n")
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "bad geometry value" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        [command, flag, "1"]
+        for command in ("codebook", "channel")
+        for flag in ("--seed", "--out-dir", "--threads", "--errors-target", "--block-cap")
+    ] + [
+        ["bound", "--scenario", "{scen}", "--out-dir", "{out}", flag, "1"]
+        for flag in ("--seed", "--threads", "--errors-target", "--block-cap")
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_command_does_not_read_exit_one(self, tmp_path, capsys, argv):
+        scen = tmp_path / "tiny.ini"
+        scen.write_text(TINY)
+        assert main([a.format(scen=scen, out=tmp_path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
         assert captured.out == ""
         assert not list(tmp_path.glob("*.csv"))
 
@@ -378,7 +423,9 @@ class TestCommandLine:
         scen = tmp_path / "tiny.ini"
         scen.write_text(TINY)
         out_dir = tmp_path / "out"
-        argv = [a.format(scen=scen) for a in argv] + ["--out-dir", str(out_dir)]
+        argv = [a.format(scen=scen) for a in argv]
+        if argv[0] != "codebook":  # codebook writes no files
+            argv += ["--out-dir", str(out_dir)]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "must be at least 1, got 0" in captured.err

@@ -409,7 +409,7 @@ class TestBitMapping:
         pam = PamConfig(M=2)
         S = signal_stack(cb, pam)
         for row, (q, m) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]):
-            expected = pam_intensity(m, 2, 1, 1.0) * cb.entries[q - 1].entries
+            expected = pam_intensity(m, 2, 1) * cb.entries[q - 1].entries
             np.testing.assert_allclose(S[row], expected, rtol=1e-15)
         assert _index_to_bits(1, 5) == (0, 0, 0, 0, 1)
         assert _index_to_bits(2, 5) == (0, 0, 0, 1, 0)

@@ -48,12 +48,12 @@ W2LEX8 = W2FULL.subset(range(8), label="w2lex8")
 W2SEL_IDX = (2, 17, 28, 38, 45, 59, 65, 80)
 W2SEL8 = W2FULL.subset(W2SEL_IDX, label="w2sel8")
 COMBINED32 = combine_codebooks([FULL24, W2SEL8], label="combined32")
-M1 = PamConfig(M=1, I=1.0)
+M1 = PamConfig(M=1)
 
 
 def block_for(codebook, q, m, pam):
     entry = codebook.entries[q - 1]
-    a = pam_intensity(m, pam.M, entry.weight, pam.I)
+    a = pam_intensity(m, pam.M, entry.weight)
     return a * codebook.matrix_stack[q - 1]
 
 
@@ -187,7 +187,7 @@ class TestMlDetect:
         assert ml_index(Y, eye, FULL24, M1) == 2
 
     def test_intensity_levels_recovered(self):
-        pam = PamConfig(M=4, I=1.0)
+        pam = PamConfig(M=4)
         for q in (1, 30):
             for m in range(1, 5):
                 Y = H02 @ block_for(COMBINED32, q, m, pam)
@@ -280,25 +280,25 @@ class TestEstimateIntensity:
 
     @pytest.mark.parametrize("M", [2, 4])
     def test_csi_mode_inverts_exactly(self, M):
-        pam = PamConfig(M=M, I=1.0)
+        pam = PamConfig(M=M)
         Y, supports, m = _all_levels(COMBINED32, pam)
         np.testing.assert_array_equal(estimate_intensity_batch(Y, supports, pam, H02), m)
 
     def test_blind_mode_default_gain_close_enough(self):
-        pam = PamConfig(M=2, I=1.0)
+        pam = PamConfig(M=2)
         Y, supports, m = _all_levels(COMBINED32, pam)
         np.testing.assert_array_equal(estimate_intensity_batch(Y, supports, pam), m)
 
     # a unit gain matrix is the blind rule at gain 1: every support cell of a
     # weight-w entry collects w unit gains
     def test_midpoint_ties_to_lower_level(self):
-        pam = PamConfig(M=4, I=1.0)
-        step = pam_intensity(1, 4, 1, 1.0)
+        pam = PamConfig(M=4)
+        step = pam_intensity(1, 4, 1)
         Y = np.diag([1.5 * step] * 4)[None]
         assert estimate_intensity_batch(Y, np.eye(4)[None], pam, np.ones((4, 4)))[0] == 1
 
     def test_clipping(self):
-        pam = PamConfig(M=4, I=1.0)
+        pam = PamConfig(M=4)
         Y = np.stack([np.diag([99.0] * 4), np.diag([-99.0] * 4)])
         supports = np.stack([np.eye(4)] * 2)
         got = estimate_intensity_batch(Y, supports, pam, np.ones((4, 4)))
@@ -314,7 +314,7 @@ def test_default_profile_loaded_once(monkeypatch):
     channel.fixture_h02.cache_clear()
     channel.default_calibration_gain.cache_clear()
     try:
-        pam = PamConfig(M=4, I=1.0)
+        pam = PamConfig(M=4)
         for q in (1, 25, 32):
             Y = (H02 @ block_for(COMBINED32, q, 3, pam))[None]
             estimate_intensity_batch(Y, COMBINED32.matrix_stack[q - 1][None], pam)
@@ -345,14 +345,14 @@ class TestClassifyWeight:
         np.testing.assert_array_equal(got, 1)
 
     def test_noiseless_classification(self):
-        pam = PamConfig(M=2, I=1.0)
+        pam = PamConfig(M=2)
         Y = np.stack([H02 @ block_for(COMBINED32, q, 2, pam)
                       for q in range(1, COMBINED32.size + 1)])
         got = classify_weight_batch(Y, COMBINED32, "joint", pam, calibration=H02)
         np.testing.assert_array_equal(got, COMBINED32.weight_array)
 
     def test_joint_with_default_profile(self):
-        pam = PamConfig(M=1, I=1.0)
+        pam = PamConfig(M=1)
         qs = (1, 25, 32)
         Y = np.stack([H02 @ block_for(COMBINED32, q, 1, pam) for q in qs])
         got = classify_weight_batch(Y, COMBINED32, "joint", pam)
@@ -370,7 +370,7 @@ class TestClassifyWeight:
     def test_joint_batch_matches_per_block_rule(self):
         # per block: best support in each class, its level, its residual
         # against the h02 profile; the strict < keeps the lowest weight on ties
-        pam = PamConfig(M=2, I=1.0)
+        pam = PamConfig(M=2)
         rng = np.random.default_rng(31)
         qs = rng.integers(1, COMBINED32.size + 1, size=64)
         Y = np.stack([H02 @ block_for(COMBINED32, int(q), 2, pam) for q in qs])
@@ -382,7 +382,7 @@ class TestClassifyWeight:
                 stack = COMBINED32.matrix_stack[COMBINED32.weight_array == w]
                 P = stack[int(np.argmin([-(Y[b] * S).sum() for S in stack]))]
                 m = estimate_intensity_batch(Y[b][None], P[None], pam)[0]
-                res = float(((Y[b] - H02 @ (pam_intensity(m, 2, w, 1.0) * P)) ** 2).sum())
+                res = float(((Y[b] - H02 @ (pam_intensity(m, 2, w) * P)) ** 2).sum())
                 if res < best_res:
                     best_w, best_res = w, res
             assert got[b] == best_w
@@ -542,7 +542,7 @@ class TestIterativeSd:
     ], ids=["combined32", "combined32-M4-emax2", "combined32-joint", "w2sel8", "w2sel8-emax1",
             "full24-M2", "cb1", "cb1-M4-emax1"])
     def test_matches_per_block_reference(self, book, M, e_max, mode):
-        pam = PamConfig(M=M, I=1.0)
+        pam = PamConfig(M=M)
         rng = np.random.default_rng(M + (e_max or 0) + book.size)
         fallbacks = 0
         for sigma in (5e-6, 2e-5, 6e-5):
@@ -666,29 +666,29 @@ class TestBaselines:
     """Row v of each baseline's `signals` is the symbol labelled v."""
 
     def test_rc_roundtrip_all_symbols(self):
-        cfg = RcConfig(L=4, M=16, I=1.0)
+        cfg = RcConfig(L=4, M=16)
         assert cfg.signals.shape == (16, 4)
         got = rc_detect_batch(cfg.signals @ H02.T, H02, cfg)
         assert [_index_to_bits(int(v), cfg.bits) for v in got] == [label(v, 4) for v in range(16)]
 
     def test_sm_roundtrip_all_symbols(self):
-        cfg = SmConfig(L=4, M=4, I=1.0)
+        cfg = SmConfig(L=4, M=4)
         assert cfg.signals.shape == (16, 4)
         got = sm_detect_batch(cfg.signals @ H02.T, H02, cfg)
         assert [_index_to_bits(int(v), cfg.bits) for v in got] == [label(v, 4) for v in range(16)]
 
     def test_rc_slot_power_matches_mean_intensity(self):
-        cfg = RcConfig(L=4, M=16, I=1.0)
+        cfg = RcConfig(L=4, M=16)
         totals = cfg.signals.sum(axis=1)
         assert np.all(np.diff(totals) > 0)  # row v is level v + 1
         assert np.mean(totals) == pytest.approx(1.0)
 
     def test_sm_single_active_led(self):
         # the leading bits pick the LED, the trailing bits the level
-        cfg = SmConfig(L=4, M=4, I=1.0)
+        cfg = SmConfig(L=4, M=4)
         for value, s in enumerate(cfg.signals):
             assert np.flatnonzero(s).tolist() == [value // 4]
-            assert s[value // 4] == pytest.approx(pam_intensity(value % 4 + 1, 4, 1, 1.0))
+            assert s[value // 4] == pytest.approx(pam_intensity(value % 4 + 1, 4, 1))
 
     def test_rc_requires_power_of_two(self):
         with pytest.raises(ValueError):
