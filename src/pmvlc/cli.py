@@ -65,9 +65,9 @@ def codebook_report(L: int, weights, M: int = 1) -> str:
     lines.append(f"bits per block (M={M}): {bits_block}")
     lines.append(f"bits per symbol: {np.log2(q * M) / L:.4g}")
     lines.append("entries:")
-    for idx, entry in enumerate(combined.entries, 1):
-        comps = " + ".join(map(str, entry.components))
-        lines.append(f"  {idx:4d}  w={entry.weight}  {comps}")
+    for idx, (w, comps) in enumerate(zip(combined.weight_array.tolist(),
+                                         combined.component_texts(" + ")), 1):
+        lines.append(f"  {idx:4d}  w={w}  {comps}")
     return "\n".join(lines)
 
 

@@ -8,13 +8,16 @@ A codebook is a deduplicated, canonically ordered list of such matrices for
 one or more weights; its first signaling_count(M) (entry, level) pairs carry
 data.
 
-A matrix is identified by its cell bitmask, a Python int with bit r*L + c - 1
-set for symbol c in row r: equality, hashing and deduplication compare these
-ints, and the uint8 entry array is unpacked from the mask only when read.
-Enumeration walks one cached lexicographic permutation table, the same
-table detectors.murty_iter ranks assignments over, and builds each matrix once
-from the first codeword set that sums to it: that set is its canonical
-decomposition.
+A matrix is identified by its cell bitmask, with bit r*L + c - 1 set for
+symbol c in row r: a Python int on a CodewordMatrix, little-endian bytes in
+a Codebook's key array.  Equality, hashing and deduplication compare these
+masks, and the uint8 entry arrays are unpacked from them only when read.
+A Codebook holds arrays, not objects: each entry's mask and the rows of its
+components in a sorted codeword table.  Enumeration extends index tuples
+over one cached lexicographic permutation table, the same table
+detectors.murty_iter ranks assignments over, with numpy, and keeps the first
+tuple that sums to each matrix: that tuple is its canonical decomposition.
+CodewordMatrix objects are built only when a book's ``entries`` are read.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ class CodewordMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        e = _unpack_keys([self.key], self.L)[0]
+        e = _unpack_keys(_key_bytes([self.key], self.L), self.L)[0]
         e.setflags(write=False)
         return e
 
@@ -213,83 +216,101 @@ class CodewordMatrix:
         return cls(tuple(given.get(p) or Codeword(p) for p in _canonical_components(cm.key, cm.L)))
 
 
-def _unpack_keys(keys, L: int) -> np.ndarray:
-    # (len(keys), L, L) uint8 cells of the given cell bitmasks, one unpack
+def _key_bytes(keys, L: int) -> np.ndarray:
+    # (len(keys), ceil(L*L / 8)) little-endian bytes of the given cell bitmasks
     n = (L * L + 7) // 8
-    buf = np.frombuffer(b"".join(k.to_bytes(n, "little") for k in keys), dtype=np.uint8)
-    bits = np.unpackbits(buf.reshape(-1, n), axis=1, count=L * L, bitorder="little")
-    return bits.reshape(-1, L, L)
+    return np.frombuffer(b"".join(k.to_bytes(n, "little") for k in keys), dtype=np.uint8).reshape(-1, n)
 
 
-def _disjoint_sets(w: int, allowed: int, compat: list[int]):
-    # Ascending index tuples of w permutations from the bitmask `allowed`
-    # that pairwise differ in every position, in lexicographic order;
-    # compat[j] masks the higher-index permutations that differ from j
-    # everywhere.
-    while allowed:
-        j = (allowed & -allowed).bit_length() - 1
-        allowed &= allowed - 1
-        if w == 1:
-            yield (j,)
-        else:
-            for rest in _disjoint_sets(w - 1, allowed & compat[j], compat):
-                yield (j,) + rest
+def _unpack_keys(keys: np.ndarray, L: int) -> np.ndarray:
+    # (len(keys), L, L) uint8 cells of the given key bytes, one unpack
+    return np.unpackbits(keys, axis=1, count=L * L, bitorder="little").reshape(-1, L, L)
 
 
 def enumerate_weight_w(L: int, w: int) -> "Codebook":
     """All weight-w matrices built from w pairwise distance-L codewords.
 
-    Distinct codeword sets can sum to the same matrix, so results are
-    deduplicated on the matrix itself.  Sets are met in lexicographic order,
-    so the first set that sums to a matrix is its canonical (lexicographically
-    smallest) decomposition, and first-seen order is the canonical order.
+    Ascending index tuples into permutation_table(L) grow one codeword at a
+    time, and a tuple's matrix is the OR of its codewords' cell masks.
+    Distinct tuples can sum to one matrix, so only the first per mask is
+    kept: tuples are met in lexicographic order, so it is the canonical
+    (lexicographically smallest) decomposition, and first-seen order is the
+    canonical order.
     """
     if not 2 <= L <= ENUMERATION_MAX_L:
         raise ValueError(f"L must be in 2..{ENUMERATION_MAX_L}")
     if not 1 <= w <= L - 1:
         raise ValueError(f"w must be in 1..{L - 1}")
-    table, perms = permutation_table(L)
-    far = np.triu((table[:, None, :] != table[None, :, :]).all(axis=2), 1)
-    compat = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-              for row in far]
-    codewords = [Codeword(p) for p in perms]
-    cells = [cw.cells for cw in codewords]
-    first: dict[int, tuple[int, ...]] = {}
-    for idx in _disjoint_sets(w, (1 << len(perms)) - 1, compat):
-        first.setdefault(sum(cells[i] for i in idx), idx)  # disjoint, so sum is union
-    entries = tuple(CodewordMatrix(tuple(codewords[i] for i in idx)) for idx in first.values())
-    return Codebook(L=L, entries=entries, label=f"P({L},{len(entries)},w={w})")
+    table, _ = permutation_table(L)
+    P = len(table)
+    far = np.ones((P, P), dtype=bool)
+    for col in table.T:
+        far &= col[:, None] != col[None, :]
+    later_far = np.triu(far, 1)
+    cells = np.bitwise_or.reduce(np.uint64(1) << (L * np.arange(L) + table).astype(np.uint64), axis=1)
+    keys, tuples = [], []
+    for lo in range(0, P, 32):  # 32 first codewords at a time bound the tuples held
+        tup = np.arange(lo, min(lo + 32, P))[:, None]
+        key = cells[lo:lo + 32]
+        for _ in range(w - 1):
+            # extend each tuple by every later codeword far from all of its own
+            rows, nxt = np.nonzero(later_far[tup].all(axis=1))
+            tup, key = np.column_stack((tup[rows], nxt)), key[rows] | cells[nxt]
+        first = np.sort(np.unique(key, return_index=True)[1])
+        keys.append(key[first])
+        tuples.append(tup[first])
+    key, tup = np.concatenate(keys), np.concatenate(tuples)
+    first = np.sort(np.unique(key, return_index=True)[1])
+    key_bytes = key[first].astype("<u8").view(np.uint8).reshape(-1, 8)[:, :(L * L + 7) // 8]
+    return Codebook(L, arrays=(table, tup[first], key_bytes), label=f"P({L},{len(first)},w={w})")
 
 
-@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Ordered collection of codeword matrices sharing one block length L."""
+    """Ordered collection of codeword matrices sharing one block length L.
 
-    L: int
-    entries: tuple[CodewordMatrix, ...]
-    label: str = ""
+    Held as arrays for every L: ``codewords``, a sorted (P, L) table of
+    0-based permutations (permutation_table(L) for an enumerated book);
+    ``components``, the (Q, w_max) table rows each entry sums, -1 past its
+    weight; ``keys``, the (Q, ceil(L*L / 8)) little-endian bytes of each
+    entry's cell bitmask.  ``entries``, one CodewordMatrix per entry, is
+    built on first read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+    def __init__(self, L: int, entries=(), label: str = "", *, arrays=None):
+        """From CodewordMatrix entries, or from arrays = (codewords, components, keys)."""
+        if arrays is None:
+            entries = tuple(entries)
+            if any(cm.L != L for cm in entries):
+                raise ValueError("entry size mismatch")
+            table = sorted({cw.symbols for cm in entries for cw in cm.components})
+            row = {p: i for i, p in enumerate(table)}
+            width = max((cm.weight for cm in entries), default=1)
+            comps = [[row[cw.symbols] for cw in cm.components] + [-1] * (width - cm.weight) for cm in entries]
+            arrays = (np.array(table, dtype=np.intp).reshape(-1, L) - 1,
+                      np.array(comps, dtype=np.intp).reshape(-1, width), _key_bytes((cm.key for cm in entries), L))
+            self.__dict__["entries"] = entries
+        codewords, components, keys = arrays
+        if not len(components):
             raise ValueError("codebook must contain at least one entry")
-        if any(cm.L != self.L for cm in self.entries):
-            raise ValueError("entry size mismatch")
-        if len({cm.key for cm in self.entries}) != len(self.entries):
+        keys = np.ascontiguousarray(keys)
+        if len(np.unique(keys.view(f"V{keys.shape[1]}"))) != len(keys):
             raise ValueError("duplicate matrix in codebook")
+        for a in (codewords, components, keys):
+            a.setflags(write=False)
+        self.L, self.codewords, self.components, self.keys, self.label = L, codewords, components, keys, label
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.components)
 
     @cached_property
     def weights_present(self) -> tuple[int, ...]:
-        return tuple(sorted({cm.weight for cm in self.entries}))
+        return tuple(np.unique(self.weight_array).tolist())
 
     def bits_per_block(self, M: int = 1) -> int:
         if M < 1:
             raise ValueError("M must be at least 1")
-        return int(math.floor(math.log2(self.size * M)))
+        return (self.size * M).bit_length() - 1
 
     def signaling_count(self, M: int = 1) -> int:
         """Number of (entry, level) pairs that carry data: the largest power of two."""
@@ -297,15 +318,34 @@ class Codebook:
 
     @cached_property
     def matrix_stack(self) -> np.ndarray:
-        s = _unpack_keys([cm.key for cm in self.entries], self.L).astype(np.float64)
+        s = _unpack_keys(self.keys, self.L).astype(np.float64)
         s.setflags(write=False)
         return s
 
     @cached_property
     def weight_array(self) -> np.ndarray:
-        w = np.array([cm.weight for cm in self.entries], dtype=np.int64)
+        w = (self.components >= 0).sum(axis=1, dtype=np.int64)
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def _codewords(self) -> tuple[Codeword, ...]:
+        return tuple(Codeword(tuple(p)) for p in (self.codewords + 1).tolist())
+
+    @cached_property
+    def entries(self) -> tuple[CodewordMatrix, ...]:
+        cws = self._codewords
+        return tuple(CodewordMatrix(tuple(cws[j] for j in row[:w]))
+                     for row, w in zip(self.components.tolist(), self.weight_array.tolist()))
+
+    def component_texts(self, sep: str) -> list[str]:
+        """Each entry's component codewords as text, joined by sep."""
+        text = np.array([str(cw) for cw in self._codewords], dtype=object)
+        out = np.empty(self.size, dtype=object)
+        for w in self.weights_present:
+            idx = self.weight_class_indices(w)
+            out[idx] = [sep.join(r) for r in text[self.components[idx, :w]].tolist()]
+        return out.tolist()
 
     @cached_property
     def _class_indices(self) -> dict[int, np.ndarray]:
@@ -325,16 +365,19 @@ class Codebook:
         of the entries with that canonical component in that slot}."""
         table = {}
         for w in self.weights_present:
+            idx = self.weight_class_indices(w)
             slots = [{} for _ in range(w)]
-            for i in self.weight_class_indices(w).tolist():
-                for slot, cw in zip(slots, self.entries[i].components):
-                    slot.setdefault(cw.symbols, []).append(i)
-            table[w] = tuple(MappingProxyType({p: tuple(ix) for p, ix in s.items()}) for s in slots)
+            for i, row in zip(idx.tolist(), self.components[idx, :w].tolist()):
+                for slot, j in zip(slots, row):
+                    slot.setdefault(j, []).append(i)
+            table[w] = tuple(MappingProxyType({self._codewords[j].symbols: tuple(ix) for j, ix in s.items()})
+                             for s in slots)
         return MappingProxyType(table)
 
     def subset(self, indices, label: str = "") -> "Codebook":
-        picked = tuple(self.entries[int(i)] for i in indices)
-        return Codebook(L=self.L, entries=picked, label=label or self.label)
+        idx = np.asarray(indices, dtype=np.intp)
+        return Codebook(self.L, arrays=(self.codewords, self.components[idx], self.keys[idx]),
+                        label=label or self.label)
 
 
 def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str = "") -> Codebook:
@@ -345,19 +388,24 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
     L = parts[0].L
     if any(p.L != L for p in parts):
         raise ValueError("codebooks must share the block length")
-    entries = [cm for p in parts for cm in p.entries]
-    entries.sort(key=lambda cm: (cm.weight, [c.symbols for c in cm.components]))
-    return Codebook(L=entries[0].L, entries=tuple(entries), label=label)
+    # one sorted codeword table, so index tuples sort as their codewords do
+    table, inverse = np.unique(np.concatenate([p.codewords for p in parts]), axis=0, return_inverse=True)
+    comps = np.full((sum(p.size for p in parts), max(p.components.shape[1] for p in parts)), -1, dtype=np.intp)
+    q = offset = 0
+    for p in parts:
+        c = p.components
+        comps[q:q + p.size, :c.shape[1]] = np.where(c >= 0, inverse[offset + c], -1)
+        q, offset = q + p.size, offset + len(p.codewords)
+    order = np.lexsort((*comps.T[::-1], (comps >= 0).sum(axis=1)))
+    keys = np.concatenate([p.keys for p in parts])[order]
+    return Codebook(L, arrays=(table, comps[order], keys), label=label)
 
 
 def export_text(codebook: Codebook) -> str:
     """One line per entry: weight, then the component codewords as digit
     strings (comma-separated symbols for L >= 10)."""
-    lines = []
-    for cm in codebook.entries:
-        comps = " ".join(str(c) for c in cm.components)
-        lines.append(f"{cm.weight} {comps}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{w} {comps}\n" for w, comps in
+                   zip(codebook.weight_array.tolist(), codebook.component_texts(" ")))
 
 
 def import_text(text: str, label: str = "") -> Codebook:

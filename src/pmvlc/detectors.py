@@ -78,7 +78,7 @@ def _decision(q: int, m: int, codebook: Codebook, pam: PamConfig, cost: float,
     index = (q - 1) * pam.M + (m - 1)
     width = codebook.bits_per_block(pam.M)
     bits = _index_to_bits(index, width) if index < 2 ** width else None
-    return DetectionResult(q=q, m=m, w=codebook.entries[q - 1].weight, bits=bits, cost=cost,
+    return DetectionResult(q=q, m=m, w=int(codebook.weight_array[q - 1]), bits=bits, cost=cost,
                            iterations=iterations, op_count=op_count)
 
 

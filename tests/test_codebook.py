@@ -1,6 +1,7 @@
 """Codebook construction, counting, and bit-mapping tests."""
 
 import dataclasses
+import gc
 import math
 from itertools import combinations, permutations, product
 
@@ -67,6 +68,23 @@ def scan_canonical_components(entries):
         for r, c in enumerate(p):
             remaining[r][c] = False
     return tuple(comps)
+
+
+def brute_force_enumeration(L, w):
+    # Independent oracle for the enumeration kernel: every ascending w-set of
+    # itertools permutations that pairwise differ in every position, in
+    # itertools.combinations order, keeping the first set per cell mask.
+    perms = list(permutations(range(1, L + 1)))
+    first = {}
+    for combo in combinations(perms, w):
+        if all(all(x != y for x, y in zip(a, b)) for a, b in combinations(combo, 2)):
+            mask = sum(1 << (r * L + c - 1) for p in combo for r, c in enumerate(p))
+            first.setdefault(mask, combo)
+    return list(first), list(first.values())
+
+
+def book_keys(book):
+    return [int.from_bytes(k.tobytes(), "little") for k in book.keys]
 
 
 def cell_count_oracle(book):
@@ -303,6 +321,27 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_weight_w(7, 1)
 
+    @pytest.mark.parametrize("L, w", [(4, 1), (4, 2), (4, 3), (5, 2), (5, 3)])
+    def test_matches_brute_force_first_set_per_mask(self, L, w):
+        keys, sets = brute_force_enumeration(L, w)
+        book = enumerate_weight_w(L, w)
+        assert book_keys(book) == keys
+        table = [tuple(p) for p in (book.codewords + 1).tolist()]
+        assert [tuple(table[j] for j in row) for row in book.components.tolist()] == sets
+        assert [tuple(c.symbols for c in cm.components) for cm in book.entries] == sets
+        assert [cm.key for cm in book.entries] == keys
+
+    def test_holds_arrays_not_objects(self):
+        # enumerating, combining and reading the decoder tables of the
+        # L = 6 book builds no per-entry Python object
+        gc.collect()
+        before = len(gc.get_objects())
+        book = combine_codebooks([enumerate_weight_w(6, 2), enumerate_weight_w(6, 1)])
+        assert book.size == 67950 + 720
+        book.matrix_stack, book.weight_array, book.slot_table
+        gc.collect()
+        assert len(gc.get_objects()) - before < 5000
+
     def test_weight2_L3(self):
         # Distance-3 partners of each L=3 permutation are its two cyclic
         # shifts; the sums collapse to the complements of single permutations.
@@ -328,6 +367,29 @@ class TestCombine:
         w2 = enumerate_weight_w(4, 2)
         both = combine_codebooks([w2.subset(range(4)), w1])
         assert [cm.weight for cm in both.entries] == [1] * 24 + [2] * 4
+
+    @pytest.mark.parametrize("L", [4, 5])
+    def test_sorts_parts_given_out_of_order(self, L):
+        w1, w2, w3 = (enumerate_weight_w(L, w) for w in (1, 2, 3))
+        shuffled = [w3.subset(range(w3.size - 1, -1, -1)),
+                    w1.subset(np.random.default_rng(L).permutation(w1.size)),
+                    w2.subset(range(w2.size - 1, -1, -1))]
+        both = combine_codebooks(shuffled)
+        expected = sorted((cm for part in shuffled for cm in part.entries),
+                          key=lambda cm: (cm.weight, [c.symbols for c in cm.components]))
+        assert [tuple(c.symbols for c in cm.components) for cm in both.entries] == \
+            [tuple(c.symbols for c in cm.components) for cm in expected]
+        assert book_keys(both) == [cm.key for cm in expected]
+        assert both.weight_array.tolist() == [cm.weight for cm in expected]
+        assert export_text(both) == export_text(combine_codebooks([w1, w2, w3]))
+
+    def test_merges_codeword_tables_of_imported_parts(self):
+        # imported books each hold only the codewords they use, so the
+        # combined order must come from the codewords, not the table rows
+        a = import_text("1 4321\n1 2143\n")
+        b = import_text("1 3412\n2 1234 2143\n1 1243\n")
+        both = combine_codebooks([a, b])
+        assert export_text(both) == "1 1243\n1 2143\n1 3412\n1 4321\n2 1234 2143\n"
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -428,6 +490,16 @@ class TestBitMapping:
                 link, decode=lambda Y, tx, rng, v=wrong: (np.full(len(tx), v), 0))
             errors, blocks, _ = analysis._simulate_batch(config, off, 1e-40, 0, 0)
             assert errors == 4 * blocks
+
+    @pytest.mark.parametrize("bits", [49, 53, 60, 64])
+    def test_bit_count_is_exact_for_any_label_width(self, bits):
+        # one entry and M = 2**bits - 1 pairs: the largest power of two
+        # not above that is 2**(bits - 1), which a float log2 rounds past
+        cb = enumerate_weight_w(4, 1).subset([0])
+        M = 2 ** bits - 1
+        assert cb.bits_per_block(M) == bits - 1
+        assert cb.signaling_count(M) <= cb.size * M < 2 * cb.signaling_count(M)
+        assert cb.bits_per_block(M + 1) == bits
 
     def test_truncation_to_power_of_two(self):
         cb = enumerate_weight_w(4, 1)
