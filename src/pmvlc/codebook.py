@@ -293,7 +293,7 @@ class Codebook:
         if not len(components):
             raise ValueError("codebook must contain at least one entry")
         keys = np.ascontiguousarray(keys)
-        if len(np.unique(keys.view(f"V{keys.shape[1]}"))) != len(keys):
+        if len(np.unique(keys.view(f"V{keys.shape[1]}"), return_index=True)[1]) != len(keys):
             raise ValueError("duplicate matrix in codebook")
         for a in (codewords, components, keys):
             a.setflags(write=False)
@@ -305,7 +305,7 @@ class Codebook:
 
     @cached_property
     def weights_present(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.weight_array).tolist())
+        return tuple(sorted(set(self.weight_array.tolist())))
 
     def bits_per_block(self, M: int = 1) -> int:
         if M < 1:
@@ -375,7 +375,7 @@ class Codebook:
         return MappingProxyType(table)
 
     def subset(self, indices, label: str = "") -> "Codebook":
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.fromiter(indices, dtype=np.intp)
         return Codebook(self.L, arrays=(self.codewords, self.components[idx], self.keys[idx]),
                         label=label or self.label)
 
