@@ -227,6 +227,33 @@ def _unpack_keys(keys: np.ndarray, L: int) -> np.ndarray:
     return np.unpackbits(keys, axis=1, count=L * L, bitorder="little").reshape(-1, L, L)
 
 
+def _grow(tup: np.ndarray, key: np.ndarray, w: int, later_far: np.ndarray, cells: np.ndarray):
+    # Yields, in lexicographic order, pieces of the ascending w-tuples that
+    # extend the rows of tup, with their cell masks.  Row j of later_far
+    # packs, as little-endian uint64 words, the later codewords that differ
+    # from j everywhere.  Rows are extended 1024 at a time, so the arrays
+    # held at once stay bounded at any w.
+    if tup.shape[1] == w:
+        yield tup, key
+        return
+    for lo in range(0, len(tup), 1024):
+        t = tup[lo:lo + 1024]
+        # every later codeword that differs everywhere from all of the row's
+        fits = np.bitwise_and.reduce(later_far[t], axis=1)
+        rows, word = np.nonzero(fits)
+        hit, bit = np.nonzero(np.unpackbits(fits[rows, word].view(np.uint8).reshape(-1, 8),
+                                            axis=1, bitorder="little"))
+        rows, nxt = rows[hit], (word[hit] * 64 + bit).astype(np.int16)  # L! <= 720
+        yield from _grow(np.column_stack((t[rows], nxt)), key[lo:lo + 1024][rows] | cells[nxt],
+                         w, later_far, cells)
+
+
+def _first_per_mask(keys: list, tuples: list) -> tuple[list, list]:
+    key, tup = np.concatenate(keys), np.concatenate(tuples)
+    first = np.sort(np.unique(key, return_index=True)[1])
+    return [key[first]], [tup[first]]
+
+
 def enumerate_weight_w(L: int, w: int) -> "Codebook":
     """All weight-w matrices built from w pairwise distance-L codewords.
 
@@ -246,23 +273,19 @@ def enumerate_weight_w(L: int, w: int) -> "Codebook":
     far = np.ones((P, P), dtype=bool)
     for col in table.T:
         far &= col[:, None] != col[None, :]
-    later_far = np.triu(far, 1)
     cells = np.bitwise_or.reduce(np.uint64(1) << (L * np.arange(L) + table).astype(np.uint64), axis=1)
+    later_far = np.packbits(np.triu(far, 1), axis=1, bitorder="little")
+    later_far = np.pad(later_far, ((0, 0), (0, -later_far.shape[1] % 8))).view("<u8")
     keys, tuples = [], []
-    for lo in range(0, P, 32):  # 32 first codewords at a time bound the tuples held
-        tup = np.arange(lo, min(lo + 32, P))[:, None]
-        key = cells[lo:lo + 32]
-        for _ in range(w - 1):
-            # extend each tuple by every later codeword far from all of its own
-            rows, nxt = np.nonzero(later_far[tup].all(axis=1))
-            tup, key = np.column_stack((tup[rows], nxt)), key[rows] | cells[nxt]
-        first = np.sort(np.unique(key, return_index=True)[1])
-        keys.append(key[first])
-        tuples.append(tup[first])
-    key, tup = np.concatenate(keys), np.concatenate(tuples)
-    first = np.sort(np.unique(key, return_index=True)[1])
-    key_bytes = key[first].astype("<u8").view(np.uint8).reshape(-1, 8)[:, :(L * L + 7) // 8]
-    return Codebook(L, arrays=(table, tup[first], key_bytes), label=f"P({L},{len(first)},w={w})")
+    for tup, key in _grow(np.arange(P, dtype=np.int16)[:, None], cells, w, later_far, cells):
+        keys.append(key)
+        tuples.append(tup)
+        # drop repeats now and then; 2**19 tops the largest book, L = 6, w = 3 (297 200)
+        if sum(map(len, keys)) > 1 << 19:
+            keys, tuples = _first_per_mask(keys, tuples)
+    (key,), (tup,) = _first_per_mask(keys, tuples)
+    key_bytes = key.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :(L * L + 7) // 8]
+    return Codebook(L, arrays=(table, tup.astype(np.intp), key_bytes), label=f"P({L},{len(key)},w={w})")
 
 
 class Codebook:
