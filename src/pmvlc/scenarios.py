@@ -50,7 +50,8 @@ W2SEL_IDX = (2, 17, 28, 38, 45, 59, 65, 80)
 
 
 def codebook_from_permutations(perms, label: str = "") -> Codebook:
-    return Codebook(len(perms[0]), [CodewordMatrix((Codeword(tuple(p)),)) for p in perms], label)
+    entries = tuple(CodewordMatrix.from_components((Codeword(tuple(p)),)) for p in perms)
+    return Codebook(L=len(perms[0]), entries=entries, label=label)
 
 
 def _build_full24() -> Codebook:
