@@ -15,18 +15,16 @@ from collections import Counter
 
 import numpy as np
 
-from pmvlc.analysis import ber_union_bound
+from pmvlc.analysis import ber_union_bound, squared_distances
 from pmvlc.channel import FIXTURES
-from pmvlc.detectors import received_means
 from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig
 
 
 def spectrum(codebook, pam, H):
-    # the signaling rows only, the pairs the union bound sums over
-    HS = received_means(codebook, pam, H)
-    return np.concatenate([((HS[i] - HS[i + 1:]) ** 2).sum(axis=(1, 2))
-                           for i in range(len(HS))])
+    # the signaling pairs the union bound sums over, each once
+    d2 = squared_distances(codebook, pam, H)
+    return d2[np.triu_indices(len(d2), 1)]
 
 
 def main() -> int:

@@ -82,18 +82,21 @@ def _check_finite(ebn0_grid):
         raise ValueError(f"Eb/N0 values must be finite, got {tuple(ebn0_grid)}")
 
 
+def squared_distances(codebook: Codebook, pam: PamConfig, H) -> np.ndarray:
+    """(n, n) squared distances ||H (S_i - S_j)||_F^2 between the received means
+    of the n signals that carry data, one row at a time: the full (n, n, L, L)
+    difference would be tens of MB at n = 512.  Exactly symmetric."""
+    HS = received_means(codebook, pam, H)
+    return np.stack([((HS[i] - HS) ** 2).sum(axis=(1, 2)) for i in range(len(HS))])
+
+
 def _pair_terms(codebook: Codebook, pam: PamConfig, H):
     """Bit distances and squared channel-space distances over all ordered
     signaling pairs with distinct labels."""
-    bits = codebook.bits_per_block(pam.M)
-    HS = received_means(codebook, pam, H)
-    n = len(HS)
-    labels = np.arange(n)
-    d_bits = bit_distance(labels[:, None], labels[None, :])[~np.eye(n, dtype=bool)]
-    # one row of distances per signal; the full (n, n, L, L) difference
-    # would be tens of MB at n = 512
-    d2 = np.stack([((HS[i] - HS) ** 2).sum(axis=(1, 2)) for i in range(n)])
-    return d_bits.astype(np.float64), d2[~np.eye(n, dtype=bool)], n, bits
+    d2 = squared_distances(codebook, pam, H)
+    labels, off = np.arange(len(d2)), ~np.eye(len(d2), dtype=bool)
+    d_bits = bit_distance(labels[:, None], labels[None, :])[off]
+    return d_bits.astype(np.float64), d2[off], len(d2), codebook.bits_per_block(pam.M)
 
 
 def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,

@@ -12,11 +12,11 @@ A matrix is identified by its cell bitmask, with bit r*L + c - 1 set for
 symbol c in row r: a Python int on a CodewordMatrix, little-endian bytes in
 a Codebook's key array.  Equality, hashing and deduplication compare these
 masks, and the uint8 entry arrays are unpacked from them only when read.
-A Codebook holds arrays, not objects: each entry's mask and the rows of its
-components in a sorted codeword table.  Enumeration extends index tuples
-over one cached lexicographic permutation table, the same table
-detectors.murty_iter ranks assignments over, with numpy, and keeps the first
-tuple that sums to each matrix: that tuple is its canonical decomposition.
+A Codebook is built from and holds arrays: each entry's mask and the rows
+of its components in a sorted codeword table.  Enumeration extends index
+tuples over one cached lexicographic permutation table (the one
+detectors.murty_iter ranks) with numpy and keeps the first tuple per
+matrix, its canonical decomposition; import peels each line's mask to it.
 CodewordMatrix objects are built only when a book's ``entries`` are read.
 """
 
@@ -153,6 +153,24 @@ def _canonical_components(key: int, L: int) -> list[tuple[int, ...]]:
     return comps
 
 
+def _matrix_key(codewords: tuple[Codeword, ...]) -> int:
+    # cell bitmask of the codewords' sum, checked to be a weight-w matrix
+    if not codewords:
+        raise ValueError("a codeword matrix needs at least one component")
+    L = codewords[0].length
+    key = 0
+    for cw in codewords:
+        if cw.length != L:
+            raise ValueError("component length mismatch")
+        key |= cw.cells
+    if not 1 <= len(codewords) <= L - 1:
+        raise ValueError(f"weight {len(codewords)} outside 1..{L - 1}")
+    # overlapping components collapse onto shared cells
+    if key.bit_count() != len(codewords) * L:
+        raise ValueError("overlapping components: codewords must pairwise differ in every position")
+    return key
+
+
 @dataclass(frozen=True, eq=False)
 class CodewordMatrix:
     """A weight-w 0/1 block: the disjoint sum of w permutation matrices.
@@ -173,20 +191,7 @@ class CodewordMatrix:
     def __post_init__(self):
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
-        if not comps:
-            raise ValueError("a codeword matrix needs at least one component")
-        L = comps[0].length
-        key = 0
-        for cw in comps:
-            if cw.length != L:
-                raise ValueError("component length mismatch")
-            key |= cw.cells
-        if not 1 <= len(comps) <= L - 1:
-            raise ValueError(f"weight {len(comps)} outside 1..{L - 1}")
-        # overlapping components collapse onto shared cells
-        if key.bit_count() != len(comps) * L:
-            raise ValueError("overlapping components: codewords must pairwise differ in every position")
-        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "key", _matrix_key(comps))
 
     @property
     def weight(self) -> int:
@@ -285,34 +290,21 @@ def enumerate_weight_w(L: int, w: int) -> "Codebook":
             keys, tuples = _first_per_mask(keys, tuples)
     (key,), (tup,) = _first_per_mask(keys, tuples)
     key_bytes = key.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :(L * L + 7) // 8]
-    return Codebook(L, arrays=(table, tup.astype(np.intp), key_bytes), label=f"P({L},{len(key)},w={w})")
+    return Codebook(L, table, tup.astype(np.intp), key_bytes, label=f"P({L},{len(key)},w={w})")
 
 
 class Codebook:
     """Ordered collection of codeword matrices sharing one block length L.
 
-    Held as arrays for every L: ``codewords``, a sorted (P, L) table of
-    0-based permutations (permutation_table(L) for an enumerated book);
-    ``components``, the (Q, w_max) table rows each entry sums, -1 past its
-    weight; ``keys``, the (Q, ceil(L*L / 8)) little-endian bytes of each
-    entry's cell bitmask.  ``entries``, one CodewordMatrix per entry, is
-    built on first read.
+    Built from, and held as, three arrays for every L: ``codewords``, a
+    sorted (P, L) table of 0-based permutations (permutation_table(L) for an
+    enumerated book); ``components``, the (Q, w_max) table rows each entry
+    sums, -1 past its weight; ``keys``, the (Q, ceil(L*L / 8)) little-endian
+    bytes of each entry's cell bitmask.  ``entries``, one CodewordMatrix per
+    entry, is built on first read.
     """
 
-    def __init__(self, L: int, entries=(), label: str = "", *, arrays=None):
-        """From CodewordMatrix entries, or from arrays = (codewords, components, keys)."""
-        if arrays is None:
-            entries = tuple(entries)
-            if any(cm.L != L for cm in entries):
-                raise ValueError("entry size mismatch")
-            table = sorted({cw.symbols for cm in entries for cw in cm.components})
-            row = {p: i for i, p in enumerate(table)}
-            width = max((cm.weight for cm in entries), default=1)
-            comps = [[row[cw.symbols] for cw in cm.components] + [-1] * (width - cm.weight) for cm in entries]
-            arrays = (np.array(table, dtype=np.intp).reshape(-1, L) - 1,
-                      np.array(comps, dtype=np.intp).reshape(-1, width), _key_bytes((cm.key for cm in entries), L))
-            self.__dict__["entries"] = entries
-        codewords, components, keys = arrays
+    def __init__(self, L: int, codewords, components, keys, label: str = ""):
         if not len(components):
             raise ValueError("codebook must contain at least one entry")
         keys = np.ascontiguousarray(keys)
@@ -399,8 +391,10 @@ class Codebook:
 
     def subset(self, indices, label: str = "") -> "Codebook":
         idx = np.fromiter(indices, dtype=np.intp)
-        return Codebook(self.L, arrays=(self.codewords, self.components[idx], self.keys[idx]),
-                        label=label or self.label)
+        outside = idx[(idx < 0) | (idx >= self.size)]
+        if len(outside):
+            raise ValueError(f"index {outside[0]} outside 0..{self.size - 1}")
+        return Codebook(self.L, self.codewords, self.components[idx], self.keys[idx], label or self.label)
 
 
 def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str = "") -> Codebook:
@@ -421,7 +415,7 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
         q, offset = q + p.size, offset + len(p.codewords)
     order = np.lexsort((*comps.T[::-1], (comps >= 0).sum(axis=1)))
     keys = np.concatenate([p.keys for p in parts])[order]
-    return Codebook(L, arrays=(table, comps[order], keys), label=label)
+    return Codebook(L, table, comps[order], keys, label)
 
 
 def export_text(codebook: Codebook) -> str:
@@ -432,7 +426,7 @@ def export_text(codebook: Codebook) -> str:
 
 
 def import_text(text: str, label: str = "") -> Codebook:
-    entries = []
+    keys, rows = [], []
     parsed: dict[str, Codeword] = {}  # one Codeword per distinct codeword text
     for raw in text.splitlines():
         line = raw.strip()
@@ -443,7 +437,15 @@ def import_text(text: str, label: str = "") -> Codebook:
         comps = tuple(parsed.get(f) or parsed.setdefault(f, Codeword.parse(f)) for f in fields[1:])
         if len(comps) != w:
             raise ValueError(f"line {line!r}: weight {w} but {len(comps)} codewords")
-        entries.append(CodewordMatrix.from_components(comps))
-    if not entries:
+        keys.append(_matrix_key(comps))
+        rows.append(_canonical_components(keys[-1], comps[0].length))
+    if not keys:
         raise ValueError("no codebook entries found")
-    return Codebook(L=entries[0].L, entries=tuple(entries), label=label)
+    L = len(rows[0][0])
+    if any(len(row[0]) != L for row in rows):
+        raise ValueError("entry size mismatch")
+    table = sorted({p for row in rows for p in row})
+    index = {p: i for i, p in enumerate(table)}
+    width = max(map(len, rows))
+    comps = np.array([[index[p] for p in row] + [-1] * (width - len(row)) for row in rows], dtype=np.intp)
+    return Codebook(L, np.array(table, dtype=np.intp) - 1, comps, _key_bytes(keys, L), label)

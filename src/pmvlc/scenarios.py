@@ -26,7 +26,7 @@ from .channel import (
     build_channel,
     square_grid_geometry,
 )
-from .codebook import Codebook, Codeword, CodewordMatrix, combine_codebooks, enumerate_weight_w
+from .codebook import Codebook, combine_codebooks, enumerate_weight_w, permutation_table
 from .detectors import RcConfig, SmConfig
 from .txcodec import PamConfig
 
@@ -47,11 +47,6 @@ CB2_PERMS = ((1, 2, 3, 4), (2, 1, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4),
 # far as the ML metric allows; slot components are all distinct, which the
 # assignment-walk decoder pays for with extra iterations
 W2SEL_IDX = (2, 17, 28, 38, 45, 59, 65, 80)
-
-
-def codebook_from_permutations(perms, label: str = "") -> Codebook:
-    entries = tuple(CodewordMatrix.from_components((Codeword(tuple(p)),)) for p in perms)
-    return Codebook(L=len(perms[0]), entries=entries, label=label)
 
 
 def _build_full24() -> Codebook:
@@ -80,8 +75,8 @@ CODEBOOKS = {
     "w2lex8": _build_w2lex8,
     "w2sel8": _build_w2sel8,
     "combined32": _build_combined32,
-    "cb1": lambda: codebook_from_permutations(CB1_PERMS, label="cb1"),
-    "cb2": lambda: codebook_from_permutations(CB2_PERMS, label="cb2"),
+    "cb1": lambda: enumerate_weight_w(4, 1).subset(map(permutation_table(4)[1].index, CB1_PERMS), "cb1"),
+    "cb2": lambda: enumerate_weight_w(4, 1).subset(map(permutation_table(4)[1].index, CB2_PERMS), "cb2"),
 }
 
 

@@ -17,6 +17,7 @@ from pmvlc.analysis import (
     monte_carlo_ber,
     pair_tail,
     qfunc,
+    squared_distances,
     write_ber_csv,
     write_bound_csv,
 )
@@ -138,6 +139,19 @@ class TestUnionBound:
         assert doubled == pytest.approx(2 * base, rel=1e-12)
         curve = ber_union_bound(PM16, M1, H02, [100.0])
         assert curve.values[0] == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 4])
+    def test_squared_distances_are_the_pairwise_mean_distances(self, M):
+        # one (n, n) matrix serves the bound and the distance script: exactly
+        # symmetric, zero on the diagonal, and each cell the direct sum
+        pam = PamConfig(M=M)
+        d2 = squared_distances(COMBINED32, pam, H02.H)
+        HS = H02.H @ signal_stack(COMBINED32, pam)[:COMBINED32.signaling_count(M)]
+        assert d2.shape == (len(HS), len(HS))
+        np.testing.assert_array_equal(d2, d2.T)
+        np.testing.assert_array_equal(np.diag(d2), 0.0)
+        for i, j in ((0, 1), (3, 17), (len(HS) - 1, 5)):
+            assert d2[i, j] == pytest.approx(((HS[i] - HS[j]) ** 2).sum(), rel=1e-12)
 
     def test_dominates_simulated_ml(self):
         # no inert entries in this codebook, so the union bound must sit

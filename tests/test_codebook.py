@@ -14,7 +14,6 @@ from pmvlc import analysis
 from pmvlc.analysis import SimConfig
 from pmvlc.channel import fixture_h02
 from pmvlc.codebook import (
-    Codebook,
     Codeword,
     CodewordMatrix,
     codeword_to_matrix,
@@ -401,6 +400,24 @@ class TestCombine:
             combine_codebooks([w1, w1.subset([0])])
 
 
+class TestSubset:
+    def test_takes_entries_in_the_given_order(self):
+        w1 = enumerate_weight_w(4, 1)
+        part = w1.subset(iter([23, 0, 5]), label="part")
+        assert part.label == "part" and part.size == 3
+        assert part.entries == (w1.entries[23], w1.entries[0], w1.entries[5])
+
+    @pytest.mark.parametrize("indices, bad", [([-1], -1), ([0, 24], 24), ([3, -24, 99], -24)])
+    def test_rejects_an_index_outside_the_book(self, indices, bad):
+        # a negative index would wrap to an entry from the end
+        with pytest.raises(ValueError, match=rf"^index {bad} outside 0\.\.23$"):
+            enumerate_weight_w(4, 1).subset(indices)
+
+    def test_rejects_an_empty_selection(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            enumerate_weight_w(4, 1).subset([])
+
+
 class TestLookupTables:
     BOOKS = [
         enumerate_weight_w(4, 1),
@@ -531,6 +548,37 @@ class TestExportImport:
         with pytest.raises(ValueError):
             import_text("0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("2 1234 1243\n", "overlapping components: codewords must pairwise differ in every position"),
+        ("2 1234 213\n", "component length mismatch"),
+        ("1 123\n1 1234\n", "entry size mismatch"),
+        ("1 1224\n", "not a permutation of 1..4: (1, 2, 2, 4)"),
+        ("1 1234\n2 1234 2143\n1 1234\n", "duplicate matrix in codebook"),
+        ("2 12 21\n", "weight 2 outside 1..1"),
+        ("1 1234 2143\n", "line '1 1234 2143': weight 1 but 2 codewords"),
+        ("", "no codebook entries found"),
+        ("# a comment\n\n   \n", "no codebook entries found"),
+    ], ids=["overlap", "length-in-line", "length-across-lines", "not-permutation", "duplicate",
+            "weight-L", "count-mismatch", "empty", "comment-only"])
+    def test_rejected_input(self, text, message):
+        with pytest.raises(ValueError) as err:
+            import_text(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_reversed_components_import_to_the_enumerated_book(self, w):
+        # each line's components written in reverse still import to the
+        # canonical decomposition, the enumerated book's arrays
+        book = enumerate_weight_w(5, w)
+        text = "".join(f"{w} {' '.join(line.split()[:0:-1])}\n" for line in export_text(book).splitlines())
+        assert text != export_text(book)
+        back = import_text(text)
+        assert back.keys.tobytes() == book.keys.tobytes()
+        table = [tuple(p) for p in book.codewords.tolist()]
+        assert [[tuple(p) for p in back.codewords[row].tolist()] for row in back.components] == \
+            [[table[j] for j in row] for row in book.components.tolist()]
+        assert export_text(back) == export_text(book)
+
     def test_imports_blocks_beyond_the_enumeration_limit(self):
         # L = 7 is never enumerated, but an imported entry is still stored
         # under its canonical decomposition
@@ -544,10 +592,10 @@ class TestExportImport:
         # symbols), so symbols are written comma-separated
         reverse = Codeword(tuple(range(10, 0, -1)))
         shifts = cyclic_latin_codebook(tuple(range(1, 11)))
-        cb = Codebook(L=10, entries=(
-            codeword_to_matrix(reverse),
-            CodewordMatrix.from_components((shifts[0], shifts[5])),
-        ))
+        cb = import_text("".join(f"{len(cws)} {' '.join(','.join(map(str, cw.symbols)) for cw in cws)}\n"
+                                 for cws in ((reverse,), (shifts[5], shifts[0]))))
+        assert cb.entries == (codeword_to_matrix(reverse),
+                              CodewordMatrix.from_components((shifts[0], shifts[5])))
         text = export_text(cb)
         assert text.splitlines()[0] == "1 10,9,8,7,6,5,4,3,2,1"
         back = import_text(text)

@@ -15,11 +15,9 @@ from pmvlc import channel, detectors
 from pmvlc.channel import fixture_h02
 from pmvlc.codebook import (
     ENUMERATION_MAX_L,
-    Codebook,
-    Codeword,
-    CodewordMatrix,
     combine_codebooks,
     enumerate_weight_w,
+    permutation_table,
 )
 from pmvlc.detectors import (
     RcConfig,
@@ -58,8 +56,10 @@ def block_for(codebook, q, m, pam):
 
 
 def perm_codebook(perms):
-    entries = [CodewordMatrix.from_components([Codeword(p)]) for p in perms]
-    return Codebook(L=4, entries=tuple(entries), label="restricted")
+    # the weight-1 entries of the given permutations, in the given order
+    book = FULL24.subset(map(permutation_table(4)[1].index, perms), label="restricted")
+    assert [cm.components[0].symbols for cm in book.entries] == list(perms)
+    return book
 
 
 def brute_force_all(C):
