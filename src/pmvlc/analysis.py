@@ -138,9 +138,9 @@ class SimConfig:
     """Everything one BER sweep needs, already resolved to objects.
 
     Each field's default is the library default, and __post_init__ is the
-    one check of each setting.  calibration is the gain matrix the blind
-    detectors' level and weight decisions take as channel knowledge; None
-    leaves them blind (see pmvlc.detectors).
+    one check of each setting.  calibration is the blind detectors' channel
+    knowledge (CSI): its sum is their level scale and it is the joint weight
+    rule's reference channel; None leaves them blind (see _link).
     """
 
     scheme: str
@@ -209,12 +209,12 @@ class _Link:
     decode: Callable
 
 
-def _decide_per_block(detect, Y, weights, M: int):
-    # detectors without a batch kernel yet: one call per block
+def _decide_per_block(detect, Y, weights, M: int, gain_sum: float):
+    # detectors without a batch kernel yet: one call per block, at the batch's level scale
     out = np.empty(len(Y), dtype=np.int64)
     ops = 0
     for b in range(len(Y)):
-        r = detect(Y[b], int(weights[b]))
+        r = detect(Y[b], int(weights[b]), gain_sum)
         out[b] = -1 if r.q is None else (r.q - 1) * M + (r.m - 1)
         ops += r.op_count
     return out, ops
@@ -231,6 +231,11 @@ def _link(config: SimConfig) -> _Link:
     cb, pam, cal = config.codebook, config.pam, config.calibration
     HS = received_means(cb, pam, H)
     weight_of = lambda tx: cb.weight_array[tx // pam.M]
+    # sum(H), the blind level scale, per batch: the calibration's, or the batch's
+    # mean block sum, as E[sum(Y)] = sum(H) over uniform labels at unit mean
+    # power (a truncated alphabet skews it: 127/128 for combined32 at M = 3)
+    total = None if cal is None else float(_as_H(cal).sum())
+    gain_sum = lambda Y: float(Y.sum()) / len(Y) if total is None else total
     if det == "ml":
         # scores only the 2**bits signaling means
         decode = lambda Y, tx, rng: (ml_detect_batch(Y, HS, pam.M),
@@ -238,17 +243,19 @@ def _link(config: SimConfig) -> _Link:
     elif det == "bf":
         def decode(Y, tx, rng):
             q, m, _, w = bf_detect_batch(Y, cb, pam, true_weight=weight_of(tx),
-                                         weight_mode=config.weight_mode, calibration=cal)
+                                         weight_mode=config.weight_mode, calibration=cal,
+                                         gain_sum=gain_sum(Y))
             return q * pam.M + (m - 1), bf_op_count(cb, w)
     elif det == "iterative":
         decode = lambda Y, tx, rng: _decide_per_block(
-            lambda y, w: iterative_sd_detect(y, cb, pam, config.e_max, true_weight=w,
-                                             weight_mode=config.weight_mode,
-                                             calibration=cal),
-            Y, weight_of(tx), pam.M)
+            lambda y, w, g: iterative_sd_detect(y, cb, pam, config.e_max, true_weight=w,
+                                                weight_mode=config.weight_mode,
+                                                calibration=cal, gain_sum=g),
+            Y, weight_of(tx), pam.M, gain_sum(Y))
     elif det == "bb":
         decode = lambda Y, tx, rng: _decide_per_block(
-            lambda y, w: bb_detect(y, cb, pam=pam, calibration=cal), Y, weight_of(tx), pam.M)
+            lambda y, w, g: bb_detect(y, cb, pam=pam, gain_sum=g), Y, weight_of(tx), pam.M,
+            gain_sum(Y))
     else:  # guess
         decode = lambda Y, tx, rng: (rng.integers(len(HS), size=len(tx)), 0)
     return _Link(HS, cb.bits_per_block(pam.M), decode)

@@ -175,9 +175,3 @@ def fixture_h06_blocked() -> ChannelMatrix:
 
 
 FIXTURES = {"h02": fixture_h02, "h06_blocked": fixture_h06_blocked}
-
-
-@functools.cache
-def default_calibration_gain() -> float:
-    """Mean gain of the h02 fixture; the stock constant for blind receivers."""
-    return float(fixture_h02().H.mean())

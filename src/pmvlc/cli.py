@@ -22,7 +22,7 @@ from .analysis import (
     write_bound_csv,
 )
 from .channel import FIXTURES
-from .codebook import ENUMERATION_MAX_L, combine_codebooks, enumerate_weight_w
+from .codebook import combine_codebooks, enumerate_weight_w
 from .scenarios import (
     _GEOMETRY_KEYS,
     ConfigError,
@@ -31,6 +31,7 @@ from .scenarios import (
     load_scenario,
     parse_scenario,
 )
+from .txcodec import PamConfig
 
 PRESETS = {
     "fig2": ("fig2-h02.ini", "fig2-h06.ini"),
@@ -42,25 +43,20 @@ PRESETS = {
 
 
 def codebook_report(L: int, weights, M: int = 1) -> str:
-    """Per-weight counts, combined size and rate figures, plus the entries."""
-    if L > ENUMERATION_MAX_L:
-        raise ConfigError(f"codebook report supports L <= {ENUMERATION_MAX_L}")
-    if M < 1:
-        raise ConfigError(f"M must be at least 1, got {M}")
+    """Per-weight counts, combined size and rate figures, plus the entries.
+    The library checks L, each weight and M; a failed check is a ConfigError."""
     weights = tuple(sorted(set(int(w) for w in weights)))
     if not weights:
         raise ConfigError("no weights given")
-    parts = []
-    lines = []
-    for w in weights:
-        if not 1 <= w < L:
-            raise ConfigError(f"weight {w} out of range for L={L}")
-        cb = enumerate_weight_w(L, w)
-        parts.append(cb)
-        lines.append(f"weight {w}: {cb.size} codewords")
+    try:
+        pam = PamConfig(M=M)
+        parts = [enumerate_weight_w(L, w) for w in weights]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    lines = [f"weight {w}: {cb.size} codewords" for w, cb in zip(weights, parts)]
     combined = parts[0] if len(parts) == 1 else combine_codebooks(parts)
     q = combined.size
-    bits_block = combined.bits_per_block(M)
+    bits_block = combined.bits_per_block(pam.M)
     lines.append(f"combined Q = {q}")
     lines.append(f"bits per block (M={M}): {bits_block}")
     lines.append(f"bits per symbol: {np.log2(q * M) / L:.4g}")

@@ -32,9 +32,10 @@ scores every entry at its best level, as a unipolar PAM slicer does.
 Intensity and weight side-decisions are factored out as
 estimate_intensity_batch and classify_weight_batch; multiweight detection
 assumes the weight class is known (genie mode) unless configured otherwise.
-Both take an optional gain matrix, `calibration`, as the receiver's channel
-knowledge (CSI); without one they assume every link has the blind gain
-default_calibration_gain() and, for the weight decision, the h02 profile.
+The level is the block sum sliced by one scalar, gain_sum = sum(H), which
+the harness passes once per batch; a decoder at M > 1 without it raises
+ValueError.  The joint weight decision takes an optional gain matrix,
+`calibration`, as its reference channel (CSI), else the h02 profile.
 bb_detect and iterative_sd_detect have no batch kernel yet: they run per
 block and call the side-decision kernels with a batch of one.
 """
@@ -48,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import ChannelMatrix, default_calibration_gain, fixture_h02
+from .channel import ChannelMatrix, fixture_h02
 from .codebook import ENUMERATION_MAX_L, Codebook, permutation_table
 from .txcodec import PamConfig, pam_intensity
 
@@ -110,29 +111,22 @@ def _best_support(Y: np.ndarray, stack: np.ndarray):
     return k, costs[np.arange(len(k)), k]
 
 
-def estimate_intensity_batch(Y: np.ndarray, supports: np.ndarray, pam: PamConfig,
-                             calibration: np.ndarray | None = None) -> np.ndarray:
-    """Level index per block from the received sum over its candidate support.
+def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float | None) -> np.ndarray:
+    """Level index per block of Y (B, L, L) from the sum of all its cells.
 
-    Y and supports are (B, L, L); each support is a 0/1 entry matrix.  The
-    support sum divided by its expected value at level 1 inverts the
-    drive level: w^2 L g in blind mode (every support cell accumulates w
-    link gains of the blind gain g = default_calibration_gain()), or the
-    exact sum of H P over the support when a calibration matrix H is
-    supplied.  Ties between neighboring levels resolve to the lower index;
-    M=1 returns 1 without looking at Y.
+    Every row of P_q has w ones and a_m = 2m / (w (M + 1)), so the cells of
+    H a_m P_q sum to 2m / (M + 1) sum(H) for every entry, weight and level:
+    the level is sum(Y) (M + 1) / (2 gain_sum), gain_sum being sum(H) (see
+    analysis._link for its blind estimate).  Ties between neighboring levels
+    resolve to the lower index, and the result is clipped to 1..M.  M = 1
+    returns 1 without reading Y; at M > 1 a missing gain_sum raises
+    ValueError.
     """
-    B = len(Y)
     if pam.M == 1:
-        return np.ones(B, dtype=np.int64)
-    P = np.asarray(supports, dtype=np.float64)
-    w = P.sum(axis=(1, 2)) / P.shape[-1]
-    if calibration is not None:
-        HP = np.einsum("ij,bjk->bik", _as_H(calibration), P)
-        den = np.einsum("bij,bij->b", HP, P)
-    else:
-        den = w * w * P.shape[-1] * default_calibration_gain()
-    x = np.einsum("bij,bij->b", Y, P) / (den * pam_intensity(1, pam.M, w))
+        return np.ones(len(Y), dtype=np.int64)
+    if gain_sum is None:
+        raise ValueError(f"level estimation at M = {pam.M} needs gain_sum, the channel's sum(H)")
+    x = np.einsum("bij->b", Y) * ((pam.M + 1) / (2.0 * gain_sum))
     base = np.floor(x)
     # midpoint ties fall to the lower level; the slack absorbs float error
     m = base + (x - base > 0.5 * (1.0 + 1e-9))
@@ -141,15 +135,17 @@ def estimate_intensity_batch(Y: np.ndarray, supports: np.ndarray, pam: PamConfig
 
 def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
                           pam: PamConfig | None = None, true_weight=None,
-                          calibration: np.ndarray | None = None) -> np.ndarray:
+                          calibration: np.ndarray | None = None,
+                          gain_sum: float | None = None) -> np.ndarray:
     """Weight class of each received block in Y (B, L, L).
 
     genie   trusts the supplied true weights (the standard assumption for
             multiweight decoding).
-    joint   decodes each class blind, reconstructs each candidate against the
-            calibration matrix (the h02 profile when there is none), and
-            keeps the class with the smallest residual; equal residuals go
-            to the lowest weight.
+    joint   slices the level once from gain_sum, decodes each class blind at
+            that level, reconstructs each candidate against the calibration
+            matrix (the h02 profile when there is none: no blind weight rule
+            yet), and keeps the class with the smallest residual; equal
+            residuals go to the lowest weight.
     """
     if mode not in ("genie", "joint"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -167,11 +163,12 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
     if pam is None:
         raise ValueError("joint mode needs the PAM config")
     H_ref = _as_H(calibration) if calibration is not None else fixture_h02().H
+    m = estimate_intensity_batch(Y, pam, gain_sum)
     residuals = np.empty((len(weights), B))
     for k, w in enumerate(weights):
         stack = codebook.matrix_stack[codebook.weight_class_indices(w)]
         P = stack[_best_support(Y, stack)[0]]
-        a = pam_intensity(estimate_intensity_batch(Y, P, pam, calibration), pam.M, w)
+        a = pam_intensity(m, pam.M, w)
         residuals[k] = ((Y - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2))
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
 
@@ -218,14 +215,14 @@ def ml_op_count(candidates: int, L: int) -> int:
 
 def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
                     true_weight=None, weight_mode: str = "genie",
-                    calibration: np.ndarray | None = None):
+                    calibration: np.ndarray | None = None, gain_sum: float | None = None):
     """Blind exhaustive search per block of Y (B, L, L): smallest negated
-    support sum within the block's weight class, then level estimation on
-    the winning support.
+    support sum within the block's weight class, and the level from the
+    block sum and gain_sum (estimate_intensity_batch).
 
     Returns 0-based entry indices, 1-based levels, costs and the weights.
     """
-    w = classify_weight_batch(Y, codebook, weight_mode, pam, true_weight, calibration)
+    w = classify_weight_batch(Y, codebook, weight_mode, pam, true_weight, calibration, gain_sum)
     picks = np.empty(len(Y), dtype=np.int64)
     costs = np.empty(len(Y))
     for wv in codebook.weights_present:
@@ -235,8 +232,7 @@ def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
         idx = codebook.weight_class_indices(wv)
         k, costs[sel] = _best_support(Y[sel], codebook.matrix_stack[idx])
         picks[sel] = idx[k]
-    m = estimate_intensity_batch(Y, codebook.matrix_stack[picks], pam, calibration)
-    return picks, m, costs, w
+    return picks, estimate_intensity_batch(Y, pam, gain_sum), costs, w
 
 
 def bf_op_count(codebook: Codebook, w) -> int:
@@ -250,18 +246,19 @@ def bf_op_count(codebook: Codebook, w) -> int:
 
 def bf_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
                  true_weight: int | None = None, weight_mode: str = "genie",
-                 calibration: np.ndarray | None = None) -> DetectionResult:
+                 calibration: np.ndarray | None = None,
+                 gain_sum: float | None = None) -> DetectionResult:
     """Blind exhaustive search on one block; see bf_detect_batch.  op_count
     is bf_op_count."""
     picks, m, costs, w = bf_detect_batch(
         np.asarray(Y, dtype=np.float64)[None], codebook, pam, true_weight=true_weight,
-        weight_mode=weight_mode, calibration=calibration)
+        weight_mode=weight_mode, calibration=calibration, gain_sum=gain_sum)
     return _decision(int(picks[0]) + 1, int(m[0]), codebook, pam, float(costs[0]),
                      op_count=bf_op_count(codebook, w))
 
 
 def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None,
-              calibration: np.ndarray | None = None) -> DetectionResult:
+              gain_sum: float | None = None) -> DetectionResult:
     """Greedy level-by-level column selection for weight-1 codebooks.
 
     Row k scores each free column c by the path cost so far, yhat[k, c] and
@@ -271,7 +268,8 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     op_count models the node-by-node bound: f (1 + (f-1)^2) additions at a
     level with f free columns, 60 in all at L = 4.  One node survives per
     level, so the result may fall outside a restricted codebook; that
-    outcome carries no bit decision.  Raises ValueError for a non-finite Y.
+    outcome carries no bit decision.  The level comes from gain_sum (see
+    estimate_intensity_batch).  Raises ValueError for a non-finite Y.
     The loop adds yhat.tolist() floats down the rows below in ascending
     order, as numpy's column sum does (builtin sum compensates from 3.12),
     and keeps the first of equal scores: bit for bit the numpy form.
@@ -282,6 +280,7 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     Y = np.asarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
         raise ValueError("received block must be finite")
+    m = int(estimate_intensity_batch(Y[None], pam, gain_sum)[0])
     yhat = (-Y).tolist()
     L = codebook.L
     used: list[int] = []
@@ -296,9 +295,7 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     path_cost = sum(yhat[row][col] for row, col in enumerate(used))
     hit = codebook.slot_table[1][0].get(tuple(c + 1 for c in used))
     if hit is not None:
-        q = hit[0] + 1
-        m = estimate_intensity_batch(Y[None], codebook.matrix_stack[q - 1][None], pam, calibration)
-        return _decision(q, int(m[0]), codebook, pam, path_cost, iterations=L, op_count=ops)
+        return _decision(hit[0] + 1, m, codebook, pam, path_cost, iterations=L, op_count=ops)
     return DetectionResult(q=None, m=1, w=1, bits=None, cost=path_cost,
                            iterations=L, op_count=ops)
 
@@ -361,7 +358,8 @@ _LAP_OPS = lambda L: L ** 3
 def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
                         e_max: int | None = None, *,
                         true_weight: int | None = None, weight_mode: str = "genie",
-                        calibration: np.ndarray | None = None) -> DetectionResult:
+                        calibration: np.ndarray | None = None,
+                        gain_sum: float | None = None) -> DetectionResult:
     """Assignment-driven blind detection.
 
     Weight 1: solve the assignment problem on yhat; if the optimum is not a
@@ -370,13 +368,15 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
     codebook; every row whose component matches a walk's winner becomes a
     candidate, and candidates are scored by the summed support metric.  When
     the walk budget e_max (default: class size) runs dry the detector falls
-    back to exhaustive search within the class.
+    back to exhaustive search within the class.  The level comes from
+    gain_sum (see estimate_intensity_batch).
     """
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
     w = int(classify_weight_batch(Y[None], codebook, weight_mode, pam, true_weight,
-                                  calibration)[0])
+                                  calibration, gain_sum)[0])
+    m = int(estimate_intensity_batch(Y[None], pam, gain_sum)[0])
     budget = e_max if e_max is not None else len(codebook.weight_class_indices(w))
     if budget < 1:
         raise ValueError("e_max must be at least 1")
@@ -407,12 +407,11 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
 
     if q is None:
         res = bf_sd_detect(Y, codebook, pam, true_weight=w, weight_mode="genie",
-                           calibration=calibration)
+                           gain_sum=gain_sum)
         res.iterations = iterations
         res.op_count += ops
         return res
-    m = estimate_intensity_batch(Y[None], codebook.matrix_stack[q - 1][None], pam, calibration)
-    return _decision(q, int(m[0]), codebook, pam, float(cost),
+    return _decision(q, m, codebook, pam, float(cost),
                      iterations=iterations, op_count=ops)
 
 

@@ -141,7 +141,6 @@ def _parse_blockage(value: str):
 # _resolve_channel.
 _KEYS = {
     "name": ("scenario", "name", str),
-    "scheme": ("scenario", "scheme", str),
     "codebook": ("scenario", "codebook", named_codebook),
     "detectors": ("scenario", "detectors",
                   lambda v: tuple(d.strip().lower() for d in v.split(",") if d.strip())),
@@ -195,7 +194,6 @@ class Scenario:
     channel_desc: str
     codebook: Codebook | None = None
     pam: PamConfig = field(default_factory=PamConfig)
-    scheme: str = ""
     errors_target: int = SimConfig.errors_target
     block_cap: int = SimConfig.block_cap
     seed: int = SimConfig.seed
@@ -204,6 +202,7 @@ class Scenario:
     calibration: str = "blind"
     rc_m: int = RcConfig.M
     sm_m: int = SmConfig.M
+    scheme: str = field(init=False, default="")
     configs: tuple[SimConfig, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -211,7 +210,7 @@ class Scenario:
             raise ConfigError("scenario lists no detectors")
         if self.calibration not in ("blind", "csi"):
             raise ConfigError(f"calibration must be blind or csi, not {self.calibration!r}")
-        if not self.scheme and self.codebook is not None:
+        if self.codebook is not None:
             self.scheme = scheme_label(self.codebook, self.pam)
         try:
             self.configs = tuple(_sim_config(self, d) for d in self.detectors)

@@ -20,8 +20,10 @@ class PamConfig:
     M: int = 1
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError("M must be a positive integer")
+        if int(self.M) != self.M:
+            raise ValueError(f"M must be an integer, got {self.M}")
+        if self.M < 1:
+            raise ValueError(f"M must be at least 1, got {self.M}")
         object.__setattr__(self, "M", int(self.M))
 
 

@@ -100,20 +100,22 @@ def test_criterion_03_zero_noise_roundtrip():
         cb = named_codebook(name)
         for M in (1, 2):
             pam = PamConfig(M=M)
-            # every (entry, level) mean, so non-signalling pairs decode too
+            # every (entry, level) mean, so non-signalling pairs decode too;
+            # sum(H) is the blind harness's scale at zero noise, uniform levels
             HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(cb, pam))
+            g = H02.H.sum()
             for q in range(1, cb.size + 1):
                 w = cb.entries[q - 1].weight
                 for m in range(1, M + 1):
                     Y = H02.H @ _block(cb, q, m, pam)
                     got = int(ml_detect_batch(Y[None], HS, M)[0])
                     assert got == (q - 1) * M + (m - 1), f"ml {name} M={M} q={q} m={m}"
-                    got = bf_sd_detect(Y, cb, pam, true_weight=w)
+                    got = bf_sd_detect(Y, cb, pam, true_weight=w, gain_sum=g)
                     assert (got.q, got.m) == (q, m), f"bf {name} M={M} q={q} m={m}"
-                    got = iterative_sd_detect(Y, cb, pam, true_weight=w)
+                    got = iterative_sd_detect(Y, cb, pam, true_weight=w, gain_sum=g)
                     assert (got.q, got.m) == (q, m), f"it {name} M={M} q={q} m={m}"
                     if len(cb.weights_present) > 1:
-                        got = bf_sd_detect(Y, cb, pam, weight_mode="joint")
+                        got = bf_sd_detect(Y, cb, pam, weight_mode="joint", gain_sum=g)
                         assert (got.q, got.m) == (q, m), f"joint {name} M={M} q={q}"
                     checked += 1
     _verdict(3, True, f"{checked} (book, q, m) roundtrips exact for ml/bf/iterative")

@@ -288,6 +288,35 @@ class TestHarnessDeterminism:
                       errors_target=1, block_cap=BATCH_BLOCKS)
 
 
+class TestBlindLevelScale:
+    """Blind runs at M > 1 scale the level by each batch's mean block sum,
+    in place of the channel's sum(H) that a CSI run uses."""
+
+    H06 = build_channel(square_grid_geometry(tx_spacing=0.6))
+
+    def _run(self, calibration):
+        # same scheme label, detector and seed: both runs draw the same noise
+        cfg = SimConfig(scheme="c32", detector="bf", ebn0_grid=(90.0, 96.0, 102.0),
+                        channel=self.H06, codebook=COMBINED32, pam=PamConfig(M=4),
+                        errors_target=200, block_cap=200_000, seed=5,
+                        calibration=calibration)
+        return monte_carlo_ber(cfg)
+
+    def test_blind_matches_csi_on_the_06_grid(self):
+        bits = COMBINED32.bits_per_block(4)
+        compared = []
+        for blind, csi in zip(self._run(None), self._run(self.H06.H)):
+            if not 1e-4 <= csi.ber <= 1e-1:
+                continue
+            # errors come in per-block clusters of at most `bits`
+            s3 = 3.0 * math.hypot(*(math.sqrt(max(r.bit_errors, 1) * bits) / r.bits
+                                    for r in (blind, csi)))
+            assert abs(blind.ber - csi.ber) <= s3, \
+                f"{csi.ebn0_db} dB: blind {blind.ber:.3e}, csi {csi.ber:.3e}, 3 sigma {s3:.3e}"
+            compared.append(csi.ebn0_db)
+        assert len(compared) >= 2, compared
+
+
 def _noisy_blocks(codebook, pam, ebn0_db, n, seed):
     """Sent signal indices and received blocks, drawn as the harness does."""
     rng = np.random.default_rng(seed)
@@ -322,15 +351,15 @@ class TestBatchPathsMatchScalarDetectors:
         pam = PamConfig(M=2)
         tx, Y = _noisy_blocks(COMBINED32, pam, 99.0, 64, seed=78)
         tx_w = COMBINED32.weight_array[tx // pam.M]
-        q, m, _, _ = bf_detect_batch(Y, COMBINED32, pam, true_weight=tx_w)
+        g = H02.H.sum()
+        q, m, _, _ = bf_detect_batch(Y, COMBINED32, pam, true_weight=tx_w, gain_sum=g)
         for b in range(len(tx)):
             cls = np.flatnonzero(COMBINED32.weight_array == tx_w[b])
             sums = [-(Y[b] * COMBINED32.matrix_stack[i]).sum() for i in cls]
             pick = int(cls[int(np.argmin(sums))])
             assert q[b] == pick
-            assert m[b] == estimate_intensity_batch(
-                Y[b][None], COMBINED32.matrix_stack[pick][None], pam)[0]
-            r = bf_sd_detect(Y[b], COMBINED32, pam, true_weight=int(tx_w[b]))
+            assert m[b] == estimate_intensity_batch(Y[b][None], pam, g)[0]
+            r = bf_sd_detect(Y[b], COMBINED32, pam, true_weight=int(tx_w[b]), gain_sum=g)
             assert (q[b], m[b]) == (r.q - 1, r.m)
 
     def test_rc_batch_matches_scalar(self):
@@ -494,10 +523,12 @@ class TestCsvWriters:
         assert lines[2] == "c32,102.0000,1.0000000000e-04"
 
     def test_rerun_byte_identical(self, tmp_path):
-        cfg = SimConfig(scheme="c32", detector="bf", ebn0_grid=(98.0, 100.0),
-                        channel=H02, codebook=COMBINED32, pam=M1,
-                        errors_target=60, block_cap=50_000, seed=13)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_ber_csv(monte_carlo_ber(cfg, threads=1), p1)
-        write_ber_csv(monte_carlo_ber(cfg, threads=4), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        # at M = 4 the blind level scale is each batch's own mean block sum
+        for pam in (M1, PamConfig(M=4)):
+            cfg = SimConfig(scheme="c32", detector="bf", ebn0_grid=(98.0, 100.0),
+                            channel=H02, codebook=COMBINED32, pam=pam,
+                            errors_target=60, block_cap=50_000, seed=13)
+            p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+            write_ber_csv(monte_carlo_ber(cfg, threads=1), p1)
+            write_ber_csv(monte_carlo_ber(cfg, threads=4), p2)
+            assert p1.read_bytes() == p2.read_bytes()

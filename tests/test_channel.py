@@ -14,7 +14,6 @@ from pmvlc.channel import (
     LambertianParams,
     apply_blockage,
     build_channel,
-    default_calibration_gain,
     fixture_h02,
     fixture_h06_blocked,
     lambertian_gain,
@@ -122,9 +121,6 @@ class TestFixtures:
         for i, j in zeros:
             assert cm.H[i, j] == 0.0
         assert int((cm.H != 0).sum()) == 12
-
-    def test_calibration_gain_is_fixture_mean(self):
-        assert default_calibration_gain() == pytest.approx(fixture_h02().H.mean())
 
 
 class TestBlockage:

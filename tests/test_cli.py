@@ -4,11 +4,12 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pmvlc import analysis
+from pmvlc import analysis, scenarios
 from pmvlc.channel import build_channel, fixture_h06_blocked, square_grid_geometry
 from pmvlc.cli import PRESETS, codebook_report, main, preset_scenarios
 from pmvlc.scenarios import (
@@ -143,6 +144,23 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=r":4: unknown key 'i'"):
             parse_scenario(MINIMAL + "i = 2\n", source="x.ini")
 
+    def test_scheme_key_rejected(self, tmp_path, capsys):
+        # the label is computed from the codebook and PAM size, and the noise
+        # draws hash it, so a file cannot rename a curve
+        scen = tmp_path / "x.ini"
+        scen.write_text(MINIMAL + "scheme = x\n")
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert ":4: unknown key 'scheme'" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_readme_lists_every_key(self):
+        rows = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        listed = {k.strip("` ") for r in rows if r.startswith("| `")
+                  for k in r.split("|")[1].split(",")}
+        assert listed == set(scenarios._KEYS)
+
     def test_comments_and_blanks_ignored(self):
         sc = parse_scenario("# comment\n\n; other comment\n" + MINIMAL)
         assert sc.detectors == ("ml",)
@@ -217,6 +235,18 @@ class TestCommandLine:
     def test_codebook_exit_zero(self, capsys):
         assert main(["codebook", "--length", "4", "--weights", "1"]) == 0
         assert "weight 1: 24 codewords" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--length", "1"], "L must be in 2..6"),
+        (["--length", "7"], "L must be in 2..6"),
+        (["--length", "4", "--weights", "1,4"], "w must be in 1..3"),
+    ])
+    def test_codebook_out_of_range_exit_one(self, capsys, argv, message):
+        # the library's own checks, reported as configuration errors
+        assert main(["codebook", *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
 
     def test_channel_fixture_prints_matrix(self, capsys):
         assert main(["channel", "--fixture", "h02"]) == 0

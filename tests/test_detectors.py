@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pmvlc import channel, detectors
-from pmvlc.channel import fixture_h02
+from pmvlc.channel import build_channel, fixture_h02, square_grid_geometry
 from pmvlc.codebook import (
     ENUMERATION_MAX_L,
     combine_codebooks,
@@ -38,6 +38,7 @@ from pmvlc.detectors import (
 from pmvlc.txcodec import PamConfig, pam_intensity
 
 H02 = fixture_h02().H
+H06 = build_channel(square_grid_geometry(tx_spacing=0.6)).H
 FULL24 = enumerate_weight_w(4, 1)
 W2FULL = enumerate_weight_w(4, 2)
 W2LEX8 = W2FULL.subset(range(8), label="w2lex8")
@@ -98,7 +99,8 @@ def bb_reference(Y, L):
     return tuple(c + 1 for c in used), path_cost, ops
 
 
-def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weight_mode="genie"):
+def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weight_mode="genie",
+                        gain_sum=None):
     # iterative_sd_detect as it was before the codebook cached its lookup
     # tables: the member dict (weight 1) or the per-slot component sets are
     # rebuilt from codebook.entries on every block, and the label is the
@@ -107,7 +109,8 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
-    w = int(classify_weight_batch(Y[None], codebook, weight_mode, pam, true_weight)[0])
+    w = int(classify_weight_batch(Y[None], codebook, weight_mode, pam, true_weight,
+                                  gain_sum=gain_sum)[0])
     idx = np.flatnonzero(codebook.weight_array == w)
     budget = e_max if e_max is not None else len(idx)
 
@@ -122,7 +125,7 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
         return None, None, tries
 
     def decided(q, cost):
-        m = int(estimate_intensity_batch(Y[None], codebook.matrix_stack[q - 1][None], pam)[0])
+        m = int(estimate_intensity_batch(Y[None], pam, gain_sum)[0])
         index = (q - 1) * pam.M + (m - 1)
         bits = None
         if index < codebook.signaling_count(pam.M):
@@ -153,7 +156,7 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
             pick, cost = detectors._best_support(Y[None], codebook.matrix_stack[cand])
             ops += len(cand) * w * L
             return decided(cand[int(pick[0])] + 1, float(cost[0]))
-    res = bf_sd_detect(Y, codebook, pam, true_weight=w)
+    res = bf_sd_detect(Y, codebook, pam, true_weight=w, gain_sum=gain_sum)
     return (res.q, res.m, res.bits, res.cost, iterations, res.op_count + ops), True
 
 
@@ -262,66 +265,69 @@ class TestBfSd:
         assert bf_sd_detect(Y, sub8, M1).op_count == 8 * 1 * 4
 
 
-def _all_levels(codebook, pam):
-    """Noiseless h02 blocks of every (entry, level) pair, their supports and
-    the levels sent."""
-    qm = [(q, m) for q in range(1, codebook.size + 1) for m in range(1, pam.M + 1)]
-    Y = np.stack([H02 @ block_for(codebook, q, m, pam) for q, m in qm])
-    supports = codebook.matrix_stack[[q - 1 for q, _ in qm]]
-    return Y, supports, np.array([m for _, m in qm])
-
-
 class TestEstimateIntensity:
     def test_m1_unconditional(self):
-        # M = 1 returns level 1 without reading Y, even a non-finite one
+        # M = 1 returns level 1 without reading Y or the scale, even a
+        # non-finite Y and no scale at all
         Y = np.full((3, 4, 4), np.nan)
-        got = estimate_intensity_batch(Y, np.broadcast_to(np.eye(4), (3, 4, 4)), M1)
-        np.testing.assert_array_equal(got, 1)
+        np.testing.assert_array_equal(estimate_intensity_batch(Y, M1, None), 1)
 
-    @pytest.mark.parametrize("M", [2, 4])
-    def test_csi_mode_inverts_exactly(self, M):
-        pam = PamConfig(M=M)
-        Y, supports, m = _all_levels(COMBINED32, pam)
-        np.testing.assert_array_equal(estimate_intensity_batch(Y, supports, pam, H02), m)
+    def test_block_sum_inverts_every_level(self):
+        # every noiseless (entry, level) block, of either weight, on a
+        # near-uniform and a far-from-uniform channel, decodes given sum(H)
+        for H in (H02, H06):
+            for M in (4, 16):
+                pam = PamConfig(M=M)
+                qm = [(q, m) for q in range(1, COMBINED32.size + 1) for m in range(1, M + 1)]
+                Y = np.stack([H @ block_for(COMBINED32, q, m, pam) for q, m in qm])
+                np.testing.assert_array_equal(estimate_intensity_batch(Y, pam, H.sum()),
+                                              [m for _, m in qm])
 
-    def test_blind_mode_default_gain_close_enough(self):
-        pam = PamConfig(M=2)
-        Y, supports, m = _all_levels(COMBINED32, pam)
-        np.testing.assert_array_equal(estimate_intensity_batch(Y, supports, pam), m)
-
-    # a unit gain matrix is the blind rule at gain 1: every support cell of a
-    # weight-w entry collects w unit gains
+    # a unit gain matrix: sum(H) = 16, so level m sums to 16 * 2m / (M + 1)
     def test_midpoint_ties_to_lower_level(self):
         pam = PamConfig(M=4)
         step = pam_intensity(1, 4, 1)
-        Y = np.diag([1.5 * step] * 4)[None]
-        assert estimate_intensity_batch(Y, np.eye(4)[None], pam, np.ones((4, 4)))[0] == 1
+        Y = np.full((1, 4, 4), 1.5 * step)
+        assert estimate_intensity_batch(Y, pam, 16.0)[0] == 1
+        assert estimate_intensity_batch(Y * (1 + 1e-6), pam, 16.0)[0] == 2
 
     def test_clipping(self):
         pam = PamConfig(M=4)
         Y = np.stack([np.diag([99.0] * 4), np.diag([-99.0] * 4)])
-        supports = np.stack([np.eye(4)] * 2)
-        got = estimate_intensity_batch(Y, supports, pam, np.ones((4, 4)))
-        np.testing.assert_array_equal(got, [4, 1])
+        np.testing.assert_array_equal(estimate_intensity_batch(Y, pam, 16.0), [4, 1])
+
+    def test_decoders_need_the_scale_above_one_level(self):
+        # none of them estimates sum(H) from its own block
+        pam = PamConfig(M=4)
+        Y = H02 @ block_for(FULL24, 3, 2, pam)
+        calls = (lambda **k: estimate_intensity_batch(Y[None], pam, k.get("gain_sum")),
+                 lambda **k: detectors.bf_detect_batch(Y[None], FULL24, pam, true_weight=1, **k),
+                 lambda **k: bf_sd_detect(Y, FULL24, pam, **k),
+                 lambda **k: iterative_sd_detect(Y, FULL24, pam, **k),
+                 lambda **k: bb_detect(Y, FULL24, pam=pam, **k))
+        for call in calls:
+            with pytest.raises(ValueError, match="M = 4 needs gain_sum"):
+                call()
+            call(gain_sum=H02.sum())
+        assert bb_detect(Y, FULL24, pam=pam, gain_sum=H02.sum()).m == 2
+        with pytest.raises(ValueError, match="needs gain_sum"):
+            classify_weight_batch(Y[None], COMBINED32, "joint", pam)
 
 
 def test_default_profile_loaded_once(monkeypatch):
-    # blind level estimation and joint classification read the h02 profile;
-    # repeated decisions must not parse the fixture file again
+    # joint classification reads the h02 profile; repeated decisions must
+    # not parse the fixture file again
     loads = []
     real = channel._load_fixture
     monkeypatch.setattr(channel, "_load_fixture", lambda name: loads.append(name) or real(name))
     channel.fixture_h02.cache_clear()
-    channel.default_calibration_gain.cache_clear()
     try:
         pam = PamConfig(M=4)
         for q in (1, 25, 32):
             Y = (H02 @ block_for(COMBINED32, q, 3, pam))[None]
-            estimate_intensity_batch(Y, COMBINED32.matrix_stack[q - 1][None], pam)
-            classify_weight_batch(Y, COMBINED32, "joint", pam)
+            classify_weight_batch(Y, COMBINED32, "joint", pam, gain_sum=H02.sum())
     finally:
         channel.fixture_h02.cache_clear()
-        channel.default_calibration_gain.cache_clear()
     assert loads == ["h02.txt"]
 
 
@@ -348,7 +354,8 @@ class TestClassifyWeight:
         pam = PamConfig(M=2)
         Y = np.stack([H02 @ block_for(COMBINED32, q, 2, pam)
                       for q in range(1, COMBINED32.size + 1)])
-        got = classify_weight_batch(Y, COMBINED32, "joint", pam, calibration=H02)
+        got = classify_weight_batch(Y, COMBINED32, "joint", pam, calibration=H02,
+                                    gain_sum=H02.sum())
         np.testing.assert_array_equal(got, COMBINED32.weight_array)
 
     def test_joint_with_default_profile(self):
@@ -368,20 +375,21 @@ class TestClassifyWeight:
                 classify_weight_batch(Y, book, "energy", PamConfig())
 
     def test_joint_batch_matches_per_block_rule(self):
-        # per block: best support in each class, its level, its residual
-        # against the h02 profile; the strict < keeps the lowest weight on ties
+        # per block: one level from the block sum, then the best support in
+        # each class and its residual at that level against the h02 profile;
+        # the strict < keeps the lowest weight on ties
         pam = PamConfig(M=2)
         rng = np.random.default_rng(31)
         qs = rng.integers(1, COMBINED32.size + 1, size=64)
         Y = np.stack([H02 @ block_for(COMBINED32, int(q), 2, pam) for q in qs])
         Y = Y + rng.normal(0, 2e-5, Y.shape)
-        got = classify_weight_batch(Y, COMBINED32, "joint", pam)
+        got = classify_weight_batch(Y, COMBINED32, "joint", pam, gain_sum=H02.sum())
         for b in range(len(Y)):
             best_w, best_res = None, np.inf
+            m = estimate_intensity_batch(Y[b][None], pam, H02.sum())[0]
             for w in (1, 2):
                 stack = COMBINED32.matrix_stack[COMBINED32.weight_array == w]
                 P = stack[int(np.argmin([-(Y[b] * S).sum() for S in stack]))]
-                m = estimate_intensity_batch(Y[b][None], P[None], pam)[0]
                 res = float(((Y[b] - H02 @ (pam_intensity(m, 2, w) * P)) ** 2).sum())
                 if res < best_res:
                     best_w, best_res = w, res
@@ -550,9 +558,10 @@ class TestIterativeSd:
                 q, m = int(rng.integers(1, book.size + 1)), int(rng.integers(1, M + 1))
                 w = book.entries[q - 1].weight
                 Y = H02 @ block_for(book, q, m, pam) + rng.normal(0, sigma, (4, 4))
-                r = iterative_sd_detect(Y, book, pam, e_max, true_weight=w, weight_mode=mode)
+                r = iterative_sd_detect(Y, book, pam, e_max, true_weight=w, weight_mode=mode,
+                                        gain_sum=H02.sum())
                 want, fell_back = iterative_reference(Y, book, pam, e_max, true_weight=w,
-                                                      weight_mode=mode)
+                                                      weight_mode=mode, gain_sum=H02.sum())
                 assert (r.q, r.m, r.bits, r.cost, r.iterations, r.op_count) == want
                 fallbacks += fell_back
         if e_max == 1:
