@@ -272,16 +272,32 @@ class TestEstimateIntensity:
         Y = np.full((3, 4, 4), np.nan)
         np.testing.assert_array_equal(estimate_intensity_batch(Y, M1, None), 1)
 
-    def test_block_sum_inverts_every_level(self):
-        # every noiseless (entry, level) block, of either weight, on a
-        # near-uniform and a far-from-uniform channel, decodes given sum(H)
+    @staticmethod
+    def _every_block(H, pam):
+        # every noiseless (entry, level) block of combined32, both weights
+        qm = [(q, m) for q in range(1, COMBINED32.size + 1) for m in range(1, pam.M + 1)]
+        return np.stack([H @ block_for(COMBINED32, q, m, pam) for q, m in qm]), [m for _, m in qm]
+
+    @pytest.mark.parametrize("M", [2, 4])
+    def test_csi_mode_inverts_exactly(self, M):
+        # the known channel's sum(H) decodes every block, on a near-uniform
+        # and a far-from-uniform channel
+        pam = PamConfig(M=M)
         for H in (H02, H06):
-            for M in (4, 16):
+            Y, levels = self._every_block(H, pam)
+            np.testing.assert_array_equal(estimate_intensity_batch(Y, pam, H.sum()), levels)
+
+    def test_blind_mode_default_gain_close_enough(self):
+        # with no calibration the scale is the batch's mean block sum, which
+        # equals sum(H) over uniform labels (analysis._link); it decodes
+        # every block, up to M = 16
+        for H in (H02, H06):
+            for M in (2, 16):
                 pam = PamConfig(M=M)
-                qm = [(q, m) for q in range(1, COMBINED32.size + 1) for m in range(1, M + 1)]
-                Y = np.stack([H @ block_for(COMBINED32, q, m, pam) for q, m in qm])
-                np.testing.assert_array_equal(estimate_intensity_batch(Y, pam, H.sum()),
-                                              [m for _, m in qm])
+                Y, levels = self._every_block(H, pam)
+                blind = float(Y.sum()) / len(Y)
+                np.testing.assert_allclose(blind, H.sum(), rtol=1e-12)
+                np.testing.assert_array_equal(estimate_intensity_batch(Y, pam, blind), levels)
 
     # a unit gain matrix: sum(H) = 16, so level m sums to 16 * 2m / (M + 1)
     def test_midpoint_ties_to_lower_level(self):
