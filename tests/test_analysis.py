@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from pmvlc import analysis
 from pmvlc.analysis import (
@@ -21,7 +22,13 @@ from pmvlc.analysis import (
     write_ber_csv,
     write_bound_csv,
 )
-from pmvlc.channel import build_channel, fixture_h02, n0_for_bits, square_grid_geometry
+from pmvlc.channel import (
+    build_channel,
+    fixture_h02,
+    fixture_h06_blocked,
+    n0_for_bits,
+    square_grid_geometry,
+)
 from pmvlc.codebook import combine_codebooks, enumerate_weight_w
 from pmvlc.detectors import (
     RcConfig,
@@ -65,7 +72,31 @@ class TestQfunc:
     def test_vectorized(self):
         out = qfunc(np.array([0.0, 1.0, 2.0]))
         assert out.shape == (3,)
+        assert out.dtype == np.float64
         assert np.all(np.diff(out) < 0)
+
+    def test_scalar_in_scalar_out(self):
+        out = qfunc(0.0)
+        assert type(out) is np.float64
+        assert qfunc(np.float64(3.0)).shape == ()
+
+    def test_matches_scipy_erfc_across_the_underflow_edge(self):
+        # a dense grid over [-40, 40] plus a finer one over the edge where
+        # Q(r) leaves the normal range (r ~ 37.52) and then underflows to 0
+        r = np.concatenate([np.linspace(-40.0, 40.0, 80_001), np.linspace(37.0, 38.6, 16_001)])
+        ref = 0.5 * erfc(r / np.sqrt(2.0))
+        out = qfunc(r)
+        tiny = np.finfo(np.float64).tiny
+        normal = ref >= tiny
+        assert normal.any() and (~normal).any() and (ref == 0).any()
+        np.testing.assert_allclose(out[normal], ref[normal], rtol=1e-13, atol=0)
+        assert ((out[~normal] >= 0) & (out[~normal] < tiny)).all()
+
+    def test_non_finite(self):
+        assert qfunc(np.inf) == 0.0
+        assert qfunc(-np.inf) == 1.0
+        assert math.isnan(qfunc(np.nan))
+        np.testing.assert_array_equal(qfunc(np.array([-np.inf, np.inf])), [1.0, 0.0])
 
 
 def _pep(S1, S2, H, n0):
@@ -139,6 +170,24 @@ class TestUnionBound:
         assert doubled == pytest.approx(2 * base, rel=1e-12)
         curve = ber_union_bound(PM16, M1, H02, [100.0])
         assert curve.values[0] == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("book, M, channel", [
+        ("combined32", 1, "h02"), ("combined32", 4, "h02"), ("combined32", 16, "h02"),
+        ("combined32", 1, "h06_blocked"), ("combined32", 4, "h06_blocked"),
+        ("combined32", 16, "h06_blocked"), ("pm16", 1, "grid06")])
+    def test_distinct_distances_change_no_float(self, book, M, channel):
+        # Q once per distinct squared distance, gathered back per pair, must
+        # give the very floats of the all-pairs sum in the same order
+        book = {"combined32": COMBINED32, "pm16": PM16}[book]
+        H = {"h02": H02, "h06_blocked": fixture_h06_blocked(),
+             "grid06": build_channel(square_grid_geometry(tx_spacing=0.6))}[channel].H
+        pam = PamConfig(M=M)
+        d_bits, d2, n_sig, bits = _pair_terms(book, pam, H)
+        grid = np.arange(80.0, 118.0, 2.0)
+        reference = [float(np.sum(d_bits * pair_tail(d2, n0_for_bits(db, bits))) / (n_sig * bits))
+                     for db in grid]
+        assert len(np.unique(d2)) < len(d2)
+        assert ber_union_bound(book, pam, H, grid).values == tuple(reference)
 
     @pytest.mark.parametrize("M", [1, 4])
     def test_squared_distances_are_the_pairwise_mean_distances(self, M):

@@ -597,3 +597,13 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    # Q comes from math.erfc, so the package runs on numpy alone; scipy is a
+    # test dependency only.
+    code = "import sys, pmvlc.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
