@@ -36,6 +36,8 @@ from .detectors import (
     bb_detect,
     bf_detect_batch,
     bf_op_count,
+    classify_weight_batch,
+    estimate_intensity_batch,
     iterative_sd_detect,
     ml_detect_batch,
     ml_op_count,
@@ -149,7 +151,8 @@ class SimConfig:
     Each field's default is the library default, and __post_init__ is the
     one check of each setting.  calibration is the blind detectors' channel
     knowledge (CSI): its sum is their level scale and it is the joint weight
-    rule's reference channel; None leaves them blind (see _link).
+    rule's reference channel; None leaves them blind (see _link).  rc and sm
+    default to the library sizes at the channel's LED count.
     """
 
     scheme: str
@@ -171,11 +174,14 @@ class SimConfig:
         if self.detector not in DETECTOR_NAMES:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.detector in ("rc", "sm"):
+            L = _as_H(self.channel).shape[1]
             if self.detector == "rc" and self.rc is None:
-                self.rc = RcConfig()
+                self.rc = RcConfig(L=L)
             if self.detector == "sm" and self.sm is None:
-                self.sm = SmConfig()
+                self.sm = SmConfig(L=L)
             baseline = self.rc if self.detector == "rc" else self.sm
+            if baseline.L != L:
+                raise ValueError(f"{self.detector} L = {baseline.L}, but the channel has {L} LEDs")
             try:
                 baseline.bits  # raises for sizes that give no whole, positive bit count
             except ValueError as exc:
@@ -218,15 +224,15 @@ class _Link:
     decode: Callable
 
 
-def _decide_per_block(detect, Y, weights, M: int, gain_sum: float):
-    # detectors without a batch kernel yet: one call per block, at the batch's level scale
-    out = np.empty(len(Y), dtype=np.int64)
+def _decide_per_block(detect, Y, w):
+    # decoders without a batch kernel yet: one call per block, given its weight class
+    q = np.empty(len(Y), dtype=np.int64)
     ops = 0
     for b in range(len(Y)):
-        r = detect(Y[b], int(weights[b]), gain_sum)
-        out[b] = -1 if r.q is None else (r.q - 1) * M + (r.m - 1)
+        r = detect(Y[b], int(w[b]))
+        q[b] = -1 if r.q is None else r.q - 1
         ops += r.op_count
-    return out, ops
+    return q, ops
 
 
 def _link(config: SimConfig) -> _Link:
@@ -238,36 +244,37 @@ def _link(config: SimConfig) -> _Link:
                      lambda Y, tx, rng: (detect(Y, H, cfg), 0))
 
     cb, pam, cal = config.codebook, config.pam, config.calibration
-    HS = received_means(cb, pam, H)
-    weight_of = lambda tx: cb.weight_array[tx // pam.M]
+    HS, bits = received_means(cb, pam, H), cb.bits_per_block(pam.M)
+    if det == "ml":
+        # scores only the 2**bits signaling means
+        return _Link(HS, bits, lambda Y, tx, rng: (ml_detect_batch(Y, HS, pam.M),
+                                                   len(Y) * ml_op_count(len(HS), cb.L)))
+    if det == "guess":
+        return _Link(HS, bits, lambda Y, tx, rng: (rng.integers(len(HS), size=len(tx)), 0))
+
+    # the blind decoders pick an entry within a weight class; the class and
+    # the level are side decisions, each made once per batch here
+    if det == "bf":
+        def pick(Y, w):
+            return bf_detect_batch(Y, cb, w)[0], bf_op_count(cb, w)
+    elif det == "iterative":
+        pick = lambda Y, w: _decide_per_block(
+            lambda y, wb: iterative_sd_detect(y, cb, wb, config.e_max), Y, w)
+    else:  # bb
+        pick = lambda Y, w: _decide_per_block(lambda y, wb: bb_detect(y, cb), Y, w)
     # sum(H), the blind level scale, per batch: the calibration's, or the batch's
     # mean block sum, as E[sum(Y)] = sum(H) over uniform labels at unit mean
     # power (a truncated alphabet skews it: 127/128 for combined32 at M = 3)
     total = None if cal is None else float(_as_H(cal).sum())
-    gain_sum = lambda Y: float(Y.sum()) / len(Y) if total is None else total
-    if det == "ml":
-        # scores only the 2**bits signaling means
-        decode = lambda Y, tx, rng: (ml_detect_batch(Y, HS, pam.M),
-                                     len(Y) * ml_op_count(len(HS), cb.L))
-    elif det == "bf":
-        def decode(Y, tx, rng):
-            q, m, _, w = bf_detect_batch(Y, cb, pam, true_weight=weight_of(tx),
-                                         weight_mode=config.weight_mode, calibration=cal,
-                                         gain_sum=gain_sum(Y))
-            return q * pam.M + (m - 1), bf_op_count(cb, w)
-    elif det == "iterative":
-        decode = lambda Y, tx, rng: _decide_per_block(
-            lambda y, w, g: iterative_sd_detect(y, cb, pam, config.e_max, true_weight=w,
-                                                weight_mode=config.weight_mode,
-                                                calibration=cal, gain_sum=g),
-            Y, weight_of(tx), pam.M, gain_sum(Y))
-    elif det == "bb":
-        decode = lambda Y, tx, rng: _decide_per_block(
-            lambda y, w, g: bb_detect(y, cb, pam=pam, gain_sum=g), Y, weight_of(tx), pam.M,
-            gain_sum(Y))
-    else:  # guess
-        decode = lambda Y, tx, rng: (rng.integers(len(HS), size=len(tx)), 0)
-    return _Link(HS, cb.bits_per_block(pam.M), decode)
+
+    def decode(Y, tx, rng):
+        g = float(Y.sum()) / len(Y) if total is None else total
+        w = classify_weight_batch(Y, cb, config.weight_mode, pam,
+                                  cb.weight_array[tx // pam.M], cal, g)
+        q, ops = pick(Y, w)
+        m = estimate_intensity_batch(Y, pam, g)
+        return np.where(q >= 0, q * pam.M + m - 1, -1), ops
+    return _Link(HS, bits, decode)
 
 
 def _simulate_batch(config: SimConfig, link: _Link, n0, point_idx, batch_idx):

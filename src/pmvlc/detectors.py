@@ -29,15 +29,13 @@ lie on a line m U_q, and the nearest of them is the received correlation
 with U_q sliced to the nearest level: one (B, Q) matrix product per batch
 scores every entry at its best level, as a unipolar PAM slicer does.
 
-Intensity and weight side-decisions are factored out as
-estimate_intensity_batch and classify_weight_batch; multiweight detection
-assumes the weight class is known (genie mode) unless configured otherwise.
-The level is the block sum sliced by one scalar, gain_sum = sum(H), which
-the harness passes once per batch; a decoder at M > 1 without it raises
-ValueError.  The joint weight decision takes an optional gain matrix,
-`calibration`, as its reference channel (CSI), else the h02 profile.
-bb_detect and iterative_sd_detect have no batch kernel yet: they run per
-block and call the side-decision kernels with a batch of one.
+The blind rules pick an entry within a given weight class and nothing
+else.  The weight class and the PAM level are side decisions, each one
+batch kernel, classify_weight_batch and estimate_intensity_batch, which the
+harness (analysis._link) runs once per batch.  The level is the block sum
+sliced by one scalar, gain_sum = sum(H); the joint weight decision takes an
+optional gain matrix, `calibration`, as its reference channel (CSI), else
+the h02 profile.
 """
 
 from __future__ import annotations
@@ -56,10 +54,11 @@ from .txcodec import PamConfig, pam_intensity
 
 @dataclass
 class DetectionResult:
+    """One block's decision: entry q (1-based; None for no decision) of
+    weight class w, its cost and the decoder's work."""
+
     q: int | None
-    m: int
     w: int
-    bits: tuple[int, ...] | None
     cost: float
     iterations: int = 0
     op_count: int = 0
@@ -67,20 +66,6 @@ class DetectionResult:
 
 def _as_H(channel) -> np.ndarray:
     return channel.H if isinstance(channel, ChannelMatrix) else np.asarray(channel, dtype=np.float64)
-
-
-def _index_to_bits(index: int, width: int) -> tuple[int, ...]:
-    # the one label rule: signal index v carries v's width-bit big-endian bits
-    return tuple((index >> k) & 1 for k in reversed(range(width)))
-
-
-def _decision(q: int, m: int, codebook: Codebook, pam: PamConfig, cost: float,
-              iterations: int = 0, op_count: int = 0) -> DetectionResult:
-    index = (q - 1) * pam.M + (m - 1)
-    width = codebook.bits_per_block(pam.M)
-    bits = _index_to_bits(index, width) if index < 2 ** width else None
-    return DetectionResult(q=q, m=m, w=int(codebook.weight_array[q - 1]), bits=bits, cost=cost,
-                           iterations=iterations, op_count=op_count)
 
 
 def signal_stack(codebook: Codebook, pam: PamConfig) -> np.ndarray:
@@ -118,14 +103,15 @@ def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float | No
     H a_m P_q sum to 2m / (M + 1) sum(H) for every entry, weight and level:
     the level is sum(Y) (M + 1) / (2 gain_sum), gain_sum being sum(H) (see
     analysis._link for its blind estimate).  Ties between neighboring levels
-    resolve to the lower index, and the result is clipped to 1..M.  M = 1
-    returns 1 without reading Y; at M > 1 a missing gain_sum raises
-    ValueError.
+    resolve to the lower index, and the result is clipped to 1..M.  M = 1,
+    and a zero gain_sum, which carries no level, return 1 without reading Y
+    (as ml_detect_batch does for a zero-energy entry); at M > 1 a missing
+    gain_sum raises ValueError.
     """
-    if pam.M == 1:
-        return np.ones(len(Y), dtype=np.int64)
-    if gain_sum is None:
+    if gain_sum is None and pam.M > 1:
         raise ValueError(f"level estimation at M = {pam.M} needs gain_sum, the channel's sum(H)")
+    if pam.M == 1 or gain_sum == 0:
+        return np.ones(len(Y), dtype=np.int64)
     x = np.einsum("bij->b", Y) * ((pam.M + 1) / (2.0 * gain_sum))
     base = np.floor(x)
     # midpoint ties fall to the lower level; the slack absorbs float error
@@ -213,16 +199,15 @@ def ml_op_count(candidates: int, L: int) -> int:
     return candidates * L ** 2
 
 
-def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
-                    true_weight=None, weight_mode: str = "genie",
-                    calibration: np.ndarray | None = None, gain_sum: float | None = None):
-    """Blind exhaustive search per block of Y (B, L, L): smallest negated
-    support sum within the block's weight class, and the level from the
-    block sum and gain_sum (estimate_intensity_batch).
+def bf_detect_batch(Y: np.ndarray, codebook: Codebook, w):
+    """Blind exhaustive search per block of Y (B, L, L): the smallest
+    negated support sum within the block's weight class w (B,).
 
-    Returns 0-based entry indices, 1-based levels, costs and the weights.
+    Returns 0-based entry indices and their costs.
     """
-    w = classify_weight_batch(Y, codebook, weight_mode, pam, true_weight, calibration, gain_sum)
+    w = np.asarray(w)
+    if not np.isin(w, codebook.weights_present).all():
+        raise ValueError(f"weights {np.unique(w)} not all in codebook")
     picks = np.empty(len(Y), dtype=np.int64)
     costs = np.empty(len(Y))
     for wv in codebook.weights_present:
@@ -232,7 +217,7 @@ def bf_detect_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
         idx = codebook.weight_class_indices(wv)
         k, costs[sel] = _best_support(Y[sel], codebook.matrix_stack[idx])
         picks[sel] = idx[k]
-    return picks, estimate_intensity_batch(Y, pam, gain_sum), costs, w
+    return picks, costs
 
 
 def bf_op_count(codebook: Codebook, w) -> int:
@@ -244,21 +229,15 @@ def bf_op_count(codebook: Codebook, w) -> int:
                    for v in codebook.weights_present))
 
 
-def bf_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig, *,
-                 true_weight: int | None = None, weight_mode: str = "genie",
-                 calibration: np.ndarray | None = None,
-                 gain_sum: float | None = None) -> DetectionResult:
-    """Blind exhaustive search on one block; see bf_detect_batch.  op_count
-    is bf_op_count."""
-    picks, m, costs, w = bf_detect_batch(
-        np.asarray(Y, dtype=np.float64)[None], codebook, pam, true_weight=true_weight,
-        weight_mode=weight_mode, calibration=calibration, gain_sum=gain_sum)
-    return _decision(int(picks[0]) + 1, int(m[0]), codebook, pam, float(costs[0]),
-                     op_count=bf_op_count(codebook, w))
+def bf_sd_detect(Y: np.ndarray, codebook: Codebook, w: int) -> DetectionResult:
+    """Blind exhaustive search on one block of weight class w; see
+    bf_detect_batch.  op_count is bf_op_count."""
+    picks, costs = bf_detect_batch(np.asarray(Y, dtype=np.float64)[None], codebook, [w])
+    return DetectionResult(q=int(picks[0]) + 1, w=w, cost=float(costs[0]),
+                           op_count=bf_op_count(codebook, w))
 
 
-def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None,
-              gain_sum: float | None = None) -> DetectionResult:
+def bb_detect(Y: np.ndarray, codebook: Codebook) -> DetectionResult:
     """Greedy level-by-level column selection for weight-1 codebooks.
 
     Row k scores each free column c by the path cost so far, yhat[k, c] and
@@ -268,19 +247,16 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     op_count models the node-by-node bound: f (1 + (f-1)^2) additions at a
     level with f free columns, 60 in all at L = 4.  One node survives per
     level, so the result may fall outside a restricted codebook; that
-    outcome carries no bit decision.  The level comes from gain_sum (see
-    estimate_intensity_batch).  Raises ValueError for a non-finite Y.
+    outcome is no decision (q None).  Raises ValueError for a non-finite Y.
     The loop adds yhat.tolist() floats down the rows below in ascending
     order, as numpy's column sum does (builtin sum compensates from 3.12),
     and keeps the first of equal scores: bit for bit the numpy form.
     """
     if codebook.weights_present != (1,):
         raise ValueError("branch-and-bound decoding applies to weight-1 codebooks only")
-    pam = pam or PamConfig()
     Y = np.asarray(Y, dtype=np.float64)
     if not np.isfinite(Y).all():
         raise ValueError("received block must be finite")
-    m = int(estimate_intensity_batch(Y[None], pam, gain_sum)[0])
     yhat = (-Y).tolist()
     L = codebook.L
     used: list[int] = []
@@ -294,9 +270,7 @@ def bb_detect(Y: np.ndarray, codebook: Codebook, *, pam: PamConfig | None = None
     ops = sum(f * (1 + (f - 1) ** 2) for f in range(1, L + 1))
     path_cost = sum(yhat[row][col] for row, col in enumerate(used))
     hit = codebook.slot_table[1][0].get(tuple(c + 1 for c in used))
-    if hit is not None:
-        return _decision(hit[0] + 1, m, codebook, pam, path_cost, iterations=L, op_count=ops)
-    return DetectionResult(q=None, m=1, w=1, bits=None, cost=path_cost,
+    return DetectionResult(q=None if hit is None else hit[0] + 1, w=1, cost=path_cost,
                            iterations=L, op_count=ops)
 
 
@@ -355,12 +329,9 @@ def _walk_until_member(yhat: np.ndarray, members, e_max: int):
 _LAP_OPS = lambda L: L ** 3
 
 
-def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
-                        e_max: int | None = None, *,
-                        true_weight: int | None = None, weight_mode: str = "genie",
-                        calibration: np.ndarray | None = None,
-                        gain_sum: float | None = None) -> DetectionResult:
-    """Assignment-driven blind detection.
+def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, w: int,
+                        e_max: int | None = None) -> DetectionResult:
+    """Assignment-driven blind detection within weight class w.
 
     Weight 1: solve the assignment problem on yhat; if the optimum is not a
     codebook member, take next-best assignments in cost order until one is.
@@ -368,15 +339,13 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
     codebook; every row whose component matches a walk's winner becomes a
     candidate, and candidates are scored by the summed support metric.  When
     the walk budget e_max (default: class size) runs dry the detector falls
-    back to exhaustive search within the class.  The level comes from
-    gain_sum (see estimate_intensity_batch).
+    back to exhaustive search within the class (bf_sd_detect).
     """
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
-    w = int(classify_weight_batch(Y[None], codebook, weight_mode, pam, true_weight,
-                                  calibration, gain_sum)[0])
-    m = int(estimate_intensity_batch(Y[None], pam, gain_sum)[0])
+    if w not in codebook.weights_present:
+        raise ValueError(f"weight {w} not in codebook")
     budget = e_max if e_max is not None else len(codebook.weight_class_indices(w))
     if budget < 1:
         raise ValueError("e_max must be at least 1")
@@ -406,13 +375,11 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
             q, cost = cand[int(pick[0])] + 1, costs[0]
 
     if q is None:
-        res = bf_sd_detect(Y, codebook, pam, true_weight=w, weight_mode="genie",
-                           gain_sum=gain_sum)
+        res = bf_sd_detect(Y, codebook, w)
         res.iterations = iterations
         res.op_count += ops
         return res
-    return _decision(q, m, codebook, pam, float(cost),
-                     iterations=iterations, op_count=ops)
+    return DetectionResult(q=q, w=w, cost=float(cost), iterations=iterations, op_count=ops)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from pmvlc.detectors import (
     RcConfig,
     SmConfig,
     bf_sd_detect,
+    classify_weight_batch,
+    estimate_intensity_batch,
     iterative_sd_detect,
     ml_detect_batch,
     murty_iter,
@@ -110,13 +112,19 @@ def test_criterion_03_zero_noise_roundtrip():
                     Y = H02.H @ _block(cb, q, m, pam)
                     got = int(ml_detect_batch(Y[None], HS, M)[0])
                     assert got == (q - 1) * M + (m - 1), f"ml {name} M={M} q={q} m={m}"
-                    got = bf_sd_detect(Y, cb, pam, true_weight=w, gain_sum=g)
-                    assert (got.q, got.m) == (q, m), f"bf {name} M={M} q={q} m={m}"
-                    got = iterative_sd_detect(Y, cb, pam, true_weight=w, gain_sum=g)
-                    assert (got.q, got.m) == (q, m), f"it {name} M={M} q={q} m={m}"
+                    # the blind decoders pick the entry; the level is the harness's
+                    # side decision, and so is the joint weight
+                    level = int(estimate_intensity_batch(Y[None], pam, g)[0])
+                    assert level == m, f"level {name} M={M} q={q} m={m}"
+                    got = bf_sd_detect(Y, cb, w)
+                    assert got.q == q, f"bf {name} M={M} q={q} m={m}"
+                    got = iterative_sd_detect(Y, cb, w)
+                    assert got.q == q, f"it {name} M={M} q={q} m={m}"
                     if len(cb.weights_present) > 1:
-                        got = bf_sd_detect(Y, cb, pam, weight_mode="joint", gain_sum=g)
-                        assert (got.q, got.m) == (q, m), f"joint {name} M={M} q={q}"
+                        joint = int(classify_weight_batch(Y[None], cb, "joint", pam,
+                                                          gain_sum=g)[0])
+                        got = bf_sd_detect(Y, cb, joint)
+                        assert (joint, got.q) == (w, q), f"joint {name} M={M} q={q}"
                     checked += 1
     _verdict(3, True, f"{checked} (book, q, m) roundtrips exact for ml/bf/iterative")
 
@@ -153,8 +161,8 @@ def test_criterion_05_sd_cost_exactness():
         for _ in range(10_000):
             q = int(rng.integers(1, cb.size + 1))
             Y = H02.H @ _block(cb, q, 1, pam) + rng.normal(0.0, math.sqrt(n0 / 2), (4, 4))
-            bf = bf_sd_detect(Y, cb, pam, true_weight=1)
-            it = iterative_sd_detect(Y, cb, pam, true_weight=1)
+            bf = bf_sd_detect(Y, cb, 1)
+            it = iterative_sd_detect(Y, cb, 1)
             worst = max(worst, abs(bf.cost - it.cost))
         assert worst <= 1e-9, f"{name}: max cost gap {worst}"
     _verdict(5, True, "iterative cost == exhaustive cost on 30000 noisy blocks")
@@ -316,12 +324,11 @@ def test_criterion_11_complexity_scaling():
         for _ in range(64):
             q = int(rng.integers(1, cb.size + 1))
             Y = H02.H @ _block(cb, q, 1, pam) + rng.normal(0, 5e-6, (4, 4))
-            ops.append(bf_sd_detect(Y, cb, pam, true_weight=1).op_count)
+            ops.append(bf_sd_detect(Y, cb, 1).op_count)
         bf_ops.append(float(np.mean(ops)))
         # noise-free inputs keep the first-ranked assignment inside the book,
         # isolating the size-independent part of the iterative decoder
-        member = [iterative_sd_detect(H02.H @ _block(cb, q, 1, pam), cb, pam,
-                                      true_weight=1).op_count
+        member = [iterative_sd_detect(H02.H @ _block(cb, q, 1, pam), cb, 1).op_count
                   for q in range(1, cb.size + 1)]
         it_ops.append(float(np.mean(member)))
     slope, intercept = np.polyfit(sizes, bf_ops, 1)

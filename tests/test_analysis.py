@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -324,17 +325,78 @@ class TestHarnessDeterminism:
         ({"detector": "rc", "rc": RcConfig(M=12)}, "rc M = 12"),
         ({"detector": "sm", "sm": SmConfig(M=3)}, "sm M = 3"),
         ({"detector": "ml", "seed": -1}, "seed must be non-negative"),
-    ], ids=["weight_mode", "e_max", "bb-multiweight", "rc-size", "sm-size", "seed"])
+        ({"detector": "rc", "rc": RcConfig(L=8)}, "rc L = 8, but the channel has 4 LEDs"),
+        ({"detector": "sm", "sm": SmConfig(L=8)}, "sm L = 8, but the channel has 4 LEDs"),
+    ], ids=["weight_mode", "e_max", "bb-multiweight", "rc-size", "sm-size", "seed", "rc-L",
+            "sm-L"])
     def test_rejects_bad_setting(self, setting, match):
         with pytest.raises(ValueError, match=match):
             SimConfig(scheme="x", ebn0_grid=(100.0,), channel=H02, codebook=COMBINED32,
                       **setting)
+
+    @pytest.mark.parametrize("detector", ["rc", "sm"])
+    def test_baseline_size_follows_the_channel(self, detector):
+        # a 4 x 8 gain matrix: eight LEDs, so the default baseline drives eight
+        H = np.random.default_rng(53).uniform(0.5, 1.5, (4, 8)) * 1e-5
+        cfg = SimConfig(scheme="x", detector=detector, ebn0_grid=(100.0,), channel=H,
+                        errors_target=1, block_cap=BATCH_BLOCKS)
+        assert getattr(cfg, detector).L == 8
+        assert 0.0 <= monte_carlo_ber(cfg)[0].ber < 0.5
 
     def test_unknown_detector_raises(self):
         with pytest.raises(ValueError, match="unknown detector 'zf'"):
             SimConfig(scheme="x", detector="zf", ebn0_grid=(100.0,),
                       channel=H02, codebook=COMBINED32, pam=M1,
                       errors_target=1, block_cap=BATCH_BLOCKS)
+
+
+class TestHarnessLabelRule:
+    """A blind decision is the signal index q M + m - 1, with entry q from the
+    decoder and level m from the harness's one slice per batch, or -1 where
+    the decoder makes none.  _simulate_batch counts a decision of -1 or of
+    2**bits and above as the loss of every bit of its block."""
+
+    H06 = build_channel(square_grid_geometry(tx_spacing=0.6))
+
+    @pytest.mark.parametrize("detector,book,q,want", [
+        ("bf", "full24", 20, 39), ("iterative", "full24", 20, 39), ("bb", "cb1", None, -1),
+    ])
+    def test_undecided_or_unlabelled_block_loses_every_bit(self, detector, book, q, want):
+        cb, pam = named_codebook(book), PamConfig(M=2)
+        config = SimConfig(scheme=book, detector=detector, ebn0_grid=(400.0,), channel=self.H06,
+                           codebook=cb, pam=pam, calibration=self.H06.H)
+        link = analysis._link(config)
+        bits = cb.bits_per_block(pam.M)
+        # full24 signals 32 of its 48 (entry, level) pairs, so entry 20 at
+        # level 2 is index 39, past every label; cb1 lacks the identity
+        # permutation, which dominates the bb search on an identity block
+        S = self.H06.H @ (pam_intensity(2, 2, 1) * cb.matrix_stack[q - 1] if q else np.eye(4))
+        rx, _ = link.decode(S[None], np.zeros(1, dtype=np.int64), None)
+        assert rx.tolist() == [want] and not 0 <= want < 2 ** bits == len(link.means)
+        off = dataclasses.replace(link, decode=lambda Y, tx, rng: link.decode(
+            np.broadcast_to(S, Y.shape), tx, rng))
+        errors, blocks, _ = analysis._simulate_batch(config, off, 1e-40, 0, 0)
+        assert errors == bits * blocks
+        # and the noiseless block of each sent index decodes to that index
+        exact = dataclasses.replace(link, decode=lambda Y, tx, rng: link.decode(
+            link.means[tx], tx, rng))
+        assert analysis._simulate_batch(config, exact, 1e-40, 0, 0)[0] == 0
+
+    def test_zero_gain_channel_runs_at_level_one(self):
+        # the receiver outside every LED's field of view: sum(H) = 0, so the
+        # CSI level scale carries no level and every block decides level 1
+        H = build_channel(square_grid_geometry(tx_spacing=0.6, rx_offset_x=3.0))
+        assert not H.H.any()
+        pam = PamConfig(M=4)
+        for det in ("bf", "iterative"):
+            cfg = SimConfig(scheme="c32", detector=det, ebn0_grid=(100.0,), channel=H,
+                            codebook=COMBINED32, pam=pam, errors_target=1,
+                            block_cap=BATCH_BLOCKS, calibration=H.H, weight_mode="joint")
+            link = analysis._link(cfg)
+            Y = np.random.default_rng(3).normal(0.0, 1e-5, (8, 4, 4))
+            rx, _ = link.decode(Y, np.zeros(8, dtype=np.int64), None)
+            assert (rx % pam.M == 0).all()
+            assert 0.3 < monte_carlo_ber(cfg)[0].ber < 0.7
 
 
 class TestBlindLevelScale:
@@ -401,15 +463,16 @@ class TestBatchPathsMatchScalarDetectors:
         tx, Y = _noisy_blocks(COMBINED32, pam, 99.0, 64, seed=78)
         tx_w = COMBINED32.weight_array[tx // pam.M]
         g = H02.H.sum()
-        q, m, _, _ = bf_detect_batch(Y, COMBINED32, pam, true_weight=tx_w, gain_sum=g)
+        q, costs = bf_detect_batch(Y, COMBINED32, tx_w)
+        m = estimate_intensity_batch(Y, pam, g)
         for b in range(len(tx)):
             cls = np.flatnonzero(COMBINED32.weight_array == tx_w[b])
             sums = [-(Y[b] * COMBINED32.matrix_stack[i]).sum() for i in cls]
             pick = int(cls[int(np.argmin(sums))])
             assert q[b] == pick
             assert m[b] == estimate_intensity_batch(Y[b][None], pam, g)[0]
-            r = bf_sd_detect(Y[b], COMBINED32, pam, true_weight=int(tx_w[b]), gain_sum=g)
-            assert (q[b], m[b]) == (r.q - 1, r.m)
+            r = bf_sd_detect(Y[b], COMBINED32, int(tx_w[b]))
+            assert (q[b], costs[b]) == (r.q - 1, r.cost)
 
     def test_rc_batch_matches_scalar(self):
         cfg = RcConfig()

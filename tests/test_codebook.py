@@ -25,7 +25,7 @@ from pmvlc.codebook import (
     hamming_distance,
     import_text,
 )
-from pmvlc.detectors import _index_to_bits, signal_stack
+from pmvlc.detectors import signal_stack
 from pmvlc.txcodec import PamConfig, pam_intensity
 
 
@@ -462,11 +462,12 @@ class TestLookupTables:
 
 class TestBitMapping:
     """Signal v is row v of detectors.signal_stack and carries the big-endian
-    bits of v (detectors._index_to_bits), the mapping the harness sends."""
+    bits of v (np.binary_repr(v, width)), the label the harness sends and
+    compares with analysis.bit_distance."""
 
     def test_all_zero_bits(self):
         cb = enumerate_weight_w(4, 1)
-        assert _index_to_bits(0, cb.bits_per_block(1)) == (0, 0, 0, 0)
+        assert np.binary_repr(0, cb.bits_per_block(1)) == "0000"
         np.testing.assert_array_equal(signal_stack(cb, PamConfig(M=1))[0],
                                       cb.entries[0].entries)
 
@@ -477,9 +478,13 @@ class TestBitMapping:
         for M in (1, 2):
             width = cb.bits_per_block(M)
             n = cb.signaling_count(M)
-            labels = [_index_to_bits(v, width) for v in range(n)]
-            assert all(len(b) == width and set(b) <= {0, 1} for b in labels)
-            assert [int("".join(map(str, b)), 2) for b in labels] == list(range(n))
+            labels = [np.binary_repr(v, width) for v in range(n)]
+            assert all(len(b) == width for b in labels)
+            assert [int(b, 2) for b in labels] == list(range(n))
+            # the harness's bit count over label pairs is the Hamming distance
+            v = np.arange(n)
+            assert analysis.bit_distance(v[:, None], v[None, :]).tolist() == [
+                [sum(x != y for x, y in zip(a, b)) for b in labels] for a in labels]
             rows = signal_stack(cb, PamConfig(M=M))[:n]
             assert len({r.tobytes() for r in rows}) == n
 
@@ -490,8 +495,8 @@ class TestBitMapping:
         for row, (q, m) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]):
             expected = pam_intensity(m, 2, 1) * cb.entries[q - 1].entries
             np.testing.assert_allclose(S[row], expected, rtol=1e-15)
-        assert _index_to_bits(1, 5) == (0, 0, 0, 0, 1)
-        assert _index_to_bits(2, 5) == (0, 0, 0, 1, 0)
+        assert np.binary_repr(1, 5) == "00001"
+        assert np.binary_repr(2, 5) == "00010"
         assert cb.bits_per_block(M=2) == 5
 
     def test_width_checks(self):

@@ -3,6 +3,7 @@ cost-equality guarantees, the measured divergence of the greedy search, and
 the assignment ranking the iterative walk follows, against brute force.
 """
 
+import inspect
 from itertools import permutations
 
 import numpy as np
@@ -22,7 +23,6 @@ from pmvlc.codebook import (
 from pmvlc.detectors import (
     RcConfig,
     SmConfig,
-    _index_to_bits,
     bb_detect,
     bf_sd_detect,
     classify_weight_batch,
@@ -99,18 +99,14 @@ def bb_reference(Y, L):
     return tuple(c + 1 for c in used), path_cost, ops
 
 
-def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weight_mode="genie",
-                        gain_sum=None):
+def iterative_reference(Y, codebook, w, e_max=None):
     # iterative_sd_detect as it was before the codebook cached its lookup
     # tables: the member dict (weight 1) or the per-slot component sets are
-    # rebuilt from codebook.entries on every block, and the label is the
-    # big-endian bits of the signal index.  Returns ((q, m, bits, cost,
+    # rebuilt from codebook.entries on every block.  Returns ((q, cost,
     # iterations, op_count), whether the exhaustive fallback decided).
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
-    w = int(classify_weight_batch(Y[None], codebook, weight_mode, pam, true_weight,
-                                  gain_sum=gain_sum)[0])
     idx = np.flatnonzero(codebook.weight_array == w)
     budget = e_max if e_max is not None else len(idx)
 
@@ -124,15 +120,6 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
                 break
         return None, None, tries
 
-    def decided(q, cost):
-        m = int(estimate_intensity_batch(Y[None], pam, gain_sum)[0])
-        index = (q - 1) * pam.M + (m - 1)
-        bits = None
-        if index < codebook.signaling_count(pam.M):
-            width = codebook.bits_per_block(pam.M)
-            bits = tuple((index >> k) & 1 for k in reversed(range(width)))
-        return (q, m, bits, cost, iterations, ops), False
-
     iterations = ops = 0
     if w == 1:
         members = {codebook.entries[int(i)].components[0].symbols: int(i) for i in idx}
@@ -140,7 +127,7 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
         iterations += tries
         ops += tries * (L ** 3 + L)
         if perm is not None:
-            return decided(members[perm] + 1, float(cost))
+            return (members[perm] + 1, float(cost), iterations, ops), False
     else:
         candidates = set()
         for slot in range(w):
@@ -155,13 +142,17 @@ def iterative_reference(Y, codebook, pam, e_max=None, *, true_weight=None, weigh
             cand = sorted(candidates)
             pick, cost = detectors._best_support(Y[None], codebook.matrix_stack[cand])
             ops += len(cand) * w * L
-            return decided(cand[int(pick[0])] + 1, float(cost[0]))
-    res = bf_sd_detect(Y, codebook, pam, true_weight=w, gain_sum=gain_sum)
-    return (res.q, res.m, res.bits, res.cost, iterations, res.op_count + ops), True
+            return (cand[int(pick[0])] + 1, float(cost[0]), iterations, ops), False
+    res = bf_sd_detect(Y, codebook, w)
+    return (res.q, res.cost, iterations, res.op_count + ops), True
 
 
 CB1 = perm_codebook([(4, 3, 2, 1), (4, 1, 3, 2), (3, 1, 2, 4), (3, 4, 1, 2),
                      (2, 4, 3, 1), (2, 1, 4, 3), (2, 3, 1, 4), (1, 3, 4, 2)])
+
+
+def label(value, width):
+    return tuple((value >> k) & 1 for k in reversed(range(width)))
 
 
 def ml_index(Y, H, codebook, pam):
@@ -201,9 +192,10 @@ class TestMlDetect:
         assert ml_op_count(16, 4) == 16 * 16
 
     def test_bits_match_mapping(self):
+        # the decision is the signal index, whose big-endian bits are the label
         Y = H02 @ block_for(COMBINED32, 5, 1, M1)
         k = ml_index(Y, H02, COMBINED32, M1)
-        assert _index_to_bits(k, COMBINED32.bits_per_block(1)) == (0, 0, 1, 0, 0)  # 4 of 32
+        assert label(k, COMBINED32.bits_per_block(1)) == (0, 0, 1, 0, 0)  # 4 of 32
 
     def test_bits_none_outside_signaling_subset(self):
         # full24 with M=1 signals 16 of 24 entries; the whole-book means
@@ -215,10 +207,11 @@ class TestMlDetect:
 
 class TestBfSd:
     def test_identity_channel_exact(self):
+        # entries past signaling_count decode too; the harness counts such a
+        # decision as all bits lost (test_analysis.TestHarnessLabelRule)
         for q in range(1, 25):
-            r = bf_sd_detect(FULL24.matrix_stack[q - 1], FULL24, M1)
+            r = bf_sd_detect(FULL24.matrix_stack[q - 1], FULL24, 1)
             assert r.q == q
-            assert (r.bits is None) == (q > FULL24.signaling_count(1))
 
     def test_fixture_diagonal_is_columnwise_maximal(self):
         # the property that makes blind detection exact without noise
@@ -234,13 +227,13 @@ class TestBfSd:
     def test_zero_noise_recovery(self, codebook, weight):
         for q in range(1, codebook.size + 1):
             Y = H02 @ block_for(codebook, q, 1, M1)
-            r = bf_sd_detect(Y, codebook, M1, true_weight=weight)
+            r = bf_sd_detect(Y, codebook, weight)
             assert r.q == q and r.w == weight
 
     def test_cost_is_negated_support_sum(self):
         rng = np.random.default_rng(5)
         Y = rng.normal(0, 1, (4, 4))
-        r = bf_sd_detect(Y, FULL24, M1)
+        r = bf_sd_detect(Y, FULL24, 1)
         assert r.cost == pytest.approx(-np.sum(Y * FULL24.matrix_stack[r.q - 1]))
 
     @given(scale=st.floats(0.1, 100.0), shift=st.floats(-5.0, 5.0))
@@ -248,21 +241,23 @@ class TestBfSd:
     def test_decision_invariant_to_positive_scaling(self, scale, shift):
         rng = np.random.default_rng(11)
         Y = rng.normal(0, 1, (4, 4))
-        base = bf_sd_detect(Y, FULL24, M1).q
-        assert bf_sd_detect(scale * Y, FULL24, M1).q == base
+        base = bf_sd_detect(Y, FULL24, 1).q
+        assert bf_sd_detect(scale * Y, FULL24, 1).q == base
         # uniform shifts cancel across equal-weight supports too
-        assert bf_sd_detect(Y + shift, FULL24, M1).q == base
+        assert bf_sd_detect(Y + shift, FULL24, 1).q == base
 
     def test_genie_weight_restricts_search(self):
         Y = H02 @ block_for(COMBINED32, 1, 1, M1)  # a weight-1 block
-        r = bf_sd_detect(Y, COMBINED32, M1, true_weight=2)
-        assert r.w == 2
+        r = bf_sd_detect(Y, COMBINED32, 2)
+        assert r.w == 2 and COMBINED32.weight_array[r.q - 1] == 2
+        with pytest.raises(ValueError, match="not all in codebook"):
+            bf_sd_detect(Y, COMBINED32, 3)
 
     def test_op_count_linear_in_class_size(self):
         Y = H02 @ block_for(FULL24, 1, 1, M1)
-        assert bf_sd_detect(Y, FULL24, M1).op_count == 24 * 1 * 4
+        assert bf_sd_detect(Y, FULL24, 1).op_count == 24 * 1 * 4
         sub8 = FULL24.subset(range(8), label="sub8")
-        assert bf_sd_detect(Y, sub8, M1).op_count == 8 * 1 * 4
+        assert bf_sd_detect(Y, sub8, 1).op_count == 8 * 1 * 4
 
 
 class TestEstimateIntensity:
@@ -313,21 +308,19 @@ class TestEstimateIntensity:
         np.testing.assert_array_equal(estimate_intensity_batch(Y, pam, 16.0), [4, 1])
 
     def test_decoders_need_the_scale_above_one_level(self):
-        # none of them estimates sum(H) from its own block
+        # the level kernels never estimate sum(H) from a block of their own,
+        # and the blind decoders take no level inputs at all: the harness
+        # decides the level once per batch (analysis._link)
         pam = PamConfig(M=4)
         Y = H02 @ block_for(FULL24, 3, 2, pam)
-        calls = (lambda **k: estimate_intensity_batch(Y[None], pam, k.get("gain_sum")),
-                 lambda **k: detectors.bf_detect_batch(Y[None], FULL24, pam, true_weight=1, **k),
-                 lambda **k: bf_sd_detect(Y, FULL24, pam, **k),
-                 lambda **k: iterative_sd_detect(Y, FULL24, pam, **k),
-                 lambda **k: bb_detect(Y, FULL24, pam=pam, **k))
-        for call in calls:
-            with pytest.raises(ValueError, match="M = 4 needs gain_sum"):
-                call()
-            call(gain_sum=H02.sum())
-        assert bb_detect(Y, FULL24, pam=pam, gain_sum=H02.sum()).m == 2
+        with pytest.raises(ValueError, match="M = 4 needs gain_sum"):
+            estimate_intensity_batch(Y[None], pam, None)
+        assert estimate_intensity_batch(Y[None], pam, H02.sum())[0] == 2
         with pytest.raises(ValueError, match="needs gain_sum"):
             classify_weight_batch(Y[None], COMBINED32, "joint", pam)
+        side = {"pam", "true_weight", "weight_mode", "calibration", "gain_sum"}
+        for decoder in (detectors.bf_detect_batch, bf_sd_detect, iterative_sd_detect, bb_detect):
+            assert not side & set(inspect.signature(decoder).parameters), decoder.__name__
 
 
 def test_default_profile_loaded_once(monkeypatch):
@@ -443,7 +436,7 @@ class TestBbDetect:
         # CB1 lacks the identity permutation, which dominates this input
         Y = H02 @ np.eye(4)
         r = bb_detect(Y, CB1)
-        assert r.q is None and r.bits is None
+        assert r.q is None and r.w == 1
 
     def test_divergence_from_exact_assignment_is_measurable(self):
         # the single-survivor tree is greedy: it finds the true optimum on
@@ -513,7 +506,7 @@ class TestIterativeSd:
         rng = np.random.default_rng(17)
         for _ in range(50):
             Y = rng.normal(0, 1, (4, 4))
-            r = iterative_sd_detect(Y, FULL24, M1)
+            r = iterative_sd_detect(Y, FULL24, 1)
             assert r.iterations == 1
             assert r.cost == pytest.approx(next(murty_iter(-Y)).cost)
 
@@ -522,8 +515,8 @@ class TestIterativeSd:
         for _ in range(2000):
             Y = H02 @ block_for(CB1, int(rng.integers(1, 9)), 1, M1)
             Y = Y + rng.normal(0, 2e-5, (4, 4))
-            bf = bf_sd_detect(Y, CB1, M1)
-            it = iterative_sd_detect(Y, CB1, M1)
+            bf = bf_sd_detect(Y, CB1, 1)
+            it = iterative_sd_detect(Y, CB1, 1)
             assert it.cost == pytest.approx(bf.cost, abs=1e-15)
             assert it.q == bf.q
 
@@ -531,34 +524,39 @@ class TestIterativeSd:
     def test_zero_noise_multiweight_recovery(self, codebook):
         for q in range(1, codebook.size + 1):
             Y = H02 @ block_for(codebook, q, 1, M1)
-            r = iterative_sd_detect(Y, codebook, M1, true_weight=2)
+            r = iterative_sd_detect(Y, codebook, 2)
             assert r.q == q
 
     def test_combined_codebook_roundtrip_with_genie(self):
         for q in range(1, COMBINED32.size + 1):
             w = COMBINED32.entries[q - 1].weight
             Y = H02 @ block_for(COMBINED32, q, 1, M1)
-            r = iterative_sd_detect(Y, COMBINED32, M1, true_weight=w)
+            r = iterative_sd_detect(Y, COMBINED32, w)
             assert (r.q, r.w) == (q, w)
 
     def test_fallback_recovers_bf_decision(self):
         Y = H02 @ np.eye(4)
-        r = iterative_sd_detect(Y, CB1, M1, e_max=1)
-        assert r.q == bf_sd_detect(Y, CB1, M1).q
+        r = iterative_sd_detect(Y, CB1, 1, e_max=1)
+        assert r.q == bf_sd_detect(Y, CB1, 1).q
 
     def test_iteration_budget_respected(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
             Y = rng.normal(0, 1, (4, 4))
-            r = iterative_sd_detect(Y, CB1, M1, e_max=3)
+            r = iterative_sd_detect(Y, CB1, 1, e_max=3)
             assert r.iterations <= 3
+
+    def test_rejects_weight_outside_codebook(self):
+        with pytest.raises(ValueError, match="weight 2 not in codebook"):
+            iterative_sd_detect(np.zeros((4, 4)), CB1, 2)
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            iterative_sd_detect(np.zeros((4, 4)), CB1, M1, e_max=0)
+            iterative_sd_detect(np.zeros((4, 4)), CB1, 1, e_max=0)
 
     # Physical-scale noise from a near-certain hit to frequent misses; e_max
-    # = 1 reaches the exhaustive fallback, and joint mode picks the weight.
+    # = 1 reaches the exhaustive fallback, and joint mode picks the weight
+    # that both decoders are given.
     @pytest.mark.parametrize("book, M, e_max, mode", [
         (COMBINED32, 1, None, "genie"), (COMBINED32, 4, 2, "genie"), (COMBINED32, 1, None, "joint"),
         (W2SEL8, 1, None, "genie"), (W2SEL8, 1, 1, "genie"), (FULL24, 2, None, "genie"),
@@ -574,11 +572,12 @@ class TestIterativeSd:
                 q, m = int(rng.integers(1, book.size + 1)), int(rng.integers(1, M + 1))
                 w = book.entries[q - 1].weight
                 Y = H02 @ block_for(book, q, m, pam) + rng.normal(0, sigma, (4, 4))
-                r = iterative_sd_detect(Y, book, pam, e_max, true_weight=w, weight_mode=mode,
-                                        gain_sum=H02.sum())
-                want, fell_back = iterative_reference(Y, book, pam, e_max, true_weight=w,
-                                                      weight_mode=mode, gain_sum=H02.sum())
-                assert (r.q, r.m, r.bits, r.cost, r.iterations, r.op_count) == want
+                w = int(classify_weight_batch(Y[None], book, mode, pam, w,
+                                              gain_sum=H02.sum())[0])
+                r = iterative_sd_detect(Y, book, w, e_max)
+                want, fell_back = iterative_reference(Y, book, w, e_max)
+                assert (r.q, r.cost, r.iterations, r.op_count) == want
+                assert r.w == w
                 fallbacks += fell_back
         if e_max == 1:
             assert fallbacks > 0
@@ -588,8 +587,8 @@ class TestIterativeSd:
         # whether the codebook holds 8 or 24 permutations
         Y = H02 @ block_for(FULL24, 1, 1, M1)
         sub = FULL24.subset(range(8), label="sub")
-        a = iterative_sd_detect(Y, FULL24, M1).op_count
-        b = iterative_sd_detect(Y, sub, M1).op_count
+        a = iterative_sd_detect(Y, FULL24, 1).op_count
+        b = iterative_sd_detect(Y, sub, 1).op_count
         assert a == b
 
 
@@ -683,10 +682,6 @@ class TestAssignmentRanking:
             next(murty_iter(np.zeros((n, n))))
 
 
-def label(value, width):
-    return tuple((value >> k) & 1 for k in reversed(range(width)))
-
-
 class TestBaselines:
     """Row v of each baseline's `signals` is the symbol labelled v."""
 
@@ -694,13 +689,13 @@ class TestBaselines:
         cfg = RcConfig(L=4, M=16)
         assert cfg.signals.shape == (16, 4)
         got = rc_detect_batch(cfg.signals @ H02.T, H02, cfg)
-        assert [_index_to_bits(int(v), cfg.bits) for v in got] == [label(v, 4) for v in range(16)]
+        np.testing.assert_array_equal(got, np.arange(16))
 
     def test_sm_roundtrip_all_symbols(self):
         cfg = SmConfig(L=4, M=4)
         assert cfg.signals.shape == (16, 4)
         got = sm_detect_batch(cfg.signals @ H02.T, H02, cfg)
-        assert [_index_to_bits(int(v), cfg.bits) for v in got] == [label(v, 4) for v in range(16)]
+        np.testing.assert_array_equal(got, np.arange(16))
 
     def test_rc_slot_power_matches_mean_intensity(self):
         cfg = RcConfig(L=4, M=16)
