@@ -206,17 +206,19 @@ def bf_detect_batch(Y: np.ndarray, codebook: Codebook, w):
     Returns 0-based entry indices and their costs.
     """
     w = np.asarray(w)
-    if not np.isin(w, codebook.weights_present).all():
-        raise ValueError(f"weights {np.unique(w)} not all in codebook")
     picks = np.empty(len(Y), dtype=np.int64)
     costs = np.empty(len(Y))
+    decided = 0
     for wv in codebook.weights_present:
         sel = np.flatnonzero(w == wv)
+        decided += len(sel)
         if len(sel) == 0:
             continue
         idx = codebook.weight_class_indices(wv)
         k, costs[sel] = _best_support(Y[sel], codebook.matrix_stack[idx])
         picks[sel] = idx[k]
+    if decided != len(Y):
+        raise ValueError(f"weights {np.unique(w)} not all in codebook")
     return picks, costs
 
 
