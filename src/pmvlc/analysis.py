@@ -173,8 +173,8 @@ class SimConfig:
     def __post_init__(self):
         if self.detector not in DETECTOR_NAMES:
             raise ValueError(f"unknown detector {self.detector!r}")
+        L = _as_H(self.channel).shape[1]
         if self.detector in ("rc", "sm"):
-            L = _as_H(self.channel).shape[1]
             if self.detector == "rc" and self.rc is None:
                 self.rc = RcConfig(L=L)
             if self.detector == "sm" and self.sm is None:
@@ -188,6 +188,8 @@ class SimConfig:
                 raise ValueError(f"{self.detector} M = {baseline.M}: {exc}") from None
         elif self.codebook is None:
             raise ValueError(f"detector {self.detector!r}: coded detectors need a codebook")
+        elif self.codebook.L != L:
+            raise ValueError(f"codebook L = {self.codebook.L}, but the channel has {L} LEDs")
         elif self.detector == "bb" and self.codebook.weights_present != (1,):
             raise ValueError("bb detector requires a weight-1 codebook")
         if len(self.ebn0_grid) == 0:

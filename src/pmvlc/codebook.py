@@ -8,25 +8,24 @@ A codebook is a deduplicated, canonically ordered list of such matrices for
 one or more weights; its first signaling_count(M) (entry, level) pairs carry
 data.
 
-A matrix is identified by its cell bitmask, with bit r*L + c - 1 set for
-symbol c in row r: a Python int on a CodewordMatrix, little-endian bytes in
-a Codebook's key array.  Equality, hashing and deduplication compare these
-masks, and the uint8 entry arrays are unpacked from them only when read.
-A Codebook is built from and holds arrays: each entry's mask and the rows
-of its components in a sorted codeword table.  Enumeration extends index
+A Codebook is built from and held as integer arrays: a sorted table of
+0-based codewords, each entry's component rows in that table, and each
+entry's cell bitmask, with bit r*L + c - 1 set for symbol c in row r, as
+little-endian bytes.  Deduplication compares these masks, and the 0/1
+matrices are unpacked from them only when read.  Enumeration extends index
 tuples over one cached lexicographic permutation table (the one
-detectors.murty_iter ranks) with numpy and keeps the first tuple per
-matrix, its canonical decomposition; import peels each line's mask to it.
-CodewordMatrix objects are built only when a book's ``entries`` are read.
+detectors.murty_iter ranks) with numpy and keeps the first tuple per matrix,
+its canonical decomposition; import peels each line's mask to it.  Text
+export prints digit rows from the arrays, and import parses them to symbol
+tuples.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,81 +42,11 @@ def permutation_table(L: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     return table, tuple(tuple(c + 1 for c in p) for p in perms)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """A permutation of 1..L; symbol c_i activates column c_i in row i."""
-
-    symbols: tuple[int, ...]
-
-    def __post_init__(self):
-        s = tuple(int(x) for x in self.symbols)
-        object.__setattr__(self, "symbols", s)
-        if len(s) < 1 or sorted(s) != list(range(1, len(s) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(s)}: {s}")
-
-    @property
-    def length(self) -> int:
-        return len(self.symbols)
-
-    @cached_property
-    def cells(self) -> int:
-        """Cell bitmask of the codeword's matrix: bit r*L + c - 1 for symbol c in row r."""
-        L = len(self.symbols)
-        return sum(1 << (r * L + c - 1) for r, c in enumerate(self.symbols))
-
-    @cached_property
-    def _text(self) -> str:
-        # digit strings while every symbol is one digit; commas from L = 10 on
-        return ("" if len(self.symbols) < 10 else ",").join(str(x) for x in self.symbols)
-
-    def __str__(self) -> str:
-        return self._text
-
-    @classmethod
-    def parse(cls, text: str) -> "Codeword":
-        """Inverse of str(): a digit string or comma-separated symbols."""
-        text = text.strip()
-        return cls(tuple(int(f) for f in (text.split(",") if "," in text else text)))
-
-
-def codeword_to_matrix(codeword: Codeword | tuple[int, ...]) -> "CodewordMatrix":
-    """Weight-1 matrix of a codeword: row i has its single one at column c_i."""
-    cw = codeword if isinstance(codeword, Codeword) else Codeword(tuple(codeword))
-    return CodewordMatrix((cw,))
-
-
-def hamming_distance(c1, c2) -> int:
-    """Number of positions where two codewords disagree."""
-    s1 = c1.symbols if isinstance(c1, Codeword) else tuple(c1)
-    s2 = c2.symbols if isinstance(c2, Codeword) else tuple(c2)
-    if len(s1) != len(s2):
-        raise ValueError("codeword length mismatch")
-    return sum(a != b for a, b in zip(s1, s2))
-
-
-def count_distance_L(L: int) -> int:
-    """Number of permutations at Hamming distance L from a fixed codeword.
-
-    Exact integer evaluation of L! * sum_{k=0..L} (-1)^k / k!; equivalently
-    the number of permutations that disagree with a reference in every
-    position, which does not depend on the reference.
-    """
-    if L < 2:
-        raise ValueError("L must be at least 2")
-    return sum((-1) ** k * (math.factorial(L) // math.factorial(k)) for k in range(L + 1))
-
-
-def cyclic_latin_codebook(c0: Codeword | tuple[int, ...]) -> list[Codeword]:
-    """All L cyclic shifts of a codeword.
-
-    Shifting moves every symbol to a new position while keeping symbols
-    distinct, so any two shifts disagree in every position: the L codewords
-    are pairwise at Hamming distance L (the rows of a Latin square).
-    """
-    s = c0.symbols if isinstance(c0, Codeword) else tuple(c0)
-    cw = Codeword(s)
-    L = cw.length
-    return [Codeword(s[i:] + s[:i]) for i in range(L)]
+@lru_cache(maxsize=1 << 16)  # import meets each permutation on many lines
+def _cells(symbols: tuple[int, ...]) -> int:
+    # cell bitmask of a permutation's matrix: bit r*L + c - 1 for symbol c in row r
+    L = len(symbols)
+    return sum(1 << (r * L + c - 1) for r, c in enumerate(symbols))
 
 
 def _smallest_permutation(rows: list[int], used: int = 0):
@@ -149,76 +78,34 @@ def _canonical_components(key: int, L: int) -> list[tuple[int, ...]]:
     while key:
         p = _smallest_permutation([key >> (r * L) & row for r in range(L)])
         comps.append(tuple(c + 1 for c in p))
-        key &= ~sum(1 << (r * L + c) for r, c in enumerate(p))
+        key &= ~_cells(comps[-1])
     return comps
 
 
-def _matrix_key(codewords: tuple[Codeword, ...]) -> int:
-    # cell bitmask of the codewords' sum, checked to be a weight-w matrix
-    if not codewords:
+def _parse(text: str) -> tuple[int, ...]:
+    # a digit string, or comma-separated symbols from L = 10 on
+    s = tuple(int(f) for f in (text.split(",") if "," in text else text))
+    if sorted(s) != list(range(1, len(s) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(s)}: {s}")
+    return s
+
+
+def _matrix_key(comps: tuple[tuple[int, ...], ...]) -> int:
+    # cell bitmask of the permutations' sum, checked to be a weight-w matrix
+    if not comps:
         raise ValueError("a codeword matrix needs at least one component")
-    L = codewords[0].length
+    L = len(comps[0])
     key = 0
-    for cw in codewords:
-        if cw.length != L:
+    for s in comps:
+        if len(s) != L:
             raise ValueError("component length mismatch")
-        key |= cw.cells
-    if not 1 <= len(codewords) <= L - 1:
-        raise ValueError(f"weight {len(codewords)} outside 1..{L - 1}")
+        key |= _cells(s)
+    if not 1 <= len(comps) <= L - 1:
+        raise ValueError(f"weight {len(comps)} outside 1..{L - 1}")
     # overlapping components collapse onto shared cells
-    if key.bit_count() != len(codewords) * L:
+    if key.bit_count() != len(comps) * L:
         raise ValueError("overlapping components: codewords must pairwise differ in every position")
     return key
-
-
-@dataclass(frozen=True, eq=False)
-class CodewordMatrix:
-    """A weight-w 0/1 block: the disjoint sum of w permutation matrices.
-
-    Only the decomposition ``components`` and its cell bitmask ``key`` are
-    stored: ``key`` is the union of the components' ``Codeword.cells``, an int
-    with bit r*L + c - 1 set for symbol c in row r, and it alone identifies
-    the matrix, so equality and hashing compare keys.  ``entries``, the
-    read-only uint8 array, is unpacked from the key on first read.
-    Disjoint permutations of one length already give every row and column w
-    ones, so construction checks nothing else.  ``from_components`` and
-    enumeration store the lexicographically smallest decomposition.
-    """
-
-    components: tuple[Codeword, ...]
-    key: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "key", _matrix_key(comps))
-
-    @property
-    def weight(self) -> int:
-        return len(self.components)
-
-    @property
-    def L(self) -> int:
-        return self.components[0].length
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        e = _unpack_keys(_key_bytes([self.key], self.L), self.L)[0]
-        e.setflags(write=False)
-        return e
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CodewordMatrix) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    @classmethod
-    def from_components(cls, codewords) -> "CodewordMatrix":
-        """The block the codewords sum to, under its canonical decomposition."""
-        cm = cls(tuple(cw if isinstance(cw, Codeword) else Codeword(tuple(cw)) for cw in codewords))
-        given = {cw.symbols: cw for cw in cm.components}
-        return cls(tuple(given.get(p) or Codeword(p) for p in _canonical_components(cm.key, cm.L)))
 
 
 def _key_bytes(keys, L: int) -> np.ndarray:
@@ -293,6 +180,14 @@ def enumerate_weight_w(L: int, w: int) -> "Codebook":
     return Codebook(L, table, tup.astype(np.intp), key_bytes, label=f"P({L},{len(key)},w={w})")
 
 
+class _Component(NamedTuple):
+    symbols: tuple[int, ...]
+
+
+class _Entry(NamedTuple):
+    components: tuple[_Component, ...]
+
+
 class Codebook:
     """Ordered collection of codeword matrices sharing one block length L.
 
@@ -300,8 +195,7 @@ class Codebook:
     sorted (P, L) table of 0-based permutations (permutation_table(L) for an
     enumerated book); ``components``, the (Q, w_max) table rows each entry
     sums, -1 past its weight; ``keys``, the (Q, ceil(L*L / 8)) little-endian
-    bytes of each entry's cell bitmask.  ``entries``, one CodewordMatrix per
-    entry, is built on first read.
+    bytes of each entry's cell bitmask.
     """
 
     def __init__(self, L: int, codewords, components, keys, label: str = ""):
@@ -344,18 +238,19 @@ class Codebook:
         return w
 
     @cached_property
-    def _codewords(self) -> tuple[Codeword, ...]:
-        return tuple(Codeword(tuple(p)) for p in (self.codewords + 1).tolist())
-
-    @cached_property
-    def entries(self) -> tuple[CodewordMatrix, ...]:
-        cws = self._codewords
-        return tuple(CodewordMatrix(tuple(cws[j] for j in row[:w]))
+    def entries(self) -> tuple[_Entry, ...]:
+        """Read-only view for perfbench/tracer.py::_slot_members, which goes
+        with ROADMAP item 1: entries[i].components[slot].symbols is the
+        1-based tuple of codewords[components[i, slot]] + 1."""
+        perms = [_Component(tuple(p)) for p in (self.codewords + 1).tolist()]
+        return tuple(_Entry(tuple(perms[j] for j in row[:w]))
                      for row, w in zip(self.components.tolist(), self.weight_array.tolist()))
 
     def component_texts(self, sep: str) -> list[str]:
-        """Each entry's component codewords as text, joined by sep."""
-        text = np.array([str(cw) for cw in self._codewords], dtype=object)
+        """Each entry's component codewords as text, joined by sep: digit
+        strings, or comma-separated symbols from L = 10 on."""
+        sym = "" if self.L < 10 else ","
+        text = np.array([sym.join(map(str, p)) for p in (self.codewords + 1).tolist()], dtype=object)
         out = np.empty(self.size, dtype=object)
         for w in self.weights_present:
             idx = self.weight_class_indices(w)
@@ -378,6 +273,7 @@ class Codebook:
     def slot_table(self) -> MappingProxyType:
         """Read-only weight -> component slot -> {permutation: ascending indices
         of the entries with that canonical component in that slot}."""
+        perms = [tuple(p) for p in (self.codewords + 1).tolist()]
         table = {}
         for w in self.weights_present:
             idx = self.weight_class_indices(w)
@@ -385,7 +281,7 @@ class Codebook:
             for i, row in zip(idx.tolist(), self.components[idx, :w].tolist()):
                 for slot, j in zip(slots, row):
                     slot.setdefault(j, []).append(i)
-            table[w] = tuple(MappingProxyType({self._codewords[j].symbols: tuple(ix) for j, ix in s.items()})
+            table[w] = tuple(MappingProxyType({perms[j]: tuple(ix) for j, ix in s.items()})
                              for s in slots)
         return MappingProxyType(table)
 
@@ -426,19 +322,24 @@ def export_text(codebook: Codebook) -> str:
 
 
 def import_text(text: str, label: str = "") -> Codebook:
+    """Inverse of export_text; blank and '#' lines are skipped.  Each entry is
+    stored under its canonical decomposition, and a rejected line is named."""
     keys, rows = [], []
-    parsed: dict[str, Codeword] = {}  # one Codeword per distinct codeword text
+    parsed: dict[str, tuple[int, ...]] = {}  # one parse per distinct codeword text
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        w = int(fields[0])
-        comps = tuple(parsed.get(f) or parsed.setdefault(f, Codeword.parse(f)) for f in fields[1:])
-        if len(comps) != w:
-            raise ValueError(f"line {line!r}: weight {w} but {len(comps)} codewords")
-        keys.append(_matrix_key(comps))
-        rows.append(_canonical_components(keys[-1], comps[0].length))
+        try:
+            head, *fields = line.split()
+            w = int(head)
+            comps = tuple(parsed.get(f) or parsed.setdefault(f, _parse(f)) for f in fields)
+            if len(comps) != w:
+                raise ValueError(f"weight {w} but {len(comps)} codewords")
+            keys.append(_matrix_key(comps))
+        except ValueError as exc:
+            raise ValueError(f"line {line!r}: {exc}") from None
+        rows.append(_canonical_components(keys[-1], len(comps[0])))
     if not keys:
         raise ValueError("no codebook entries found")
     L = len(rows[0][0])

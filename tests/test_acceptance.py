@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 from pmvlc.analysis import SimConfig, ber_union_bound, monte_carlo_ber
 from pmvlc.channel import build_channel, fixture_h02, square_grid_geometry
 from pmvlc.cli import main
-from pmvlc.codebook import combine_codebooks, count_distance_L, enumerate_weight_w
+from pmvlc.codebook import combine_codebooks, enumerate_weight_w
 from pmvlc.detectors import (
     RcConfig,
     SmConfig,
@@ -64,8 +64,7 @@ def _crossing_db(records, level: float) -> float:
 
 
 def _block(codebook, q, m, pam):
-    entry = codebook.entries[q - 1]
-    a = pam_intensity(m, pam.M, entry.weight)
+    a = pam_intensity(m, pam.M, int(codebook.weight_array[q - 1]))
     return a * codebook.matrix_stack[q - 1]
 
 
@@ -81,6 +80,12 @@ def test_criterion_01_codebook_counts():
     assert combined.bits_per_block(1) == 7
 
 
+def _derangement_count(L: int) -> int:
+    # the paper's count of codewords at distance L from one codeword,
+    # L! * sum_{k=0..L} (-1)^k / k!, in exact integers
+    return sum((-1) ** k * (math.factorial(L) // math.factorial(k)) for k in range(L + 1))
+
+
 def test_criterion_02_derangement_formula():
     results = {}
     for L in range(2, 8):
@@ -88,7 +93,7 @@ def test_criterion_02_derangement_formula():
         brute = sum(
             all(p[i] != ref[i] for i in range(L))
             for p in itertools.permutations(ref))
-        results[L] = (count_distance_L(L), brute)
+        results[L] = (_derangement_count(L), brute)
     ok = all(formula == brute for formula, brute in results.values())
     _verdict(2, ok, f"formula==brute for L=2..7: {[v[0] for v in results.values()]}")
     for L, (formula, brute) in results.items():
@@ -107,7 +112,7 @@ def test_criterion_03_zero_noise_roundtrip():
             HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(cb, pam))
             g = H02.H.sum()
             for q in range(1, cb.size + 1):
-                w = cb.entries[q - 1].weight
+                w = int(cb.weight_array[q - 1])
                 for m in range(1, M + 1):
                     Y = H02.H @ _block(cb, q, m, pam)
                     got = int(ml_detect_batch(Y[None], HS, M)[0])

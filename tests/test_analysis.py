@@ -327,12 +327,15 @@ class TestHarnessDeterminism:
         ({"detector": "ml", "seed": -1}, "seed must be non-negative"),
         ({"detector": "rc", "rc": RcConfig(L=8)}, "rc L = 8, but the channel has 4 LEDs"),
         ({"detector": "sm", "sm": SmConfig(L=8)}, "sm L = 8, but the channel has 4 LEDs"),
+        # a mismatched book would fail later, inside the received-mean einsum
+        ({"detector": "bf", "codebook": enumerate_weight_w(5, 1)},
+         "codebook L = 5, but the channel has 4 LEDs"),
     ], ids=["weight_mode", "e_max", "bb-multiweight", "rc-size", "sm-size", "seed", "rc-L",
-            "sm-L"])
+            "sm-L", "codebook-L"])
     def test_rejects_bad_setting(self, setting, match):
         with pytest.raises(ValueError, match=match):
-            SimConfig(scheme="x", ebn0_grid=(100.0,), channel=H02, codebook=COMBINED32,
-                      **setting)
+            SimConfig(**{"scheme": "x", "ebn0_grid": (100.0,), "channel": H02,
+                         "codebook": COMBINED32, **setting})
 
     @pytest.mark.parametrize("detector", ["rc", "sm"])
     def test_baseline_size_follows_the_channel(self, detector):

@@ -51,15 +51,19 @@ M1 = PamConfig(M=1)
 
 
 def block_for(codebook, q, m, pam):
-    entry = codebook.entries[q - 1]
-    a = pam_intensity(m, pam.M, entry.weight)
+    a = pam_intensity(m, pam.M, int(codebook.weight_array[q - 1]))
     return a * codebook.matrix_stack[q - 1]
+
+
+def component(codebook, i, slot=0):
+    # 1-based symbols of entry i's component in the given slot
+    return tuple((codebook.codewords[codebook.components[i, slot]] + 1).tolist())
 
 
 def perm_codebook(perms):
     # the weight-1 entries of the given permutations, in the given order
     book = FULL24.subset(map(permutation_table(4)[1].index, perms), label="restricted")
-    assert [cm.components[0].symbols for cm in book.entries] == list(perms)
+    assert [component(book, i) for i in range(book.size)] == list(perms)
     return book
 
 
@@ -102,7 +106,7 @@ def bb_reference(Y, L):
 def iterative_reference(Y, codebook, w, e_max=None):
     # iterative_sd_detect as it was before the codebook cached its lookup
     # tables: the member dict (weight 1) or the per-slot component sets are
-    # rebuilt from codebook.entries on every block.  Returns ((q, cost,
+    # rebuilt from the codebook's arrays on every block.  Returns ((q, cost,
     # iterations, op_count), whether the exhaustive fallback decided).
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
@@ -122,7 +126,7 @@ def iterative_reference(Y, codebook, w, e_max=None):
 
     iterations = ops = 0
     if w == 1:
-        members = {codebook.entries[int(i)].components[0].symbols: int(i) for i in idx}
+        members = {component(codebook, i): int(i) for i in idx}
         perm, cost, tries = walk(set(members))
         iterations += tries
         ops += tries * (L ** 3 + L)
@@ -131,13 +135,12 @@ def iterative_reference(Y, codebook, w, e_max=None):
     else:
         candidates = set()
         for slot in range(w):
-            slot_perms = {codebook.entries[int(i)].components[slot].symbols for i in idx}
+            slot_perms = {component(codebook, i, slot) for i in idx}
             perm, _, tries = walk(slot_perms)
             iterations += tries
             ops += tries * (L ** 3 + L)
             if perm is not None:
-                candidates.update(int(i) for i in idx
-                                  if codebook.entries[int(i)].components[slot].symbols == perm)
+                candidates.update(int(i) for i in idx if component(codebook, i, slot) == perm)
         if candidates:
             cand = sorted(candidates)
             pick, cost = detectors._best_support(Y[None], codebook.matrix_stack[cand])
@@ -372,7 +375,7 @@ class TestClassifyWeight:
         qs = (1, 25, 32)
         Y = np.stack([H02 @ block_for(COMBINED32, q, 1, pam) for q in qs])
         got = classify_weight_batch(Y, COMBINED32, "joint", pam)
-        np.testing.assert_array_equal(got, [COMBINED32.entries[q - 1].weight for q in qs])
+        np.testing.assert_array_equal(got, COMBINED32.weight_array[np.array(qs) - 1])
 
     def test_unknown_mode(self):
         Y = np.zeros((1, 4, 4))
@@ -429,7 +432,7 @@ class TestBbDetect:
     @settings(max_examples=60, deadline=None)
     def test_always_a_valid_permutation(self, Y):
         r = bb_detect(Y, FULL24)
-        perm = FULL24.entries[r.q - 1].components[0].symbols
+        perm = component(FULL24, r.q - 1)
         assert sorted(perm) == [1, 2, 3, 4]
 
     def test_nonmember_result_has_no_decision(self):
@@ -466,7 +469,7 @@ class TestBbDetect:
             Y = scale * rng.normal(0, 1, (L, L))
             r = bb_detect(Y, book)
             perm, cost, ops = bb_reference(Y, L)
-            assert book.entries[r.q - 1].components[0].symbols == perm
+            assert component(book, r.q - 1) == perm
             assert r.cost == cost
             assert r.op_count == ops
 
@@ -481,7 +484,7 @@ class TestBbDetect:
             Y = rng.integers(-1, 2, (4, 4)).astype(np.float64)
             r = bb_detect(Y, FULL24)
             perm, cost, _ = bb_reference(Y, 4)
-            assert (FULL24.entries[r.q - 1].components[0].symbols, r.cost) == (perm, cost)
+            assert (component(FULL24, r.q - 1), r.cost) == (perm, cost)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_blocks(self, bad):
@@ -497,8 +500,7 @@ class TestBbDetect:
             Y = H02 @ block_for(FULL24, q, 1, M1) + rng.normal(0, 2e-5, (4, 4))
             r = bb_detect(Y, FULL24)
             perm, cost, ops = bb_reference(Y, 4)
-            assert (FULL24.entries[r.q - 1].components[0].symbols, r.cost, r.op_count) \
-                == (perm, cost, ops)
+            assert (component(FULL24, r.q - 1), r.cost, r.op_count) == (perm, cost, ops)
 
 
 class TestIterativeSd:
@@ -529,7 +531,7 @@ class TestIterativeSd:
 
     def test_combined_codebook_roundtrip_with_genie(self):
         for q in range(1, COMBINED32.size + 1):
-            w = COMBINED32.entries[q - 1].weight
+            w = int(COMBINED32.weight_array[q - 1])
             Y = H02 @ block_for(COMBINED32, q, 1, M1)
             r = iterative_sd_detect(Y, COMBINED32, w)
             assert (r.q, r.w) == (q, w)
@@ -570,7 +572,7 @@ class TestIterativeSd:
         for sigma in (5e-6, 2e-5, 6e-5):
             for _ in range(100):
                 q, m = int(rng.integers(1, book.size + 1)), int(rng.integers(1, M + 1))
-                w = book.entries[q - 1].weight
+                w = int(book.weight_array[q - 1])
                 Y = H02 @ block_for(book, q, m, pam) + rng.normal(0, sigma, (4, 4))
                 w = int(classify_weight_batch(Y[None], book, mode, pam, w,
                                               gain_sum=H02.sum())[0])

@@ -34,7 +34,7 @@ def test_encode_scales_entry():
     # row (q-1) M + (m-1) of the signal stack is a_m P_q
     cb = enumerate_weight_w(4, 1)
     pam = PamConfig(M=2)
-    expected = pam_intensity(2, 2, 1) * cb.entries[0].entries
+    expected = pam_intensity(2, 2, 1) * np.eye(4)  # entry 1 is the identity
     np.testing.assert_allclose(signal_stack(cb, pam)[1], expected, rtol=1e-15)
 
 
