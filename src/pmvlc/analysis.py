@@ -34,10 +34,12 @@ from .detectors import (
     SmConfig,
     _as_H,
     bb_detect,
+    bb_rows,
     bf_detect_batch,
     bf_op_count,
     classify_weight_batch,
     estimate_intensity_batch,
+    iterative_rows,
     iterative_sd_detect,
     ml_detect_batch,
     ml_op_count,
@@ -226,15 +228,15 @@ class _Link:
     decode: Callable
 
 
-def _decide_per_block(detect, Y, w):
-    # decoders without a batch kernel yet: one call per block, given its weight class
-    q = np.empty(len(Y), dtype=np.int64)
-    ops = 0
-    for b in range(len(Y)):
-        r = detect(Y[b], int(w[b]))
-        q[b] = -1 if r.q is None else r.q - 1
+def _decide_per_block(detect, rows, w):
+    # decoders with a per-block walk: one call per block's row of the batch
+    # tables, given its weight class
+    q, ops = [], 0
+    for row, wb in zip(rows, w.tolist()):
+        r = detect(row, wb)
+        q.append(-1 if r.q is None else r.q - 1)
         ops += r.op_count
-    return q, ops
+    return np.array(q, dtype=np.int64), ops
 
 
 def _link(config: SimConfig) -> _Link:
@@ -261,9 +263,11 @@ def _link(config: SimConfig) -> _Link:
             return bf_detect_batch(Y, cb, w)[0], bf_op_count(cb, w)
     elif det == "iterative":
         pick = lambda Y, w: _decide_per_block(
-            lambda y, wb: iterative_sd_detect(y, cb, wb, config.e_max), Y, w)
+            lambda row, wb: iterative_sd_detect(row, cb, wb, config.e_max),
+            iterative_rows(Y, cb), w)
     else:  # bb
-        pick = lambda Y, w: _decide_per_block(lambda y, wb: bb_detect(y, cb), Y, w)
+        pick = lambda Y, w: _decide_per_block(lambda row, wb: bb_detect(row, cb),
+                                              bb_rows(Y, cb), w)
     # sum(H), the blind level scale, per batch: the calibration's, or the batch's
     # mean block sum, as E[sum(Y)] = sum(H) over uniform labels at unit mean
     # power (a truncated alphabet skews it: 127/128 for combined32 at M = 3)

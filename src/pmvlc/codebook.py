@@ -14,7 +14,7 @@ entry's cell bitmask, with bit r*L + c - 1 set for symbol c in row r, as
 little-endian bytes.  Deduplication compares these masks, and the 0/1
 matrices are unpacked from them only when read.  Enumeration extends index
 tuples over one cached lexicographic permutation table (the one
-detectors.murty_iter ranks) with numpy and keeps the first tuple per matrix,
+detectors.rank_assignments ranks) with numpy and keeps the first tuple per matrix,
 its canonical decomposition; import peels each line's mask to it.  Text
 export prints digit rows from the arrays, and import parses them to symbol
 tuples.

@@ -2,9 +2,11 @@
 
 This module holds every decision rule of the package.  Each rule is written
 once as a batch kernel over a leading block axis (the ``*_batch`` functions,
-which the Monte Carlo harness calls).  The blind rules bf_sd_detect,
-bb_detect and iterative_sd_detect also have a per-block form returning a
-DetectionResult; for bf it is a batch of one.
+which the Monte Carlo harness calls), but for the two walks.  bb_detect and
+iterative_sd_detect decode one block, returning a DetectionResult, from its
+row of tables that bb_rows and iterative_rows build per batch and that hold
+all of their arithmetic; what is left per block is the walk itself.
+bf_sd_detect is the bf kernel on a batch of one.
 
 All soft-decision (SD) detectors work on the sign-flipped observation
 yhat = -Y, so a codeword's decision metric is the negated sum of received
@@ -15,10 +17,12 @@ per-component metrics because components never overlap.
                       means it is given (needs CSI), level-sliced per entry
 * bf_detect_batch     exhaustive support-metric search over the codebook
 * bb_detect           greedy level-by-level column selection (weight 1 only)
+                      over bb_rows' column scores
 * iterative_sd_detect assignment-driven search: best assignment first, then
                       next-best assignments until one lands in the codebook;
-                      the walk follows murty_iter, defined here, which ranks
-                      all L! assignments, so L <= 6
+                      every weight slot's walk (murty_iter) reads the block's
+                      one row of rank_assignments, which ranks all L!
+                      assignments of a slice of blocks at once, so L <= 6
 * rc_detect_batch, sm_detect_batch single-slot repetition-coding and
                       spatial-modulation baselines; each returns the symbol
                       index, which is the bit label
@@ -42,8 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import repeat
 from operator import add
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -239,8 +244,49 @@ def bf_sd_detect(Y: np.ndarray, codebook: Codebook, w: int) -> DetectionResult:
                            op_count=bf_op_count(codebook, w))
 
 
-def bb_detect(Y: np.ndarray, codebook: Codebook) -> DetectionResult:
-    """Greedy level-by-level column selection for weight-1 codebooks.
+# blocks per slice of the per-batch tables: whole-batch tables raise peak
+# RSS, and a tolist() call per block costs more than most walks
+_SLICE_BLOCKS = 256
+
+
+class BbRow(NamedTuple):
+    """One block's row of bb_rows, as lists: yhat = -Y and the column scores."""
+
+    yhat: list[list[float]]
+    score: list[list[float]]
+
+
+def bb_rows(Y: np.ndarray, codebook: Codebook) -> Iterator[BbRow]:
+    """bb_detect's tables for a batch Y (B, L, L), one BbRow per block,
+    built _SLICE_BLOCKS blocks at a time.
+
+    Row k of score is yhat[k, c] - sum(yhat[k+1:, c]) for every column c: the
+    choice at level k, with the sum taken down the rows in ascending order
+    (see bb_detect).  Raises ValueError for a codebook with entries of weight
+    above 1 once rows are asked for, and for a non-finite block when its
+    slice is reached.
+    """
+    if codebook.weights_present != (1,):
+        raise ValueError("branch-and-bound decoding applies to weight-1 codebooks only")
+    Y = np.asarray(Y, dtype=np.float64)
+    for s in range(0, len(Y), _SLICE_BLOCKS):
+        yhat = -Y[s:s + _SLICE_BLOCKS]
+        if not np.isfinite(yhat).all():
+            raise ValueError("received block must be finite")
+        score = yhat.copy()
+        for k in range(Y.shape[1] - 1):
+            score[:, k] -= reduce(add, yhat[:, k + 1:].swapaxes(0, 1))
+        yield from map(BbRow, yhat.tolist(), score.tolist())
+
+
+@cache
+def _bb_ops(L: int) -> int:
+    return sum(f * (1 + (f - 1) ** 2) for f in range(1, L + 1))
+
+
+def bb_detect(block: BbRow, codebook: Codebook) -> DetectionResult:
+    """Greedy level-by-level column selection for weight-1 codebooks, on one
+    block's row of bb_rows.
 
     Row k scores each free column c by the path cost so far, yhat[k, c] and
     the sum of the free columns below once c is taken.  The path cost and
@@ -249,35 +295,26 @@ def bb_detect(Y: np.ndarray, codebook: Codebook) -> DetectionResult:
     op_count models the node-by-node bound: f (1 + (f-1)^2) additions at a
     level with f free columns, 60 in all at L = 4.  One node survives per
     level, so the result may fall outside a restricted codebook; that
-    outcome is no decision (q None).  Raises ValueError for a non-finite Y.
-    The loop adds yhat.tolist() floats down the rows below in ascending
-    order, as numpy's column sum does (builtin sum compensates from 3.12),
-    and keeps the first of equal scores: bit for bit the numpy form.
+    outcome is no decision (q None).  bb_rows adds the rows below in
+    ascending order, as numpy's column sum does, the path cost is the
+    builtin sum of the yhat floats (compensated from Python 3.12), and the
+    first of equal scores is kept: bit for bit the numpy form.
     """
-    if codebook.weights_present != (1,):
-        raise ValueError("branch-and-bound decoding applies to weight-1 codebooks only")
-    Y = np.asarray(Y, dtype=np.float64)
-    if not np.isfinite(Y).all():
-        raise ValueError("received block must be finite")
-    yhat = (-Y).tolist()
-    L = codebook.L
+    yhat, score = block
+    L = len(yhat)
     used: list[int] = []
     free = list(range(L))
-    for row in range(L):
-        rest, here = yhat[row + 1:], yhat[row]
-        below = [reduce(add, c) for c in zip(*rest)] if rest else [0.0] * L
-        col = min(free, key=lambda c: here[c] - below[c])
+    for here in score:
+        col = min(free, key=here.__getitem__)
         used.append(col)
         free.remove(col)
-    ops = sum(f * (1 + (f - 1) ** 2) for f in range(1, L + 1))
     path_cost = sum(yhat[row][col] for row, col in enumerate(used))
     hit = codebook.slot_table[1][0].get(tuple(c + 1 for c in used))
     return DetectionResult(q=None if hit is None else hit[0] + 1, w=1, cost=path_cost,
-                           iterations=L, op_count=ops)
+                           iterations=L, op_count=_bb_ops(L))
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Column choice per row (1-based) and the summed cost."""
 
     perm: tuple[int, ...]
@@ -285,39 +322,64 @@ class Assignment:
 
 
 @cache
-def _ranking_table(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    table, perms = permutation_table(n)
-    return table + n * np.arange(n), perms
+def _ranking_table(n: int) -> np.ndarray:
+    return permutation_table(n)[0] + n * np.arange(n)
 
 
-def murty_iter(costs) -> Iterator[Assignment]:
-    """Yield every assignment of a square cost matrix by (cost, column tuple),
-    the order of Murty's k-best ranking (Operations Research 16, 1968).
+def rank_assignments(costs) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every assignment of each square cost matrix in costs (..., n, n).
 
-    Each assignment is a row of codebook.permutation_table, so one gather
-    and one stable sort rank all n!; the gather reads C.ravel() at the
-    cached flat indices table + n * arange(n).  Raises ValueError for a
-    non-square or non-finite matrix, and above ENUMERATION_MAX_L columns.
+    Each assignment is a row of codebook.permutation_table(n), so one gather
+    and one sum along the last axis cost all n!: the gather reads each
+    flattened matrix at the cached indices table + n * arange(n).  Returns
+    (order, total), both (..., n!): total[..., i] is table row i's cost, and
+    order, a stable argsort of total, lists the rows by (cost, column
+    tuple), the order of Murty's k-best ranking (Operations Research 16,
+    1968), as the table is lexicographic.  Raises ValueError for non-square,
+    empty or non-finite matrices, and above ENUMERATION_MAX_L columns.
     """
     C = np.asarray(costs, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
+    if C.ndim < 2 or C.shape[-1] != C.shape[-2] or C.shape[-1] < 1:
         raise ValueError("cost matrix must be square and nonempty")
     if not np.isfinite(C).all():
         raise ValueError("cost matrix must be finite")
-    n = C.shape[0]
+    n = C.shape[-1]
     if n > ENUMERATION_MAX_L:
         raise ValueError(f"ranking needs at most {ENUMERATION_MAX_L} columns, got {n}")
-    flat, perms = _ranking_table(n)
-    total = C.ravel()[flat].sum(axis=1)
-    for i in np.argsort(total, kind="stable").tolist():
-        yield Assignment(perm=perms[i], cost=float(total[i]))
+    total = C.reshape(*C.shape[:-2], n * n)[..., _ranking_table(n)].sum(axis=-1)
+    return np.argsort(total, axis=-1, kind="stable"), total
 
 
-def _walk_until_member(yhat: np.ndarray, members, e_max: int):
+class RankedRow(NamedTuple):
+    """One block's row of rank_assignments, as lists, with the 1-based
+    column tuples of permutation_table(n) that its indices refer to."""
+
+    perms: tuple[tuple[int, ...], ...]
+    order: list[int]
+    total: list[float]
+
+
+def ranked_rows(costs) -> Iterator[RankedRow]:
+    """rank_assignments of a batch of cost matrices (B, n, n), one RankedRow
+    per block; the whole batch is listed at once, so callers pass a slice."""
+    order, total = rank_assignments(costs)
+    perms = permutation_table(np.shape(costs)[-1])[1]
+    return map(RankedRow, repeat(perms), order.tolist(), total.tolist())
+
+
+def murty_iter(ranked: RankedRow) -> Iterator[Assignment]:
+    """Yield every assignment of one block by (cost, column tuple), walking
+    its ranked row; the ranking itself is rank_assignments'."""
+    perms, total = ranked.perms, ranked.total
+    for i in ranked.order:
+        yield Assignment(perms[i], total[i])
+
+
+def _walk_until_member(ranked: RankedRow, members, e_max: int):
     # Enumerate assignments from best cost upward; stop at the first codebook
     # member.  Returns (perm, cost, tries) with perm None if e_max ran out.
     tries = 0
-    for a in murty_iter(yhat):
+    for a in murty_iter(ranked):
         tries += 1
         if a.perm in members:
             return a.perm, a.cost, tries
@@ -331,20 +393,44 @@ def _walk_until_member(yhat: np.ndarray, members, e_max: int):
 _LAP_OPS = lambda L: L ** 3
 
 
-def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, w: int,
+class IterativeRow(NamedTuple):
+    """One block's row of iterative_rows: the received block Y (L, L), the
+    ranking of its assignments on yhat = -Y, and the negated support sum of
+    every codebook entry, as a list."""
+
+    Y: np.ndarray
+    ranked: RankedRow
+    support: list[float]
+
+
+def iterative_rows(Y: np.ndarray, codebook: Codebook) -> Iterator[IterativeRow]:
+    """iterative_sd_detect's tables for a batch Y (B, L, L), one IterativeRow
+    per block, built _SLICE_BLOCKS blocks at a time: one ranking of every
+    assignment of -Y, and one (B, Q) product for the support sums,
+    -einsum("bij,qij->bq", Y, matrix_stack), which every weight slot's walk
+    and candidate set share.  Raises ValueError above ENUMERATION_MAX_L
+    columns, and for a non-finite block when its slice is reached."""
+    Y = np.asarray(Y, dtype=np.float64)
+    for s in range(0, len(Y), _SLICE_BLOCKS):
+        y = Y[s:s + _SLICE_BLOCKS]
+        support = -np.einsum("bij,qij->bq", y, codebook.matrix_stack)
+        yield from map(IterativeRow, y, ranked_rows(-y), support.tolist())
+
+
+def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
                         e_max: int | None = None) -> DetectionResult:
-    """Assignment-driven blind detection within weight class w.
+    """Assignment-driven blind detection within weight class w, on one
+    block's row of iterative_rows.
 
     Weight 1: solve the assignment problem on yhat; if the optimum is not a
     codebook member, take next-best assignments in cost order until one is.
     Multiweight entries: run the same walk against each component position's
     codebook; every row whose component matches a walk's winner becomes a
-    candidate, and candidates are scored by the summed support metric.  When
+    candidate, and candidates are scored by the summed support metric, ties
+    to the lowest entry.  Every walk reads the block's one ranking.  When
     the walk budget e_max (default: class size) runs dry the detector falls
     back to exhaustive search within the class (bf_sd_detect).
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    yhat = -Y
     L = codebook.L
     if w not in codebook.weights_present:
         raise ValueError(f"weight {w} not in codebook")
@@ -357,7 +443,7 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, w: int,
     q = None
 
     if w == 1:
-        perm, cost, tries = _walk_until_member(yhat, slots[0], budget)
+        perm, cost, tries = _walk_until_member(block.ranked, slots[0], budget)
         iterations += tries
         ops += tries * _LAP_OPS(L) + tries * L
         if perm is not None:
@@ -365,23 +451,23 @@ def iterative_sd_detect(Y: np.ndarray, codebook: Codebook, w: int,
     else:
         candidates: set[int] = set()
         for slot in slots:
-            perm, _, tries = _walk_until_member(yhat, slot, budget)
+            perm, _, tries = _walk_until_member(block.ranked, slot, budget)
             iterations += tries
             ops += tries * _LAP_OPS(L) + tries * L
             if perm is not None:
                 candidates.update(slot[perm])
         if candidates:
-            cand = sorted(candidates)
-            pick, costs = _best_support(Y[None], codebook.matrix_stack[cand])
-            ops += len(cand) * w * L
-            q, cost = cand[int(pick[0])] + 1, costs[0]
+            support = block.support
+            best = min(sorted(candidates), key=support.__getitem__)
+            ops += len(candidates) * w * L
+            q, cost = best + 1, support[best]
 
     if q is None:
-        res = bf_sd_detect(Y, codebook, w)
+        res = bf_sd_detect(block.Y, codebook, w)
         res.iterations = iterations
         res.op_count += ops
         return res
-    return DetectionResult(q=q, w=w, cost=float(cost), iterations=iterations, op_count=ops)
+    return DetectionResult(q=q, w=w, cost=cost, iterations=iterations, op_count=ops)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ from pmvlc.detectors import (
     bf_sd_detect,
     classify_weight_batch,
     estimate_intensity_batch,
+    iterative_rows,
     iterative_sd_detect,
     ml_detect_batch,
     murty_iter,
+    ranked_rows,
     signal_stack,
 )
 from pmvlc.scenarios import named_codebook
@@ -66,6 +68,11 @@ def _crossing_db(records, level: float) -> float:
 def _block(codebook, q, m, pam):
     a = pam_intensity(m, pam.M, int(codebook.weight_array[q - 1]))
     return a * codebook.matrix_stack[q - 1]
+
+
+def _iterative(Y, codebook, w):
+    # one block decoded from its row of a batch of one, as the harness builds them
+    return iterative_sd_detect(next(iterative_rows(Y[None], codebook)), codebook, w)
 
 
 def test_criterion_01_codebook_counts():
@@ -123,7 +130,7 @@ def test_criterion_03_zero_noise_roundtrip():
                     assert level == m, f"level {name} M={M} q={q} m={m}"
                     got = bf_sd_detect(Y, cb, w)
                     assert got.q == q, f"bf {name} M={M} q={q} m={m}"
-                    got = iterative_sd_detect(Y, cb, w)
+                    got = _iterative(Y, cb, w)
                     assert got.q == q, f"it {name} M={M} q={q} m={m}"
                     if len(cb.weights_present) > 1:
                         joint = int(classify_weight_batch(Y[None], cb, "joint", pam,
@@ -141,12 +148,12 @@ def test_criterion_04_assignment_oracle():
         C = rng.random((1000, L, L))
         best = np.array([
             min(Ck[np.arange(L), p].sum() for p in perms) for Ck in C])
-        first = np.array([next(murty_iter(Ck)).cost for Ck in C])
+        first = np.array([next(murty_iter(row)).cost for row in ranked_rows(C)])
         np.testing.assert_allclose(first, best, rtol=0, atol=1e-9)
     for L in (3, 4):
         for _ in range(50):
             Ck = rng.random((L, L))
-            ranked = [(a.cost, a.perm) for a in murty_iter(Ck)]
+            ranked = [(a.cost, a.perm) for a in murty_iter(next(ranked_rows(Ck[None])))]
             brute = sorted((float(sum(Ck[i, p[i]] for i in range(L))),
                             tuple(c + 1 for c in p))
                            for p in itertools.permutations(range(L)))
@@ -163,11 +170,14 @@ def test_criterion_05_sd_cost_exactness():
     for name in ("cb1", "cb2", "full24"):
         cb = named_codebook(name)
         worst = 0.0
+        Y = []
         for _ in range(10_000):
             q = int(rng.integers(1, cb.size + 1))
-            Y = H02.H @ _block(cb, q, 1, pam) + rng.normal(0.0, math.sqrt(n0 / 2), (4, 4))
-            bf = bf_sd_detect(Y, cb, 1)
-            it = iterative_sd_detect(Y, cb, 1)
+            Y.append(H02.H @ _block(cb, q, 1, pam) + rng.normal(0.0, math.sqrt(n0 / 2), (4, 4)))
+        Y = np.stack(Y)
+        for y, row in zip(Y, iterative_rows(Y, cb)):
+            bf = bf_sd_detect(y, cb, 1)
+            it = iterative_sd_detect(row, cb, 1)
             worst = max(worst, abs(bf.cost - it.cost))
         assert worst <= 1e-9, f"{name}: max cost gap {worst}"
     _verdict(5, True, "iterative cost == exhaustive cost on 30000 noisy blocks")
@@ -333,7 +343,7 @@ def test_criterion_11_complexity_scaling():
         bf_ops.append(float(np.mean(ops)))
         # noise-free inputs keep the first-ranked assignment inside the book,
         # isolating the size-independent part of the iterative decoder
-        member = [iterative_sd_detect(H02.H @ _block(cb, q, 1, pam), cb, 1).op_count
+        member = [_iterative(H02.H @ _block(cb, q, 1, pam), cb, 1).op_count
                   for q in range(1, cb.size + 1)]
         it_ops.append(float(np.mean(member)))
     slope, intercept = np.polyfit(sizes, bf_ops, 1)

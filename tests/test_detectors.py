@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pmvlc import channel, detectors
+from pmvlc import analysis, channel, detectors
+from pmvlc.analysis import SimConfig
 from pmvlc.channel import build_channel, fixture_h02, square_grid_geometry
 from pmvlc.codebook import (
     ENUMERATION_MAX_L,
@@ -24,13 +25,17 @@ from pmvlc.detectors import (
     RcConfig,
     SmConfig,
     bb_detect,
+    bb_rows,
     bf_sd_detect,
     classify_weight_batch,
     estimate_intensity_batch,
+    iterative_rows,
     iterative_sd_detect,
     ml_detect_batch,
     ml_op_count,
     murty_iter,
+    rank_assignments,
+    ranked_rows,
     rc_detect_batch,
     signal_stack,
     sm_detect_batch,
@@ -65,6 +70,24 @@ def perm_codebook(perms):
     book = FULL24.subset(map(permutation_table(4)[1].index, perms), label="restricted")
     assert [component(book, i) for i in range(book.size)] == list(perms)
     return book
+
+
+def batch_of_one(Y):
+    return np.asarray(Y, dtype=np.float64)[None]
+
+
+def ranking(C):
+    # every assignment of one cost matrix, walked from its row of the batch ranking
+    return murty_iter(next(ranked_rows(batch_of_one(C))))
+
+
+def iterative_one(Y, codebook, w, e_max=None):
+    # one block decoded from its row of a batch of one
+    return iterative_sd_detect(next(iterative_rows(batch_of_one(Y), codebook)), codebook, w, e_max)
+
+
+def bb_one(Y, codebook):
+    return bb_detect(next(bb_rows(batch_of_one(Y), codebook)), codebook)
 
 
 def brute_force_all(C):
@@ -103,11 +126,25 @@ def bb_reference(Y, L):
     return tuple(c + 1 for c in used), path_cost, ops
 
 
+def reference_ranking(C):
+    # One matrix's (cost, column tuple) ranking, gathered and sorted on its
+    # own: all n! costs summed along each permutation's row, then a stable
+    # sort.  Yields (perm, cost).
+    n = len(C)
+    table, perms = permutation_table(n)
+    total = np.asarray(C, dtype=np.float64)[np.arange(n), table].sum(axis=1)
+    for i in np.argsort(total, kind="stable").tolist():
+        yield perms[i], float(total[i])
+
+
 def iterative_reference(Y, codebook, w, e_max=None):
     # iterative_sd_detect as it was before the codebook cached its lookup
-    # tables: the member dict (weight 1) or the per-slot component sets are
-    # rebuilt from the codebook's arrays on every block.  Returns ((q, cost,
-    # iterations, op_count), whether the exhaustive fallback decided).
+    # tables and the harness built per-batch tables: each slot's walk ranks
+    # the block's assignments afresh, the member dict (weight 1) or the
+    # per-slot component sets are rebuilt from the codebook's arrays on every
+    # block, and the candidates' support sums are taken over the candidates
+    # alone.  Returns ((q, cost, iterations, op_count), whether the
+    # exhaustive fallback decided).
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
@@ -116,10 +153,10 @@ def iterative_reference(Y, codebook, w, e_max=None):
 
     def walk(members):
         tries = 0
-        for a in murty_iter(yhat):
+        for perm, cost in reference_ranking(yhat):
             tries += 1
-            if a.perm in members:
-                return a.perm, a.cost, tries
+            if perm in members:
+                return perm, cost, tries
             if tries >= budget:
                 break
         return None, None, tries
@@ -417,28 +454,28 @@ class TestClassifyWeight:
 class TestBbDetect:
     def test_rejects_multiweight(self):
         with pytest.raises(ValueError):
-            bb_detect(np.zeros((4, 4)), COMBINED32)
+            bb_one(np.zeros((4, 4)), COMBINED32)
 
     def test_dominant_diagonal_gives_identity(self):
-        r = bb_detect(10.0 * np.eye(4), FULL24)
+        r = bb_one(10.0 * np.eye(4), FULL24)
         assert r.q == 1  # (1,2,3,4) is the first entry in lexicographic order
 
     def test_zero_noise_recovery_through_fixture(self):
         for q in range(1, 25):
             Y = H02 @ block_for(FULL24, q, 1, M1)
-            assert bb_detect(Y, FULL24).q == q
+            assert bb_one(Y, FULL24).q == q
 
     @given(arrays(np.float64, (4, 4), elements=st.floats(-10, 10, allow_nan=False)))
     @settings(max_examples=60, deadline=None)
     def test_always_a_valid_permutation(self, Y):
-        r = bb_detect(Y, FULL24)
+        r = bb_one(Y, FULL24)
         perm = component(FULL24, r.q - 1)
         assert sorted(perm) == [1, 2, 3, 4]
 
     def test_nonmember_result_has_no_decision(self):
         # CB1 lacks the identity permutation, which dominates this input
         Y = H02 @ np.eye(4)
-        r = bb_detect(Y, CB1)
+        r = bb_one(Y, CB1)
         assert r.q is None and r.w == 1
 
     def test_divergence_from_exact_assignment_is_measurable(self):
@@ -450,8 +487,8 @@ class TestBbDetect:
         trials = 400
         for _ in range(trials):
             Y = rng.normal(0, 1, (4, 4))
-            r = bb_detect(Y, FULL24)
-            opt = next(murty_iter(-Y))
+            r = bb_one(Y, FULL24)
+            opt = next(ranking(-Y))
             if abs(r.cost - opt.cost) > 1e-12:
                 diverged += 1
         assert 0.3 < diverged / trials < 0.6
@@ -467,7 +504,7 @@ class TestBbDetect:
         rng = np.random.default_rng(L)
         for _ in range(500):
             Y = scale * rng.normal(0, 1, (L, L))
-            r = bb_detect(Y, book)
+            r = bb_one(Y, book)
             perm, cost, ops = bb_reference(Y, L)
             assert component(book, r.q - 1) == perm
             assert r.cost == cost
@@ -475,14 +512,14 @@ class TestBbDetect:
 
     def test_op_count_is_the_node_search_total(self):
         # f (1 + (f-1)^2) additions for f = 4, 3, 2, 1 free columns
-        assert bb_detect(np.zeros((4, 4)), FULL24).op_count == 40 + 15 + 4 + 1
+        assert bb_one(np.zeros((4, 4)), FULL24).op_count == 40 + 15 + 4 + 1
 
     def test_ties_go_to_the_lowest_column(self):
         # small integers sum exactly in any order, so equal scores are exact ties
         rng = np.random.default_rng(43)
         for _ in range(500):
             Y = rng.integers(-1, 2, (4, 4)).astype(np.float64)
-            r = bb_detect(Y, FULL24)
+            r = bb_one(Y, FULL24)
             perm, cost, _ = bb_reference(Y, 4)
             assert (component(FULL24, r.q - 1), r.cost) == (perm, cost)
 
@@ -491,14 +528,14 @@ class TestBbDetect:
         Y = H02 @ block_for(FULL24, 3, 1, M1)
         Y[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            bb_detect(Y, FULL24)
+            bb_one(Y, FULL24)
 
     def test_closed_form_matches_node_search_on_noisy_fixture_blocks(self):
         rng = np.random.default_rng(41)
         for _ in range(1000):
             q = int(rng.integers(1, 25))
             Y = H02 @ block_for(FULL24, q, 1, M1) + rng.normal(0, 2e-5, (4, 4))
-            r = bb_detect(Y, FULL24)
+            r = bb_one(Y, FULL24)
             perm, cost, ops = bb_reference(Y, 4)
             assert (component(FULL24, r.q - 1), r.cost, r.op_count) == (perm, cost, ops)
 
@@ -508,9 +545,9 @@ class TestIterativeSd:
         rng = np.random.default_rng(17)
         for _ in range(50):
             Y = rng.normal(0, 1, (4, 4))
-            r = iterative_sd_detect(Y, FULL24, 1)
+            r = iterative_one(Y, FULL24, 1)
             assert r.iterations == 1
-            assert r.cost == pytest.approx(next(murty_iter(-Y)).cost)
+            assert r.cost == pytest.approx(next(ranking(-Y)).cost)
 
     def test_cost_equals_bf_on_restricted_codebook(self):
         rng = np.random.default_rng(23)
@@ -518,7 +555,7 @@ class TestIterativeSd:
             Y = H02 @ block_for(CB1, int(rng.integers(1, 9)), 1, M1)
             Y = Y + rng.normal(0, 2e-5, (4, 4))
             bf = bf_sd_detect(Y, CB1, 1)
-            it = iterative_sd_detect(Y, CB1, 1)
+            it = iterative_one(Y, CB1, 1)
             assert it.cost == pytest.approx(bf.cost, abs=1e-15)
             assert it.q == bf.q
 
@@ -526,35 +563,35 @@ class TestIterativeSd:
     def test_zero_noise_multiweight_recovery(self, codebook):
         for q in range(1, codebook.size + 1):
             Y = H02 @ block_for(codebook, q, 1, M1)
-            r = iterative_sd_detect(Y, codebook, 2)
+            r = iterative_one(Y, codebook, 2)
             assert r.q == q
 
     def test_combined_codebook_roundtrip_with_genie(self):
         for q in range(1, COMBINED32.size + 1):
             w = int(COMBINED32.weight_array[q - 1])
             Y = H02 @ block_for(COMBINED32, q, 1, M1)
-            r = iterative_sd_detect(Y, COMBINED32, w)
+            r = iterative_one(Y, COMBINED32, w)
             assert (r.q, r.w) == (q, w)
 
     def test_fallback_recovers_bf_decision(self):
         Y = H02 @ np.eye(4)
-        r = iterative_sd_detect(Y, CB1, 1, e_max=1)
+        r = iterative_one(Y, CB1, 1, e_max=1)
         assert r.q == bf_sd_detect(Y, CB1, 1).q
 
     def test_iteration_budget_respected(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
             Y = rng.normal(0, 1, (4, 4))
-            r = iterative_sd_detect(Y, CB1, 1, e_max=3)
+            r = iterative_one(Y, CB1, 1, e_max=3)
             assert r.iterations <= 3
 
     def test_rejects_weight_outside_codebook(self):
         with pytest.raises(ValueError, match="weight 2 not in codebook"):
-            iterative_sd_detect(np.zeros((4, 4)), CB1, 2)
+            iterative_one(np.zeros((4, 4)), CB1, 2)
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            iterative_sd_detect(np.zeros((4, 4)), CB1, 1, e_max=0)
+            iterative_one(np.zeros((4, 4)), CB1, 1, e_max=0)
 
     # Physical-scale noise from a near-certain hit to frequent misses; e_max
     # = 1 reaches the exhaustive fallback, and joint mode picks the weight
@@ -576,7 +613,7 @@ class TestIterativeSd:
                 Y = H02 @ block_for(book, q, m, pam) + rng.normal(0, sigma, (4, 4))
                 w = int(classify_weight_batch(Y[None], book, mode, pam, w,
                                               gain_sum=H02.sum())[0])
-                r = iterative_sd_detect(Y, book, w, e_max)
+                r = iterative_one(Y, book, w, e_max)
                 want, fell_back = iterative_reference(Y, book, w, e_max)
                 assert (r.q, r.cost, r.iterations, r.op_count) == want
                 assert r.w == w
@@ -589,29 +626,141 @@ class TestIterativeSd:
         # whether the codebook holds 8 or 24 permutations
         Y = H02 @ block_for(FULL24, 1, 1, M1)
         sub = FULL24.subset(range(8), label="sub")
-        a = iterative_sd_detect(Y, FULL24, 1).op_count
-        b = iterative_sd_detect(Y, sub, 1).op_count
+        a = iterative_one(Y, FULL24, 1).op_count
+        b = iterative_one(Y, sub, 1).op_count
         assert a == b
+
+
+class TestBatchTables:
+    """The harness decodes iterative and bb blocks from per-batch tables
+    (iterative_rows, bb_rows); each block's decision must be the one the
+    per-block references make."""
+
+    BOOKS = {"w2sel8": (W2SEL8, "genie"), "combined32": (COMBINED32, "genie"),
+             "combined32-joint": (COMBINED32, "joint"), "cb1": (CB1, "genie"),
+             "full24": (FULL24, "genie")}
+
+    @pytest.mark.parametrize("e_max", [None, 1, 2])
+    @pytest.mark.parametrize("where", ["h02", "grid06"])
+    @pytest.mark.parametrize("name", list(BOOKS))
+    def test_harness_decode_matches_per_block_reference(self, monkeypatch, name, where, e_max):
+        # noise from a near-certain first hit to frequent misses; e_max = 1 and
+        # 2 force the exhaustive fallback, which no preset reaches
+        book, mode = self.BOOKS[name]
+        H = H02 if where == "h02" else H06
+        pam = PamConfig(M=4)
+        cfg = SimConfig(scheme="t", detector="iterative", ebn0_grid=(100.0,), channel=H,
+                        codebook=book, pam=pam, weight_mode=mode,
+                        calibration=H if mode == "joint" else None, e_max=e_max)
+        seen, inner = [], analysis.iterative_sd_detect
+
+        def recorded(row, codebook, w, budget):
+            r = inner(row, codebook, w, budget)
+            seen.append((row.Y, w, r))
+            return r
+
+        monkeypatch.setattr(analysis, "iterative_sd_detect", recorded)
+        link = analysis._link(cfg)
+        rng = np.random.default_rng(len(name) + 7 * (e_max or 0))
+        tx = rng.integers(len(link.means), size=384)
+        sigma = H.mean() * np.array([0.05, 0.2, 0.5])[np.arange(len(tx)) % 3]
+        Y = link.means[tx] + sigma[:, None, None] * rng.normal(size=link.means[tx].shape)
+        rx, ops = link.decode(Y, tx, rng)
+        assert len(seen) == len(tx)
+        fallbacks = 0
+        for (y, w, r), label in zip(seen, rx.tolist()):
+            want, fell_back = iterative_reference(y, book, w, e_max)
+            assert (r.q, r.cost, r.iterations, r.op_count) == want
+            assert r.w == w and label // pam.M == r.q - 1
+            fallbacks += fell_back
+        assert ops == sum(r.op_count for _, _, r in seen)
+        if e_max == 1 and book is not FULL24:  # full24's first assignment is always a member
+            assert fallbacks > 0
+
+    @pytest.mark.parametrize("book", [FULL24, CB1], ids=["full24", "cb1"])
+    def test_bb_matches_node_search_on_a_noisy_batch(self, book):
+        rng = np.random.default_rng(47)
+        q = rng.integers(1, book.size + 1, size=4096)
+        Y = np.einsum("ij,bjl->bil", H02, book.matrix_stack[q - 1])
+        Y = Y + rng.normal(0, 2e-5, Y.shape)
+        self._check_bb(Y, book)
+
+    def test_bb_matches_node_search_on_exact_ties(self):
+        # small integers sum exactly in any order, so equal scores are exact ties
+        Y = np.random.default_rng(53).integers(-1, 2, (1024, 4, 4)).astype(np.float64)
+        self._check_bb(Y, FULL24)
+        self._check_bb(Y, CB1)
+
+    @staticmethod
+    def _check_bb(Y, book):
+        # full24 holds every permutation, so its q names the chosen columns;
+        # cb1 adds the no-decision outcome (q None)
+        members = {component(book, i): i + 1 for i in range(book.size)}
+        for y, row in zip(Y, bb_rows(Y, book)):
+            r = bb_detect(row, book)
+            perm, cost, ops = bb_reference(y, book.L)
+            assert (r.q, r.cost, r.op_count) == (members.get(perm), cost, ops)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_non_finite_block_rejects_the_batch(self, bad):
+        Y = np.random.default_rng(59).normal(0, 1, (300, 4, 4))
+        for b in (0, 137, 299):
+            Yb = Y.copy()
+            Yb[b, 3, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                list(bb_rows(Yb, FULL24))
+            with pytest.raises(ValueError, match="finite"):
+                list(iterative_rows(Yb, COMBINED32))
+
+    def test_batch_rank_matches_each_matrix(self):
+        # leading axes are kept
+        C = np.random.default_rng(61).normal(size=(3, 500, 4, 4))
+        order, total = rank_assignments(C)
+        assert order.shape == total.shape == (3, 500, 24)
+        perms = permutation_table(4)[1]
+        for k in (0, 1, 2):
+            for b in range(0, 500, 7):
+                ranked = [(perms[i], total[k, b, i]) for i in order[k, b].tolist()]
+                assert ranked == list(reference_ranking(C[k, b]))
+
+    def test_one_ranking_per_slice(self, monkeypatch):
+        # every weight slot walks its block's one ranking, made per slice of
+        # the batch; 1100 blocks span several slices
+        calls, inner = [], detectors.rank_assignments
+        monkeypatch.setattr(detectors, "rank_assignments",
+                            lambda C: calls.append(np.shape(C)) or inner(C))
+        rng = np.random.default_rng(67)
+        q = rng.integers(24, 32, size=1100)
+        Y = np.einsum("ij,bjl->bil", H02, COMBINED32.matrix_stack[q])
+        Y = Y + rng.normal(0, 6e-5, Y.shape)
+        got, _ = analysis._decide_per_block(
+            lambda row, wb: iterative_sd_detect(row, COMBINED32, wb),
+            iterative_rows(Y, COMBINED32), np.full(len(Y), 2))
+        n = detectors._SLICE_BLOCKS
+        assert calls == [(min(n, len(Y) - s), 4, 4) for s in range(0, len(Y), n)]
+        assert len(calls) > 1
+        want = [iterative_reference(y, COMBINED32, 2)[0][0] - 1 for y in Y]
+        assert got.tolist() == want
 
 
 class TestAssignmentRanking:
     def test_two_by_two_example(self):
-        a = next(murty_iter([[1.0, 2.0], [2.0, 4.0]]))
+        a = next(ranking([[1.0, 2.0], [2.0, 4.0]]))
         assert a.perm == (2, 1)
         assert a.cost == pytest.approx(4.0)
 
     def test_identity_favoring_matrix(self):
-        a = next(murty_iter(np.ones((4, 4)) - np.eye(4)))
+        a = next(ranking(np.ones((4, 4)) - np.eye(4)))
         assert a.perm == (1, 2, 3, 4)
         assert a.cost == pytest.approx(0.0)
 
     def test_all_equal_ties_resolve_lexicographically(self):
-        assert next(murty_iter(np.ones((4, 4)))).perm == (1, 2, 3, 4)
+        assert next(ranking(np.ones((4, 4)))).perm == (1, 2, 3, 4)
 
     def test_crafted_tie(self):
         # Two optima of cost 2: (1,2,3) and (2,1,3); the smaller tuple wins.
         C = np.array([[0.0, 0.0, 9.0], [0.0, 0.0, 9.0], [9.0, 9.0, 2.0]])
-        assert next(murty_iter(C)).perm == (1, 2, 3)
+        assert next(ranking(C)).perm == (1, 2, 3)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_brute_force_on_random(self, n):
@@ -619,7 +768,7 @@ class TestAssignmentRanking:
         for _ in range(200):
             C = rng.normal(size=(n, n))
             best_cost, best_perm = brute_force_all(C)[0]
-            a = next(murty_iter(C))
+            a = next(ranking(C))
             assert a.cost == pytest.approx(best_cost, abs=1e-9)
             assert a.perm == best_perm
 
@@ -630,21 +779,21 @@ class TestAssignmentRanking:
         for _ in range(100):
             C = rng.normal(size=(5, 5))
             rows, cols = linear_sum_assignment(C)
-            assert next(murty_iter(C)).cost == pytest.approx(float(C[rows, cols].sum()), abs=1e-9)
+            assert next(ranking(C)).cost == pytest.approx(float(C[rows, cols].sum()), abs=1e-9)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            next(murty_iter(np.ones((2, 3))))
+            rank_assignments(np.ones((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_costs(self, bad):
         C = np.eye(3)
         C[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            next(murty_iter(C))
+            rank_assignments(C)
 
     def test_two_by_two_full_order(self):
-        out = list(murty_iter([[1.0, 2.0], [2.0, 4.0]]))
+        out = list(ranking([[1.0, 2.0], [2.0, 4.0]]))
         assert [a.perm for a in out] == [(2, 1), (1, 2)]
         assert [a.cost for a in out] == [pytest.approx(4.0), pytest.approx(5.0)]
 
@@ -653,11 +802,11 @@ class TestAssignmentRanking:
         rng = np.random.default_rng(40 + n)
         for _ in range(20):
             C = rng.normal(size=(n, n))
-            assert [(a.cost, a.perm) for a in murty_iter(C)] == brute_force_all(C)
+            assert [(a.cost, a.perm) for a in ranking(C)] == brute_force_all(C)
 
     def test_iterator_is_lazy_and_complete(self):
         C = np.arange(16.0).reshape(4, 4)
-        it = murty_iter(C)
+        it = ranking(C)
         first = next(it)
         assert (first.cost, first.perm) == brute_force_all(C)[0]
         assert len(list(it)) == 23
@@ -672,7 +821,7 @@ class TestAssignmentRanking:
             (c1, p1), (c2, p2) = ranked[0], ranked[1]
             r = next(i for i in range(4) if p1[i] != p2[i])
             C[r, p2[r] - 1] -= (c2 - c1) - 5e-10
-            assert [(a.cost, a.perm) for a in murty_iter(C)] == brute_force_all(C)
+            assert [(a.cost, a.perm) for a in ranking(C)] == brute_force_all(C)
 
     def test_rejects_sizes_above_enumeration_limit(self, monkeypatch):
         def no_table(n):
@@ -681,7 +830,7 @@ class TestAssignmentRanking:
         monkeypatch.setattr(detectors, "permutation_table", no_table)
         n = ENUMERATION_MAX_L + 1
         with pytest.raises(ValueError, match="at most"):
-            next(murty_iter(np.zeros((n, n))))
+            rank_assignments(np.zeros((n, n)))
 
 
 class TestBaselines:
