@@ -31,7 +31,11 @@ The coherent rules (ml, sm) share one nearest-mean kernel, ml_detect_batch.
 PAM levels are linear in m, so the means of one entry (or, for sm, one LED)
 lie on a line m U_q, and the nearest of them is the received correlation
 with U_q sliced to the nearest level: one (B, Q) matrix product per batch
-scores every entry at its best level, as a unipolar PAM slicer does.
+scores every entry at its best level, as a unipolar PAM slicer does.  It
+and rc_detect_batch work through the batch in row slices of _SLICE_CELLS
+cells, in place in scratch arrays of that size, so a batch allocates no
+large temporary and each matrix product stays small enough for OpenBLAS
+to run it on the calling thread.
 
 The blind rules pick an entry within a given weight class and nothing
 else.  The weight class and the PAM level are side decisions, each one
@@ -164,10 +168,26 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
 
 
+# cells per row slice of the coherent kernels' (rows, columns) arrays: each
+# temporary is 128 KB, so every batch reuses the same heap memory instead of
+# page-faulting in a fresh 0.5-1 MB array, and at L = 4 (16 values per block)
+# a slice's product is at most 2**18 multiply-adds, where OpenBLAS still runs
+# on the calling thread instead of waking workers against the harness's pool.
+# Slices of 256 rows lost two-thread scaling to GIL handoffs.
+_SLICE_CELLS = 1 << 14
+
+
+def _row_slices(B: int, width: int) -> tuple[int, list[slice]]:
+    """Rows per slice and the slices of a (B, width) array, each slice at
+    most _SLICE_CELLS cells and at least one row."""
+    rows = max(1, _SLICE_CELLS // width)
+    return rows, [slice(s, min(s + rows, B)) for s in range(0, B, rows)]
+
+
 def ml_detect_batch(Y: np.ndarray, HS: np.ndarray, M: int) -> np.ndarray:
     """Index of the nearest received mean in HS for each block of Y (B, ...),
-    ties to the lowest.  Trailing shapes are flattened, so (B, L, L) blocks
-    and (B, n_rx) slots share it.
+    ties to the lowest, as int64.  Trailing shapes are flattened, so
+    (B, L, L) blocks and (B, n_rx) slots share it.
 
     HS is entry-major / level-minor with M PAM levels per entry: row
     q M + m - 1 is m U_q, where U_q = HS[q M] is entry q's level-1 mean; the
@@ -177,24 +197,39 @@ def ml_detect_batch(Y: np.ndarray, HS: np.ndarray, M: int) -> np.ndarray:
     level (half-way to the lower) and clipped to its range: one (B, Q)
     product and one argmin per batch, not a score per (entry, level).  An
     entry with e_q = 0 scores 0 at level 1.
+
+    The product and the level slice run over row slices of _SLICE_CELLS
+    (rows, Q) cells, in place in two scratch arrays, so no temporary grows
+    with B; each row's arithmetic, and so its decision, is that of the
+    whole-batch product.
     """
-    Yf = Y.reshape(len(Y), -1)
-    U = HS[::M].reshape(-1, Yf.shape[1])
+    U = HS[::M]
+    U = U.reshape(len(U), -1)
+    Q, d = U.shape
+    Yf = Y.reshape(len(Y), d)
     e = np.einsum("qd,qd->q", U, U)
-    u = Yf @ (U / np.where(e > 0, e, 1.0)[:, None]).T
-    m = 1.0
-    if M > 1:
-        m = np.ceil(u - 0.5)
-        np.clip(m, 1, np.minimum(M, len(HS) - M * np.arange(len(U))), out=m)
-    # e m (m - 2u), in place: u and m are the only (B, Q) arrays
-    u *= -2.0
-    u += m
-    u *= m
-    u *= e
-    q = np.argmin(u, axis=1)
-    if M == 1:
-        return q
-    return q * M + m[np.arange(len(q)), q].astype(np.int64) - 1
+    V = (U / np.where(e > 0, e, 1.0)[:, None]).T
+    top = np.minimum(M, len(HS) - M * np.arange(Q))
+    rows, slices = _row_slices(len(Y), Q)
+    u = np.empty((min(rows, len(Y)), Q))
+    m = np.empty_like(u) if M > 1 else 1.0
+    out = np.empty(len(Y), dtype=np.int64)
+    for sl in slices:
+        n = sl.stop - sl.start
+        us = np.matmul(Yf[sl], V, out=u[:n])
+        ms = m
+        if M > 1:
+            ms = np.subtract(us, 0.5, out=m[:n])
+            np.ceil(ms, out=ms)
+            np.clip(ms, 1, top, out=ms)
+        # e m (m - 2u), in place
+        us *= -2.0
+        us += ms
+        us *= ms
+        us *= e
+        q = np.argmin(us, axis=1)
+        out[sl] = q if M == 1 else q * M + ms[np.arange(n), q].astype(np.int64) - 1
+    return out
 
 
 def ml_op_count(candidates: int, L: int) -> int:
@@ -395,26 +430,36 @@ _LAP_OPS = lambda L: L ** 3
 
 class IterativeRow(NamedTuple):
     """One block's row of iterative_rows: the received block Y (L, L), the
-    ranking of its assignments on yhat = -Y, and the negated support sum of
-    every codebook entry, as a list."""
+    ranking of its assignments on yhat = -Y, and the negated support sums of
+    the codebook's weight >= 2 entries, as a list (None for a weight-1
+    book); column, one dict shared by the batch, maps an entry index to its
+    place in that list."""
 
     Y: np.ndarray
     ranked: RankedRow
-    support: list[float]
+    support: list[float] | None
+    column: dict[int, int]
 
 
 def iterative_rows(Y: np.ndarray, codebook: Codebook) -> Iterator[IterativeRow]:
     """iterative_sd_detect's tables for a batch Y (B, L, L), one IterativeRow
     per block, built _SLICE_BLOCKS blocks at a time: one ranking of every
-    assignment of -Y, and one (B, Q) product for the support sums,
-    -einsum("bij,qij->bq", Y, matrix_stack), which every weight slot's walk
-    and candidate set share.  Raises ValueError above ENUMERATION_MAX_L
-    columns, and for a non-finite block when its slice is reached."""
+    assignment of -Y, which every weight slot's walk shares, and, as only
+    weight >= 2 candidates are scored by their support sums, one product
+    -einsum("bij,qij->bq", Y, stack) over the weight >= 2 entries' matrices
+    alone (no product for a weight-1 book).  Raises ValueError above
+    ENUMERATION_MAX_L columns, and for a non-finite block when its slice is
+    reached."""
     Y = np.asarray(Y, dtype=np.float64)
+    multi = [codebook.weight_class_indices(w) for w in codebook.weights_present if w > 1]
+    stack, column = None, {}
+    if multi:
+        idx = np.concatenate(multi)
+        stack, column = codebook.matrix_stack[idx], dict(zip(idx.tolist(), range(len(idx))))
     for s in range(0, len(Y), _SLICE_BLOCKS):
         y = Y[s:s + _SLICE_BLOCKS]
-        support = -np.einsum("bij,qij->bq", y, codebook.matrix_stack)
-        yield from map(IterativeRow, y, ranked_rows(-y), support.tolist())
+        support = repeat(None) if stack is None else (-np.einsum("bij,qij->bq", y, stack)).tolist()
+        yield from map(IterativeRow, y, ranked_rows(-y), support, repeat(column))
 
 
 def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
@@ -457,10 +502,10 @@ def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
             if perm is not None:
                 candidates.update(slot[perm])
         if candidates:
-            support = block.support
-            best = min(sorted(candidates), key=support.__getitem__)
+            support, column = block.support, block.column
+            best = min(sorted(candidates), key=lambda i: support[column[i]])
             ops += len(candidates) * w * L
-            q, cost = best + 1, support[best]
+            q, cost = best + 1, support[column[best]]
 
     if q is None:
         res = bf_sd_detect(block.Y, codebook, w)
@@ -530,7 +575,15 @@ def rc_detect_batch(y: np.ndarray, channel, config: RcConfig) -> np.ndarray:
     the bit label."""
     gains = float(_as_H(channel).sum())
     levels = np.array([config.level(m) * gains for m in range(1, config.M + 1)])
-    return np.argmin(np.abs(y.sum(axis=1)[:, None] - levels[None, :]), axis=1)
+    totals = y.sum(axis=1)
+    # |total - level| in ml_detect_batch's row slices, in one scratch array
+    rows, slices = _row_slices(len(y), len(levels))
+    dist = np.empty((min(rows, len(y)), len(levels)))
+    out = np.empty(len(y), dtype=np.int64)
+    for sl in slices:
+        d = np.subtract.outer(totals[sl], levels, out=dist[:sl.stop - sl.start])
+        out[sl] = np.argmin(np.abs(d, out=d), axis=1)
+    return out
 
 
 def sm_detect_batch(y: np.ndarray, channel, config: SmConfig) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from pmvlc import analysis
+from pmvlc import analysis, detectors
 from pmvlc.analysis import (
     BATCH_BLOCKS,
     BerRecord,
@@ -261,9 +261,9 @@ class TestHarnessDeterminism:
     def test_no_batch_past_the_stopping_batch(self, monkeypatch, threads):
         inner, calls = analysis._simulate_batch, []
 
-        def counting(config, link, n0, point_idx, batch_idx):
+        def counting(config, link, Y, sigma, point_idx, batch_idx):
             calls.append((point_idx, batch_idx))
-            return inner(config, link, n0, point_idx, batch_idx)
+            return inner(config, link, Y, sigma, point_idx, batch_idx)
 
         monkeypatch.setattr(analysis, "_simulate_batch", counting)
         cfg = SimConfig(scheme="c32", detector="ml", ebn0_grid=(90.0, 91.0),
@@ -353,6 +353,48 @@ class TestHarnessDeterminism:
                       errors_target=1, block_cap=BATCH_BLOCKS)
 
 
+class TestReceivedBuffer:
+    """Each grid point receives all of its batches into one buffer, which
+    must hold bit for bit what a fresh means[tx] + rng.normal(0, sigma)
+    array held."""
+
+    @pytest.mark.parametrize("detector,book,M", [
+        ("ml", "combined32", 16), ("bf", "full24", 4), ("rc", None, 1), ("sm", None, 1),
+    ])
+    def test_reused_buffer_is_the_fresh_draw(self, monkeypatch, detector, book, M):
+        seen, build = [], analysis._link
+
+        def recording_link(config):
+            link = build(config)
+
+            def decode(Y, tx, rng):
+                seen.append((Y, Y.copy(), tx.copy()))
+                return link.decode(Y, tx, rng)
+
+            return dataclasses.replace(link, decode=decode)
+
+        monkeypatch.setattr(analysis, "_link", recording_link)
+        cfg = SimConfig(scheme="s", detector=detector, ebn0_grid=(94.0, 100.0), channel=H02,
+                        codebook=named_codebook(book) if book else None, pam=PamConfig(M=M),
+                        errors_target=10 ** 9, block_cap=3 * BATCH_BLOCKS, seed=4)
+        monte_carlo_ber(cfg)  # one thread: point 0's batches, then point 1's
+        assert len(seen) == 6
+        link = build(cfg)
+        means, bits = link.means, link.bits
+        for k, (_, Y, tx) in enumerate(seen):
+            point, batch = divmod(k, 3)
+            rng = analysis._batch_rng(cfg, point, batch)
+            want_tx = rng.integers(len(means), size=BATCH_BLOCKS)
+            sigma = np.sqrt(n0_for_bits(cfg.ebn0_grid[point], bits) / 2.0)
+            want = means[want_tx] + rng.normal(0.0, sigma, size=(BATCH_BLOCKS, *means.shape[1:]))
+            np.testing.assert_array_equal(tx, want_tx)
+            np.testing.assert_array_equal(Y.view(np.int64), want.view(np.int64))
+        buffers = [buf for buf, _, _ in seen]
+        assert buffers[0] is buffers[1] is buffers[2]
+        assert buffers[3] is buffers[4] is buffers[5]
+        assert buffers[0] is not buffers[3]
+
+
 class TestHarnessLabelRule:
     """A blind decision is the signal index q M + m - 1, with entry q from the
     decoder and level m from the harness's one slice per batch, or -1 where
@@ -378,12 +420,13 @@ class TestHarnessLabelRule:
         assert rx.tolist() == [want] and not 0 <= want < 2 ** bits == len(link.means)
         off = dataclasses.replace(link, decode=lambda Y, tx, rng: link.decode(
             np.broadcast_to(S, Y.shape), tx, rng))
-        errors, blocks, _ = analysis._simulate_batch(config, off, 1e-40, 0, 0)
+        Y = np.empty((BATCH_BLOCKS, *link.means.shape[1:]))
+        errors, blocks, _ = analysis._simulate_batch(config, off, Y, math.sqrt(1e-40 / 2), 0, 0)
         assert errors == bits * blocks
         # and the noiseless block of each sent index decodes to that index
         exact = dataclasses.replace(link, decode=lambda Y, tx, rng: link.decode(
             link.means[tx], tx, rng))
-        assert analysis._simulate_batch(config, exact, 1e-40, 0, 0)[0] == 0
+        assert analysis._simulate_batch(config, exact, Y, math.sqrt(1e-40 / 2), 0, 0)[0] == 0
 
     def test_zero_gain_channel_runs_at_level_one(self):
         # the receiver outside every LED's field of view: sum(H) = 0, so the
@@ -598,8 +641,9 @@ class TestNearestMeanKernel:
                                    rtol=1e-15, atol=0)
 
     def test_batch_memory_stays_at_one_score_matrix(self):
-        # the old (4096, 512) score matrix alone was 17 MB; the kernel's
-        # (4096, 32) correlation and level arrays are 1 MB each
+        # the old (4096, 512) score matrix alone was 17 MB, and whole-batch
+        # (4096, 32) correlation and level arrays peaked at 3 MB; the kernel
+        # holds one (rows, 32) slice of each, 128 KB
         HS = self._means()
         Y = np.random.default_rng(82).normal(1e-4, 1e-5, size=(BATCH_BLOCKS, 4, 4))
         tracemalloc.start()
@@ -608,7 +652,23 @@ class TestNearestMeanKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak <= 512 * 1024
+
+    @pytest.mark.parametrize("M", [1, 3, 16])
+    @pytest.mark.parametrize("book", ["combined32", "full24"])
+    def test_row_slices_match_difference_form(self, book, M):
+        # batches of one block, one short of a slice, one slice, one past it
+        # and a harness batch of several slices
+        cb, pam = named_codebook(book), PamConfig(M=M)
+        HS = np.einsum("ij,kjl->kil", H02.H, signal_stack(cb, pam)[:2 ** cb.bits_per_block(M)])
+        rows = detectors._SLICE_CELLS // -(-len(HS) // M)
+        assert 1 < rows < BATCH_BLOCKS // 2
+        _, Y = _noisy_blocks(cb, pam, 96.0, BATCH_BLOCKS, seed=86)
+        want = np.concatenate([_brute_nearest(Y[s:s + 256], HS) for s in range(0, len(Y), 256)])
+        for B in (1, rows - 1, rows, rows + 1, BATCH_BLOCKS):
+            got = ml_detect_batch(Y[:B], HS, M)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want[:B])
 
     def test_accepts_vectors(self):
         rng = np.random.default_rng(83)

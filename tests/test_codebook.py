@@ -565,10 +565,11 @@ class TestBitMapping:
                            channel=fixture_h02(), codebook=cb)
         link = analysis._link(config)
         assert len(link.means) == cb.signaling_count(1) == 16
+        Y = np.empty((analysis.BATCH_BLOCKS, 4, 4))
         for wrong in (16, 23, -1):
             off = dataclasses.replace(
                 link, decode=lambda Y, tx, rng, v=wrong: (np.full(len(tx), v), 0))
-            errors, blocks, _ = analysis._simulate_batch(config, off, 1e-40, 0, 0)
+            errors, blocks, _ = analysis._simulate_batch(config, off, Y, math.sqrt(1e-40 / 2), 0, 0)
             assert errors == 4 * blocks
 
     @pytest.mark.parametrize("bits", [49, 53, 60, 64])

@@ -743,6 +743,57 @@ class TestBatchTables:
         assert got.tolist() == want
 
 
+    @pytest.mark.parametrize("book", [COMBINED32, W2SEL8, W2FULL, FULL24, CB1],
+                             ids=["combined32", "w2sel8", "w2full", "full24", "cb1"])
+    def test_support_rows_equal_the_full_product(self, book):
+        # only weight >= 2 candidates are scored by their support sums, so
+        # only those entries' columns are built; each equals the full
+        # (B, Q) product's column bit for bit, across several slices
+        rng = np.random.default_rng(71)
+        q = rng.integers(book.size, size=600)
+        Y = np.einsum("ij,bjl->bil", H02, book.matrix_stack[q]) + rng.normal(0, 3e-5, (600, 4, 4))
+        full = -np.einsum("bij,qij->bq", Y, book.matrix_stack)
+        multi = np.flatnonzero(book.weight_array >= 2).tolist()
+        rows = list(iterative_rows(Y, book))
+        assert len(rows) == len(Y)
+        for b, row in enumerate(rows):
+            if not multi:
+                assert row.support is None and row.column == {}
+                continue
+            assert sorted(row.column) == multi and len(row.support) == len(multi)
+            got = np.array([row.support[row.column[i]] for i in multi])
+            np.testing.assert_array_equal(got.view(np.int64), full[b, multi].view(np.int64))
+
+
+class TestEmptyBatch:
+    """A batch of 0 blocks gives empty results from every batch kernel."""
+
+    Y = np.empty((0, 4, 4))
+    KERNELS = {
+        "ml-M1": lambda Y: ml_detect_batch(
+            Y, np.einsum("ij,kjl->kil", H02, signal_stack(COMBINED32, M1)), 1),
+        "ml-M16": lambda Y: ml_detect_batch(
+            Y, np.einsum("ij,kjl->kil", H02, signal_stack(COMBINED32, PamConfig(M=16))), 16),
+        "sm": lambda Y: sm_detect_batch(Y[:, 0], H02, SmConfig()),
+        "rc": lambda Y: rc_detect_batch(Y[:, 0], H02, RcConfig()),
+        "bf": lambda Y: detectors.bf_detect_batch(Y, COMBINED32, np.empty(0, dtype=np.int64))[0],
+        "level": lambda Y: estimate_intensity_batch(Y, PamConfig(M=16), float(H02.sum())),
+        "weight-genie": lambda Y: classify_weight_batch(
+            Y, COMBINED32, "genie", PamConfig(M=16), np.empty(0, dtype=np.int64)),
+        "weight-joint": lambda Y: classify_weight_batch(
+            Y, COMBINED32, "joint", PamConfig(M=16), None, H02, float(H02.sum())),
+    }
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_kernel_returns_an_empty_int_array(self, kernel):
+        got = self.KERNELS[kernel](self.Y)
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_row_builders_yield_nothing(self):
+        assert list(iterative_rows(self.Y, COMBINED32)) == []
+        assert list(bb_rows(self.Y, CB1)) == []
+
+
 class TestAssignmentRanking:
     def test_two_by_two_example(self):
         a = next(ranking([[1.0, 2.0], [2.0, 4.0]]))
