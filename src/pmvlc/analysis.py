@@ -312,9 +312,9 @@ def _simulate_point(config: SimConfig, link: _Link, point_idx: int, ebn0_db: flo
 
     Every batch is received into one (BATCH_BLOCKS, ...) buffer, allocated
     here and owned by this point's task alone.  A fresh 0.5-1 MB array per
-    batch sits at glibc malloc's dynamic mmap and trim thresholds, so it
-    went back to the system when freed and was page-faulted in again by the
-    next batch: 224 minor faults per batch before any decoding.
+    batch would sit at glibc malloc's dynamic mmap and trim thresholds, go
+    back to the system when freed and be page-faulted in again by the next
+    batch: about 224 minor faults per batch before any decoding.
     """
     sigma = np.sqrt(n0_for_bits(ebn0_db, link.bits) / 2.0)
     Y = np.empty((BATCH_BLOCKS, *link.means.shape[1:]))

@@ -168,12 +168,14 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
 
 
-# cells per row slice of the coherent kernels' (rows, columns) arrays: each
-# temporary is 128 KB, so every batch reuses the same heap memory instead of
-# page-faulting in a fresh 0.5-1 MB array, and at L = 4 (16 values per block)
-# a slice's product is at most 2**18 multiply-adds, where OpenBLAS still runs
-# on the calling thread instead of waking workers against the harness's pool.
-# Slices of 256 rows lost two-thread scaling to GIL handoffs.
+# cells per row slice of ml_detect_batch's and rc_detect_batch's (rows,
+# columns) arrays: each temporary is 128 KB, so every batch reuses the same
+# heap memory instead of page-faulting in a fresh 0.5-1 MB array, and at
+# L = 4 (16 values per block) a slice's product is at most 2**18
+# multiply-adds, where OpenBLAS still runs on the calling thread instead of
+# waking workers against the harness's pool.
+# Halving the slice (256 rows at Q = 32) lost two-thread throughput to GIL
+# handoffs in a kernel-only measurement; doubling it ran slower on one thread.
 _SLICE_CELLS = 1 << 14
 
 
