@@ -28,6 +28,7 @@ import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -233,12 +234,11 @@ class _Link:
     decode: Callable
 
 
-def _decide_per_block(detect, rows, w):
-    # decoders with a per-block walk: one call per block's row of the batch
-    # tables, given its weight class
+def _decisions(results):
+    # the 0-based entry of each block's DetectionResult (-1 for none) and
+    # their summed op_count
     q, ops = [], 0
-    for row, wb in zip(rows, w.tolist()):
-        r = detect(row, wb)
+    for r in results:
         q.append(-1 if r.q is None else r.q - 1)
         ops += r.op_count
     return np.array(q, dtype=np.int64), ops
@@ -262,17 +262,18 @@ def _link(config: SimConfig) -> _Link:
         return _Link(HS, bits, lambda Y, tx, rng: (rng.integers(len(HS), size=len(tx)), 0))
 
     # the blind decoders pick an entry within a weight class; the class and
-    # the level are side decisions, each made once per batch here
+    # the level are side decisions, each made once per batch here.  iterative
+    # and bb decode each block from its row of the batch tables, through the
+    # per-block step as this module holds it at each batch, so a wrapper set
+    # here (the benchmark's tracer) sees every block
     if det == "bf":
         def pick(Y, w):
             return bf_detect_batch(Y, cb, w)[0], bf_op_count(cb, w)
     elif det == "iterative":
-        pick = lambda Y, w: _decide_per_block(
-            lambda row, wb: iterative_sd_detect(row, cb, wb, config.e_max),
-            iterative_rows(Y, cb), w)
+        pick = lambda Y, w: _decisions(map(iterative_sd_detect, iterative_rows(Y, cb),
+                                           repeat(cb), w.tolist(), repeat(config.e_max)))
     else:  # bb
-        pick = lambda Y, w: _decide_per_block(lambda row, wb: bb_detect(row, cb),
-                                              bb_rows(Y, cb), w)
+        pick = lambda Y, w: _decisions(map(bb_detect, bb_rows(Y, cb), repeat(cb)))
     # sum(H), the blind level scale, per batch: the calibration's, or the batch's
     # mean block sum, as E[sum(Y)] = sum(H) over uniform labels at unit mean
     # power (a truncated alphabet skews it: 127/128 for combined32 at M = 3)

@@ -2,11 +2,12 @@
 
 This module holds every decision rule of the package.  Each rule is written
 once as a batch kernel over a leading block axis (the ``*_batch`` functions,
-which the Monte Carlo harness calls), but for the two walks.  bb_detect and
-iterative_sd_detect decode one block, returning a DetectionResult, from its
-row of tables that bb_rows and iterative_rows build per batch and that hold
-all of their arithmetic; what is left per block is the walk itself.
-bf_sd_detect is the bf kernel on a batch of one.
+which the Monte Carlo harness calls), but for the two walks, whose per-block
+step is what the benchmark's tracer counts.  bb_rows runs bb's greedy column
+choice for a whole batch, so bb_detect is the member lookup of one block's
+walk; iterative_rows ranks a batch's assignments and scores its supports,
+and iterative_sd_detect walks one block's row.  Each returns a
+DetectionResult.  bf_sd_detect is the bf kernel on a batch of one.
 
 All soft-decision (SD) detectors work on the sign-flipped observation
 yhat = -Y, so a codeword's decision metric is the negated sum of received
@@ -16,8 +17,8 @@ per-component metrics because components never overlap.
 * ml_detect_batch     argmin of ||Y - H a_m P_q||_F^2 over the received
                       means it is given (needs CSI), level-sliced per entry
 * bf_detect_batch     exhaustive support-metric search over the codebook
-* bb_detect           greedy level-by-level column selection (weight 1 only)
-                      over bb_rows' column scores
+* bb_detect           greedy level-by-level column selection (weight 1 only),
+                      made per batch by bb_rows; bb_detect looks its result up
 * iterative_sd_detect assignment-driven search: best assignment first, then
                       next-best assignments until one lands in the codebook;
                       every weight slot's walk (murty_iter) reads the block's
@@ -49,7 +50,7 @@ the h02 profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import repeat
 from operator import add
 from typing import Iterator, NamedTuple
@@ -61,7 +62,7 @@ from .codebook import ENUMERATION_MAX_L, Codebook, permutation_table
 from .txcodec import PamConfig, pam_intensity
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionResult:
     """One block's decision: entry q (1-based; None for no decision) of
     weight class w, its cost and the decoder's work."""
@@ -160,11 +161,13 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
     H_ref = _as_H(calibration) if calibration is not None else fixture_h02().H
     m = estimate_intensity_batch(Y, pam, gain_sum)
     residuals = np.empty((len(weights), B))
-    for k, w in enumerate(weights):
-        stack = codebook.matrix_stack[codebook.weight_class_indices(w)]
-        P = stack[_best_support(Y, stack)[0]]
-        a = pam_intensity(m, pam.M, w)
-        residuals[k] = ((Y - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2))
+    # in row slices, as ml_detect_batch: no temporary grows with B
+    for sl in _row_slices(B, max(codebook.size, codebook.L ** 2))[1]:
+        for k, w in enumerate(weights):
+            stack = codebook.matrix_stack[codebook.weight_class_indices(w)]
+            P = stack[_best_support(Y[sl], stack)[0]]
+            a = pam_intensity(m[sl], pam.M, w)
+            residuals[k, sl] = ((Y[sl] - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2))
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
 
 
@@ -287,33 +290,48 @@ _SLICE_BLOCKS = 256
 
 
 class BbRow(NamedTuple):
-    """One block's row of bb_rows, as lists: yhat = -Y and the column scores."""
+    """One block's greedy walk from bb_rows: the column chosen in each row
+    (1-based) and the path cost, the sum of yhat = -Y over those cells."""
 
-    yhat: list[list[float]]
-    score: list[list[float]]
+    perm: tuple[int, ...]
+    cost: float
 
 
 def bb_rows(Y: np.ndarray, codebook: Codebook) -> Iterator[BbRow]:
-    """bb_detect's tables for a batch Y (B, L, L), one BbRow per block,
-    built _SLICE_BLOCKS blocks at a time.
+    """bb's greedy level-by-level column selection for a batch Y (B, L, L),
+    one BbRow per block, _SLICE_BLOCKS blocks at a time.
 
-    Row k of score is yhat[k, c] - sum(yhat[k+1:, c]) for every column c: the
-    choice at level k, with the sum taken down the rows in ascending order
-    (see bb_detect).  Raises ValueError for a codebook with entries of weight
-    above 1 once rows are asked for, and for a non-finite block when its
-    slice is reached.
+    Level k scores each free column c by the path cost so far, yhat[k, c]
+    and the sum of the free columns below once c is taken; all but
+    yhat[k, c] - sum(yhat[k+1:, c]) is common to every c, so each level is
+    one argmin of that over the slice, the taken columns set to +inf (ties
+    to the lowest c).  With the sum down the rows in ascending order and the
+    path cost added row by row, each walk is bit for bit the node-by-node
+    search.  Raises ValueError for a codebook with entries of weight above 1
+    once rows are asked for, and, when its slice is reached, for a block
+    that is not finite or whose scores overflow (a free column must always
+    score below the taken ones).
     """
     if codebook.weights_present != (1,):
         raise ValueError("branch-and-bound decoding applies to weight-1 codebooks only")
     Y = np.asarray(Y, dtype=np.float64)
+    L = Y.shape[-1]
     for s in range(0, len(Y), _SLICE_BLOCKS):
         yhat = -Y[s:s + _SLICE_BLOCKS]
         if not np.isfinite(yhat).all():
             raise ValueError("received block must be finite")
         score = yhat.copy()
-        for k in range(Y.shape[1] - 1):
+        for k in range(L - 1):
             score[:, k] -= reduce(add, yhat[:, k + 1:].swapaxes(0, 1))
-        yield from map(BbRow, yhat.tolist(), score.tolist())
+        if not np.isfinite(score).all():
+            raise ValueError("column sums of the received block overflow")
+        n = np.arange(len(yhat))
+        cols = np.empty((len(yhat), L), dtype=np.intp)
+        for k in range(L):
+            cols[:, k] = c = np.argmin(score[:, k], axis=1)
+            score[n, :, c] = np.inf
+        cost = reduce(add, yhat[n[:, None], np.arange(L), cols].T)
+        yield from map(BbRow, map(tuple, (cols + 1).tolist()), cost.tolist())
 
 
 @cache
@@ -322,33 +340,17 @@ def _bb_ops(L: int) -> int:
 
 
 def bb_detect(block: BbRow, codebook: Codebook) -> DetectionResult:
-    """Greedy level-by-level column selection for weight-1 codebooks, on one
-    block's row of bb_rows.
+    """The decision of one block's greedy walk (its BbRow of bb_rows) in a
+    weight-1 codebook.
 
-    Row k scores each free column c by the path cost so far, yhat[k, c] and
-    the sum of the free columns below once c is taken.  The path cost and
-    the free total below are common to every c, so the choice is the closed
-    form argmin of yhat[k, c] - sum(yhat[k+1:, c]), ties to the lowest c.
     op_count models the node-by-node bound: f (1 + (f-1)^2) additions at a
     level with f free columns, 60 in all at L = 4.  One node survives per
-    level, so the result may fall outside a restricted codebook; that
-    outcome is no decision (q None).  bb_rows adds the rows below in
-    ascending order, as numpy's column sum does, the path cost is the
-    builtin sum of the yhat floats (compensated from Python 3.12), and the
-    first of equal scores is kept: bit for bit the numpy form.
+    level, so the walk may end outside a restricted codebook; that outcome
+    is no decision (q None).
     """
-    yhat, score = block
-    L = len(yhat)
-    used: list[int] = []
-    free = list(range(L))
-    for here in score:
-        col = min(free, key=here.__getitem__)
-        used.append(col)
-        free.remove(col)
-    path_cost = sum(yhat[row][col] for row, col in enumerate(used))
-    hit = codebook.slot_table[1][0].get(tuple(c + 1 for c in used))
-    return DetectionResult(q=None if hit is None else hit[0] + 1, w=1, cost=path_cost,
-                           iterations=L, op_count=_bb_ops(L))
+    hit = codebook.slot_table[1][0].get(block.perm)
+    return DetectionResult(q=None if hit is None else hit[0] + 1, w=1, cost=block.cost,
+                           iterations=codebook.L, op_count=_bb_ops(codebook.L))
 
 
 class Assignment(NamedTuple):
@@ -387,32 +389,63 @@ def rank_assignments(costs) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(total, axis=-1, kind="stable"), total
 
 
-class RankedRow(NamedTuple):
-    """One block's row of rank_assignments, as lists, with the 1-based
-    column tuples of permutation_table(n) that its indices refer to."""
+class IterativeRow(NamedTuple):
+    """One block's row of iterative_rows: order and total, its row of
+    rank_assignments over perms (permutation_table(n)[1]); support, the
+    negated support sums of the book's weight >= 2 entries (None if it has
+    none), at the places column gives; and Y, read from the batch slice only
+    when asked for (the exhaustive fallback).  perms, column and batch are
+    shared by a slice's rows."""
 
     perms: tuple[tuple[int, ...], ...]
     order: list[int]
     total: list[float]
+    support: list[float] | None
+    column: dict[int, int]
+    batch: np.ndarray
+    index: int
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self.batch[self.index]
 
 
-def ranked_rows(costs) -> Iterator[RankedRow]:
-    """rank_assignments of a batch of cost matrices (B, n, n), one RankedRow
-    per block; the whole batch is listed at once, so callers pass a slice."""
-    order, total = rank_assignments(costs)
-    perms = permutation_table(np.shape(costs)[-1])[1]
-    return map(RankedRow, repeat(perms), order.tolist(), total.tolist())
+def iterative_rows(Y: np.ndarray, codebook: Codebook | None = None) -> Iterator[IterativeRow]:
+    """iterative_sd_detect's tables for a batch Y (B, L, L), one IterativeRow
+    per block, built _SLICE_BLOCKS blocks at a time: one ranking of every
+    assignment of -Y, which every weight slot's walk shares, and, as only
+    weight >= 2 candidates are scored by their support sums, one product
+    -einsum("bij,qij->bq", Y, stack) over the weight >= 2 entries' matrices
+    alone (none for a weight-1 book or no codebook).  Raises ValueError above
+    ENUMERATION_MAX_L columns, and for a non-finite block when its slice is
+    reached."""
+    Y = np.asarray(Y, dtype=np.float64)
+    multi = [] if codebook is None else [codebook.weight_class_indices(w)
+                                         for w in codebook.weights_present if w > 1]
+    stack, column = None, {}
+    if multi:
+        idx = np.concatenate(multi)
+        stack, column = codebook.matrix_stack[idx], dict(zip(idx.tolist(), range(len(idx))))
+    for s in range(0, len(Y), _SLICE_BLOCKS):
+        y = Y[s:s + _SLICE_BLOCKS]
+        order, total = rank_assignments(-y)
+        support = repeat(None) if stack is None else (-np.einsum("bij,qij->bq", y, stack)).tolist()
+        # tuple.__new__ fills a row from its fields in C, as _make does
+        # without the Python-level call that is a third of a row's cost
+        yield from map(tuple.__new__, repeat(IterativeRow), zip(
+            repeat(permutation_table(y.shape[-1])[1]), order.tolist(), total.tolist(), support,
+            repeat(column), repeat(y), range(len(y))))
 
 
-def murty_iter(ranked: RankedRow) -> Iterator[Assignment]:
+def murty_iter(ranked: IterativeRow) -> Iterator[Assignment]:
     """Yield every assignment of one block by (cost, column tuple), walking
     its ranked row; the ranking itself is rank_assignments'."""
     perms, total = ranked.perms, ranked.total
     for i in ranked.order:
-        yield Assignment(perms[i], total[i])
+        yield tuple.__new__(Assignment, (perms[i], total[i]))  # as in iterative_rows
 
 
-def _walk_until_member(ranked: RankedRow, members, e_max: int):
+def _walk_until_member(ranked: IterativeRow, members, e_max: int):
     # Enumerate assignments from best cost upward; stop at the first codebook
     # member.  Returns (perm, cost, tries) with perm None if e_max ran out.
     tries = 0
@@ -425,43 +458,18 @@ def _walk_until_member(ranked: RankedRow, members, e_max: int):
     return None, None, tries
 
 
-# The paper's decoder solves one assignment problem per try, O(L^3) with the
-# Hungarian method; op_count models that work, not the table walk above.
-_LAP_OPS = lambda L: L ** 3
-
-
-class IterativeRow(NamedTuple):
-    """One block's row of iterative_rows: the received block Y (L, L), the
-    ranking of its assignments on yhat = -Y, and the negated support sums of
-    the codebook's weight >= 2 entries, as a list (None for a weight-1
-    book); column, one dict shared by the batch, maps an entry index to its
-    place in that list."""
-
-    Y: np.ndarray
-    ranked: RankedRow
-    support: list[float] | None
-    column: dict[int, int]
-
-
-def iterative_rows(Y: np.ndarray, codebook: Codebook) -> Iterator[IterativeRow]:
-    """iterative_sd_detect's tables for a batch Y (B, L, L), one IterativeRow
-    per block, built _SLICE_BLOCKS blocks at a time: one ranking of every
-    assignment of -Y, which every weight slot's walk shares, and, as only
-    weight >= 2 candidates are scored by their support sums, one product
-    -einsum("bij,qij->bq", Y, stack) over the weight >= 2 entries' matrices
-    alone (no product for a weight-1 book).  Raises ValueError above
-    ENUMERATION_MAX_L columns, and for a non-finite block when its slice is
-    reached."""
-    Y = np.asarray(Y, dtype=np.float64)
-    multi = [codebook.weight_class_indices(w) for w in codebook.weights_present if w > 1]
-    stack, column = None, {}
-    if multi:
-        idx = np.concatenate(multi)
-        stack, column = codebook.matrix_stack[idx], dict(zip(idx.tolist(), range(len(idx))))
-    for s in range(0, len(Y), _SLICE_BLOCKS):
-        y = Y[s:s + _SLICE_BLOCKS]
-        support = repeat(None) if stack is None else (-np.einsum("bij,qij->bq", y, stack)).tolist()
-        yield from map(IterativeRow, y, ranked_rows(-y), support, repeat(column))
+@lru_cache(maxsize=64)
+def _walk_plan(codebook: Codebook, w: int, e_max: int | None):
+    # iterative_sd_detect's slot table, walk budget (default: class size)
+    # and modelled work per try, once per class and budget.  The paper's
+    # decoder solves one assignment problem per try, O(L^3) with the
+    # Hungarian method, and checks it in L; op_count models that work.
+    if w not in codebook.weights_present:
+        raise ValueError(f"weight {w} not in codebook")
+    budget = e_max if e_max is not None else len(codebook.weight_class_indices(w))
+    if budget < 1:
+        raise ValueError("e_max must be at least 1")
+    return codebook.slot_table[w], budget, codebook.L ** 3 + codebook.L
 
 
 def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
@@ -478,36 +486,24 @@ def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
     the walk budget e_max (default: class size) runs dry the detector falls
     back to exhaustive search within the class (bf_sd_detect).
     """
-    L = codebook.L
-    if w not in codebook.weights_present:
-        raise ValueError(f"weight {w} not in codebook")
-    budget = e_max if e_max is not None else len(codebook.weight_class_indices(w))
-    if budget < 1:
-        raise ValueError("e_max must be at least 1")
-    ops = 0
-    iterations = 0
-    slots = codebook.slot_table[w]
-    q = None
-
+    slots, budget, try_ops = _walk_plan(codebook, w, e_max)
+    q, candidates = None, ()
     if w == 1:
-        perm, cost, tries = _walk_until_member(block.ranked, slots[0], budget)
-        iterations += tries
-        ops += tries * _LAP_OPS(L) + tries * L
+        perm, cost, iterations = _walk_until_member(block, slots[0], budget)
         if perm is not None:
             q = slots[0][perm][0] + 1
     else:
-        candidates: set[int] = set()
+        iterations, candidates = 0, set()
         for slot in slots:
-            perm, _, tries = _walk_until_member(block.ranked, slot, budget)
+            perm, _, tries = _walk_until_member(block, slot, budget)
             iterations += tries
-            ops += tries * _LAP_OPS(L) + tries * L
             if perm is not None:
                 candidates.update(slot[perm])
         if candidates:
             support, column = block.support, block.column
             best = min(sorted(candidates), key=lambda i: support[column[i]])
-            ops += len(candidates) * w * L
             q, cost = best + 1, support[column[best]]
+    ops = iterations * try_ops + len(candidates) * w * codebook.L
 
     if q is None:
         res = bf_sd_detect(block.Y, codebook, w)

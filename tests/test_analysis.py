@@ -30,7 +30,7 @@ from pmvlc.channel import (
     n0_for_bits,
     square_grid_geometry,
 )
-from pmvlc.codebook import combine_codebooks, enumerate_weight_w
+from pmvlc.codebook import combine_codebooks, enumerate_weight_w, permutation_table
 from pmvlc.detectors import (
     RcConfig,
     SmConfig,
@@ -351,6 +351,69 @@ class TestHarnessDeterminism:
             SimConfig(scheme="x", detector="zf", ebn0_grid=(100.0,),
                       channel=H02, codebook=COMBINED32, pam=M1,
                       errors_target=1, block_cap=BATCH_BLOCKS)
+
+
+class TestPerBlockCalls:
+    """The benchmark's tracer counts the blind walks by wrapping the
+    per-block functions the harness reaches at call time:
+    analysis.iterative_sd_detect and analysis.bb_detect once per decoded
+    block, detectors.murty_iter once per walk and detectors.bf_sd_detect once
+    per exhaustive fallback."""
+
+    @staticmethod
+    def _wrap(monkeypatch):
+        seen = {"decoded": [], "yields": 0, "fallbacks": 0}
+        for name in ("iterative_sd_detect", "bb_detect"):
+            def decode(*args, inner=getattr(analysis, name)):
+                before = seen["fallbacks"]
+                r = inner(*args)
+                seen["decoded"].append((args, r, seen["fallbacks"] - before))
+                return r
+            monkeypatch.setattr(analysis, name, decode)
+        walk, bf = detectors.murty_iter, detectors.bf_sd_detect
+
+        def counted_walk(row):
+            for a in walk(row):
+                seen["yields"] += 1
+                yield a
+
+        def counted_bf(*args):
+            seen["fallbacks"] += 1
+            return bf(*args)
+
+        monkeypatch.setattr(detectors, "murty_iter", counted_walk)
+        monkeypatch.setattr(detectors, "bf_sd_detect", counted_bf)
+        return seen
+
+    @staticmethod
+    def _run(detector, book, e_max=None):
+        cfg = SimConfig(scheme="t", detector=detector, ebn0_grid=(96.0,), channel=H02,
+                        codebook=book, pam=PamConfig(M=4), e_max=e_max, errors_target=1)
+        (rec,) = monte_carlo_ber(cfg)
+        return rec
+
+    def test_iterative_with_fallback(self, monkeypatch):
+        # e_max = 1: each walk reads one assignment, and a block falls back
+        # when the best assignment is in none of its class's slot books
+        seen = self._wrap(monkeypatch)
+        rec = self._run("iterative", COMBINED32, e_max=1)
+        table, perms = permutation_table(4)
+        assert len(seen["decoded"]) == rec.blocks
+        assert seen["yields"] == sum(r.iterations for _, r, _ in seen["decoded"])
+        fallbacks = 0
+        for (row, book, w, _), r, bf_calls in seen["decoded"]:
+            first = perms[int(np.argmin((-row.Y)[np.arange(4), table].sum(axis=1)))]
+            fell_back = all(first not in slot for slot in book.slot_table[w])
+            assert bf_calls == fell_back
+            fallbacks += fell_back
+        assert seen["fallbacks"] == fallbacks > 0
+
+    def test_bb(self, monkeypatch):
+        seen = self._wrap(monkeypatch)
+        rec = self._run("bb", named_codebook("cb1"))
+        assert len(seen["decoded"]) == rec.blocks
+        assert seen["yields"] == seen["fallbacks"] == 0
+        assert any(r.q is None for _, r, _ in seen["decoded"])
 
 
 class TestReceivedBuffer:

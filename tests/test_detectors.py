@@ -4,7 +4,7 @@ the assignment ranking the iterative walk follows, against brute force.
 """
 
 import inspect
-from itertools import permutations
+from itertools import permutations, repeat
 
 import numpy as np
 import pytest
@@ -35,7 +35,6 @@ from pmvlc.detectors import (
     ml_op_count,
     murty_iter,
     rank_assignments,
-    ranked_rows,
     rc_detect_batch,
     signal_stack,
     sm_detect_batch,
@@ -77,8 +76,9 @@ def batch_of_one(Y):
 
 
 def ranking(C):
-    # every assignment of one cost matrix, walked from its row of the batch ranking
-    return murty_iter(next(ranked_rows(batch_of_one(C))))
+    # every assignment of one cost matrix, walked from its row of the batch
+    # ranking: the rows rank the assignments of -Y, and -(-C) is C exactly
+    return murty_iter(next(iterative_rows(-batch_of_one(C))))
 
 
 def iterative_one(Y, codebook, w, e_max=None):
@@ -418,6 +418,34 @@ class TestClassifyWeight:
         Y = np.zeros((1, 4, 4))
         with pytest.raises(ValueError):
             classify_weight_batch(Y, COMBINED32, "oracle", PamConfig())
+
+    def test_joint_row_slices_match_the_whole_batch_rule(self, monkeypatch):
+        # each class's support pick and residual run in row slices; every
+        # decision must be the whole-batch rule's, across several slices
+        pam, n = PamConfig(M=4), 1500
+        rng = np.random.default_rng(83)
+        S = signal_stack(COMBINED32, pam)
+        tx = rng.integers(len(S), size=n)
+        Y = np.einsum("ij,kjl->kil", H06, S[tx])
+        Y += H06.mean() * rng.choice([0.05, 0.3, 1.0], size=(n, 1, 1)) * rng.normal(size=Y.shape)
+        g = float(H06.sum())
+        m = estimate_intensity_batch(Y, pam, g)
+        residuals = []
+        for w in COMBINED32.weights_present:
+            stack = COMBINED32.matrix_stack[COMBINED32.weight_class_indices(w)]
+            P = stack[np.argmin(-np.einsum("bij,qij->bq", Y, stack), axis=1)]
+            a = pam_intensity(m, pam.M, w)
+            residuals.append(((Y - H06 @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2)))
+        want = np.array(COMBINED32.weights_present)[np.argmin(residuals, axis=0)]
+        rows, inner = [], detectors._best_support
+        monkeypatch.setattr(detectors, "_best_support",
+                            lambda Yb, stack: rows.append(len(Yb)) or inner(Yb, stack))
+        got = classify_weight_batch(Y, COMBINED32, "joint", pam, calibration=H06, gain_sum=g)
+        np.testing.assert_array_equal(got, want)
+        # both classes are chosen, and the noise moves some blocks across
+        assert set(got.tolist()) == {1, 2}
+        assert (got != COMBINED32.weight_array[tx // pam.M]).any()
+        assert len(rows) >= 3 * 2 and max(rows) <= detectors._SLICE_CELLS // COMBINED32.size
         # only genie and joint exist, even where one class needs no decision
         for book in (COMBINED32, FULL24):
             with pytest.raises(ValueError, match="unknown mode 'energy'"):
@@ -691,15 +719,36 @@ class TestBatchTables:
         self._check_bb(Y, FULL24)
         self._check_bb(Y, CB1)
 
+    def test_bb_matches_node_search_on_a_mixed_batch(self):
+        # bb_rows walks a slice at a time: over three slices and more, noisy
+        # cb1 blocks (many walks end outside cb1), exact integer ties and an
+        # all-zero block, interleaved
+        rng = np.random.default_rng(79)
+        n = 3 * detectors._SLICE_BLOCKS + 50
+        q = rng.integers(1, CB1.size + 1, size=n)
+        Y = np.einsum("ij,bjl->bil", H02, CB1.matrix_stack[q - 1]) + rng.normal(0, 6e-5, (n, 4, 4))
+        Y[1::3] = rng.integers(-1, 2, Y[1::3].shape)
+        Y[n // 2] = 0.0
+        assert self._check_bb(Y, CB1) > 0
+
     @staticmethod
     def _check_bb(Y, book):
         # full24 holds every permutation, so its q names the chosen columns;
-        # cb1 adds the no-decision outcome (q None)
+        # cb1 adds the no-decision outcome (q None).  Returns the number of
+        # blocks without a decision.
         members = {component(book, i): i + 1 for i in range(book.size)}
-        for y, row in zip(Y, bb_rows(Y, book)):
+        rows = list(bb_rows(Y, book))
+        assert len(rows) == len(Y)
+        undecided = want_undecided = 0
+        for y, row in zip(Y, rows):
             r = bb_detect(row, book)
             perm, cost, ops = bb_reference(y, book.L)
-            assert (r.q, r.cost, r.op_count) == (members.get(perm), cost, ops)
+            assert (r.q, r.w, r.cost, r.iterations, r.op_count) == (
+                members.get(perm), 1, cost, book.L, ops)
+            undecided += r.q is None
+            want_undecided += perm not in members
+        assert undecided == want_undecided
+        return undecided
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_one_non_finite_block_rejects_the_batch(self, bad):
@@ -711,6 +760,14 @@ class TestBatchTables:
                 list(bb_rows(Yb, FULL24))
             with pytest.raises(ValueError, match="finite"):
                 list(iterative_rows(Yb, COMBINED32))
+
+    def test_overflowing_column_sums_reject_the_batch(self):
+        # finite values whose column sums overflow would score the free
+        # columns +inf, level with the taken ones
+        Y = np.random.default_rng(60).normal(0, 1, (300, 4, 4))
+        Y[137] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            list(bb_rows(Y, FULL24))
 
     def test_batch_rank_matches_each_matrix(self):
         # leading axes are kept
@@ -733,9 +790,8 @@ class TestBatchTables:
         q = rng.integers(24, 32, size=1100)
         Y = np.einsum("ij,bjl->bil", H02, COMBINED32.matrix_stack[q])
         Y = Y + rng.normal(0, 6e-5, Y.shape)
-        got, _ = analysis._decide_per_block(
-            lambda row, wb: iterative_sd_detect(row, COMBINED32, wb),
-            iterative_rows(Y, COMBINED32), np.full(len(Y), 2))
+        got, _ = analysis._decisions(map(iterative_sd_detect, iterative_rows(Y, COMBINED32),
+                                         repeat(COMBINED32), repeat(2)))
         n = detectors._SLICE_BLOCKS
         assert calls == [(min(n, len(Y) - s), 4, 4) for s in range(0, len(Y), n)]
         assert len(calls) > 1
