@@ -1,8 +1,11 @@
-"""Error-rate analysis: Gaussian tail helpers, the pairwise union bound, and
-a reproducible Monte Carlo BER harness.
+"""Error-rate analysis: Gaussian tail helpers, the distance spectrum of an
+alphabet's received means, the pairwise union bound over it, and a
+reproducible Monte Carlo BER harness.
 
-Q is the standard library's math.erfc, so nothing here needs scipy; the
-union bound evaluates it once per distinct pair distance.
+Q is the standard library's math.erfc, so nothing here needs scipy.  The
+spectrum holds each distinct squared distance once, with its pair count and
+summed bit distance, so the union bound evaluates Q once per distinct
+distance and never holds the (n, n) pairs.
 
 The harness only draws signal indices, sends their received means through
 Gaussian noise, decodes through a detector from pmvlc.detectors and counts
@@ -39,6 +42,7 @@ from .detectors import (
     RcConfig,
     SmConfig,
     _as_H,
+    _row_slices,
     bb_detect,
     bb_rows,
     bf_detect_batch,
@@ -98,21 +102,40 @@ def _check_finite(ebn0_grid):
         raise ValueError(f"Eb/N0 values must be finite, got {tuple(ebn0_grid)}")
 
 
-def squared_distances(codebook: Codebook, pam: PamConfig, H) -> np.ndarray:
-    """(n, n) squared distances ||H (S_i - S_j)||_F^2 between the received means
-    of the n signals that carry data, one row at a time: the full (n, n, L, L)
-    difference would be tens of MB at n = 512.  Exactly symmetric."""
-    HS = received_means(codebook, pam, H)
-    return np.stack([((HS[i] - HS) ** 2).sum(axis=(1, 2)) for i in range(len(HS))])
+def distance_spectrum(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distance spectrum of an alphabet whose row v carries label v.
 
+    Returns the distinct squared distances ||means[i] - means[j]||^2 over the
+    unordered pairs i < j, ascending, each the direct sum
+    ((means[i] - means[j]) ** 2).sum(); how many pairs have each; and the
+    bit distance of those pairs' labels, summed.  Trailing axes are
+    flattened, so (n, L, L) blocks and (n, n_rx) vectors share it.
 
-def _pair_terms(codebook: Codebook, pam: PamConfig, H):
-    """Bit distances and squared channel-space distances over all ordered
-    signaling pairs with distinct labels."""
-    d2 = squared_distances(codebook, pam, H)
-    labels, off = np.arange(len(d2)), ~np.eye(len(d2), dtype=bool)
-    d_bits = bit_distance(labels[:, None], labels[None, :])[off]
-    return d_bits.astype(np.float64), d2[off], len(d2), codebook.bits_per_block(pam.M)
+    The upper triangle is walked in _row_slices blocks of at most
+    _SLICE_CELLS distances, and each block's spectrum is folded into the
+    running one at once, so memory follows the number of distinct distances,
+    not n^2.
+    """
+    X = np.asarray(means, dtype=np.float64).reshape(len(means), -1)
+    labels = np.arange(len(X))
+    d2, counts, weights = np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    for sl in _row_slices(len(X), len(X))[1]:
+        diff = X[sl, None, :] - X[None, sl.start:, :]
+        np.square(diff, out=diff)
+        upper = labels[None, sl.start:] > labels[sl, None]
+        u, inv = np.unique(diff.sum(axis=2)[upper], return_inverse=True)
+        c = np.bincount(inv)
+        bits = bit_distance(labels[sl, None], labels[None, sl.start:])[upper]
+        w = np.bincount(inv, bits).astype(np.int64)
+        # add at the distances already held, insert the others in order
+        pos = np.searchsorted(d2, u)
+        held = np.append(d2, np.nan)[pos] == u
+        counts[pos[held]] += c[held]
+        weights[pos[held]] += w[held]
+        new = ~held
+        d2, counts, weights = (np.insert(d2, pos[new], u[new]), np.insert(counts, pos[new], c[new]),
+                               np.insert(weights, pos[new], w[new]))
+    return d2, counts, weights
 
 
 def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,
@@ -120,18 +143,16 @@ def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,
     """Union bound on BER: average pairwise error weighted by bit distance.
 
     Each term uses the received means the simulated receiver sees, so the
-    bound is directly comparable with it at the same noise density.  Q runs
-    once per distinct squared distance, and the terms and their sum order are
-    those of an all-pairs evaluation.
+    bound is directly comparable with it at the same noise density.  Over
+    the distance spectrum, each grid point costs one Q per distinct squared
+    distance d_k: 2 sum_k w_k Q(sqrt(d_k / 2 N0)) / (n bits), w_k being the
+    summed bit distance of the unordered pairs at d_k.
     """
     _check_finite(ebn0_grid)
-    d_bits, d2, n_sig, bits = _pair_terms(codebook, pam, H)
-    d2u, inv = np.unique(d2, return_inverse=True)
-    values = []
-    for db in ebn0_grid:
-        n0 = n0_for_bits(db, bits)
-        terms = pair_tail(d2u, n0)[inv]
-        values.append(float(np.sum(d_bits * terms) / (n_sig * bits)))
+    HS, bits = received_means(codebook, pam, H), codebook.bits_per_block(pam.M)
+    d2, _, weights = distance_spectrum(HS)
+    values = [float(2.0 * np.sum(weights * pair_tail(d2, n0_for_bits(db, bits))) / (len(HS) * bits))
+              for db in ebn0_grid]
     return BoundCurve(scheme=scheme, ebn0_db=tuple(float(x) for x in ebn0_grid),
                       values=tuple(values))
 

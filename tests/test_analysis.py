@@ -13,13 +13,12 @@ from pmvlc.analysis import (
     BerRecord,
     BoundCurve,
     SimConfig,
-    _pair_terms,
     bit_distance,
     ber_union_bound,
+    distance_spectrum,
     monte_carlo_ber,
     pair_tail,
     qfunc,
-    squared_distances,
     write_ber_csv,
     write_bound_csv,
 )
@@ -39,6 +38,7 @@ from pmvlc.detectors import (
     estimate_intensity_batch,
     ml_detect_batch,
     rc_detect_batch,
+    received_means,
     signal_stack,
     sm_detect_batch,
 )
@@ -161,47 +161,110 @@ class TestUnionBound:
             SimConfig(scheme="x", detector="ml", ebn0_grid=grid, channel=H02, codebook=PM16)
 
     def test_linear_in_bit_distance(self):
-        # the bound is a weighted sum of pairwise tails; doubling every bit
-        # distance must double the value
-        d_bits, d2, n_sig, bits = _pair_terms(PM16, M1, H02.H)
-        n0 = n0_for_bits(100.0, bits)
-        terms = qfunc(np.sqrt(d2 / (2 * n0)))
-        base = float(np.sum(d_bits * terms) / (n_sig * bits))
-        doubled = float(np.sum(2 * d_bits * terms) / (n_sig * bits))
-        assert doubled == pytest.approx(2 * base, rel=1e-12)
-        curve = ber_union_bound(PM16, M1, H02, [100.0])
-        assert curve.values[0] == pytest.approx(base, rel=1e-12)
+        # the bound is a weighted sum of pairwise tails over the distance
+        # spectrum; doubling every bit weight must double the value
+        HS, bits = received_means(PM16, M1, H02.H), PM16.bits_per_block(1)
+        d2, _, weights = distance_spectrum(HS)
+        terms = qfunc(np.sqrt(d2 / (2 * n0_for_bits(100.0, bits))))
+        base = float(2 * np.sum(weights * terms) / (len(HS) * bits))
+        doubled = float(2 * np.sum(2 * weights * terms) / (len(HS) * bits))
+        assert doubled == 2 * base
+        assert ber_union_bound(PM16, M1, H02, [100.0]).values == (base,)
 
     @pytest.mark.parametrize("book, M, channel", [
         ("combined32", 1, "h02"), ("combined32", 4, "h02"), ("combined32", 16, "h02"),
         ("combined32", 1, "h06_blocked"), ("combined32", 4, "h06_blocked"),
         ("combined32", 16, "h06_blocked"), ("pm16", 1, "grid06")])
     def test_distinct_distances_change_no_float(self, book, M, channel):
-        # Q once per distinct squared distance, gathered back per pair, must
-        # give the very floats of the all-pairs sum in the same order
+        # the streamed spectrum must give the very floats of a brute-force
+        # (n, n) spectrum grouped by value and summed in ascending order, and
+        # agree with the all-pairs sum up to the order of the additions
         book = {"combined32": COMBINED32, "pm16": PM16}[book]
         H = {"h02": H02, "h06_blocked": fixture_h06_blocked(),
              "grid06": build_channel(square_grid_geometry(tx_spacing=0.6))}[channel].H
         pam = PamConfig(M=M)
-        d_bits, d2, n_sig, bits = _pair_terms(book, pam, H)
+        HS, bits = received_means(book, pam, H), book.bits_per_block(M)
+        n, labels = len(HS), np.arange(len(HS))
+        d2 = np.stack([((HS[i] - HS) ** 2).sum(axis=(1, 2)) for i in range(n)])
+        d_bits = bit_distance(labels[:, None], labels[None, :])
+        upper, off = np.triu_indices(n, 1), ~np.eye(n, dtype=bool)
+        distinct, inv = np.unique(d2[upper], return_inverse=True)
+        weights = np.bincount(inv, d_bits[upper])
+        assert len(distinct) < len(inv)
+        d2u, inv_off = np.unique(d2[off], return_inverse=True)
         grid = np.arange(80.0, 118.0, 2.0)
-        reference = [float(np.sum(d_bits * pair_tail(d2, n0_for_bits(db, bits))) / (n_sig * bits))
-                     for db in grid]
-        assert len(np.unique(d2)) < len(d2)
-        assert ber_union_bound(book, pam, H, grid).values == tuple(reference)
+        grouped, all_pairs = [], []
+        for db in grid:
+            n0 = n0_for_bits(db, bits)
+            grouped.append(float(2.0 * np.sum(weights * pair_tail(distinct, n0)) / (n * bits)))
+            terms = pair_tail(d2u, n0)[inv_off]
+            all_pairs.append(float(np.sum(d_bits[off] * terms) / (n * bits)))
+        values = ber_union_bound(book, pam, H, grid).values
+        assert values == tuple(grouped)
+        np.testing.assert_allclose(values, all_pairs, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("M", [1, 4])
-    def test_squared_distances_are_the_pairwise_mean_distances(self, M):
-        # one (n, n) matrix serves the bound and the distance script: exactly
-        # symmetric, zero on the diagonal, and each cell the direct sum
+    def test_spectrum_values_are_the_pairwise_mean_distances(self, M):
+        # each distinct distance is a direct pairwise sum, bit for bit; the
+        # counts cover every unordered pair once and the bit weights half the
+        # all-pairs bit-distance total
         pam = PamConfig(M=M)
-        d2 = squared_distances(COMBINED32, pam, H02.H)
         HS = H02.H @ signal_stack(COMBINED32, pam)[:COMBINED32.signaling_count(M)]
-        assert d2.shape == (len(HS), len(HS))
-        np.testing.assert_array_equal(d2, d2.T)
-        np.testing.assert_array_equal(np.diag(d2), 0.0)
-        for i, j in ((0, 1), (3, 17), (len(HS) - 1, 5)):
-            assert d2[i, j] == pytest.approx(((HS[i] - HS[j]) ** 2).sum(), rel=1e-12)
+        n, labels = len(HS), np.arange(len(HS))
+        direct, bit_sums = {}, {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = float(((HS[i] - HS[j]) ** 2).sum())
+                direct[d] = direct.get(d, 0) + 1
+                bit_sums[d] = bit_sums.get(d, 0) + int(bit_distance(i, j))
+        d2, counts, weights = distance_spectrum(HS)
+        assert d2.tolist() == sorted(direct)
+        assert counts.tolist() == [direct[d] for d in sorted(direct)]
+        assert weights.tolist() == [bit_sums[d] for d in sorted(direct)]
+        assert counts.sum() == n * (n - 1) // 2
+        assert 2 * weights.sum() == bit_distance(labels[:, None], labels[None, :]).sum()
+
+    def test_flattens_trailing_axes(self):
+        # (n, L, L) blocks and their (n, L L) rows have one spectrum
+        HS = received_means(COMBINED32, PamConfig(M=4), H02.H)
+        for a, b in zip(distance_spectrum(HS), distance_spectrum(HS.reshape(len(HS), -1))):
+            np.testing.assert_array_equal(a, b)
+
+    def test_memory_follows_the_distinct_distances(self):
+        # 512 signals: the (n, n) distance matrix and its five all-pairs
+        # arrays peaked at 15 MB; one row slice and the spectrum stay well
+        # below that
+        tracemalloc.start()
+        try:
+            ber_union_bound(COMBINED32, PamConfig(M=16), H02, np.arange(94.0, 107.0, 2.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 1024 * 1024
+
+    def test_one_signal_has_no_bits(self):
+        one = PM16.subset([0])
+        for a in distance_spectrum(received_means(one, M1, H02.H)):
+            assert a.shape == (0,)
+        with pytest.raises(ValueError, match="bits must be positive"):
+            ber_union_bound(one, M1, H02, [100.0])
+
+    @pytest.mark.parametrize("entries, M", [((0, 5), 1), ((3,), 2)])
+    def test_two_signals_closed_form(self, entries, M):
+        # one pair one bit apart: the bound is Q(sqrt(d2 / 2 N0)) itself,
+        # d2 = ||H (S_1 - S_0)||^2 with the levels a_m = 2m / (w (M + 1))
+        book = PM16.subset(entries)
+        P = book.matrix_stack
+        if M == 1:
+            S0, S1 = P[0], P[1]
+        else:
+            S0, S1 = 2 / 3 * P[0], 4 / 3 * P[0]
+        d2 = float(((H02.H @ (S1 - S0)) ** 2).sum())
+        d_bits = bits = 1
+        grid = (96.0, 100.0, 104.0)
+        want = [d_bits * qfunc(math.sqrt(d2 / (2 * n0_for_bits(db, bits)))) / bits for db in grid]
+        np.testing.assert_allclose(ber_union_bound(book, PamConfig(M=M), H02, grid).values,
+                                   want, rtol=1e-12, atol=0)
 
     def test_dominates_simulated_ml(self):
         # no inert entries in this codebook, so the union bound must sit
