@@ -117,10 +117,15 @@ def distance_spectrum(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     not n^2.
     """
     X = np.asarray(means, dtype=np.float64).reshape(len(means), -1)
-    labels = np.arange(len(X))
+    n, labels = len(X), np.arange(len(X))
+    rows, slices = _row_slices(n, n)
+    # one slice's differences, reused: a fresh ~2 MB array per slice would be
+    # page-faulted in again each time
+    buf = np.empty((min(rows, n), n, X.shape[1]))
     d2, counts, weights = np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    for sl in _row_slices(len(X), len(X))[1]:
-        diff = X[sl, None, :] - X[None, sl.start:, :]
+    for sl in slices:
+        diff = np.subtract(X[sl, None, :], X[None, sl.start:, :],
+                           out=buf[:sl.stop - sl.start, :n - sl.start])
         np.square(diff, out=diff)
         upper = labels[None, sl.start:] > labels[sl, None]
         u, inv = np.unique(diff.sum(axis=2)[upper], return_inverse=True)

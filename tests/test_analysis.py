@@ -203,11 +203,12 @@ class TestUnionBound:
         assert values == tuple(grouped)
         np.testing.assert_allclose(values, all_pairs, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("M", [1, 4])
+    @pytest.mark.parametrize("M", [1, 4, 16])
     def test_spectrum_values_are_the_pairwise_mean_distances(self, M):
         # each distinct distance is a direct pairwise sum, bit for bit; the
         # counts cover every unordered pair once and the bit weights half the
-        # all-pairs bit-distance total
+        # all-pairs bit-distance total.  At M = 16 (512 signals) the walk
+        # takes several row slices, so the fold into the spectrum counts too
         pam = PamConfig(M=M)
         HS = H02.H @ signal_stack(COMBINED32, pam)[:COMBINED32.signaling_count(M)]
         n, labels = len(HS), np.arange(len(HS))
