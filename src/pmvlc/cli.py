@@ -61,9 +61,9 @@ def codebook_report(L: int, weights, M: int = 1) -> str:
     lines.append(f"bits per block (M={M}): {bits_block}")
     lines.append(f"bits per symbol: {np.log2(q * M) / L:.4g}")
     lines.append("entries:")
-    for idx, (w, comps) in enumerate(zip(combined.weight_array.tolist(),
-                                         combined.component_texts(" + ")), 1):
-        lines.append(f"  {idx:4d}  w={w}  {comps}")
+    # "  {idx:4d}  w={w}  {comps}" per entry, idx from 1
+    lines.append(combined.entry_lines(" + ", ("  ", (np.arange(1, q + 1), 4), "  w=",
+                                              (combined.weight_array, 1), "  "))[:-1])
     return "\n".join(lines)
 
 

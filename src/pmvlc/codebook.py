@@ -16,8 +16,8 @@ matrices are unpacked from them only when read.  Enumeration extends index
 tuples over one cached lexicographic permutation table (the one
 detectors.rank_assignments ranks) with numpy and keeps the first tuple per matrix,
 its canonical decomposition; import peels each line's mask to it.  Text
-export prints digit rows from the arrays, and import parses them to symbol
-tuples.
+lines, for the export and the CLI report alike, are written as one byte
+matrix from the arrays, and import parses them to symbol tuples.
 """
 
 from __future__ import annotations
@@ -114,6 +114,31 @@ def _key_bytes(keys, L: int) -> np.ndarray:
     return np.frombuffer(b"".join(k.to_bytes(n, "little") for k in keys), dtype=np.uint8).reshape(-1, n)
 
 
+def _has_duplicate(keys: np.ndarray) -> bool:
+    # keys zero-padded to whole little-endian uint64 words, sorted (a plain
+    # sort for one word, L <= 8), and each compared with its neighbour
+    words = np.zeros((len(keys), -(-keys.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :keys.shape[1]] = keys
+    words = words.view("<u8")
+    words = np.sort(words, axis=0) if words.shape[1] == 1 else words[np.lexsort(words.T)]
+    return bool((words[1:] == words[:-1]).all(axis=1).any())
+
+
+def _number_columns(values, width: int) -> np.ndarray:
+    # (len(values), D) ASCII of non-negative integers as f"{v:{width}d}",
+    # D columns for the widest; NUL fills the columns past width that a
+    # shorter number leaves, so dropping NULs leaves each one's own text
+    rest = np.array(values, dtype=np.int64)
+    D = max(width, len(str(rest.max())))
+    out = np.zeros((len(rest), D), dtype=np.uint8)
+    out[:, D - width:] = ord(" ")
+    for k in range(D - 1, -1, -1):  # one digit column at a time, from the right
+        shown = (rest > 0) | (k == D - 1)
+        rest, digit = np.divmod(rest, 10)
+        np.copyto(out[:, k], digit + ord("0"), casting="unsafe", where=shown)
+    return out
+
+
 def _unpack_keys(keys: np.ndarray, L: int) -> np.ndarray:
     # (len(keys), L, L) uint8 cells of the given key bytes, one unpack
     return np.unpackbits(keys, axis=1, count=L * L, bitorder="little").reshape(-1, L, L)
@@ -202,7 +227,7 @@ class Codebook:
         if not len(components):
             raise ValueError("codebook must contain at least one entry")
         keys = np.ascontiguousarray(keys)
-        if len(np.unique(keys.view(f"V{keys.shape[1]}"), return_index=True)[1]) != len(keys):
+        if _has_duplicate(keys):
             raise ValueError("duplicate matrix in codebook")
         for a in (codewords, components, keys):
             a.setflags(write=False)
@@ -246,16 +271,37 @@ class Codebook:
         return tuple(_Entry(tuple(perms[j] for j in row[:w]))
                      for row, w in zip(self.components.tolist(), self.weight_array.tolist()))
 
+    def entry_lines(self, sep: str, head=()) -> str:
+        """One newline-terminated line per entry: the head fields, then its
+        component codewords joined by sep.  A head field is literal text,
+        or a (non-negative integers, width) pair printed per entry as
+        f"{v:{width}d}".  All lines are written as one byte matrix,
+        NUL-padded to the longest, and one compaction drops the padding,
+        so no Python code runs per entry."""
+        if self.L < 10:
+            words = (self.codewords + ord("1")).astype(np.uint8)
+        else:
+            # comma-separated symbols; each permutation uses every symbol
+            # once, so every codeword's text has one length
+            words = "".join(",".join(map(str, p)) for p in (self.codewords + 1).tolist())
+            words = np.frombuffer(words.encode("ascii"), dtype=np.uint8).reshape(len(self.codewords), -1)
+        # each codeword's text after sep, and an all-NUL row that the -1
+        # slots past an entry's weight gather
+        gap = len(sep)
+        text = np.zeros((len(words) + 1, gap + words.shape[1]), dtype=np.uint8)
+        text[:-1, :gap] = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+        text[:-1, gap:] = words
+        cols = [np.broadcast_to(np.frombuffer(f.encode("ascii"), dtype=np.uint8), (self.size, len(f)))
+                if isinstance(f, str) else _number_columns(*f) for f in head]
+        # the first component has no separator before it
+        chars = np.concatenate([*cols, text[self.components].reshape(self.size, -1)[:, gap:],
+                                np.full((self.size, 1), ord("\n"), dtype=np.uint8)], axis=1)
+        return chars[chars != 0].tobytes().decode("ascii")
+
     def component_texts(self, sep: str) -> list[str]:
         """Each entry's component codewords as text, joined by sep: digit
         strings, or comma-separated symbols from L = 10 on."""
-        sym = "" if self.L < 10 else ","
-        text = np.array([sym.join(map(str, p)) for p in (self.codewords + 1).tolist()], dtype=object)
-        out = np.empty(self.size, dtype=object)
-        for w in self.weights_present:
-            idx = self.weight_class_indices(w)
-            out[idx] = [sep.join(r) for r in text[self.components[idx, :w]].tolist()]
-        return out.tolist()
+        return self.entry_lines(sep).split("\n")[:-1]
 
     @cached_property
     def _class_indices(self) -> dict[int, np.ndarray]:
@@ -317,8 +363,7 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
 def export_text(codebook: Codebook) -> str:
     """One line per entry: weight, then the component codewords as digit
     strings (comma-separated symbols for L >= 10)."""
-    return "".join(f"{w} {comps}\n" for w, comps in
-                   zip(codebook.weight_array.tolist(), codebook.component_texts(" ")))
+    return codebook.entry_lines(" ", ((codebook.weight_array, 1), " "))
 
 
 def import_text(text: str, label: str = "") -> Codebook:

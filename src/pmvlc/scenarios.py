@@ -43,9 +43,10 @@ CB1_PERMS = ((4, 3, 2, 1), (4, 1, 3, 2), (3, 1, 2, 4), (3, 4, 1, 2),
 CB2_PERMS = ((1, 2, 3, 4), (2, 1, 3, 4), (2, 1, 4, 3), (3, 2, 1, 4),
              (3, 1, 2, 4), (3, 2, 4, 1), (1, 3, 4, 2), (1, 4, 3, 2))
 
-# weight-2 selection whose support metric separates every codeword pair as
-# far as the ML metric allows; slot components are all distinct, which the
-# assignment-walk decoder pays for with extra iterations
+# weight-2 selection of eight matrices: any two differ in at least 8 of the
+# 16 cells (52 of the 56 ordered pairs at 8, 4 at 16), and the 16 slot
+# components are all distinct, which the assignment-walk decoder pays for
+# with extra iterations
 W2SEL_IDX = (2, 17, 28, 38, 45, 59, 65, 80)
 
 

@@ -12,6 +12,7 @@ import pytest
 from pmvlc import analysis, scenarios
 from pmvlc.channel import build_channel, fixture_h06_blocked, square_grid_geometry
 from pmvlc.cli import PRESETS, codebook_report, main, preset_scenarios
+from pmvlc.codebook import combine_codebooks, enumerate_weight_w
 from pmvlc.scenarios import (
     _GEOMETRY_KEYS,
     CB1_PERMS,
@@ -179,6 +180,17 @@ class TestRegistries:
         for name, size in sizes.items():
             assert named_codebook(name).size == size
 
+    def test_w2sel8_separation(self):
+        # what scenarios.W2SEL_IDX's comment states: every pair of the eight
+        # weight-2 matrices differs in at least 8 of the 16 cells, and no
+        # component codeword repeats across entries or slots
+        book = named_codebook("w2sel8")
+        S = book.matrix_stack
+        d = np.abs(S[:, None] - S[None]).sum(axis=(2, 3))[~np.eye(8, dtype=bool)]
+        assert np.unique(d, return_counts=True)[1].tolist() == [52, 4]
+        assert np.unique(d).tolist() == [8.0, 16.0]
+        assert len(np.unique(book.components)) == book.components.size == 16
+
     def test_unknown_codebook(self):
         with pytest.raises(ConfigError, match="unknown codebook"):
             named_codebook("cb3")
@@ -207,10 +219,26 @@ class TestCodebookReport:
         assert "weight 1: 6 codewords" in text
         assert "bits per block (M=1): 2" in text
 
-    def test_bits_per_symbol_uses_signaling_set(self):
+    def test_bits_per_symbol_is_log2_of_entries_times_levels(self):
+        # log2(Q * M) / L, not the 32-pair signaling set's bits_per_block / L
         text = codebook_report(4, (1,), M=2)
         # log2(24 * 2) / 4
         assert f"bits per symbol: {np.log2(48) / 4:.4g}" in text
+
+    @pytest.mark.parametrize("L,weights", [(3, (1, 2)), (4, (1, 2, 3)), (5, (1, 2, 3, 4))])
+    def test_entry_lines_match_a_per_line_reference(self, L, weights):
+        # each entry line against its per-entry f-string, built here from
+        # the book's arrays, so a mismatch names the line
+        parts = [enumerate_weight_w(L, w) for w in weights]
+        book = combine_codebooks(parts) if len(parts) > 1 else parts[0]
+        table = ["".join(map(str, p)) for p in (book.codewords + 1).tolist()]
+        want = [f"  {idx:4d}  w={sum(j >= 0 for j in row)}  {' + '.join(table[j] for j in row if j >= 0)}"
+                for idx, row in enumerate(book.components.tolist(), 1)]
+        text = codebook_report(L, weights)
+        got = text.split("entries:\n", 1)[1].split("\n")
+        assert len(got) == len(want) == book.size
+        for idx, (g, w) in enumerate(zip(got, want), 1):
+            assert g == w, f"entry {idx}"
 
     def test_length_guard(self):
         with pytest.raises(ConfigError):

@@ -286,6 +286,21 @@ class TestCodewordMatrix:
             import_text("2 1234 2143\n2 1243 2134\n")
         assert import_text("2 1234 2341\n").keys.tobytes() != a.keys.tobytes()
 
+    @pytest.mark.parametrize("L,key_bytes", [(2, 1), (3, 2), (4, 2), (8, 8), (9, 11)])
+    def test_duplicate_check_reads_every_key_word(self, L, key_bytes):
+        # two entries differing only in the last two rows: at L = 9 their
+        # 11-byte keys share the first 8 bytes, the whole first uint64 word
+        ident = tuple(range(1, L + 1))
+        lines = f"1 {digits(ident)}\n1 {digits(ident[:-2] + ident[:-3:-1])}\n"
+        book = import_text(lines)
+        assert book.keys.shape == (2, key_bytes)
+        if L == 9:
+            assert lines == "1 123456789\n1 123456798\n"
+            assert book.keys[0, :8].tobytes() == book.keys[1, :8].tobytes()
+        for repeat in lines.splitlines(keepends=True):
+            with pytest.raises(ValueError, match="duplicate matrix in codebook"):
+                import_text(lines + repeat)
+
     def test_overlapping_components_rejected_by_constructor(self):
         # (1234) and (1324) share cells (0, 0) and (3, 3)
         for line in ("2 1234 1324", "4 12345 23451 34512 31254"):
@@ -647,6 +662,14 @@ class TestExportImport:
         assert [[tuple(p) for p in back.codewords[row].tolist()] for row in back.components] == \
             [[table[j] for j in row] for row in book.components.tolist()]
         assert export_text(back) == export_text(book)
+
+    def test_numeric_head_fields_print_as_format_d(self):
+        # a (values, width) head field reads as f"{v:{width}d}", widening
+        # past width for larger numbers
+        book = enumerate_weight_w(3, 1)
+        idx = [0, 7, 9999, 10000, 123456, 5]
+        lines = book.entry_lines(" + ", ("<", (idx, 4), "|", (book.weight_array, 1), ">")).splitlines()
+        assert lines == [f"<{v:4d}|1>{c}" for v, c in zip(idx, book.component_texts(" + "))]
 
     def test_imports_blocks_beyond_the_enumeration_limit(self):
         # L = 7 is never enumerated, but an imported entry is still stored
