@@ -187,8 +187,8 @@ class TestRegistries:
         book = named_codebook("w2sel8")
         S = book.matrix_stack
         d = np.abs(S[:, None] - S[None]).sum(axis=(2, 3))[~np.eye(8, dtype=bool)]
-        assert np.unique(d, return_counts=True)[1].tolist() == [52, 4]
-        assert np.unique(d).tolist() == [8.0, 16.0]
+        distances, pairs = np.unique(d, return_counts=True)
+        assert distances.tolist() == [8.0, 16.0] and pairs.tolist() == [52, 4]
         assert len(np.unique(book.components)) == book.components.size == 16
 
     def test_unknown_codebook(self):
@@ -220,9 +220,9 @@ class TestCodebookReport:
         assert "bits per block (M=1): 2" in text
 
     def test_bits_per_symbol_is_log2_of_entries_times_levels(self):
-        # log2(Q * M) / L, not the 32-pair signaling set's bits_per_block / L
         text = codebook_report(4, (1,), M=2)
-        # log2(24 * 2) / 4
+        # log2(Q * M) / L = log2(24 * 2) / 4, not the 32-pair signaling
+        # set's bits_per_block / L
         assert f"bits per symbol: {np.log2(48) / 4:.4g}" in text
 
     @pytest.mark.parametrize("L,weights", [(3, (1, 2)), (4, (1, 2, 3)), (5, (1, 2, 3, 4))])
