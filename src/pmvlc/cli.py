@@ -59,7 +59,8 @@ def codebook_report(L: int, weights, M: int = 1) -> str:
     bits_block = combined.bits_per_block(pam.M)
     lines.append(f"combined Q = {q}")
     lines.append(f"bits per block (M={M}): {bits_block}")
-    lines.append(f"bits per symbol: {np.log2(q * M) / L:.4g}")
+    # the rate of the signalling set, the pairs that carry data
+    lines.append(f"bits per symbol: {bits_block / L:.4g}")
     lines.append("entries:")
     # "  {idx:4d}  w={w}  {comps}" per entry, idx from 1
     lines.append(combined.entry_lines(" + ", ("  ", (np.arange(1, q + 1), 4), "  w=",

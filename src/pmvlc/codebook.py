@@ -14,16 +14,17 @@ entry's cell bitmask, with bit r*L + c - 1 set for symbol c in row r, as
 little-endian bytes.  Deduplication compares these masks, and the 0/1
 matrices are unpacked from them only when read.  Enumeration extends index
 tuples over one cached lexicographic permutation table (the one
-detectors.rank_assignments ranks) with numpy and keeps the first tuple per matrix,
-its canonical decomposition; import peels each line's mask to it.  Text
-lines, for the export and the CLI report alike, are written as one byte
-matrix from the arrays, and import parses them to symbol tuples.
+detectors.rank_assignments ranks) with numpy and keeps the first tuple per
+matrix, its canonical decomposition.  The CLI report's entry lines are
+written as one byte matrix from the arrays, each codeword as its digits
+(L <= 9).  Books are built by enumeration, subset, combine_codebooks or the
+Codebook constructor; there is no text import or export.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -40,78 +41,6 @@ def permutation_table(L: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     table = np.array(perms, dtype=np.intp)
     table.setflags(write=False)
     return table, tuple(tuple(c + 1 for c in p) for p in perms)
-
-
-@lru_cache(maxsize=1 << 16)  # import meets each permutation on many lines
-def _cells(symbols: tuple[int, ...]) -> int:
-    # cell bitmask of a permutation's matrix: bit r*L + c - 1 for symbol c in row r
-    L = len(symbols)
-    return sum(1 << (r * L + c - 1) for r, c in enumerate(symbols))
-
-
-def _smallest_permutation(rows: list[int], used: int = 0):
-    # Depth-first over rows in order, trying each row's free support columns
-    # (bitmask rows[r]) in ascending order, so the first complete
-    # permutation is the smallest.  Returns its 0-based columns.
-    r = used.bit_count()
-    if r == len(rows):
-        return ()
-    free = rows[r] & ~used
-    while free:
-        bit = free & -free
-        rest = _smallest_permutation(rows, used | bit)
-        if rest is not None:
-            return (bit.bit_length() - 1,) + rest
-        free ^= bit
-    return None
-
-
-def _canonical_components(key: int, L: int) -> list[tuple[int, ...]]:
-    # Peel the lexicographically smallest permutation off the support until
-    # nothing is left.  A w-regular 0/1 matrix always splits into w disjoint
-    # permutation matrices (Koenig), so every permutation inside the support
-    # extends to a decomposition, and the greedy peel is the lexicographically
-    # smallest one.  The search stops at the permutation it peels.  Returns
-    # the 1-based symbols of each component.
-    row = (1 << L) - 1
-    comps = []
-    while key:
-        p = _smallest_permutation([key >> (r * L) & row for r in range(L)])
-        comps.append(tuple(c + 1 for c in p))
-        key &= ~_cells(comps[-1])
-    return comps
-
-
-def _parse(text: str) -> tuple[int, ...]:
-    # a digit string, or comma-separated symbols from L = 10 on
-    s = tuple(int(f) for f in (text.split(",") if "," in text else text))
-    if sorted(s) != list(range(1, len(s) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(s)}: {s}")
-    return s
-
-
-def _matrix_key(comps: tuple[tuple[int, ...], ...]) -> int:
-    # cell bitmask of the permutations' sum, checked to be a weight-w matrix
-    if not comps:
-        raise ValueError("a codeword matrix needs at least one component")
-    L = len(comps[0])
-    key = 0
-    for s in comps:
-        if len(s) != L:
-            raise ValueError("component length mismatch")
-        key |= _cells(s)
-    if not 1 <= len(comps) <= L - 1:
-        raise ValueError(f"weight {len(comps)} outside 1..{L - 1}")
-    # overlapping components collapse onto shared cells
-    if key.bit_count() != len(comps) * L:
-        raise ValueError("overlapping components: codewords must pairwise differ in every position")
-    return key
-
-
-def _key_bytes(keys, L: int) -> np.ndarray:
-    # (len(keys), ceil(L*L / 8)) little-endian bytes of the given cell bitmasks
-    n = (L * L + 7) // 8
-    return np.frombuffer(b"".join(k.to_bytes(n, "little") for k in keys), dtype=np.uint8).reshape(-1, n)
 
 
 def _has_duplicate(keys: np.ndarray) -> bool:
@@ -273,18 +202,14 @@ class Codebook:
 
     def entry_lines(self, sep: str, head=()) -> str:
         """One newline-terminated line per entry: the head fields, then its
-        component codewords joined by sep.  A head field is literal text,
-        or a (non-negative integers, width) pair printed per entry as
-        f"{v:{width}d}".  All lines are written as one byte matrix,
-        NUL-padded to the longest, and one compaction drops the padding,
-        so no Python code runs per entry."""
-        if self.L < 10:
-            words = (self.codewords + ord("1")).astype(np.uint8)
-        else:
-            # comma-separated symbols; each permutation uses every symbol
-            # once, so every codeword's text has one length
-            words = "".join(",".join(map(str, p)) for p in (self.codewords + 1).tolist())
-            words = np.frombuffer(words.encode("ascii"), dtype=np.uint8).reshape(len(self.codewords), -1)
+        component codewords joined by sep, each as its digits, so L <= 9.
+        A head field is literal text, or a (non-negative integers, width)
+        pair printed per entry as f"{v:{width}d}".  All lines are written
+        as one byte matrix, NUL-padded to the longest, and one compaction
+        drops the padding, so no Python code runs per entry."""
+        if self.L >= 10:
+            raise ValueError(f"entry lines print one digit per symbol, so L must be at most 9, got {self.L}")
+        words = (self.codewords + ord("1")).astype(np.uint8)
         # each codeword's text after sep, and an all-NUL row that the -1
         # slots past an entry's weight gather
         gap = len(sep)
@@ -297,11 +222,6 @@ class Codebook:
         chars = np.concatenate([*cols, text[self.components].reshape(self.size, -1)[:, gap:],
                                 np.full((self.size, 1), ord("\n"), dtype=np.uint8)], axis=1)
         return chars[chars != 0].tobytes().decode("ascii")
-
-    def component_texts(self, sep: str) -> list[str]:
-        """Each entry's component codewords as text, joined by sep: digit
-        strings, or comma-separated symbols from L = 10 on."""
-        return self.entry_lines(sep).split("\n")[:-1]
 
     @cached_property
     def _class_indices(self) -> dict[int, np.ndarray]:
@@ -358,40 +278,3 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
     order = np.lexsort((*comps.T[::-1], (comps >= 0).sum(axis=1)))
     keys = np.concatenate([p.keys for p in parts])[order]
     return Codebook(L, table, comps[order], keys, label)
-
-
-def export_text(codebook: Codebook) -> str:
-    """One line per entry: weight, then the component codewords as digit
-    strings (comma-separated symbols for L >= 10)."""
-    return codebook.entry_lines(" ", ((codebook.weight_array, 1), " "))
-
-
-def import_text(text: str, label: str = "") -> Codebook:
-    """Inverse of export_text; blank and '#' lines are skipped.  Each entry is
-    stored under its canonical decomposition, and a rejected line is named."""
-    keys, rows = [], []
-    parsed: dict[str, tuple[int, ...]] = {}  # one parse per distinct codeword text
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            head, *fields = line.split()
-            w = int(head)
-            comps = tuple(parsed.get(f) or parsed.setdefault(f, _parse(f)) for f in fields)
-            if len(comps) != w:
-                raise ValueError(f"weight {w} but {len(comps)} codewords")
-            keys.append(_matrix_key(comps))
-        except ValueError as exc:
-            raise ValueError(f"line {line!r}: {exc}") from None
-        rows.append(_canonical_components(keys[-1], len(comps[0])))
-    if not keys:
-        raise ValueError("no codebook entries found")
-    L = len(rows[0][0])
-    if any(len(row[0]) != L for row in rows):
-        raise ValueError("entry size mismatch")
-    table = sorted({p for row in rows for p in row})
-    index = {p: i for i, p in enumerate(table)}
-    width = max(map(len, rows))
-    comps = np.array([[index[p] for p in row] + [-1] * (width - len(row)) for row in rows], dtype=np.intp)
-    return Codebook(L, np.array(table, dtype=np.intp) - 1, comps, _key_bytes(keys, L), label)

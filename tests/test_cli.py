@@ -219,11 +219,12 @@ class TestCodebookReport:
         assert "weight 1: 6 codewords" in text
         assert "bits per block (M=1): 2" in text
 
-    def test_bits_per_symbol_is_log2_of_entries_times_levels(self):
+    def test_bits_per_symbol_is_bits_per_block_over_length(self):
         text = codebook_report(4, (1,), M=2)
-        # log2(Q * M) / L = log2(24 * 2) / 4, not the 32-pair signaling
-        # set's bits_per_block / L
-        assert f"bits per symbol: {np.log2(48) / 4:.4g}" in text
+        # the 32-pair signalling set carries bits_per_block = 5 bits, 5 / 4
+        # per symbol, not log2(24 * 2) / 4 over all 48 (entry, level) pairs
+        assert "bits per block (M=2): 5" in text
+        assert "bits per symbol: 1.25\n" in text
 
     @pytest.mark.parametrize("L,weights", [(3, (1, 2)), (4, (1, 2, 3)), (5, (1, 2, 3, 4))])
     def test_entry_lines_match_a_per_line_reference(self, L, weights):
@@ -251,8 +252,8 @@ class TestCodebookReport:
     # the report text is pinned, so a change to how entries are built,
     # ordered or printed cannot pass unnoticed
     @pytest.mark.parametrize("L,weights,digest", [
-        (5, (1, 2, 3, 4), "bfecb45b710f0ba5d766ed0610f3ded260ecc5cb761c6bf7ee690f67a74fb232"),
-        (6, (1, 2), "e0ab76c6ace4a800e837629e6821fc5d0a3ae27e36f3a1bf5ad8bc182106dd69"),
+        (5, (1, 2, 3, 4), "5a230e4667b704cd80061e2ef35c142ee79de9cfb5b900bd9e34b7d92b943d94"),
+        (6, (1, 2), "7f020aacdbeb819278c2f6e1411d34d25dca2739bb33b771c24676d46d29ef0a"),
     ])
     def test_report_text_is_pinned(self, L, weights, digest):
         text = codebook_report(L, weights)

@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 from pmvlc import analysis
 from pmvlc.analysis import SimConfig
 from pmvlc.channel import fixture_h02
-from pmvlc.codebook import (
-    _canonical_components,
-    _matrix_key,
-    combine_codebooks,
-    enumerate_weight_w,
-    export_text,
-    import_text,
-)
+from pmvlc.codebook import Codebook, combine_codebooks, enumerate_weight_w
 from pmvlc.detectors import signal_stack
 from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
@@ -43,9 +36,18 @@ def cyclic_shifts(s):
     return [s[i:] + s[:i] for i in range(len(s))]
 
 
-def digits(s):
-    # a codeword as export_text writes it
-    return ("" if len(s) < 10 else ",").join(map(str, s))
+def book_of(*entries):
+    # a Codebook from entries given as tuples of 1-based codewords, in the
+    # given order and decomposition: no canonicalising, no checks but the
+    # constructor's own
+    L = len(entries[0][0])
+    table = sorted({p for comps in entries for p in comps})
+    index = {p: i for i, p in enumerate(table)}
+    w = max(map(len, entries))
+    comps = np.array([[index[p] for p in e] + [-1] * (w - len(e)) for e in entries], dtype=np.intp)
+    masks = [sum(1 << (r * L + c - 1) for p in e for r, c in enumerate(p)) for e in entries]
+    keys = np.array([list(m.to_bytes((L * L + 7) // 8, "little")) for m in masks], dtype=np.uint8)
+    return Codebook(L, np.array(table, dtype=np.intp).reshape(-1, L) - 1, comps, keys)
 
 
 def component_symbols(book):
@@ -80,8 +82,9 @@ def brute_force_regular_matrix_count(L, w):
 
 
 def scan_canonical_components(matrix):
-    # The L!-scan the depth-first search replaced: peel the first permutation,
-    # in itertools order, that fits inside what is left of the support.
+    # Independent oracle for the canonical decomposition: peel the first
+    # permutation, in itertools order, that fits inside what is left of the
+    # support.
     L = matrix.shape[0]
     remaining = matrix.astype(bool).tolist()
     comps = []
@@ -118,31 +121,14 @@ def cell_count_oracle(book):
     return (symbols[..., None] == np.arange(1, book.L + 1)).sum(axis=1)
 
 
-def random_regular_components(rng, L, w):
-    # w rows of a random Latin square: disjoint permutations whose sum is a
-    # w-regular support
-    cols, shift = rng.permutation(L), rng.permutation(L)
-    return [tuple(int(cols[(shift[r] + k) % L]) + 1 for r in range(L))
-            for k in rng.choice(L, size=w, replace=False)]
-
-
 class TestCodeword:
-    def test_rejects_non_permutation(self):
-        for bad in ("1134", "0123"):
-            with pytest.raises(ValueError, match="not a permutation of 1..4"):
-                import_text(f"1 {bad}\n")
-
     def test_matrix_rows(self):
-        cb = import_text("1 2314\n")
+        cb = book_of(((2, 3, 1, 4),))
         assert cb.weight_array.tolist() == [1]
         expected = np.array(
             [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=np.uint8
         )
         assert np.array_equal(cb.matrix_stack[0], expected)
-
-    def test_parse_roundtrip(self):
-        assert export_text(import_text("1 2314\n")) == "1 2314\n"
-        assert import_text("1 2,3,1,4\n").keys.tobytes() == import_text("1 2314\n").keys.tobytes()
 
 
 class TestHammingDistance:
@@ -151,18 +137,16 @@ class TestHammingDistance:
 
     def test_zero_on_equal(self):
         assert hamming((1, 2, 3, 4), (1, 2, 3, 4)) == 0
-        with pytest.raises(ValueError, match="overlapping"):
-            import_text("2 1234 1234\n")
+        # no enumerated entry pairs codewords that share a position
+        assert all(hamming(a, b) == 4 for a, b in component_symbols(enumerate_weight_w(4, 2)))
 
     def test_full_distance_pair(self):
         assert hamming((2, 3, 1, 4), (3, 1, 4, 2)) == 4
-        assert import_text("2 2314 3142\n").weight_array.tolist() == [2]
+        assert book_of(((2, 3, 1, 4), (3, 1, 4, 2))).weight_array.tolist() == [2]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             hamming((1, 2), (1, 2, 3))
-        with pytest.raises(ValueError, match="component length mismatch"):
-            import_text("2 12 123\n")
 
 
 class TestDistanceLCount:
@@ -187,8 +171,6 @@ class TestDistanceLCount:
     def test_rejects_tiny_L(self):
         with pytest.raises(ValueError, match="L must be in 2..6"):
             enumerate_weight_w(1, 1)
-        with pytest.raises(ValueError, match="weight 1 outside 1..0"):
-            import_text("1 1\n")
 
 
 class TestCyclicLatin:
@@ -197,14 +179,14 @@ class TestCyclicLatin:
         assert shifts[1] == (3, 1, 4, 2)
         assert len(shifts) == 4
         # any L - 1 shifts sum to the complement of the last one
-        cb = import_text(f"3 {' '.join(map(digits, shifts[1:]))}\n")
+        cb = book_of(tuple(shifts[1:]))
         np.testing.assert_array_equal(cb.matrix_stack[0], 1 - _perm(*shifts[0]))
 
     def test_minimal_length(self):
         assert cyclic_shifts((1, 2)) == [(1, 2), (2, 1)]
         # both shifts light every cell: weight L, every LED always on
-        with pytest.raises(ValueError, match="weight 2 outside 1..1"):
-            import_text("2 12 21\n")
+        with pytest.raises(ValueError, match="w must be in 1..1"):
+            enumerate_weight_w(2, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.permutations(list(range(1, 6))))
@@ -212,60 +194,30 @@ class TestCyclicLatin:
         shifts = cyclic_shifts(tuple(perm))
         for a, b in combinations(shifts, 2):
             assert hamming(a, b) == len(perm)
-        cb = import_text(f"4 {' '.join(map(digits, shifts[:4]))}\n")
+        cb = book_of(tuple(shifts[:4]))
         np.testing.assert_array_equal(cb.matrix_stack[0], 1 - _perm(*shifts[4]))
 
 
 class TestCodewordMatrix:
-    """Entry matrices: each line's components checked, keyed by their cell
-    bitmask and stored under the canonical decomposition."""
-
-    def test_overlapping_components_rejected(self):
-        with pytest.raises(ValueError, match="overlapping"):
-            import_text("2 1234 1324\n")
+    """Entry matrices: keyed by their cell bitmask and, when enumerated,
+    stored under the canonical decomposition."""
 
     def test_paired_sum_matches_displayed_block(self):
-        cb = import_text("2 2314 3142\n")
+        cb = book_of(((2, 3, 1, 4), (3, 1, 4, 2)))
         assert cb.weight_array.tolist() == [2]
         assert tuple(cb.matrix_stack[0, 0]) == (0, 1, 1, 0)
         assert np.array_equal(cb.matrix_stack[0], _perm(2, 3, 1, 4) + _perm(3, 1, 4, 2))
 
     def test_decomposition_is_lexicographically_smallest(self):
-        # (1234)+(2143) and (1243)+(2134) sum to the same matrix; the stored
-        # decomposition must be the smaller pair.
-        cb = import_text("2 2143 1234\n")
-        assert cb.component_texts(" ") == ["1234 2143"]
-        assert export_text(import_text("2 1243 2134\n")) == export_text(cb)
-
-    def test_rejects_what_is_not_a_disjoint_sum(self):
-        with pytest.raises(ValueError, match="weight"):
-            import_text("2 12 21\n")  # weight L: every LED always on
-        with pytest.raises(ValueError, match="length"):
-            import_text("2 123 21\n")
-        with pytest.raises(ValueError, match="at least one"):
-            import_text("0\n")
-        with pytest.raises(ValueError, match="at least one"):
-            _matrix_key(())
-
-    @pytest.mark.parametrize("L", [4, 5])
-    def test_search_matches_permutation_scan_on_every_enumerated_matrix(self, L):
-        for w in range(1, L):
-            book = enumerate_weight_w(L, w)
-            assert [tuple(_canonical_components(k, L)) for k in book_keys(book)] \
-                == [scan_canonical_components(m) for m in book.matrix_stack]
-
-    def test_search_matches_permutation_scan_on_random_regular_supports(self):
-        rng = np.random.default_rng(12)
-        for L in (5, 6, 7):
-            for w in range(1, L):
-                for _ in range(3):
-                    comps = random_regular_components(rng, L, w)
-                    matrix = sum(_perm(*s) for s in comps)
-                    assert tuple(_canonical_components(_matrix_key(tuple(comps)), L)) \
-                        == scan_canonical_components(matrix)
+        # (1234)+(2143) and (1243)+(2134) sum to the same matrix; the
+        # enumerated entry must hold the smaller pair.
+        book = enumerate_weight_w(4, 2)
+        key = book_of(((1, 2, 4, 3), (2, 1, 3, 4))).keys[0].tobytes()
+        (i,) = [i for i, k in enumerate(book.keys) if k.tobytes() == key]
+        assert book.subset([i]).entry_lines(" ") == "1234 2143\n"
 
     def test_entries_are_read_only(self):
-        cb = import_text("1 213\n")
+        cb = book_of(((2, 1, 3),))
         assert cb.keys.dtype == np.uint8
         for a in (cb.codewords, cb.components, cb.keys, cb.matrix_stack, cb.weight_array):
             assert not a.flags.writeable
@@ -273,44 +225,40 @@ class TestCodewordMatrix:
             cb.matrix_stack[0, 0, 0] = 1
 
     def test_equality_is_on_entries(self):
-        # an imported line and the enumerated entry with its cells share a key
-        assert import_text("1 1234\n").keys.tobytes() == enumerate_weight_w(4, 1).keys[0].tobytes()
+        # a hand-built entry and the enumerated entry with its cells share a key
+        assert book_of(((1, 2, 3, 4),)).keys.tobytes() == enumerate_weight_w(4, 1).keys[0].tobytes()
 
     def test_two_decompositions_compare_and_hash_equal(self):
         # (1234)+(2143) and (1243)+(2134) are one matrix written under two
         # decompositions: the key follows the cells alone
-        a, b = import_text("2 1234 2143\n"), import_text("2 1243 2134\n")
+        a, b = book_of(((1, 2, 3, 4), (2, 1, 4, 3))), book_of(((1, 2, 4, 3), (2, 1, 3, 4)))
         assert a.keys.tobytes() == b.keys.tobytes()
         np.testing.assert_array_equal(a.matrix_stack, b.matrix_stack)
         with pytest.raises(ValueError, match="duplicate matrix in codebook"):
-            import_text("2 1234 2143\n2 1243 2134\n")
-        assert import_text("2 1234 2341\n").keys.tobytes() != a.keys.tobytes()
+            book_of(((1, 2, 3, 4), (2, 1, 4, 3)), ((1, 2, 4, 3), (2, 1, 3, 4)))
+        assert book_of(((1, 2, 3, 4), (2, 3, 4, 1))).keys.tobytes() != a.keys.tobytes()
 
     @pytest.mark.parametrize("L,key_bytes", [(2, 1), (3, 2), (4, 2), (8, 8), (9, 11)])
     def test_duplicate_check_reads_every_key_word(self, L, key_bytes):
         # two entries differing only in the last two rows: at L = 9 their
         # 11-byte keys share the first 8 bytes, the whole first uint64 word
         ident = tuple(range(1, L + 1))
-        lines = f"1 {digits(ident)}\n1 {digits(ident[:-2] + ident[:-3:-1])}\n"
-        book = import_text(lines)
+        entries = [(ident,), (ident[:-2] + ident[:-3:-1],)]
+        book = book_of(*entries)
         assert book.keys.shape == (2, key_bytes)
         if L == 9:
-            assert lines == "1 123456789\n1 123456798\n"
+            assert book.entry_lines(" ") == "123456789\n123456798\n"
             assert book.keys[0, :8].tobytes() == book.keys[1, :8].tobytes()
-        for repeat in lines.splitlines(keepends=True):
+        for repeat in entries:
             with pytest.raises(ValueError, match="duplicate matrix in codebook"):
-                import_text(lines + repeat)
-
-    def test_overlapping_components_rejected_by_constructor(self):
-        # (1234) and (1324) share cells (0, 0) and (3, 3)
-        for line in ("2 1234 1324", "4 12345 23451 34512 31254"):
-            with pytest.raises(ValueError, match="overlapping"):
-                import_text(line + "\n")
+                book_of(*entries, repeat)
 
     def test_key_is_the_cell_bitmask(self):
-        # bit r*L + c - 1 is set for symbol c in row r
-        assert _matrix_key(((2, 3, 1),)) == (1 << 1) | (1 << 5) | (1 << 6)
-        assert book_keys(import_text("1 231\n")) == [(1 << 1) | (1 << 5) | (1 << 6)]
+        # bit r*L + c - 1 is set for symbol c in row r; (2, 3, 1) is the
+        # fourth L = 3 permutation in lexicographic order
+        book = enumerate_weight_w(3, 1).subset([3])
+        assert component_symbols(book) == [((2, 3, 1),)]
+        assert book_keys(book) == [(1 << 1) | (1 << 5) | (1 << 6)]
 
     @pytest.mark.parametrize("L,ws", [(3, (1, 2)), (4, (1, 2, 3)), (5, (1, 2, 3, 4)), (6, (1, 2))])
     def test_entries_and_matrix_stack_match_cell_oracle(self, L, ws):
@@ -344,7 +292,7 @@ class TestEnumeration:
         for w in range(1, L):
             cb = enumerate_weight_w(L, w)
             comps = component_symbols(cb)
-            assert [tuple(_canonical_components(k, L)) for k in book_keys(cb)] == comps
+            assert [scan_canonical_components(m) for m in cb.matrix_stack] == comps
             assert all(a < b for a, b in zip(comps, comps[1:]))
 
     def test_row_and_column_sums(self):
@@ -360,13 +308,13 @@ class TestEnumeration:
 
     def test_weight_one_is_lexicographic(self):
         cb = enumerate_weight_w(3, 1)
-        assert cb.component_texts(" ") == [
+        assert cb.entry_lines(" ").splitlines() == [
             "123", "132", "213", "231", "312", "321",
         ]
 
     def test_first_weight2_entries_are_identity_paired(self):
         cb = enumerate_weight_w(4, 2)
-        heads = [t.split() for t in cb.component_texts(" ")[:9]]
+        heads = [t.split() for t in cb.entry_lines(" ").splitlines()[:9]]
         assert all(h[0] == "1234" for h in heads)
         assert [h[1] for h in heads] == [
             "2143", "2341", "2413", "3142", "3412", "3421", "4123", "4312", "4321",
@@ -437,15 +385,21 @@ class TestCombine:
         assert component_symbols(both) == [comps for comps, _ in expected]
         assert book_keys(both) == [key for _, key in expected]
         assert both.weight_array.tolist() == [len(comps) for comps, _ in expected]
-        assert export_text(both) == export_text(combine_codebooks([w1, w2, w3]))
+        ordered = combine_codebooks([w1, w2, w3])
+        assert book_keys(both) == book_keys(ordered)
+        assert both.entry_lines(" ") == ordered.entry_lines(" ")
 
-    def test_merges_codeword_tables_of_imported_parts(self):
-        # imported books each hold only the codewords they use, so the
+    def test_merges_unequal_codeword_tables(self):
+        # hand-built books each hold only the codewords they use, so the
         # combined order must come from the codewords, not the table rows
-        a = import_text("1 4321\n1 2143\n")
-        b = import_text("1 3412\n2 1234 2143\n1 1243\n")
+        a = book_of(((4, 3, 2, 1),), ((2, 1, 4, 3),))
+        b = book_of(((3, 4, 1, 2),), ((1, 2, 3, 4), (2, 1, 4, 3)), ((1, 2, 4, 3),))
+        assert len(a.codewords) == 2 and len(b.codewords) == 4
         both = combine_codebooks([a, b])
-        assert export_text(both) == "1 1243\n1 2143\n1 3412\n1 4321\n2 1234 2143\n"
+        assert both.entry_lines(" ") == "1243\n2143\n3412\n4321\n1234 2143\n"
+        assert both.weight_array.tolist() == [1, 1, 1, 1, 2]
+        assert book_keys(both) == book_keys(book_of(
+            ((1, 2, 4, 3),), ((2, 1, 4, 3),), ((3, 4, 1, 2),), ((4, 3, 2, 1),), ((1, 2, 3, 4), (2, 1, 4, 3))))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -604,64 +558,10 @@ class TestBitMapping:
         assert cb.signaling_count() == 16
 
 
-class TestExportImport:
-    def test_roundtrip(self):
-        cb = combine_codebooks(
-            [enumerate_weight_w(4, 1).subset(range(4)), enumerate_weight_w(4, 2).subset(range(4))]
-        )
-        text = export_text(cb)
-        back = import_text(text)
-        assert back.size == cb.size
-        assert book_keys(back) == book_keys(cb)
-        assert component_symbols(back) == component_symbols(cb)
-
+class TestEntryLines:
     def test_line_shape(self):
         cb = enumerate_weight_w(4, 2).subset([0])
-        assert export_text(cb).splitlines()[0] == "2 1234 2143"
-
-    def test_bad_weight_rejected(self):
-        with pytest.raises(ValueError):
-            import_text("2 1234\n")
-
-    def test_weight_zero_line_rejected(self):
-        with pytest.raises(ValueError):
-            import_text("0\n")
-
-    @pytest.mark.parametrize("text, message", [
-        ("2 1234 1243\n",
-         "line '2 1234 1243': overlapping components: codewords must pairwise differ in every position"),
-        ("2 1234 213\n", "line '2 1234 213': component length mismatch"),
-        ("1 123\n1 1234\n", "entry size mismatch"),
-        ("1 1224\n", "line '1 1224': not a permutation of 1..4: (1, 2, 2, 4)"),
-        ("1 1234\n2 1234 2143\n1 1234\n", "duplicate matrix in codebook"),
-        ("2 12 21\n", "line '2 12 21': weight 2 outside 1..1"),
-        ("1 1234 2143\n", "line '1 1234 2143': weight 1 but 2 codewords"),
-        ("", "no codebook entries found"),
-        ("# a comment\n\n   \n", "no codebook entries found"),
-        ("x 1234\n", "line 'x 1234': invalid literal for int() with base 10: 'x'"),
-        ("1 12a4\n", "line '1 12a4': invalid literal for int() with base 10: 'a'"),
-        ("1 1234 x\n", "line '1 1234 x': invalid literal for int() with base 10: 'x'"),
-    ], ids=["overlap", "length-in-line", "length-across-lines", "not-permutation", "duplicate",
-            "weight-L", "count-mismatch", "empty", "comment-only", "weight-not-integer",
-            "symbol-not-integer", "codeword-not-integer"])
-    def test_rejected_input(self, text, message):
-        with pytest.raises(ValueError) as err:
-            import_text(text)
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize("w", [2, 3])
-    def test_reversed_components_import_to_the_enumerated_book(self, w):
-        # each line's components written in reverse still import to the
-        # canonical decomposition, the enumerated book's arrays
-        book = enumerate_weight_w(5, w)
-        text = "".join(f"{w} {' '.join(line.split()[:0:-1])}\n" for line in export_text(book).splitlines())
-        assert text != export_text(book)
-        back = import_text(text)
-        assert back.keys.tobytes() == book.keys.tobytes()
-        table = [tuple(p) for p in book.codewords.tolist()]
-        assert [[tuple(p) for p in back.codewords[row].tolist()] for row in back.components] == \
-            [[table[j] for j in row] for row in book.components.tolist()]
-        assert export_text(back) == export_text(book)
+        assert cb.entry_lines(" ") == "1234 2143\n"
 
     def test_numeric_head_fields_print_as_format_d(self):
         # a (values, width) head field reads as f"{v:{width}d}", widening
@@ -669,50 +569,19 @@ class TestExportImport:
         book = enumerate_weight_w(3, 1)
         idx = [0, 7, 9999, 10000, 123456, 5]
         lines = book.entry_lines(" + ", ("<", (idx, 4), "|", (book.weight_array, 1), ">")).splitlines()
-        assert lines == [f"<{v:4d}|1>{c}" for v, c in zip(idx, book.component_texts(" + "))]
+        assert lines == [f"<{v:4d}|1>{c}" for v, c in zip(idx, book.entry_lines(" + ").splitlines())]
 
-    def test_imports_blocks_beyond_the_enumeration_limit(self):
-        # L = 7 is never enumerated, but an imported entry is still stored
-        # under its canonical decomposition
-        shifts = cyclic_shifts((1, 2, 3, 4, 5, 6, 7))
-        cb = import_text(f"2 {digits(shifts[3])} {digits(shifts[0])}\n")
-        assert cb.L == 7
-        assert cb.component_texts(" ") == ["1234567 4567123"]
-
-    def test_roundtrip_with_two_digit_symbols(self):
-        # from L = 10 a digit string is ambiguous ("10987654321" reads as 11
-        # symbols), so symbols are written comma-separated
-        reverse = tuple(range(10, 0, -1))
-        shifts = cyclic_shifts(tuple(range(1, 11)))
-        cb = import_text(f"1 {digits(reverse)}\n2 {digits(shifts[5])} {digits(shifts[0])}\n")
-        assert component_symbols(cb) == [(reverse,), (shifts[0], shifts[5])]
-        text = export_text(cb)
-        assert text.splitlines()[0] == "1 10,9,8,7,6,5,4,3,2,1"
-        back = import_text(text)
-        assert back.L == 10
-        assert component_symbols(back) == component_symbols(cb)
-        assert book_keys(back) == book_keys(cb)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.permutations(list(range(1, 5))), st.permutations(list(range(1, 5))))
-def test_distance_symmetry(p1, p2):
-    # a pair imports, in either order and to one matrix, exactly when it is
-    # at distance L
-    assert hamming(p1, p2) == hamming(p2, p1)
-    lines = [f"2 {digits(a)} {digits(b)}\n" for a, b in ((p1, p2), (p2, p1))]
-    if hamming(p1, p2) == 4:
-        assert len({import_text(line).keys.tobytes() for line in lines}) == 1
-    else:
-        for line in lines:
-            with pytest.raises(ValueError, match="overlapping"):
-                import_text(line)
+    def test_rejects_two_digit_symbols(self):
+        # one digit per symbol: from L = 10 a codeword has no digit string
+        book = book_of((tuple(range(10, 0, -1)),))
+        with pytest.raises(ValueError, match="L must be at most 9, got 10"):
+            book.entry_lines(" ")
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(1, 5))))
 def test_matrix_invariants(perm):
-    m = import_text(f"1 {digits(perm)}\n").matrix_stack[0]
+    m = book_of((tuple(perm),)).matrix_stack[0]
     assert m.sum() == 4
     assert (m.sum(axis=0) == 1).all()
     assert (m.sum(axis=1) == 1).all()
