@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pmvlc import analysis
 from pmvlc.analysis import SimConfig
 from pmvlc.channel import fixture_h02
-from pmvlc.codebook import Codebook, combine_codebooks, enumerate_weight_w
+from pmvlc.codebook import Codebook, _has_duplicate, combine_codebooks, enumerate_weight_w
 from pmvlc.detectors import signal_stack
 from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
@@ -45,7 +45,8 @@ def book_of(*entries):
     index = {p: i for i, p in enumerate(table)}
     w = max(map(len, entries))
     comps = np.array([[index[p] for p in e] + [-1] * (w - len(e)) for e in entries], dtype=np.intp)
-    masks = [sum(1 << (r * L + c - 1) for p in e for r, c in enumerate(p)) for e in entries]
+    # each entry's mask ORs its cells, so components that share a cell set it once
+    masks = [sum({1 << (r * L + c - 1) for p in e for r, c in enumerate(p)}) for e in entries]
     keys = np.array([list(m.to_bytes((L * L + 7) // 8, "little")) for m in masks], dtype=np.uint8)
     return Codebook(L, np.array(table, dtype=np.intp).reshape(-1, L) - 1, comps, keys)
 
@@ -108,6 +109,13 @@ def brute_force_enumeration(L, w):
             mask = sum(1 << (r * L + c - 1) for p in combo for r, c in enumerate(p))
             first.setdefault(mask, combo)
     return list(first), list(first.values())
+
+
+def entry_lines_oracle(book, sep):
+    # Independent oracle for entry_lines: each entry's components, as digit
+    # strings, joined by sep, one line per entry, formatted per entry in Python
+    return "".join(sep.join("".join(map(str, p)) for p in comps) + "\n"
+                   for comps in component_symbols(book))
 
 
 def book_keys(book):
@@ -577,6 +585,48 @@ class TestEntryLines:
         with pytest.raises(ValueError, match="L must be at most 9, got 10"):
             book.entry_lines(" ")
 
+    @pytest.mark.parametrize("sep", ["", " ", " + ", "|", ", "])
+    def test_joins_components_with_sep_and_pads_nothing(self, sep):
+        # a mixed-weight book: the -1 slots past a lighter entry's weight
+        # print nothing, and no line starts or ends with sep
+        book = combine_codebooks([enumerate_weight_w(4, w).subset(range(3)) for w in (1, 2, 3)])
+        assert book.weight_array.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert book.entry_lines(sep) == entry_lines_oracle(book, sep)
+
+    @pytest.mark.parametrize("L, w", [(L, w) for L in (2, 3, 4, 5) for w in range(1, L)] + [(6, 1), (6, 2)])
+    def test_matches_the_components_of_every_enumerated_book(self, L, w):
+        book = enumerate_weight_w(L, w)
+        assert book.entry_lines(" ") == entry_lines_oracle(book, " ")
+
+    def test_literal_head_fields_lead_every_line(self):
+        book = enumerate_weight_w(3, 2)
+        lines = book.entry_lines(" ", ("w=2", ": ")).splitlines()
+        assert lines == [f"w=2: {t}" for t in entry_lines_oracle(book, " ").splitlines()]
+
+
+class TestDuplicateCheck:
+    """The constructor's duplicate check over whole little-endian uint64
+    words of the key bytes, against a set of those bytes."""
+
+    @pytest.mark.parametrize("L", range(2, 10))
+    def test_matches_a_set_of_key_bytes(self, L):
+        rng = np.random.default_rng(L)
+        keys = np.unique(rng.integers(0, 256, size=(40, (L * L + 7) // 8), dtype=np.uint8), axis=0)
+        rng.shuffle(keys)
+        assert not _has_duplicate(keys)
+        for i in (0, len(keys) // 2, len(keys) - 1):
+            planted = np.insert(keys, rng.integers(len(keys) + 1), keys[i], axis=0)
+            assert len({k.tobytes() for k in planted}) == len(planted) - 1
+            assert _has_duplicate(planted)
+
+    @pytest.mark.parametrize("L", range(2, 10))
+    def test_keys_differing_only_in_the_last_byte_are_distinct(self, L):
+        # the last key byte sits in the last, zero-padded uint64 word
+        keys = np.full((2, (L * L + 7) // 8), 0xFF, dtype=np.uint8)
+        keys[1, -1] ^= 1
+        assert not _has_duplicate(keys)
+        assert _has_duplicate(keys[[0, 1, 0]])
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(1, 5))))
@@ -585,3 +635,15 @@ def test_matrix_invariants(perm):
     assert m.sum() == 4
     assert (m.sum(axis=0) == 1).all()
     assert (m.sum(axis=1) == 1).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(list(range(1, 5))), st.permutations(list(range(1, 5))))
+def test_distance_symmetry(p1, p2):
+    # a pair sums, in either order and to one matrix, to a weight-2 entry of
+    # the enumerated book exactly when it is at distance L
+    assert hamming(p1, p2) == hamming(p2, p1)
+    key = book_of((tuple(p1), tuple(p2))).keys[0].tobytes()
+    assert book_of((tuple(p2), tuple(p1))).keys[0].tobytes() == key
+    enumerated = {k.tobytes() for k in enumerate_weight_w(4, 2).keys}
+    assert (key in enumerated) == (hamming(p1, p2) == 4)
