@@ -112,9 +112,12 @@ def distance_spectrum(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flattened, so (n, L, L) blocks and (n, n_rx) vectors share it.
 
     The upper triangle is walked in _row_slices blocks of at most
-    _SLICE_CELLS distances, and each block's spectrum is folded into the
-    running one at once, so memory follows the number of distinct distances,
-    not n^2.
+    _SLICE_CELLS distances.  A block's counts at distances the spectrum
+    already holds are added in place; its other distances wait in a pending
+    list, which is folded into the spectrum only once it holds more
+    distances than the spectrum does, and once at the end.  So no block
+    copies the whole spectrum, and memory follows the number of distinct
+    distances, not n^2.
     """
     X = np.asarray(means, dtype=np.float64).reshape(len(means), -1)
     n, labels = len(X), np.arange(len(X))
@@ -123,6 +126,7 @@ def distance_spectrum(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # page-faulted in again each time
     buf = np.empty((min(rows, n), n, X.shape[1]))
     d2, counts, weights = np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    pending, waiting = [], 0
     for sl in slices:
         diff = np.subtract(X[sl, None, :], X[None, sl.start:, :],
                            out=buf[:sl.stop - sl.start, :n - sl.start])
@@ -132,15 +136,28 @@ def distance_spectrum(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         c = np.bincount(inv)
         bits = bit_distance(labels[sl, None], labels[None, sl.start:])[upper]
         w = np.bincount(inv, bits).astype(np.int64)
-        # add at the distances already held, insert the others in order
         pos = np.searchsorted(d2, u)
-        held = np.append(d2, np.nan)[pos] == u
+        held = pos < len(d2)
+        held[held] = d2[pos[held]] == u[held]
         counts[pos[held]] += c[held]
         weights[pos[held]] += w[held]
         new = ~held
-        d2, counts, weights = (np.insert(d2, pos[new], u[new]), np.insert(counts, pos[new], c[new]),
-                               np.insert(weights, pos[new], w[new]))
-    return d2, counts, weights
+        pending.append((u[new], c[new], w[new]))
+        waiting += len(pending[-1][0])
+        if waiting > len(d2):
+            (d2, counts, weights), pending, waiting = _fold((d2, counts, weights), pending), [], 0
+    return _fold((d2, counts, weights), pending) if waiting else (d2, counts, weights)
+
+
+def _fold(spectrum, pending) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the pending (distances, counts, weights) triples, none of whose
+    # distances the spectrum holds, summed per distance (whole numbers, so
+    # exactly in any order) and inserted into the spectrum in order
+    u, inv = np.unique(np.concatenate([p[0] for p in pending]), return_inverse=True)
+    sums = [np.bincount(inv, np.concatenate([p[k] for p in pending]), len(u)).astype(np.int64)
+            for k in (1, 2)]
+    pos = np.searchsorted(spectrum[0], u)
+    return tuple(np.insert(a, pos, b) for a, b in zip(spectrum, (u, *sums)))
 
 
 def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,

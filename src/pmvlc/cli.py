@@ -55,6 +55,7 @@ def codebook_report(L: int, weights, M: int = 1) -> str:
         raise ConfigError(str(exc)) from None
     lines = [f"weight {w}: {cb.size} codewords" for w, cb in zip(weights, parts)]
     combined = parts[0] if len(parts) == 1 else combine_codebooks(parts)
+    del parts  # combined holds every entry's arrays again: drop this copy before the text
     q = combined.size
     bits_block = combined.bits_per_block(pam.M)
     lines.append(f"combined Q = {q}")
@@ -63,9 +64,12 @@ def codebook_report(L: int, weights, M: int = 1) -> str:
     lines.append(f"bits per symbol: {bits_block / L:.4g}")
     lines.append("entries:")
     # "  {idx:4d}  w={w}  {comps}" per entry, idx from 1
-    lines.append(combined.entry_lines(" + ", ("  ", (np.arange(1, q + 1), 4), "  w=",
-                                              (combined.weight_array, 1), "  "))[:-1])
-    return "\n".join(lines)
+    # one join of the header and the pieces, the last without its newline:
+    # the text is built once, not once for the entries and again here
+    chunks = list(combined.entry_chunks(" + ", ("  ", (np.arange(1, q + 1), 4), "  w=",
+                                                (combined.weight_array, 1), "  ")))
+    chunks[-1] = chunks[-1][:-1]
+    return "".join(["\n".join(lines), "\n", *chunks])
 
 
 def _write_bound(scenario: Scenario, out_dir: Path) -> Path:

@@ -16,9 +16,10 @@ matrices are unpacked from them only when read.  Enumeration extends index
 tuples over one cached lexicographic permutation table (the one
 detectors.rank_assignments ranks) with numpy and keeps the first tuple per
 matrix, its canonical decomposition.  The CLI report's entry lines are
-written as one byte matrix from the arrays, each codeword as its digits
-(L <= 9).  Books are built by enumeration, subset, combine_codebooks or the
-Codebook constructor; there is no text import or export.
+written from the arrays as byte matrices of a few thousand entries each,
+each codeword as its digits (L <= 9).  Books are built by enumeration,
+subset, combine_codebooks or the Codebook constructor; there is no text
+import or export.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 ENUMERATION_MAX_L = 6  # exhaustive search guard
+# entries per byte matrix in Codebook.entry_chunks: 4096 lines of the L = 6
+# weights 1,2,3 report are a ~170 KB matrix
+_CHUNK_ROWS = 4096
 
 
 @cache
@@ -95,8 +99,13 @@ def _grow(tup: np.ndarray, key: np.ndarray, w: int, later_far: np.ndarray, cells
 
 
 def _first_per_mask(keys: list, tuples: list) -> tuple[list, list]:
+    # a stable sort keeps equal masks in the order met, so the first of each
+    # run is the first seen; its indices, sorted, keep first-seen order
     key, tup = np.concatenate(keys), np.concatenate(tuples)
-    first = np.sort(np.unique(key, return_index=True)[1])
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    first = order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    first.sort()
     return [key[first]], [tup[first]]
 
 
@@ -204,11 +213,22 @@ class Codebook:
         """One newline-terminated line per entry: the head fields, then its
         component codewords joined by sep, each as its digits, so L <= 9.
         A head field is literal text, or a (non-negative integers, width)
-        pair printed per entry as f"{v:{width}d}".  All lines are written
-        as one byte matrix, NUL-padded to the longest, and one compaction
-        drops the padding, so no Python code runs per entry."""
+        pair, one integer per entry, printed as f"{v:{width}d}".  The pieces
+        of entry_chunks, joined once."""
+        return "".join(self.entry_chunks(sep, head))
+
+    def entry_chunks(self, sep: str, head=()):
+        """entry_lines' text in pieces of _CHUNK_ROWS entries, in order.
+        Each piece is written as a byte matrix, NUL-padded to its longest
+        line, and one compaction drops the padding, so no Python code runs
+        per entry and the working memory beyond the text is one piece's.
+        A caller that joins the pieces into longer text builds that text
+        once, instead of once for the lines and again around them."""
         if self.L >= 10:
             raise ValueError(f"entry lines print one digit per symbol, so L must be at most 9, got {self.L}")
+        for f in head:
+            if not isinstance(f, str) and len(f[0]) != self.size:
+                raise ValueError(f"head field has {len(f[0])} values for {self.size} entries")
         words = (self.codewords + ord("1")).astype(np.uint8)
         # each codeword's text after sep, and an all-NUL row that the -1
         # slots past an entry's weight gather
@@ -216,12 +236,15 @@ class Codebook:
         text = np.zeros((len(words) + 1, gap + words.shape[1]), dtype=np.uint8)
         text[:-1, :gap] = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
         text[:-1, gap:] = words
-        cols = [np.broadcast_to(np.frombuffer(f.encode("ascii"), dtype=np.uint8), (self.size, len(f)))
-                if isinstance(f, str) else _number_columns(*f) for f in head]
-        # the first component has no separator before it
-        chars = np.concatenate([*cols, text[self.components].reshape(self.size, -1)[:, gap:],
-                                np.full((self.size, 1), ord("\n"), dtype=np.uint8)], axis=1)
-        return chars[chars != 0].tobytes().decode("ascii")
+        for lo in range(0, self.size, _CHUNK_ROWS):
+            comps = self.components[lo:lo + _CHUNK_ROWS]
+            n = len(comps)
+            cols = [np.broadcast_to(np.frombuffer(f.encode("ascii"), dtype=np.uint8), (n, len(f)))
+                    if isinstance(f, str) else _number_columns(f[0][lo:lo + n], f[1]) for f in head]
+            # the first component has no separator before it
+            chars = np.concatenate([*cols, text[comps].reshape(n, -1)[:, gap:],
+                                    np.full((n, 1), ord("\n"), dtype=np.uint8)], axis=1)
+            yield chars[chars != 0].tobytes().decode("ascii")
 
     @cached_property
     def _class_indices(self) -> dict[int, np.ndarray]:

@@ -203,14 +203,11 @@ class TestUnionBound:
         assert values == tuple(grouped)
         np.testing.assert_allclose(values, all_pairs, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("M", [1, 4, 16])
-    def test_spectrum_values_are_the_pairwise_mean_distances(self, M):
+    @staticmethod
+    def _check_against_pairs(HS):
         # each distinct distance is a direct pairwise sum, bit for bit; the
         # counts cover every unordered pair once and the bit weights half the
-        # all-pairs bit-distance total.  At M = 16 (512 signals) the walk
-        # takes several row slices, so the fold into the spectrum counts too
-        pam = PamConfig(M=M)
-        HS = H02.H @ signal_stack(COMBINED32, pam)[:COMBINED32.signaling_count(M)]
+        # all-pairs bit-distance total
         n, labels = len(HS), np.arange(len(HS))
         direct, bit_sums = {}, {}
         for i in range(n):
@@ -224,6 +221,28 @@ class TestUnionBound:
         assert weights.tolist() == [bit_sums[d] for d in sorted(direct)]
         assert counts.sum() == n * (n - 1) // 2
         assert 2 * weights.sum() == bit_distance(labels[:, None], labels[None, :]).sum()
+
+    @pytest.mark.parametrize("M", [1, 4, 16])
+    def test_spectrum_values_are_the_pairwise_mean_distances(self, M):
+        # at M = 16 (512 signals) the walk takes several row slices, so the
+        # fold into the spectrum counts too
+        pam = PamConfig(M=M)
+        self._check_against_pairs(H02.H @ signal_stack(COMBINED32, pam)[:COMBINED32.signaling_count(M)])
+
+    def test_many_slices_and_folds_keep_every_pair(self, monkeypatch):
+        # 128 signals in two-row slices: 64 slices, whose spectra wait and
+        # are folded in several times, with distances met first in a fold
+        # and again in later slices
+        monkeypatch.setattr(detectors, "_SLICE_CELLS", 256)
+        folds, fold = [], analysis._fold
+
+        def counted(spectrum, pending):
+            folds.append(len(pending))
+            return fold(spectrum, pending)
+
+        monkeypatch.setattr(analysis, "_fold", counted)
+        self._check_against_pairs(received_means(COMBINED32, PamConfig(M=4), H02.H))
+        assert len(folds) >= 3 and max(folds) > 1
 
     def test_flattens_trailing_axes(self):
         # (n, L, L) blocks and their (n, L L) rows have one spectrum

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmvlc import analysis
+from pmvlc import analysis, codebook
 from pmvlc.analysis import SimConfig
 from pmvlc.channel import fixture_h02
 from pmvlc.codebook import Codebook, _has_duplicate, combine_codebooks, enumerate_weight_w
@@ -602,6 +602,30 @@ class TestEntryLines:
         book = enumerate_weight_w(3, 2)
         lines = book.entry_lines(" ", ("w=2", ": ")).splitlines()
         assert lines == [f"w=2: {t}" for t in entry_lines_oracle(book, " ").splitlines()]
+
+    def test_chunks_join_to_the_whole_listing(self, monkeypatch):
+        # 2040 entries in pieces of 7 rows: index crosses 999 -> 1000 inside
+        # the piece of rows 994..1000, and edge crosses it between rows 1000
+        # and 1001, across a piece boundary, so one piece's number columns
+        # are narrower than the next one's
+        monkeypatch.setattr(codebook, "_CHUNK_ROWS", 7)
+        book = enumerate_weight_w(5, 2)
+        index, edge = np.arange(1, book.size + 1), np.abs(np.arange(book.size) - 1)
+        assert index[998:1000].tolist() == [999, 1000] and 998 // 7 == 999 // 7
+        assert edge[1000:1002].tolist() == [999, 1000] and 1001 % 7 == 0
+        assert [p.count("\n") for p in book.entry_chunks(" + ")] == [7] * 291 + [3]
+        assert book.entry_lines(" + ") == entry_lines_oracle(book, " + ")
+        lines = book.entry_lines(" ", ("  ", (index, 3), "  w=", (book.weight_array, 1), " ", (edge, 1), ": "))
+        assert lines.splitlines() == [f"  {i:3d}  w={w} {e:1d}: {t}" for i, w, e, t in zip(
+            index, book.weight_array, edge, entry_lines_oracle(book, " ").splitlines())]
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_rejects_a_head_field_of_another_length(self, extra):
+        # one value per entry: a longer array would otherwise be cut at the
+        # last chunk, a shorter one fail in the middle of the listing
+        book = enumerate_weight_w(4, 2).subset([0, 1])
+        with pytest.raises(ValueError, match=f"head field has {2 + extra} values for 2 entries"):
+            book.entry_lines(" ", ((np.arange(2 + extra), 1),))
 
 
 class TestDuplicateCheck:
