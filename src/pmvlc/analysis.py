@@ -32,17 +32,17 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
+from . import detectors
 from .channel import ChannelMatrix, n0_for_bits
 from .codebook import Codebook
 from .detectors import (
     RcConfig,
     SmConfig,
     _as_H,
-    _row_slices,
     bb_detect,
     bb_rows,
     bf_detect_batch,
@@ -111,28 +111,37 @@ def distance_spectrum(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bit distance of those pairs' labels, summed.  Trailing axes are
     flattened, so (n, L, L) blocks and (n, n_rx) vectors share it.
 
-    The upper triangle is walked in _row_slices blocks of at most
-    _SLICE_CELLS distances.  A block's counts at distances the spectrum
-    already holds are added in place; its other distances wait in a pending
-    list, which is folded into the spectrum only once it holds more
-    distances than the spectrum does, and once at the end.  So no block
-    copies the whole spectrum, and memory follows the number of distinct
-    distances, not n^2.
+    The upper triangle is walked in _spectrum_slices: slices of whole rows,
+    each at most _SLICE_CELLS distances, whose differences are summed a few
+    rows at a time into one scratch array of at most _SLICE_CELLS values, so
+    neither grows with the d values of a pair.  A slice's counts at
+    distances the spectrum already holds are added in place; its other
+    distances wait in a pending list, which is folded into the spectrum only
+    once it holds more distances than the spectrum does, and once at the
+    end.  So no slice copies the whole spectrum, and memory follows the
+    number of distinct distances, not n^2.
     """
     X = np.asarray(means, dtype=np.float64).reshape(len(means), -1)
-    n, labels = len(X), np.arange(len(X))
-    rows, slices = _row_slices(n, n)
-    # one slice's differences, reused: a fresh ~2 MB array per slice would be
-    # page-faulted in again each time
-    buf = np.empty((min(rows, n), n, X.shape[1]))
+    (n, d), labels = X.shape, np.arange(len(X))
+    cells = detectors._SLICE_CELLS
+    # one slice's distances and one part's differences, each reused: fresh
+    # arrays per slice would be page-faulted in again each time
+    sums_buf = np.empty(min(max(cells, n), n * n))
+    diff_buf = np.empty(min(max(cells, n * d), n * n * d))
     d2, counts, weights = np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     pending, waiting = [], 0
-    for sl in slices:
-        diff = np.subtract(X[sl, None, :], X[None, sl.start:, :],
-                           out=buf[:sl.stop - sl.start, :n - sl.start])
-        np.square(diff, out=diff)
+    for sl, parts in _spectrum_slices(n, d, cells):
+        cols = n - sl.start
+        sums = sums_buf[:(sl.stop - sl.start) * cols].reshape(-1, cols)
+        for p in parts:
+            # a contiguous (rows, cols, d) view, so each pair's sum over d is
+            # numpy's pairwise sum of d contiguous values, whatever the part
+            diff = np.subtract(X[p, None, :], X[None, sl.start:, :],
+                               out=diff_buf[:(p.stop - p.start) * cols * d].reshape(-1, cols, d))
+            np.square(diff, out=diff)
+            np.sum(diff, axis=2, out=sums[p.start - sl.start:p.stop - sl.start])
         upper = labels[None, sl.start:] > labels[sl, None]
-        u, inv = np.unique(diff.sum(axis=2)[upper], return_inverse=True)
+        u, inv = np.unique(sums[upper], return_inverse=True)
         c = np.bincount(inv)
         bits = bit_distance(labels[sl, None], labels[None, sl.start:])[upper]
         w = np.bincount(inv, bits).astype(np.int64)
@@ -147,6 +156,21 @@ def distance_spectrum(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if waiting > len(d2):
             (d2, counts, weights), pending, waiting = _fold((d2, counts, weights), pending), [], 0
     return _fold((d2, counts, weights), pending) if waiting else (d2, counts, weights)
+
+
+def _spectrum_slices(n: int, d: int, cells: int) -> Iterator[tuple[slice, list[slice]]]:
+    """distance_spectrum's walk of the upper triangle of n signals with d
+    values each: row slices [s, s + r) against columns s.., with
+    r = cells // (n - s) (at least one), so rows grow as the columns left
+    shrink; and each slice's parts, runs of cells // ((n - s) d) rows (at
+    least one), whose differences hold at most `cells` values unless one
+    row alone holds more."""
+    s = 0
+    while s < n:
+        stop = s + min(n - s, max(1, cells // (n - s)))
+        step = max(1, cells // ((n - s) * d))
+        yield slice(s, stop), [slice(a, min(a + step, stop)) for a in range(s, stop, step)]
+        s = stop
 
 
 def _fold(spectrum, pending) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -292,12 +292,21 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
         raise ValueError("codebooks must share the block length")
     # one sorted codeword table, so index tuples sort as their codewords do
     table, inverse = np.unique(np.concatenate([p.codewords for p in parts]), axis=0, return_inverse=True)
-    comps = np.full((sum(p.size for p in parts), max(p.components.shape[1] for p in parts)), -1, dtype=np.intp)
+    # the components as table rows in the smallest type that holds them, so
+    # the sort and its gather hold a fraction of the (Q, w_max) intp output
+    Q, width = sum(p.size for p in parts), max(p.components.shape[1] for p in parts)
+    comps = np.full((Q, width), -1, dtype=np.min_scalar_type(-len(table)))
+    inverse = inverse.astype(comps.dtype)
     q = offset = 0
     for p in parts:
         c = p.components
-        comps[q:q + p.size, :c.shape[1]] = np.where(c >= 0, inverse[offset + c], -1)
+        comps[q:q + p.size, :c.shape[1]] = np.where(c >= 0, inverse[offset:offset + len(p.codewords)][c], -1)
         q, offset = q + p.size, offset + len(p.codewords)
-    order = np.lexsort((*comps.T[::-1], (comps >= 0).sum(axis=1)))
+    order = np.lexsort((*comps.T[::-1], (comps >= 0).sum(axis=1, dtype=np.int8)))
+    # each stage frees its table before the next one copies: at most one
+    # full copy beside the output, also while the constructor checks keys
+    components = comps[order].astype(np.intp)
+    del comps
     keys = np.concatenate([p.keys for p in parts])[order]
-    return Codebook(L, table, comps[order], keys, label)
+    del order
+    return Codebook(L, table, components, keys, label)

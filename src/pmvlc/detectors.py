@@ -100,8 +100,10 @@ def received_means(codebook: Codebook, pam: PamConfig, channel) -> np.ndarray:
 
 def _best_support(Y: np.ndarray, stack: np.ndarray):
     """Row of `stack` with the smallest negated support sum, per block, and
-    that cost; ties resolve to the lowest row."""
-    costs = -np.einsum("bij,qij->bq", Y, stack)
+    that cost; ties resolve to the lowest row.  The (B, Q) sums are negated
+    in place, so a call holds one (B, Q) array, not two."""
+    costs = np.einsum("bij,qij->bq", Y, stack)
+    np.negative(costs, out=costs)
     k = np.argmin(costs, axis=1)
     return k, costs[np.arange(len(k)), k]
 
@@ -179,6 +181,8 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
 # waking workers against the harness's pool.
 # Halving the slice (256 rows at Q = 32) lost two-thread throughput to GIL
 # handoffs in a kernel-only measurement; doubling it ran slower on one thread.
+# analysis.distance_spectrum bounds both its distances per slice and its
+# difference values per part by it.
 _SLICE_CELLS = 1 << 14
 
 

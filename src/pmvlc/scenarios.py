@@ -207,6 +207,9 @@ class Scenario:
     configs: tuple[SimConfig, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        # the name is the stem of every CSV the run writes into --out-dir
+        if self.name in ("", ".", "..") or any(sep in self.name for sep in "/\\"):
+            raise ConfigError(f"name must be a single path component, not {self.name!r}")
         if not self.detectors:
             raise ConfigError("scenario lists no detectors")
         if self.calibration not in ("blind", "csi"):

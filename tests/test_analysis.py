@@ -230,9 +230,9 @@ class TestUnionBound:
         self._check_against_pairs(H02.H @ signal_stack(COMBINED32, pam)[:COMBINED32.signaling_count(M)])
 
     def test_many_slices_and_folds_keep_every_pair(self, monkeypatch):
-        # 128 signals in two-row slices: 64 slices, whose spectra wait and
-        # are folded in several times, with distances met first in a fold
-        # and again in later slices
+        # 128 signals in slices of 256 distances, two rows at first: 39
+        # slices, whose spectra wait and are folded in several times, with
+        # distances met first in a fold and again in later slices
         monkeypatch.setattr(detectors, "_SLICE_CELLS", 256)
         folds, fold = [], analysis._fold
 
@@ -244,6 +244,33 @@ class TestUnionBound:
         self._check_against_pairs(received_means(COMBINED32, PamConfig(M=4), H02.H))
         assert len(folds) >= 3 and max(folds) > 1
 
+    @pytest.mark.parametrize("n, d, cells", [
+        (128, 16, 256), (512, 16, 1 << 14), (2048, 16, 1 << 14), (40, 36, 100),
+        (7, 1, 3), (1, 16, 256), (0, 16, 256)])
+    def test_slices_cover_every_pair_once_within_the_budget(self, n, d, cells):
+        # the slices run rows 0..n in order, each against the columns from its
+        # first row on, and hold each unordered pair exactly once; a slice
+        # holds at most `cells` distances and each of its parts at most
+        # `cells` difference values, unless one row alone holds more
+        seen, start = np.zeros((n, n), dtype=np.uint8), 0
+        for sl, parts in analysis._spectrum_slices(n, d, cells):
+            assert sl.start == start and sl.stop > sl.start
+            start, rows, cols = sl.stop, sl.stop - sl.start, n - sl.start
+            assert rows * cols <= cells or rows == 1
+            assert [p.start for p in parts] + [sl.stop] == [sl.start] + [p.stop for p in parts]
+            for p in parts:
+                assert (p.stop - p.start) * cols * d <= cells or p.stop - p.start == 1
+            i, j = np.meshgrid(np.arange(sl.start, sl.stop), np.arange(sl.start, n), indexing="ij")
+            seen[i[j > i], j[j > i]] += 1
+        assert start == n
+        assert (seen[np.triu_indices(n, 1)] == 1).all() and seen.sum() == n * (n - 1) // 2
+
+    def test_rows_wider_than_the_budget_keep_every_pair(self, monkeypatch):
+        # 8 cells: one row of 32 distances, or of 512 difference values,
+        # alone outgrows a slice, so every slice and part is a single row
+        monkeypatch.setattr(detectors, "_SLICE_CELLS", 8)
+        self._check_against_pairs(received_means(COMBINED32, M1, H02.H))
+
     def test_flattens_trailing_axes(self):
         # (n, L, L) blocks and their (n, L L) rows have one spectrum
         HS = received_means(COMBINED32, PamConfig(M=4), H02.H)
@@ -252,15 +279,16 @@ class TestUnionBound:
 
     def test_memory_follows_the_distinct_distances(self):
         # 512 signals: the (n, n) distance matrix and its five all-pairs
-        # arrays peaked at 15 MB; one row slice and the spectrum stay well
-        # below that
+        # arrays peaked at 15 MB, and one (32, 512, 16) slice of differences
+        # at 3.1 MB; a slice of 16 384 distances, its differences summed in
+        # parts of 16 384 values, and the spectrum read 1.4 MB
         tracemalloc.start()
         try:
             ber_union_bound(COMBINED32, PamConfig(M=16), H02, np.arange(94.0, 107.0, 2.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 1024 * 1024
+        assert peak < 2 * 1024 * 1024
 
     def test_one_signal_has_no_bits(self):
         one = PM16.subset([0])

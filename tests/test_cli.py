@@ -1,5 +1,6 @@
 """Scenario parsing, the named-codebook registry, and the command line."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -494,6 +495,24 @@ class TestCommandLine:
         assert "must be at least 1, got 0" in captured.err
         assert captured.out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
+    def test_name_outside_one_path_component_exit_one(self, tmp_path, capsys, name):
+        # the name is the stem of the CSVs written into --out-dir: "../escaped"
+        # wrote them one level above it, "a/b" failed only after the run
+        scen = tmp_path / "named.ini"
+        scen.write_text(TINY.replace("name = tiny", f"name = {name}"))
+        assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "named.ini" in captured.err
+        assert "single path component" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_empty_name_rejected(self):
+        # a file cannot give an empty value, but a caller can
+        with pytest.raises(ConfigError, match="single path component"):
+            dataclasses.replace(parse_scenario(MINIMAL), name="")
 
     def test_runtime_error_exit_two(self, tmp_path, capsys):
         scen = tmp_path / "tiny.ini"

@@ -409,6 +409,16 @@ class TestCombine:
         assert book_keys(both) == book_keys(book_of(
             ((1, 2, 4, 3),), ((2, 1, 4, 3),), ((3, 4, 1, 2),), ((4, 3, 2, 1),), ((1, 2, 3, 4), (2, 1, 4, 3))))
 
+    @pytest.mark.parametrize("k", [128, 129])
+    def test_sorts_tables_either_side_of_a_compact_type(self, k):
+        # the sort holds table rows in the smallest signed type that holds
+        # them: 128 codewords fit int8, 129 need int16; the output is intp
+        perms = list(permutations(range(1, 7)))[:k]
+        parts = [book_of(*[(p,) for p in perms[half]]) for half in (slice(k // 2, None), slice(k // 2))]
+        both = combine_codebooks(parts)
+        assert component_symbols(both) == [(p,) for p in perms]
+        assert both.components.dtype == np.intp and len(both.codewords) == k
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             combine_codebooks([enumerate_weight_w(3, 1), enumerate_weight_w(4, 1)])
