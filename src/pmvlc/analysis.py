@@ -270,8 +270,8 @@ class SimConfig:
         if len(self.ebn0_grid) == 0:
             raise ValueError("empty Eb/N0 grid")
         _check_finite(self.ebn0_grid)
-        if list(self.ebn0_grid) != sorted(self.ebn0_grid):
-            raise ValueError("Eb/N0 grid must be ascending")
+        if (np.diff(self.ebn0_grid) <= 0).any():
+            raise ValueError("Eb/N0 grid must be strictly ascending")
         for key in ("errors_target", "block_cap", "e_max"):
             value = getattr(self, key)
             if value is not None and value < 1:
@@ -328,16 +328,17 @@ def _link(config: SimConfig) -> _Link:
     if det == "guess":
         return _Link(HS, bits, lambda Y, tx, rng: (rng.integers(len(HS), size=len(tx)), 0))
 
-    # the blind decoders pick an entry within a weight class; the class and
-    # the level are side decisions, each made once per batch here.  iterative
-    # and bb decode each block from its row of the batch tables, through the
-    # per-block step as this module holds it at each batch, so a wrapper set
-    # here (the benchmark's tracer) sees every block
+    # the blind decoders pick an entry within a weight class; the class (the
+    # sent one under genie, else the joint rule) and the level are side
+    # decisions, each made once per batch here.  iterative and bb decode each
+    # block from its row of the batch tables, through the per-block step as
+    # this module holds it at each batch, so a wrapper set here (the
+    # benchmark's tracer) sees every block
     if det == "bf":
         def pick(Y, w):
-            return bf_detect_batch(Y, cb, w)[0], bf_op_count(cb, w)
+            return bf_detect_batch(Y, cb, w), bf_op_count(cb, w)
     elif det == "iterative":
-        pick = lambda Y, w: _decisions(map(iterative_sd_detect, iterative_rows(Y, cb),
+        pick = lambda Y, w: _decisions(map(iterative_sd_detect, iterative_rows(Y),
                                            repeat(cb), w.tolist(), repeat(config.e_max)))
     else:  # bb
         pick = lambda Y, w: _decisions(map(bb_detect, bb_rows(Y, cb), repeat(cb)))
@@ -348,8 +349,8 @@ def _link(config: SimConfig) -> _Link:
 
     def decode(Y, tx, rng):
         g = float(Y.sum()) / len(Y) if total is None else total
-        w = classify_weight_batch(Y, cb, config.weight_mode, pam,
-                                  cb.weight_array[tx // pam.M], cal, g)
+        w = (cb.weight_array[tx // pam.M] if config.weight_mode == "genie"
+             else classify_weight_batch(Y, cb, pam, cal, g))
         q, ops = pick(Y, w)
         m = estimate_intensity_batch(Y, pam, g)
         return np.where(q >= 0, q * pam.M + m - 1, -1), ops

@@ -209,21 +209,18 @@ class Codebook:
         return tuple(_Entry(tuple(perms[j] for j in row[:w]))
                      for row, w in zip(self.components.tolist(), self.weight_array.tolist()))
 
-    def entry_lines(self, sep: str, head=()) -> str:
+    def entry_chunks(self, sep: str, head=()):
         """One newline-terminated line per entry: the head fields, then its
         component codewords joined by sep, each as its digits, so L <= 9.
         A head field is literal text, or a (non-negative integers, width)
-        pair, one integer per entry, printed as f"{v:{width}d}".  The pieces
-        of entry_chunks, joined once."""
-        return "".join(self.entry_chunks(sep, head))
+        pair, one integer per entry, printed as f"{v:{width}d}".
 
-    def entry_chunks(self, sep: str, head=()):
-        """entry_lines' text in pieces of _CHUNK_ROWS entries, in order.
-        Each piece is written as a byte matrix, NUL-padded to its longest
-        line, and one compaction drops the padding, so no Python code runs
-        per entry and the working memory beyond the text is one piece's.
-        A caller that joins the pieces into longer text builds that text
-        once, instead of once for the lines and again around them."""
+        The text comes in pieces of _CHUNK_ROWS entries, in order.  Each
+        piece is written as a byte matrix, NUL-padded to its longest line,
+        and one compaction drops the padding, so no Python code runs per
+        entry and the working memory beyond the text is one piece's.  A
+        caller that joins the pieces into longer text builds that text once,
+        instead of once for the lines and again around them."""
         if self.L >= 10:
             raise ValueError(f"entry lines print one digit per symbol, so L must be at most 9, got {self.L}")
         for f in head:

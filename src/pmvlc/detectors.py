@@ -5,9 +5,9 @@ once as a batch kernel over a leading block axis (the ``*_batch`` functions,
 which the Monte Carlo harness calls), but for the two walks, whose per-block
 step is what the benchmark's tracer counts.  bb_rows runs bb's greedy column
 choice for a whole batch, so bb_detect is the member lookup of one block's
-walk; iterative_rows ranks a batch's assignments and scores its supports,
-and iterative_sd_detect walks one block's row.  Each returns a
-DetectionResult.  bf_sd_detect is the bf kernel on a batch of one.
+walk; iterative_rows ranks a batch's assignments, and iterative_sd_detect
+walks and scores one block's row.  Each returns a DetectionResult, the
+decision and its modelled work.  bf_sd_detect is bf on a batch of one.
 
 All soft-decision (SD) detectors work on the sign-flipped observation
 yhat = -Y, so a codeword's decision metric is the negated sum of received
@@ -39,12 +39,12 @@ large temporary and each matrix product stays small enough for OpenBLAS
 to run it on the calling thread.
 
 The blind rules pick an entry within a given weight class and nothing
-else.  The weight class and the PAM level are side decisions, each one
-batch kernel, classify_weight_batch and estimate_intensity_batch, which the
-harness (analysis._link) runs once per batch.  The level is the block sum
-sliced by one scalar, gain_sum = sum(H); the joint weight decision takes an
-optional gain matrix, `calibration`, as its reference channel (CSI), else
-the h02 profile.
+else.  The weight class (the sent one under genie, else the joint rule of
+classify_weight_batch) and the PAM level (estimate_intensity_batch) are side
+decisions, which the harness (analysis._link) makes once per batch.  The
+level is the block sum sliced by one scalar, gain_sum = sum(H); the joint
+weight decision takes an optional gain matrix, `calibration`, as its
+reference channel (CSI), else the h02 profile.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import repeat
+from math import fsum
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -64,12 +65,11 @@ from .txcodec import PamConfig, pam_intensity
 
 @dataclass(slots=True)
 class DetectionResult:
-    """One block's decision: entry q (1-based; None for no decision) of
-    weight class w, its cost and the decoder's work."""
+    """Entry q (1-based; None for no decision) of weight class w, and the
+    decoder's work."""
 
     q: int | None
     w: int
-    cost: float
     iterations: int = 0
     op_count: int = 0
 
@@ -98,14 +98,10 @@ def received_means(codebook: Codebook, pam: PamConfig, channel) -> np.ndarray:
     return np.einsum("ij,kjl->kil", _as_H(channel), S)
 
 
-def _best_support(Y: np.ndarray, stack: np.ndarray):
-    """Row of `stack` with the smallest negated support sum, per block, and
-    that cost; ties resolve to the lowest row.  The (B, Q) sums are negated
-    in place, so a call holds one (B, Q) array, not two."""
-    costs = np.einsum("bij,qij->bq", Y, stack)
-    np.negative(costs, out=costs)
-    k = np.argmin(costs, axis=1)
-    return k, costs[np.arange(len(k)), k]
+def _best_support(Y: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Row of `stack` with the smallest negated support sum, that is the
+    largest support sum, per block; ties resolve to the lowest row."""
+    return np.argmax(np.einsum("bij,qij->bq", Y, stack), axis=1)
 
 
 def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float | None) -> np.ndarray:
@@ -131,35 +127,21 @@ def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float | No
     return np.clip(m, 1, pam.M).astype(np.int64)
 
 
-def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie",
-                          pam: PamConfig | None = None, true_weight=None,
+def classify_weight_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
                           calibration: np.ndarray | None = None,
                           gain_sum: float | None = None) -> np.ndarray:
-    """Weight class of each received block in Y (B, L, L).
-
-    genie   trusts the supplied true weights (the standard assumption for
-            multiweight decoding).
-    joint   slices the level once from gain_sum, decodes each class blind at
-            that level, reconstructs each candidate against the calibration
-            matrix (the h02 profile when there is none: no blind weight rule
-            yet), and keeps the class with the smallest residual; equal
-            residuals go to the lowest weight.
+    """Joint weight decision for each received block in Y (B, L, L): slice
+    the level once from gain_sum, decode each class blind at that level,
+    reconstruct each candidate against the calibration matrix (the h02
+    profile when there is none: no blind weight rule yet), and keep the
+    class with the smallest residual; equal residuals go to the lowest
+    weight.  A one-weight book needs no decision.  The genie rule, the true
+    weights, is the harness's (analysis._link).
     """
-    if mode not in ("genie", "joint"):
-        raise ValueError(f"unknown mode {mode!r}")
     weights = codebook.weights_present
     B = len(Y)
     if len(weights) == 1:
         return np.full(B, weights[0], dtype=np.int64)
-    if mode == "genie":
-        if true_weight is None:
-            raise ValueError("genie mode needs the true weight")
-        true_weight = np.asarray(true_weight, dtype=np.int64)
-        if not set(true_weight.ravel().tolist()) <= set(weights):
-            raise ValueError(f"weight {true_weight} not in codebook")
-        return true_weight + np.zeros(B, dtype=np.int64)
-    if pam is None:
-        raise ValueError("joint mode needs the PAM config")
     H_ref = _as_H(calibration) if calibration is not None else fixture_h02().H
     m = estimate_intensity_batch(Y, pam, gain_sum)
     residuals = np.empty((len(weights), B))
@@ -167,7 +149,7 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, mode: str = "genie"
     for sl in _row_slices(B, max(codebook.size, codebook.L ** 2))[1]:
         for k, w in enumerate(weights):
             stack = codebook.matrix_stack[codebook.weight_class_indices(w)]
-            P = stack[_best_support(Y[sl], stack)[0]]
+            P = stack[_best_support(Y[sl], stack)]
             a = pam_intensity(m[sl], pam.M, w)
             residuals[k, sl] = ((Y[sl] - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2))
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
@@ -250,13 +232,11 @@ def ml_op_count(candidates: int, L: int) -> int:
 
 def bf_detect_batch(Y: np.ndarray, codebook: Codebook, w):
     """Blind exhaustive search per block of Y (B, L, L): the smallest
-    negated support sum within the block's weight class w (B,).
-
-    Returns 0-based entry indices and their costs.
+    negated support sum within the block's weight class w (B,), as 0-based
+    entry indices.
     """
     w = np.asarray(w)
     picks = np.empty(len(Y), dtype=np.int64)
-    costs = np.empty(len(Y))
     decided = 0
     for wv in codebook.weights_present:
         sel = np.flatnonzero(w == wv)
@@ -264,11 +244,10 @@ def bf_detect_batch(Y: np.ndarray, codebook: Codebook, w):
         if len(sel) == 0:
             continue
         idx = codebook.weight_class_indices(wv)
-        k, costs[sel] = _best_support(Y[sel], codebook.matrix_stack[idx])
-        picks[sel] = idx[k]
+        picks[sel] = idx[_best_support(Y[sel], codebook.matrix_stack[idx])]
     if decided != len(Y):
         raise ValueError(f"weights {np.unique(w)} not all in codebook")
-    return picks, costs
+    return picks
 
 
 def bf_op_count(codebook: Codebook, w) -> int:
@@ -283,9 +262,8 @@ def bf_op_count(codebook: Codebook, w) -> int:
 def bf_sd_detect(Y: np.ndarray, codebook: Codebook, w: int) -> DetectionResult:
     """Blind exhaustive search on one block of weight class w; see
     bf_detect_batch.  op_count is bf_op_count."""
-    picks, costs = bf_detect_batch(np.asarray(Y, dtype=np.float64)[None], codebook, [w])
-    return DetectionResult(q=int(picks[0]) + 1, w=w, cost=float(costs[0]),
-                           op_count=bf_op_count(codebook, w))
+    picks = bf_detect_batch(np.asarray(Y, dtype=np.float64)[None], codebook, [w])
+    return DetectionResult(q=int(picks[0]) + 1, w=w, op_count=bf_op_count(codebook, w))
 
 
 # blocks per slice of the per-batch tables: whole-batch tables raise peak
@@ -293,28 +271,20 @@ def bf_sd_detect(Y: np.ndarray, codebook: Codebook, w: int) -> DetectionResult:
 _SLICE_BLOCKS = 256
 
 
-class BbRow(NamedTuple):
-    """One block's greedy walk from bb_rows: the column chosen in each row
-    (1-based) and the path cost, the sum of yhat = -Y over those cells."""
-
-    perm: tuple[int, ...]
-    cost: float
-
-
-def bb_rows(Y: np.ndarray, codebook: Codebook) -> Iterator[BbRow]:
-    """bb's greedy level-by-level column selection for a batch Y (B, L, L),
-    one BbRow per block, _SLICE_BLOCKS blocks at a time.
+def bb_rows(Y: np.ndarray, codebook: Codebook) -> Iterator[tuple[int, ...]]:
+    """bb's greedy level-by-level column selection for a batch Y (B, L, L):
+    per block, the column chosen in each row (1-based), _SLICE_BLOCKS blocks
+    at a time.
 
     Level k scores each free column c by the path cost so far, yhat[k, c]
     and the sum of the free columns below once c is taken; all but
     yhat[k, c] - sum(yhat[k+1:, c]) is common to every c, so each level is
     one argmin of that over the slice, the taken columns set to +inf (ties
-    to the lowest c).  With the sum down the rows in ascending order and the
-    path cost added row by row, each walk is bit for bit the node-by-node
-    search.  Raises ValueError for a codebook with entries of weight above 1
-    once rows are asked for, and, when its slice is reached, for a block
-    that is not finite or whose scores overflow (a free column must always
-    score below the taken ones).
+    to the lowest c).  With the sum down the rows in ascending order, each
+    walk is bit for bit the node-by-node search.  Raises ValueError for a
+    codebook with entries of weight above 1 once rows are asked for, and,
+    when its slice is reached, for a block that is not finite or whose
+    scores overflow (a free column must always score below the taken ones).
     """
     if codebook.weights_present != (1,):
         raise ValueError("branch-and-bound decoding applies to weight-1 codebooks only")
@@ -334,8 +304,7 @@ def bb_rows(Y: np.ndarray, codebook: Codebook) -> Iterator[BbRow]:
         for k in range(L):
             cols[:, k] = c = np.argmin(score[:, k], axis=1)
             score[n, :, c] = np.inf
-        cost = reduce(add, yhat[n[:, None], np.arange(L), cols].T)
-        yield from map(BbRow, map(tuple, (cols + 1).tolist()), cost.tolist())
+        yield from map(tuple, (cols + 1).tolist())
 
 
 @cache
@@ -343,18 +312,18 @@ def _bb_ops(L: int) -> int:
     return sum(f * (1 + (f - 1) ** 2) for f in range(1, L + 1))
 
 
-def bb_detect(block: BbRow, codebook: Codebook) -> DetectionResult:
-    """The decision of one block's greedy walk (its BbRow of bb_rows) in a
-    weight-1 codebook.
+def bb_detect(perm: tuple[int, ...], codebook: Codebook) -> DetectionResult:
+    """The decision of one block's greedy walk (its columns from bb_rows) in
+    a weight-1 codebook.
 
     op_count models the node-by-node bound: f (1 + (f-1)^2) additions at a
     level with f free columns, 60 in all at L = 4.  One node survives per
     level, so the walk may end outside a restricted codebook; that outcome
     is no decision (q None).
     """
-    hit = codebook.slot_table[1][0].get(block.perm)
-    return DetectionResult(q=None if hit is None else hit[0] + 1, w=1, cost=block.cost,
-                           iterations=codebook.L, op_count=_bb_ops(codebook.L))
+    hit = codebook.slot_table[1][0].get(perm)
+    return DetectionResult(q=None if hit is None else hit[0] + 1, w=1, iterations=codebook.L,
+                           op_count=_bb_ops(codebook.L))
 
 
 class Assignment(NamedTuple):
@@ -395,17 +364,13 @@ def rank_assignments(costs) -> tuple[np.ndarray, np.ndarray]:
 
 class IterativeRow(NamedTuple):
     """One block's row of iterative_rows: order and total, its row of
-    rank_assignments over perms (permutation_table(n)[1]); support, the
-    negated support sums of the book's weight >= 2 entries (None if it has
-    none), at the places column gives; and Y, read from the batch slice only
-    when asked for (the exhaustive fallback).  perms, column and batch are
-    shared by a slice's rows."""
+    rank_assignments over perms (permutation_table(n)[1]), and Y, read from
+    the batch slice only when asked for (the exhaustive fallback).  perms
+    and batch are shared by a slice's rows."""
 
     perms: tuple[tuple[int, ...], ...]
     order: list[int]
     total: list[float]
-    support: list[float] | None
-    column: dict[int, int]
     batch: np.ndarray
     index: int
 
@@ -414,31 +379,21 @@ class IterativeRow(NamedTuple):
         return self.batch[self.index]
 
 
-def iterative_rows(Y: np.ndarray, codebook: Codebook | None = None) -> Iterator[IterativeRow]:
+def iterative_rows(Y: np.ndarray) -> Iterator[IterativeRow]:
     """iterative_sd_detect's tables for a batch Y (B, L, L), one IterativeRow
     per block, built _SLICE_BLOCKS blocks at a time: one ranking of every
-    assignment of -Y, which every weight slot's walk shares, and, as only
-    weight >= 2 candidates are scored by their support sums, one product
-    -einsum("bij,qij->bq", Y, stack) over the weight >= 2 entries' matrices
-    alone (none for a weight-1 book or no codebook).  Raises ValueError above
-    ENUMERATION_MAX_L columns, and for a non-finite block when its slice is
-    reached."""
+    assignment of -Y, which every weight slot's walk and the scoring of
+    multiweight candidates share.  Raises ValueError above ENUMERATION_MAX_L
+    columns, and for a non-finite block when its slice is reached."""
     Y = np.asarray(Y, dtype=np.float64)
-    multi = [] if codebook is None else [codebook.weight_class_indices(w)
-                                         for w in codebook.weights_present if w > 1]
-    stack, column = None, {}
-    if multi:
-        idx = np.concatenate(multi)
-        stack, column = codebook.matrix_stack[idx], dict(zip(idx.tolist(), range(len(idx))))
     for s in range(0, len(Y), _SLICE_BLOCKS):
         y = Y[s:s + _SLICE_BLOCKS]
         order, total = rank_assignments(-y)
-        support = repeat(None) if stack is None else (-np.einsum("bij,qij->bq", y, stack)).tolist()
         # tuple.__new__ fills a row from its fields in C, as _make does
         # without the Python-level call that is a third of a row's cost
         yield from map(tuple.__new__, repeat(IterativeRow), zip(
-            repeat(permutation_table(y.shape[-1])[1]), order.tolist(), total.tolist(), support,
-            repeat(column), repeat(y), range(len(y))))
+            repeat(permutation_table(y.shape[-1])[1]), order.tolist(), total.tolist(),
+            repeat(y), range(len(y))))
 
 
 def murty_iter(ranked: IterativeRow) -> Iterator[Assignment]:
@@ -451,29 +406,35 @@ def murty_iter(ranked: IterativeRow) -> Iterator[Assignment]:
 
 def _walk_until_member(ranked: IterativeRow, members, e_max: int):
     # Enumerate assignments from best cost upward; stop at the first codebook
-    # member.  Returns (perm, cost, tries) with perm None if e_max ran out.
-    tries = 0
-    for a in murty_iter(ranked):
-        tries += 1
+    # member.  Returns (perm, tries) with perm None if e_max ran out.
+    for tries, a in enumerate(murty_iter(ranked), 1):
         if a.perm in members:
-            return a.perm, a.cost, tries
+            return a.perm, tries
         if tries >= e_max:
-            return None, None, tries
-    return None, None, tries
+            break
+    return None, tries
 
 
 @lru_cache(maxsize=64)
 def _walk_plan(codebook: Codebook, w: int, e_max: int | None):
-    # iterative_sd_detect's slot table, walk budget (default: class size)
-    # and modelled work per try, once per class and budget.  The paper's
-    # decoder solves one assignment problem per try, O(L^3) with the
-    # Hungarian method, and checks it in L; op_count models that work.
+    # iterative_sd_detect's slot table, walk budget (default: class size),
+    # modelled work per try (one O(L^3) Hungarian solve and an L-step member
+    # check, the paper's decoder) and, for w >= 2, each entry's components
+    # as rows of permutation_table(L), once per class and budget.
     if w not in codebook.weights_present:
         raise ValueError(f"weight {w} not in codebook")
     budget = e_max if e_max is not None else len(codebook.weight_class_indices(w))
     if budget < 1:
         raise ValueError("e_max must be at least 1")
-    return codebook.slot_table[w], budget, codebook.L ** 3 + codebook.L
+    L, parts = codebook.L, None
+    if w > 1:
+        # a book's codewords need not be the whole table; as base-L numbers
+        # the table's rows ascend, so a search finds each codeword's row
+        place = L ** np.arange(L - 1, -1, -1)
+        rows = np.searchsorted(permutation_table(L)[0] @ place, codebook.codewords @ place)
+        idx = codebook.weight_class_indices(w)
+        parts = dict(zip(idx.tolist(), map(tuple, rows[codebook.components[idx, :w]].tolist())))
+    return codebook.slot_table[w], budget, L ** 3 + L, parts
 
 
 def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
@@ -483,30 +444,33 @@ def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
 
     Weight 1: solve the assignment problem on yhat; if the optimum is not a
     codebook member, take next-best assignments in cost order until one is.
+    An assignment's cost is its entry's support metric, and a dry walk falls
+    back to bf, so at weight 1 iterative decides as bf does on every block,
+    for any L and any restricted book, up to exact metric ties (the walk
+    breaks them by column tuple, bf by entry order).
     Multiweight entries: run the same walk against each component position's
     codebook; every row whose component matches a walk's winner becomes a
-    candidate, and candidates are scored by the summed support metric, ties
-    to the lowest entry.  Every walk reads the block's one ranking.  When
-    the walk budget e_max (default: class size) runs dry the detector falls
-    back to exhaustive search within the class (bf_sd_detect).
+    candidate, scored by its support metric: the fsum of its components'
+    ranking totals, as components never overlap; ties to the lowest entry.
+    Every walk and every score reads the block's one ranking.  When the walk
+    budget e_max (default: class size) runs dry the detector falls back to
+    exhaustive search within the class (bf_sd_detect).
     """
-    slots, budget, try_ops = _walk_plan(codebook, w, e_max)
+    slots, budget, try_ops, parts = _walk_plan(codebook, w, e_max)
     q, candidates = None, ()
     if w == 1:
-        perm, cost, iterations = _walk_until_member(block, slots[0], budget)
+        perm, iterations = _walk_until_member(block, slots[0], budget)
         if perm is not None:
             q = slots[0][perm][0] + 1
     else:
         iterations, candidates = 0, set()
         for slot in slots:
-            perm, _, tries = _walk_until_member(block, slot, budget)
+            perm, tries = _walk_until_member(block, slot, budget)
             iterations += tries
             if perm is not None:
                 candidates.update(slot[perm])
         if candidates:
-            support, column = block.support, block.column
-            best = min(sorted(candidates), key=lambda i: support[column[i]])
-            q, cost = best + 1, support[column[best]]
+            q = min(sorted(candidates), key=lambda i: fsum(block.total[j] for j in parts[i])) + 1
     ops = iterations * try_ops + len(candidates) * w * codebook.L
 
     if q is None:
@@ -514,7 +478,7 @@ def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
         res.iterations = iterations
         res.op_count += ops
         return res
-    return DetectionResult(q=q, w=w, cost=cost, iterations=iterations, op_count=ops)
+    return DetectionResult(q=q, w=w, iterations=iterations, op_count=ops)
 
 
 # ---------------------------------------------------------------------------

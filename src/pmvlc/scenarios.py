@@ -212,6 +212,8 @@ class Scenario:
             raise ConfigError(f"name must be a single path component, not {self.name!r}")
         if not self.detectors:
             raise ConfigError("scenario lists no detectors")
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ConfigError(f"detectors repeat: {', '.join(self.detectors)}")
         if self.calibration not in ("blind", "csi"):
             raise ConfigError(f"calibration must be blind or csi, not {self.calibration!r}")
         if self.codebook is not None:

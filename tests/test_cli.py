@@ -81,6 +81,18 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="ascending"):
             parse_scenario(MINIMAL.replace("90,100", "100,90"))
 
+    @pytest.mark.parametrize("grid", ["100,100", "90,100,100"])
+    def test_repeated_grid_point_rejected(self, grid):
+        # one Eb/N0 point is one CSV row; a repeat would write two different
+        # BERs for it, each from its own grid index's noise
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            parse_scenario(MINIMAL.replace("90,100", grid))
+
+    def test_repeated_detector_rejected(self):
+        # a repeat would run the same sweep twice and write its rows twice
+        with pytest.raises(ConfigError, match="detectors repeat: bf, ml, bf"):
+            parse_scenario(MINIMAL.replace("ml", "bf, ml, BF"))
+
     def test_unknown_detector(self):
         with pytest.raises(ConfigError, match="unknown detector 'mle'"):
             parse_scenario(MINIMAL.replace("ml", "mle"))

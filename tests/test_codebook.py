@@ -111,8 +111,13 @@ def brute_force_enumeration(L, w):
     return list(first), list(first.values())
 
 
+def listing(book, sep, head=()):
+    # the whole entry listing, its pieces joined as the CLI report joins them
+    return "".join(book.entry_chunks(sep, head))
+
+
 def entry_lines_oracle(book, sep):
-    # Independent oracle for entry_lines: each entry's components, as digit
+    # Independent oracle for the entry listing: each entry's components, as digit
     # strings, joined by sep, one line per entry, formatted per entry in Python
     return "".join(sep.join("".join(map(str, p)) for p in comps) + "\n"
                    for comps in component_symbols(book))
@@ -222,7 +227,7 @@ class TestCodewordMatrix:
         book = enumerate_weight_w(4, 2)
         key = book_of(((1, 2, 4, 3), (2, 1, 3, 4))).keys[0].tobytes()
         (i,) = [i for i, k in enumerate(book.keys) if k.tobytes() == key]
-        assert book.subset([i]).entry_lines(" ") == "1234 2143\n"
+        assert listing(book.subset([i]), " ") == "1234 2143\n"
 
     def test_entries_are_read_only(self):
         cb = book_of(((2, 1, 3),))
@@ -255,7 +260,7 @@ class TestCodewordMatrix:
         book = book_of(*entries)
         assert book.keys.shape == (2, key_bytes)
         if L == 9:
-            assert book.entry_lines(" ") == "123456789\n123456798\n"
+            assert listing(book, " ") == "123456789\n123456798\n"
             assert book.keys[0, :8].tobytes() == book.keys[1, :8].tobytes()
         for repeat in entries:
             with pytest.raises(ValueError, match="duplicate matrix in codebook"):
@@ -316,13 +321,13 @@ class TestEnumeration:
 
     def test_weight_one_is_lexicographic(self):
         cb = enumerate_weight_w(3, 1)
-        assert cb.entry_lines(" ").splitlines() == [
+        assert listing(cb, " ").splitlines() == [
             "123", "132", "213", "231", "312", "321",
         ]
 
     def test_first_weight2_entries_are_identity_paired(self):
         cb = enumerate_weight_w(4, 2)
-        heads = [t.split() for t in cb.entry_lines(" ").splitlines()[:9]]
+        heads = [t.split() for t in listing(cb, " ").splitlines()[:9]]
         assert all(h[0] == "1234" for h in heads)
         assert [h[1] for h in heads] == [
             "2143", "2341", "2413", "3142", "3412", "3421", "4123", "4312", "4321",
@@ -395,7 +400,7 @@ class TestCombine:
         assert both.weight_array.tolist() == [len(comps) for comps, _ in expected]
         ordered = combine_codebooks([w1, w2, w3])
         assert book_keys(both) == book_keys(ordered)
-        assert both.entry_lines(" ") == ordered.entry_lines(" ")
+        assert listing(both, " ") == listing(ordered, " ")
 
     def test_merges_unequal_codeword_tables(self):
         # hand-built books each hold only the codewords they use, so the
@@ -404,7 +409,7 @@ class TestCombine:
         b = book_of(((3, 4, 1, 2),), ((1, 2, 3, 4), (2, 1, 4, 3)), ((1, 2, 4, 3),))
         assert len(a.codewords) == 2 and len(b.codewords) == 4
         both = combine_codebooks([a, b])
-        assert both.entry_lines(" ") == "1243\n2143\n3412\n4321\n1234 2143\n"
+        assert listing(both, " ") == "1243\n2143\n3412\n4321\n1234 2143\n"
         assert both.weight_array.tolist() == [1, 1, 1, 1, 2]
         assert book_keys(both) == book_keys(book_of(
             ((1, 2, 4, 3),), ((2, 1, 4, 3),), ((3, 4, 1, 2),), ((4, 3, 2, 1),), ((1, 2, 3, 4), (2, 1, 4, 3))))
@@ -579,21 +584,21 @@ class TestBitMapping:
 class TestEntryLines:
     def test_line_shape(self):
         cb = enumerate_weight_w(4, 2).subset([0])
-        assert cb.entry_lines(" ") == "1234 2143\n"
+        assert listing(cb, " ") == "1234 2143\n"
 
     def test_numeric_head_fields_print_as_format_d(self):
         # a (values, width) head field reads as f"{v:{width}d}", widening
         # past width for larger numbers
         book = enumerate_weight_w(3, 1)
         idx = [0, 7, 9999, 10000, 123456, 5]
-        lines = book.entry_lines(" + ", ("<", (idx, 4), "|", (book.weight_array, 1), ">")).splitlines()
-        assert lines == [f"<{v:4d}|1>{c}" for v, c in zip(idx, book.entry_lines(" + ").splitlines())]
+        lines = listing(book, " + ", ("<", (idx, 4), "|", (book.weight_array, 1), ">")).splitlines()
+        assert lines == [f"<{v:4d}|1>{c}" for v, c in zip(idx, listing(book, " + ").splitlines())]
 
     def test_rejects_two_digit_symbols(self):
         # one digit per symbol: from L = 10 a codeword has no digit string
         book = book_of((tuple(range(10, 0, -1)),))
         with pytest.raises(ValueError, match="L must be at most 9, got 10"):
-            book.entry_lines(" ")
+            listing(book, " ")
 
     @pytest.mark.parametrize("sep", ["", " ", " + ", "|", ", "])
     def test_joins_components_with_sep_and_pads_nothing(self, sep):
@@ -601,16 +606,16 @@ class TestEntryLines:
         # print nothing, and no line starts or ends with sep
         book = combine_codebooks([enumerate_weight_w(4, w).subset(range(3)) for w in (1, 2, 3)])
         assert book.weight_array.tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert book.entry_lines(sep) == entry_lines_oracle(book, sep)
+        assert listing(book, sep) == entry_lines_oracle(book, sep)
 
     @pytest.mark.parametrize("L, w", [(L, w) for L in (2, 3, 4, 5) for w in range(1, L)] + [(6, 1), (6, 2)])
     def test_matches_the_components_of_every_enumerated_book(self, L, w):
         book = enumerate_weight_w(L, w)
-        assert book.entry_lines(" ") == entry_lines_oracle(book, " ")
+        assert listing(book, " ") == entry_lines_oracle(book, " ")
 
     def test_literal_head_fields_lead_every_line(self):
         book = enumerate_weight_w(3, 2)
-        lines = book.entry_lines(" ", ("w=2", ": ")).splitlines()
+        lines = listing(book, " ", ("w=2", ": ")).splitlines()
         assert lines == [f"w=2: {t}" for t in entry_lines_oracle(book, " ").splitlines()]
 
     def test_chunks_join_to_the_whole_listing(self, monkeypatch):
@@ -624,8 +629,8 @@ class TestEntryLines:
         assert index[998:1000].tolist() == [999, 1000] and 998 // 7 == 999 // 7
         assert edge[1000:1002].tolist() == [999, 1000] and 1001 % 7 == 0
         assert [p.count("\n") for p in book.entry_chunks(" + ")] == [7] * 291 + [3]
-        assert book.entry_lines(" + ") == entry_lines_oracle(book, " + ")
-        lines = book.entry_lines(" ", ("  ", (index, 3), "  w=", (book.weight_array, 1), " ", (edge, 1), ": "))
+        assert listing(book, " + ") == entry_lines_oracle(book, " + ")
+        lines = listing(book, " ", ("  ", (index, 3), "  w=", (book.weight_array, 1), " ", (edge, 1), ": "))
         assert lines.splitlines() == [f"  {i:3d}  w={w} {e:1d}: {t}" for i, w, e, t in zip(
             index, book.weight_array, edge, entry_lines_oracle(book, " ").splitlines())]
 
@@ -635,7 +640,7 @@ class TestEntryLines:
         # last chunk, a shorter one fail in the middle of the listing
         book = enumerate_weight_w(4, 2).subset([0, 1])
         with pytest.raises(ValueError, match=f"head field has {2 + extra} values for 2 entries"):
-            book.entry_lines(" ", ((np.arange(2 + extra), 1),))
+            listing(book, " ", ((np.arange(2 + extra), 1),))
 
 
 class TestDuplicateCheck:

@@ -1,9 +1,10 @@
 """Detector behavior: exact recovery without noise, documented tie rules,
-cost-equality guarantees, the measured divergence of the greedy search, and
+decision-equality guarantees, the measured divergence of the greedy search, and
 the assignment ranking the iterative walk follows, against brute force.
 """
 
 import inspect
+import math
 from itertools import permutations, repeat
 
 import numpy as np
@@ -17,6 +18,7 @@ from pmvlc.analysis import SimConfig
 from pmvlc.channel import build_channel, fixture_h02, square_grid_geometry
 from pmvlc.codebook import (
     ENUMERATION_MAX_L,
+    Codebook,
     combine_codebooks,
     enumerate_weight_w,
     permutation_table,
@@ -83,7 +85,7 @@ def ranking(C):
 
 def iterative_one(Y, codebook, w, e_max=None):
     # one block decoded from its row of a batch of one
-    return iterative_sd_detect(next(iterative_rows(batch_of_one(Y), codebook)), codebook, w, e_max)
+    return iterative_sd_detect(next(iterative_rows(batch_of_one(Y))), codebook, w, e_max)
 
 
 def bb_one(Y, codebook):
@@ -106,6 +108,7 @@ def bb_reference(Y, L):
     # The node-by-node search that bb_detect replaces with its closed form:
     # each free column is scored with the path cost, its entry and the sum of
     # the submatrix left below, and every node's additions are counted.
+    # Returns the chosen columns (1-based) and that count.
     yhat = -np.asarray(Y, dtype=np.float64)
     ops = 0
     used: list[int] = []
@@ -123,7 +126,7 @@ def bb_reference(Y, L):
         used.append(best_col)
         free.remove(best_col)
         path_cost += float(yhat[row, best_col])
-    return tuple(c + 1 for c in used), path_cost, ops
+    return tuple(c + 1 for c in used), ops
 
 
 def reference_ranking(C):
@@ -142,9 +145,9 @@ def iterative_reference(Y, codebook, w, e_max=None):
     # tables and the harness built per-batch tables: each slot's walk ranks
     # the block's assignments afresh, the member dict (weight 1) or the
     # per-slot component sets are rebuilt from the codebook's arrays on every
-    # block, and the candidates' support sums are taken over the candidates
-    # alone.  Returns ((q, cost, iterations, op_count), whether the
-    # exhaustive fallback decided).
+    # block, and the candidates are scored by their support sums, taken over
+    # the candidates' matrices alone.  Returns ((q, iterations, op_count),
+    # whether the exhaustive fallback decided).
     Y = np.asarray(Y, dtype=np.float64)
     yhat = -Y
     L = codebook.L
@@ -153,38 +156,38 @@ def iterative_reference(Y, codebook, w, e_max=None):
 
     def walk(members):
         tries = 0
-        for perm, cost in reference_ranking(yhat):
+        for perm, _ in reference_ranking(yhat):
             tries += 1
             if perm in members:
-                return perm, cost, tries
+                return perm, tries
             if tries >= budget:
                 break
-        return None, None, tries
+        return None, tries
 
     iterations = ops = 0
     if w == 1:
         members = {component(codebook, i): int(i) for i in idx}
-        perm, cost, tries = walk(set(members))
+        perm, tries = walk(set(members))
         iterations += tries
         ops += tries * (L ** 3 + L)
         if perm is not None:
-            return (members[perm] + 1, float(cost), iterations, ops), False
+            return (members[perm] + 1, iterations, ops), False
     else:
         candidates = set()
         for slot in range(w):
             slot_perms = {component(codebook, i, slot) for i in idx}
-            perm, _, tries = walk(slot_perms)
+            perm, tries = walk(slot_perms)
             iterations += tries
             ops += tries * (L ** 3 + L)
             if perm is not None:
                 candidates.update(int(i) for i in idx if component(codebook, i, slot) == perm)
         if candidates:
             cand = sorted(candidates)
-            pick, cost = detectors._best_support(Y[None], codebook.matrix_stack[cand])
+            pick = int(np.argmin(-np.einsum("ij,qij->q", Y, codebook.matrix_stack[cand])))
             ops += len(cand) * w * L
-            return (cand[int(pick[0])] + 1, float(cost[0]), iterations, ops), False
+            return (cand[pick] + 1, iterations, ops), False
     res = bf_sd_detect(Y, codebook, w)
-    return (res.q, res.cost, iterations, res.op_count + ops), True
+    return (res.q, iterations, res.op_count + ops), True
 
 
 CB1 = perm_codebook([(4, 3, 2, 1), (4, 1, 3, 2), (3, 1, 2, 4), (3, 4, 1, 2),
@@ -270,11 +273,12 @@ class TestBfSd:
             r = bf_sd_detect(Y, codebook, weight)
             assert r.q == q and r.w == weight
 
-    def test_cost_is_negated_support_sum(self):
+    def test_decision_is_the_smallest_negated_support_sum(self):
         rng = np.random.default_rng(5)
         Y = rng.normal(0, 1, (4, 4))
         r = bf_sd_detect(Y, FULL24, 1)
-        assert r.cost == pytest.approx(-np.sum(Y * FULL24.matrix_stack[r.q - 1]))
+        sums = [-np.sum(Y * S) for S in FULL24.matrix_stack]
+        assert r.q == int(np.argmin(sums)) + 1
 
     @given(scale=st.floats(0.1, 100.0), shift=st.floats(-5.0, 5.0))
     @settings(max_examples=25, deadline=None)
@@ -357,7 +361,7 @@ class TestEstimateIntensity:
             estimate_intensity_batch(Y[None], pam, None)
         assert estimate_intensity_batch(Y[None], pam, H02.sum())[0] == 2
         with pytest.raises(ValueError, match="needs gain_sum"):
-            classify_weight_batch(Y[None], COMBINED32, "joint", pam)
+            classify_weight_batch(Y[None], COMBINED32, pam)
         side = {"pam", "true_weight", "weight_mode", "calibration", "gain_sum"}
         for decoder in (detectors.bf_detect_batch, bf_sd_detect, iterative_sd_detect, bb_detect):
             assert not side & set(inspect.signature(decoder).parameters), decoder.__name__
@@ -374,50 +378,74 @@ def test_default_profile_loaded_once(monkeypatch):
         pam = PamConfig(M=4)
         for q in (1, 25, 32):
             Y = (H02 @ block_for(COMBINED32, q, 3, pam))[None]
-            classify_weight_batch(Y, COMBINED32, "joint", pam, gain_sum=H02.sum())
+            classify_weight_batch(Y, COMBINED32, pam, gain_sum=H02.sum())
     finally:
         channel.fixture_h02.cache_clear()
     assert loads == ["h02.txt"]
 
 
 class TestClassifyWeight:
-    def test_genie_passthrough(self):
-        Y = np.zeros((3, 4, 4))
-        got = classify_weight_batch(Y, COMBINED32, "genie", true_weight=[2, 1, 2])
-        np.testing.assert_array_equal(got, [2, 1, 2])
-        got = classify_weight_batch(Y, COMBINED32, "genie", true_weight=2)
-        np.testing.assert_array_equal(got, 2)
+    @staticmethod
+    def harness_weights(monkeypatch, Y, tx, pam, mode="genie", calibration=None):
+        # the weight class per block that the harness (analysis._link) hands
+        # the bf kernel for one batch
+        seen, inner = [], analysis.bf_detect_batch
+        monkeypatch.setattr(analysis, "bf_detect_batch",
+                            lambda Yb, book, w: seen.append(w) or inner(Yb, book, w))
+        cfg = SimConfig(scheme="t", detector="bf", ebn0_grid=(100.0,), channel=H02,
+                        codebook=COMBINED32, pam=pam, weight_mode=mode, calibration=calibration)
+        analysis._link(cfg).decode(Y, np.asarray(tx, dtype=np.int64), None)
+        (w,) = seen
+        return w
 
-    def test_genie_requires_weight(self):
-        Y = np.zeros((1, 4, 4))
-        with pytest.raises(ValueError):
-            classify_weight_batch(Y, COMBINED32, "genie")
-        with pytest.raises(ValueError):
-            classify_weight_batch(Y, COMBINED32, "genie", true_weight=3)
+    def test_genie_passthrough(self, monkeypatch):
+        # genie: the sent entry's weight, looked up from the signal index
+        # (entry q - 1 = index // M) whatever was received
+        for M, tx, want in ((1, [25, 3, 31], [2, 1, 2]), (4, [0, 97, 95, 127], [1, 2, 1, 2])):
+            Y = np.zeros((len(tx), 4, 4))
+            got = self.harness_weights(monkeypatch, Y, tx, PamConfig(M=M))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, COMBINED32.weight_array[np.array(tx) // M])
+            monkeypatch.undo()
+
+    def test_genie_rule_is_the_harness_lookup(self, monkeypatch):
+        # the kernel is the joint rule alone; a genie weight depends on the
+        # sent index only, so blocks that the joint rule reads as weight 1
+        # still go to weight 2 when weight-2 entries were sent
+        assert not {"mode", "true_weight"} & set(inspect.signature(classify_weight_batch).parameters)
+        Y = np.stack([H02 @ block_for(COMBINED32, 1, 1, M1)] * 3)
+        tx = [24, 30, 0]
+        np.testing.assert_array_equal(
+            self.harness_weights(monkeypatch, Y, tx, M1, calibration=H02), [2, 2, 1])
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            self.harness_weights(monkeypatch, Y, tx, M1, "joint", calibration=H02), [1, 1, 1])
 
     def test_single_weight_shortcut(self):
-        got = classify_weight_batch(np.zeros((2, 4, 4)), FULL24, "joint")
+        got = classify_weight_batch(np.zeros((2, 4, 4)), FULL24, M1)
         np.testing.assert_array_equal(got, 1)
 
     def test_noiseless_classification(self):
         pam = PamConfig(M=2)
         Y = np.stack([H02 @ block_for(COMBINED32, q, 2, pam)
                       for q in range(1, COMBINED32.size + 1)])
-        got = classify_weight_batch(Y, COMBINED32, "joint", pam, calibration=H02,
-                                    gain_sum=H02.sum())
+        got = classify_weight_batch(Y, COMBINED32, pam, calibration=H02, gain_sum=H02.sum())
         np.testing.assert_array_equal(got, COMBINED32.weight_array)
 
     def test_joint_with_default_profile(self):
         pam = PamConfig(M=1)
         qs = (1, 25, 32)
         Y = np.stack([H02 @ block_for(COMBINED32, q, 1, pam) for q in qs])
-        got = classify_weight_batch(Y, COMBINED32, "joint", pam)
+        got = classify_weight_batch(Y, COMBINED32, pam)
         np.testing.assert_array_equal(got, COMBINED32.weight_array[np.array(qs) - 1])
 
     def test_unknown_mode(self):
-        Y = np.zeros((1, 4, 4))
-        with pytest.raises(ValueError):
-            classify_weight_batch(Y, COMBINED32, "oracle", PamConfig())
+        # genie and joint are the only weight rules, and the harness's
+        # config is where a rule is named
+        with pytest.raises(ValueError, match="unknown weight_mode 'oracle'"):
+            SimConfig(scheme="t", detector="bf", ebn0_grid=(100.0,), channel=H02,
+                      codebook=COMBINED32, weight_mode="oracle")
 
     def test_joint_row_slices_match_the_whole_batch_rule(self, monkeypatch):
         # each class's support pick and residual run in row slices; every
@@ -440,7 +468,7 @@ class TestClassifyWeight:
         rows, inner = [], detectors._best_support
         monkeypatch.setattr(detectors, "_best_support",
                             lambda Yb, stack: rows.append(len(Yb)) or inner(Yb, stack))
-        got = classify_weight_batch(Y, COMBINED32, "joint", pam, calibration=H06, gain_sum=g)
+        got = classify_weight_batch(Y, COMBINED32, pam, calibration=H06, gain_sum=g)
         np.testing.assert_array_equal(got, want)
         # both classes are chosen, and the noise moves some blocks across
         assert set(got.tolist()) == {1, 2}
@@ -448,8 +476,9 @@ class TestClassifyWeight:
         assert len(rows) >= 3 * 2 and max(rows) <= detectors._SLICE_CELLS // COMBINED32.size
         # only genie and joint exist, even where one class needs no decision
         for book in (COMBINED32, FULL24):
-            with pytest.raises(ValueError, match="unknown mode 'energy'"):
-                classify_weight_batch(Y, book, "energy", PamConfig())
+            with pytest.raises(ValueError, match="unknown weight_mode 'energy'"):
+                SimConfig(scheme="t", detector="bf", ebn0_grid=(100.0,), channel=H06,
+                          codebook=book, weight_mode="energy")
 
     def test_joint_batch_matches_per_block_rule(self):
         # per block: one level from the block sum, then the best support in
@@ -460,7 +489,7 @@ class TestClassifyWeight:
         qs = rng.integers(1, COMBINED32.size + 1, size=64)
         Y = np.stack([H02 @ block_for(COMBINED32, int(q), 2, pam) for q in qs])
         Y = Y + rng.normal(0, 2e-5, Y.shape)
-        got = classify_weight_batch(Y, COMBINED32, "joint", pam, gain_sum=H02.sum())
+        got = classify_weight_batch(Y, COMBINED32, pam, gain_sum=H02.sum())
         for b in range(len(Y)):
             best_w, best_res = None, np.inf
             m = estimate_intensity_batch(Y[b][None], pam, H02.sum())[0]
@@ -475,7 +504,7 @@ class TestClassifyWeight:
     def test_joint_ties_go_to_lowest_weight(self):
         # a zero reference profile makes every class residual equal to |Y|^2
         Y = np.random.default_rng(37).normal(0, 1, (16, 4, 4))
-        got = classify_weight_batch(Y, COMBINED32, "joint", M1, calibration=np.zeros((4, 4)))
+        got = classify_weight_batch(Y, COMBINED32, M1, calibration=np.zeros((4, 4)))
         np.testing.assert_array_equal(got, 1)
 
 
@@ -517,14 +546,12 @@ class TestBbDetect:
             Y = rng.normal(0, 1, (4, 4))
             r = bb_one(Y, FULL24)
             opt = next(ranking(-Y))
-            if abs(r.cost - opt.cost) > 1e-12:
-                diverged += 1
+            diverged += component(FULL24, r.q - 1) != opt.perm
         assert 0.3 < diverged / trials < 0.6
 
 
     # The closed form sums in another order, so only float near-ties could
-    # move a decision, and random inputs have none; the path cost is summed
-    # in the reference's order and must match exactly.
+    # move a decision, and random inputs have none.
     @pytest.mark.parametrize("L", [4, 5])
     @pytest.mark.parametrize("scale", [1.0, 1e-4])
     def test_closed_form_matches_node_search(self, L, scale):
@@ -533,9 +560,8 @@ class TestBbDetect:
         for _ in range(500):
             Y = scale * rng.normal(0, 1, (L, L))
             r = bb_one(Y, book)
-            perm, cost, ops = bb_reference(Y, L)
+            perm, ops = bb_reference(Y, L)
             assert component(book, r.q - 1) == perm
-            assert r.cost == cost
             assert r.op_count == ops
 
     def test_op_count_is_the_node_search_total(self):
@@ -548,8 +574,8 @@ class TestBbDetect:
         for _ in range(500):
             Y = rng.integers(-1, 2, (4, 4)).astype(np.float64)
             r = bb_one(Y, FULL24)
-            perm, cost, _ = bb_reference(Y, 4)
-            assert (component(FULL24, r.q - 1), r.cost) == (perm, cost)
+            perm, _ = bb_reference(Y, 4)
+            assert component(FULL24, r.q - 1) == perm
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_blocks(self, bad):
@@ -564,8 +590,8 @@ class TestBbDetect:
             q = int(rng.integers(1, 25))
             Y = H02 @ block_for(FULL24, q, 1, M1) + rng.normal(0, 2e-5, (4, 4))
             r = bb_one(Y, FULL24)
-            perm, cost, ops = bb_reference(Y, 4)
-            assert (component(FULL24, r.q - 1), r.cost, r.op_count) == (perm, cost, ops)
+            perm, ops = bb_reference(Y, 4)
+            assert (component(FULL24, r.q - 1), r.op_count) == (perm, ops)
 
 
 class TestIterativeSd:
@@ -575,7 +601,7 @@ class TestIterativeSd:
             Y = rng.normal(0, 1, (4, 4))
             r = iterative_one(Y, FULL24, 1)
             assert r.iterations == 1
-            assert r.cost == pytest.approx(next(ranking(-Y)).cost)
+            assert component(FULL24, r.q - 1) == next(ranking(-Y)).perm
 
     def test_cost_equals_bf_on_restricted_codebook(self):
         rng = np.random.default_rng(23)
@@ -584,8 +610,26 @@ class TestIterativeSd:
             Y = Y + rng.normal(0, 2e-5, (4, 4))
             bf = bf_sd_detect(Y, CB1, 1)
             it = iterative_one(Y, CB1, 1)
-            assert it.cost == pytest.approx(bf.cost, abs=1e-15)
             assert it.q == bf.q
+
+    @pytest.mark.parametrize("L, step", [(5, 7), (6, 23)])
+    def test_weight_one_decision_is_bf_past_length_four(self, L, step):
+        # the theorem in iterative_sd_detect's docstring on restricted books
+        # of 18 and 32 codewords: with a budget of L! the walk always reaches
+        # a member, so every decision is the walk's, and the noise sends many
+        # walks past their first assignment, some past the class size
+        book = enumerate_weight_w(L, 1)
+        book = book.subset(range(0, book.size, step), label=f"L{L}-restricted")
+        rng = np.random.default_rng(L)
+        q = rng.integers(book.size, size=300)
+        Y = book.matrix_stack[q] + rng.normal(0, 0.8, (len(q), L, L))
+        iterations = []
+        for y, row in zip(Y, iterative_rows(Y)):
+            it = iterative_sd_detect(row, book, 1, math.factorial(L))
+            assert it.q == bf_sd_detect(y, book, 1).q
+            iterations.append(it.iterations)
+        assert sum(i > 1 for i in iterations) > len(Y) // 3
+        assert max(iterations) > book.size
 
     @pytest.mark.parametrize("codebook", [W2LEX8, W2SEL8, W2FULL])
     def test_zero_noise_multiweight_recovery(self, codebook):
@@ -639,11 +683,11 @@ class TestIterativeSd:
                 q, m = int(rng.integers(1, book.size + 1)), int(rng.integers(1, M + 1))
                 w = int(book.weight_array[q - 1])
                 Y = H02 @ block_for(book, q, m, pam) + rng.normal(0, sigma, (4, 4))
-                w = int(classify_weight_batch(Y[None], book, mode, pam, w,
-                                              gain_sum=H02.sum())[0])
+                if mode == "joint":
+                    w = int(classify_weight_batch(Y[None], book, pam, gain_sum=H02.sum())[0])
                 r = iterative_one(Y, book, w, e_max)
                 want, fell_back = iterative_reference(Y, book, w, e_max)
-                assert (r.q, r.cost, r.iterations, r.op_count) == want
+                assert (r.q, r.iterations, r.op_count) == want
                 assert r.w == w
                 fallbacks += fell_back
         if e_max == 1:
@@ -695,10 +739,15 @@ class TestBatchTables:
         Y = link.means[tx] + sigma[:, None, None] * rng.normal(size=link.means[tx].shape)
         rx, ops = link.decode(Y, tx, rng)
         assert len(seen) == len(tx)
+        # the weight class per block: the sent entry's under genie, which the
+        # harness looks up itself, else the joint rule's
+        want_w = (book.weight_array[tx // pam.M] if mode == "genie"
+                  else classify_weight_batch(Y, book, pam, H, float(H.sum())))
+        assert [w for _, w, _ in seen] == want_w.tolist()
         fallbacks = 0
         for (y, w, r), label in zip(seen, rx.tolist()):
             want, fell_back = iterative_reference(y, book, w, e_max)
-            assert (r.q, r.cost, r.iterations, r.op_count) == want
+            assert (r.q, r.iterations, r.op_count) == want
             assert r.w == w and label // pam.M == r.q - 1
             fallbacks += fell_back
         assert ops == sum(r.op_count for _, _, r in seen)
@@ -742,9 +791,9 @@ class TestBatchTables:
         undecided = want_undecided = 0
         for y, row in zip(Y, rows):
             r = bb_detect(row, book)
-            perm, cost, ops = bb_reference(y, book.L)
-            assert (r.q, r.w, r.cost, r.iterations, r.op_count) == (
-                members.get(perm), 1, cost, book.L, ops)
+            perm, ops = bb_reference(y, book.L)
+            assert row == perm
+            assert (r.q, r.w, r.iterations, r.op_count) == (members.get(perm), 1, book.L, ops)
             undecided += r.q is None
             want_undecided += perm not in members
         assert undecided == want_undecided
@@ -759,7 +808,7 @@ class TestBatchTables:
             with pytest.raises(ValueError, match="finite"):
                 list(bb_rows(Yb, FULL24))
             with pytest.raises(ValueError, match="finite"):
-                list(iterative_rows(Yb, COMBINED32))
+                list(iterative_rows(Yb))
 
     def test_overflowing_column_sums_reject_the_batch(self):
         # finite values whose column sums overflow would score the free
@@ -790,7 +839,7 @@ class TestBatchTables:
         q = rng.integers(24, 32, size=1100)
         Y = np.einsum("ij,bjl->bil", H02, COMBINED32.matrix_stack[q])
         Y = Y + rng.normal(0, 6e-5, Y.shape)
-        got, _ = analysis._decisions(map(iterative_sd_detect, iterative_rows(Y, COMBINED32),
+        got, _ = analysis._decisions(map(iterative_sd_detect, iterative_rows(Y),
                                          repeat(COMBINED32), repeat(2)))
         n = detectors._SLICE_BLOCKS
         assert calls == [(min(n, len(Y) - s), 4, 4) for s in range(0, len(Y), n)]
@@ -799,26 +848,34 @@ class TestBatchTables:
         assert got.tolist() == want
 
 
-    @pytest.mark.parametrize("book", [COMBINED32, W2SEL8, W2FULL, FULL24, CB1],
-                             ids=["combined32", "w2sel8", "w2full", "full24", "cb1"])
-    def test_support_rows_equal_the_full_product(self, book):
-        # only weight >= 2 candidates are scored by their support sums, so
-        # only those entries' columns are built; each equals the full
-        # (B, Q) product's column bit for bit, across several slices
+    @pytest.mark.parametrize("name", ["combined32", "w2sel8", "w2sel8-compact", "w2full", "L6w2"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    def test_component_totals_sum_to_the_support_metric(self, name, scale):
+        # a multiweight candidate's score is the sum of its components'
+        # ranking totals; it equals the entry's negated support sum from the
+        # full product, across several slices, to rtol 1e-12 (and 1e-12 of
+        # the scale, as a sum near zero keeps no relative precision).
+        # w2sel8-compact holds only the codewords its entries use, so its
+        # table rows are not the ranking's
+        if name == "w2sel8-compact":
+            used = np.unique(W2SEL8.components)
+            book = Codebook(4, W2SEL8.codewords[used], np.searchsorted(used, W2SEL8.components),
+                            W2SEL8.keys, name)
+            assert len(book.codewords) == 16
+        else:
+            book = {"combined32": COMBINED32, "w2sel8": W2SEL8, "w2full": W2FULL,
+                    "L6w2": enumerate_weight_w(6, 2)}[name]
         rng = np.random.default_rng(71)
-        q = rng.integers(book.size, size=600)
-        Y = np.einsum("ij,bjl->bil", H02, book.matrix_stack[q]) + rng.normal(0, 3e-5, (600, 4, 4))
+        n = 600 if book.L == 4 else 16
+        q = rng.integers(book.size, size=n)
+        Y = scale * (book.matrix_stack[q] + rng.normal(0, 0.3, (n, book.L, book.L)))
         full = -np.einsum("bij,qij->bq", Y, book.matrix_stack)
-        multi = np.flatnonzero(book.weight_array >= 2).tolist()
-        rows = list(iterative_rows(Y, book))
-        assert len(rows) == len(Y)
-        for b, row in enumerate(rows):
-            if not multi:
-                assert row.support is None and row.column == {}
-                continue
-            assert sorted(row.column) == multi and len(row.support) == len(multi)
-            got = np.array([row.support[row.column[i]] for i in multi])
-            np.testing.assert_array_equal(got.view(np.int64), full[b, multi].view(np.int64))
+        totals = np.array([row.total for row in iterative_rows(Y)])
+        parts = detectors._walk_plan(book, 2, None)[3]
+        idx = book.weight_class_indices(2)
+        assert sorted(parts) == idx.tolist()
+        got = totals[:, [parts[i] for i in idx.tolist()]].sum(axis=2)
+        np.testing.assert_allclose(got, full[:, idx], rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestEmptyBatch:
@@ -832,12 +889,14 @@ class TestEmptyBatch:
             Y, np.einsum("ij,kjl->kil", H02, signal_stack(COMBINED32, PamConfig(M=16))), 16),
         "sm": lambda Y: sm_detect_batch(Y[:, 0], H02, SmConfig()),
         "rc": lambda Y: rc_detect_batch(Y[:, 0], H02, RcConfig()),
-        "bf": lambda Y: detectors.bf_detect_batch(Y, COMBINED32, np.empty(0, dtype=np.int64))[0],
+        "bf": lambda Y: detectors.bf_detect_batch(Y, COMBINED32, np.empty(0, dtype=np.int64)),
         "level": lambda Y: estimate_intensity_batch(Y, PamConfig(M=16), float(H02.sum())),
-        "weight-genie": lambda Y: classify_weight_batch(
-            Y, COMBINED32, "genie", PamConfig(M=16), np.empty(0, dtype=np.int64)),
+        # the genie weights are the harness's lookup: its decode of no blocks
+        "weight-genie": lambda Y: analysis._link(SimConfig(
+            scheme="t", detector="bf", ebn0_grid=(100.0,), channel=H02, codebook=COMBINED32,
+            pam=PamConfig(M=16), calibration=H02)).decode(Y, np.empty(0, dtype=np.int64), None)[0],
         "weight-joint": lambda Y: classify_weight_batch(
-            Y, COMBINED32, "joint", PamConfig(M=16), None, H02, float(H02.sum())),
+            Y, COMBINED32, PamConfig(M=16), H02, float(H02.sum())),
     }
 
     @pytest.mark.parametrize("kernel", list(KERNELS))
@@ -846,7 +905,7 @@ class TestEmptyBatch:
         assert got.shape == (0,) and got.dtype == np.int64
 
     def test_row_builders_yield_nothing(self):
-        assert list(iterative_rows(self.Y, COMBINED32)) == []
+        assert list(iterative_rows(self.Y)) == []
         assert list(bb_rows(self.Y, CB1)) == []
 
 
