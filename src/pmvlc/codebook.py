@@ -8,18 +8,16 @@ A codebook is a deduplicated, canonically ordered list of such matrices for
 one or more weights; its first signaling_count(M) (entry, level) pairs carry
 data.
 
-A Codebook is built from and held as integer arrays: a sorted table of
-0-based codewords, each entry's component rows in that table, and each
-entry's cell bitmask, with bit r*L + c - 1 set for symbol c in row r, as
-little-endian bytes.  Deduplication compares these masks, and the 0/1
-matrices are unpacked from them only when read.  Enumeration extends index
-tuples over one cached lexicographic permutation table (the one
-detectors.rank_assignments ranks) with numpy and keeps the first tuple per
-matrix, its canonical decomposition.  The CLI report's entry lines are
-written from the arrays as byte matrices of a few thousand entries each,
-each codeword as its digits (L <= 9).  Books are built by enumeration,
-subset, combine_codebooks or the Codebook constructor; there is no text
-import or export.
+A Codebook is built from, and held as, one integer array: each entry's
+component rows in the cached lexicographic table permutation_table(L), -1
+past its weight.  The constructor checks the entries by their cell bitmasks
+(bit r*L + c - 1 set for symbol c in row r, one uint64 each), and the 0/1
+matrices are built from the rows only when read.  Enumeration extends index
+tuples over the table with numpy and keeps the first tuple per matrix, its
+canonical decomposition.  The CLI report's entry lines are written from the
+arrays as byte matrices of a few thousand entries each, each codeword as its
+digits.  Books are built by enumeration, subset, combine_codebooks or the
+Codebook constructor; there is no text import or export.
 """
 
 from __future__ import annotations
@@ -47,14 +45,20 @@ def permutation_table(L: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     return table, tuple(tuple(c + 1 for c in p) for p in perms)
 
 
-def _has_duplicate(keys: np.ndarray) -> bool:
-    # keys zero-padded to whole little-endian uint64 words, sorted (a plain
-    # sort for one word, L <= 8), and each compared with its neighbour
-    words = np.zeros((len(keys), -(-keys.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :keys.shape[1]] = keys
-    words = words.view("<u8")
-    words = np.sort(words, axis=0) if words.shape[1] == 1 else words[np.lexsort(words.T)]
-    return bool((words[1:] == words[:-1]).all(axis=1).any())
+@cache
+def permutation_cells(L: int) -> np.ndarray:
+    """Read-only (L!, L) flat cells r*L + c of each permutation_table(L) row."""
+    cells = permutation_table(L)[0] + L * np.arange(L)
+    cells.setflags(write=False)
+    return cells
+
+
+@cache
+def _cell_masks(L: int) -> np.ndarray:
+    # each permutation_table(L) row's cells as one uint64 bitmask (L <= 6)
+    masks = np.bitwise_or.reduce(np.uint64(1) << permutation_cells(L).astype(np.uint64), axis=1)
+    masks.setflags(write=False)
+    return masks
 
 
 def _number_columns(values, width: int) -> np.ndarray:
@@ -70,11 +74,6 @@ def _number_columns(values, width: int) -> np.ndarray:
         rest, digit = np.divmod(rest, 10)
         np.copyto(out[:, k], digit + ord("0"), casting="unsafe", where=shown)
     return out
-
-
-def _unpack_keys(keys: np.ndarray, L: int) -> np.ndarray:
-    # (len(keys), L, L) uint8 cells of the given key bytes, one unpack
-    return np.unpackbits(keys, axis=1, count=L * L, bitorder="little").reshape(-1, L, L)
 
 
 def _grow(tup: np.ndarray, key: np.ndarray, w: int, later_far: np.ndarray, cells: np.ndarray):
@@ -128,7 +127,7 @@ def enumerate_weight_w(L: int, w: int) -> "Codebook":
     far = np.ones((P, P), dtype=bool)
     for col in table.T:
         far &= col[:, None] != col[None, :]
-    cells = np.bitwise_or.reduce(np.uint64(1) << (L * np.arange(L) + table).astype(np.uint64), axis=1)
+    cells = _cell_masks(L)
     later_far = np.packbits(np.triu(far, 1), axis=1, bitorder="little")
     later_far = np.pad(later_far, ((0, 0), (0, -later_far.shape[1] % 8))).view("<u8")
     keys, tuples = [], []
@@ -139,8 +138,7 @@ def enumerate_weight_w(L: int, w: int) -> "Codebook":
         if sum(map(len, keys)) > 1 << 19:
             keys, tuples = _first_per_mask(keys, tuples)
     (key,), (tup,) = _first_per_mask(keys, tuples)
-    key_bytes = key.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :(L * L + 7) // 8]
-    return Codebook(L, table, tup.astype(np.intp), key_bytes, label=f"P({L},{len(key)},w={w})")
+    return Codebook(L, tup.astype(np.intp), label=f"P({L},{len(key)},w={w})")
 
 
 class _Component(NamedTuple):
@@ -154,22 +152,38 @@ class _Entry(NamedTuple):
 class Codebook:
     """Ordered collection of codeword matrices sharing one block length L.
 
-    Built from, and held as, three arrays for every L: ``codewords``, a
-    sorted (P, L) table of 0-based permutations (permutation_table(L) for an
-    enumerated book); ``components``, the (Q, w_max) table rows each entry
-    sums, -1 past its weight; ``keys``, the (Q, ceil(L*L / 8)) little-endian
-    bytes of each entry's cell bitmask.
+    Built from, and held as, ``components``: the (Q, w_max) rows of
+    permutation_table(L) each entry sums, -1 past its weight (2 <= L <=
+    ENUMERATION_MAX_L).  The constructor ORs each entry's uint64 cell mask
+    from the cached per-row masks, one component column at a time, and
+    raises ValueError for a row outside the table, an entry that does not
+    start with a component or has -1 before one, components that share a
+    cell, or two entries of one matrix (equal masks).
     """
 
-    def __init__(self, L: int, codewords, components, keys, label: str = ""):
-        if not len(components):
+    def __init__(self, L: int, components, label: str = ""):
+        if not 2 <= L <= ENUMERATION_MAX_L:
+            raise ValueError(f"L must be in 2..{ENUMERATION_MAX_L}")
+        components = np.asarray(components, dtype=np.intp)
+        if components.ndim != 2 or not components.size:
             raise ValueError("codebook must contain at least one entry")
-        keys = np.ascontiguousarray(keys)
-        if _has_duplicate(keys):
+        cells = _cell_masks(L)
+        outside = components[(components < -1) | (components >= len(cells))]
+        if len(outside):
+            raise ValueError(f"component row {outside[0]} outside 0..{len(cells) - 1}")
+        used = components >= 0
+        if not (used[:, 0].all() and (used[:, :-1] >= used[:, 1:]).all()):
+            raise ValueError("an entry's components must come first, then -1 past its weight")
+        masks = np.zeros(len(components), dtype=np.uint64)
+        for col in components.T:
+            m = np.where(col >= 0, cells[col], np.uint64(0))
+            if (masks & m).any():
+                raise ValueError("components of an entry share a cell")
+            masks |= m
+        if not np.diff(np.sort(masks)).all():
             raise ValueError("duplicate matrix in codebook")
-        for a in (codewords, components, keys):
-            a.setflags(write=False)
-        self.L, self.codewords, self.components, self.keys, self.label = L, codewords, components, keys, label
+        components.setflags(write=False)
+        self.L, self.components, self.label = L, components, label
 
     @property
     def size(self) -> int:
@@ -190,7 +204,10 @@ class Codebook:
 
     @cached_property
     def matrix_stack(self) -> np.ndarray:
-        s = _unpack_keys(self.keys, self.L).astype(np.float64)
+        s = np.zeros((self.size, self.L, self.L))
+        for col in self.components.T:  # one 1 per row of each component, at its flat cells
+            rows = np.flatnonzero(col >= 0)
+            s.reshape(self.size, -1)[rows[:, None], permutation_cells(self.L)[col[rows]]] = 1.0
         s.setflags(write=False)
         return s
 
@@ -203,15 +220,14 @@ class Codebook:
     @cached_property
     def entries(self) -> tuple[_Entry, ...]:
         """Read-only view for perfbench/tracer.py::_slot_members, which goes
-        with ROADMAP item 1: entries[i].components[slot].symbols is the
-        1-based tuple of codewords[components[i, slot]] + 1."""
-        perms = [_Component(tuple(p)) for p in (self.codewords + 1).tolist()]
-        return tuple(_Entry(tuple(perms[j] for j in row[:w]))
-                     for row, w in zip(self.components.tolist(), self.weight_array.tolist()))
+        with ROADMAP item 1: entries[i].components[slot].symbols is
+        permutation_table(L)[1][components[i, slot]], 1-based."""
+        perms = [_Component(p) for p in permutation_table(self.L)[1]]
+        return tuple(_Entry(tuple(perms[j] for j in row if j >= 0)) for row in self.components.tolist())
 
     def entry_chunks(self, sep: str, head=()):
         """One newline-terminated line per entry: the head fields, then its
-        component codewords joined by sep, each as its digits, so L <= 9.
+        component codewords joined by sep, each as its digits.
         A head field is literal text, or a (non-negative integers, width)
         pair, one integer per entry, printed as f"{v:{width}d}".
 
@@ -221,12 +237,10 @@ class Codebook:
         entry and the working memory beyond the text is one piece's.  A
         caller that joins the pieces into longer text builds that text once,
         instead of once for the lines and again around them."""
-        if self.L >= 10:
-            raise ValueError(f"entry lines print one digit per symbol, so L must be at most 9, got {self.L}")
         for f in head:
             if not isinstance(f, str) and len(f[0]) != self.size:
                 raise ValueError(f"head field has {len(f[0])} values for {self.size} entries")
-        words = (self.codewords + ord("1")).astype(np.uint8)
+        words = (permutation_table(self.L)[0] + ord("1")).astype(np.uint8)
         # each codeword's text after sep, and an all-NUL row that the -1
         # slots past an entry's weight gather
         gap = len(sep)
@@ -259,7 +273,7 @@ class Codebook:
     def slot_table(self) -> MappingProxyType:
         """Read-only weight -> component slot -> {permutation: ascending indices
         of the entries with that canonical component in that slot}."""
-        perms = [tuple(p) for p in (self.codewords + 1).tolist()]
+        perms = permutation_table(self.L)[1]
         table = {}
         for w in self.weights_present:
             idx = self.weight_class_indices(w)
@@ -276,7 +290,7 @@ class Codebook:
         outside = idx[(idx < 0) | (idx >= self.size)]
         if len(outside):
             raise ValueError(f"index {outside[0]} outside 0..{self.size - 1}")
-        return Codebook(self.L, self.codewords, self.components[idx], self.keys[idx], label or self.label)
+        return Codebook(self.L, self.components[idx], label or self.label)
 
 
 def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str = "") -> Codebook:
@@ -287,23 +301,16 @@ def combine_codebooks(parts: list[Codebook] | tuple[Codebook, ...], label: str =
     L = parts[0].L
     if any(p.L != L for p in parts):
         raise ValueError("codebooks must share the block length")
-    # one sorted codeword table, so index tuples sort as their codewords do
-    table, inverse = np.unique(np.concatenate([p.codewords for p in parts]), axis=0, return_inverse=True)
-    # the components as table rows in the smallest type that holds them, so
-    # the sort and its gather hold a fraction of the (Q, w_max) intp output
-    Q, width = sum(p.size for p in parts), max(p.components.shape[1] for p in parts)
-    comps = np.full((Q, width), -1, dtype=np.min_scalar_type(-len(table)))
-    inverse = inverse.astype(comps.dtype)
-    q = offset = 0
-    for p in parts:
-        c = p.components
-        comps[q:q + p.size, :c.shape[1]] = np.where(c >= 0, inverse[offset:offset + len(p.codewords)][c], -1)
-        q, offset = q + p.size, offset + len(p.codewords)
+    # the components in the smallest type that holds a table row, so the
+    # sort and its gather hold a fraction of the (Q, w_max) intp output;
+    # rows of the lexicographic table sort as their codewords do
+    width = max(p.components.shape[1] for p in parts)
+    small = np.min_scalar_type(-len(permutation_table(L)[0]))
+    comps = np.concatenate([np.pad(p.components.astype(small), ((0, 0), (0, width - p.components.shape[1])),
+                                   constant_values=-1) for p in parts])
     order = np.lexsort((*comps.T[::-1], (comps >= 0).sum(axis=1, dtype=np.int8)))
     # each stage frees its table before the next one copies: at most one
-    # full copy beside the output, also while the constructor checks keys
+    # full copy beside the output, also while the constructor derives masks
     components = comps[order].astype(np.intp)
-    del comps
-    keys = np.concatenate([p.keys for p in parts])[order]
-    del order
-    return Codebook(L, table, components, keys, label)
+    del comps, order
+    return Codebook(L, components, label)

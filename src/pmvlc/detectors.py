@@ -28,15 +28,15 @@ per-component metrics because components never overlap.
                       spatial-modulation baselines; each returns the symbol
                       index, which is the bit label
 
-The coherent rules (ml, sm) share one nearest-mean kernel, ml_detect_batch.
-PAM levels are linear in m, so the means of one entry (or, for sm, one LED)
-lie on a line m U_q, and the nearest of them is the received correlation
-with U_q sliced to the nearest level: one (B, Q) matrix product per batch
-scores every entry at its best level, as a unipolar PAM slicer does.  It
-and rc_detect_batch work through the batch in row slices of _SLICE_CELLS
-cells, in place in scratch arrays of that size, so a batch allocates no
-large temporary and each matrix product stays small enough for OpenBLAS
-to run it on the calling thread.
+The nearest-mean rules (ml, sm, rc) share one kernel, ml_detect_batch.
+PAM levels are linear in m, so the means of one entry (for sm, one LED;
+for rc, the one slot sum) lie on a line m U_q, and the nearest of them is
+the received correlation with U_q sliced to the nearest level: one (B, Q)
+matrix product per batch scores every entry at its best level, as a
+unipolar PAM slicer does.  It works through the batch in row slices of
+_SLICE_CELLS cells, in place in scratch arrays of that size, so a batch
+allocates no large temporary and each matrix product stays small enough
+for OpenBLAS to run it on the calling thread.
 
 The blind rules pick an entry within a given weight class and nothing
 else.  The weight class (the sent one under genie, else the joint rule of
@@ -59,7 +59,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .channel import ChannelMatrix, fixture_h02
-from .codebook import ENUMERATION_MAX_L, Codebook, permutation_table
+from .codebook import ENUMERATION_MAX_L, Codebook, permutation_cells, permutation_table
 from .txcodec import PamConfig, pam_intensity
 
 
@@ -155,12 +155,12 @@ def classify_weight_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
 
 
-# cells per row slice of ml_detect_batch's and rc_detect_batch's (rows,
-# columns) arrays: each temporary is 128 KB, so every batch reuses the same
-# heap memory instead of page-faulting in a fresh 0.5-1 MB array, and at
-# L = 4 (16 values per block) a slice's product is at most 2**18
-# multiply-adds, where OpenBLAS still runs on the calling thread instead of
-# waking workers against the harness's pool.
+# cells per row slice of ml_detect_batch's (rows, columns) arrays: each
+# temporary is 128 KB, so every batch reuses the same heap memory instead of
+# page-faulting in a fresh 0.5-1 MB array, and at L = 4 (16 values per
+# block) a slice's product is at most 2**18 multiply-adds, where OpenBLAS
+# still runs on the calling thread instead of waking workers against the
+# harness's pool.
 # Halving the slice (256 rows at Q = 32) lost two-thread throughput to GIL
 # handoffs in a kernel-only measurement; doubling it ran slower on one thread.
 # analysis.distance_spectrum bounds both its distances per slice and its
@@ -333,17 +333,12 @@ class Assignment(NamedTuple):
     cost: float
 
 
-@cache
-def _ranking_table(n: int) -> np.ndarray:
-    return permutation_table(n)[0] + n * np.arange(n)
-
-
 def rank_assignments(costs) -> tuple[np.ndarray, np.ndarray]:
     """Rank every assignment of each square cost matrix in costs (..., n, n).
 
     Each assignment is a row of codebook.permutation_table(n), so one gather
     and one sum along the last axis cost all n!: the gather reads each
-    flattened matrix at the cached indices table + n * arange(n).  Returns
+    flattened matrix at the cached codebook.permutation_cells(n).  Returns
     (order, total), both (..., n!): total[..., i] is table row i's cost, and
     order, a stable argsort of total, lists the rows by (cost, column
     tuple), the order of Murty's k-best ranking (Operations Research 16,
@@ -358,7 +353,7 @@ def rank_assignments(costs) -> tuple[np.ndarray, np.ndarray]:
     n = C.shape[-1]
     if n > ENUMERATION_MAX_L:
         raise ValueError(f"ranking needs at most {ENUMERATION_MAX_L} columns, got {n}")
-    total = C.reshape(*C.shape[:-2], n * n)[..., _ranking_table(n)].sum(axis=-1)
+    total = C.reshape(*C.shape[:-2], n * n)[..., permutation_cells(n)].sum(axis=-1)
     return np.argsort(total, axis=-1, kind="stable"), total
 
 
@@ -419,22 +414,16 @@ def _walk_until_member(ranked: IterativeRow, members, e_max: int):
 def _walk_plan(codebook: Codebook, w: int, e_max: int | None):
     # iterative_sd_detect's slot table, walk budget (default: class size),
     # modelled work per try (one O(L^3) Hungarian solve and an L-step member
-    # check, the paper's decoder) and, for w >= 2, each entry's components
-    # as rows of permutation_table(L), once per class and budget.
+    # check, the paper's decoder) and each entry's components, the ranking
+    # rows its multiweight score sums, once per class and budget.
     if w not in codebook.weights_present:
         raise ValueError(f"weight {w} not in codebook")
-    budget = e_max if e_max is not None else len(codebook.weight_class_indices(w))
+    idx = codebook.weight_class_indices(w)
+    budget = e_max if e_max is not None else len(idx)
     if budget < 1:
         raise ValueError("e_max must be at least 1")
-    L, parts = codebook.L, None
-    if w > 1:
-        # a book's codewords need not be the whole table; as base-L numbers
-        # the table's rows ascend, so a search finds each codeword's row
-        place = L ** np.arange(L - 1, -1, -1)
-        rows = np.searchsorted(permutation_table(L)[0] @ place, codebook.codewords @ place)
-        idx = codebook.weight_class_indices(w)
-        parts = dict(zip(idx.tolist(), map(tuple, rows[codebook.components[idx, :w]].tolist())))
-    return codebook.slot_table[w], budget, L ** 3 + L, parts
+    parts = dict(zip(idx.tolist(), map(tuple, codebook.components[idx, :w].tolist())))
+    return codebook.slot_table[w], budget, codebook.L ** 3 + codebook.L, parts
 
 
 def iterative_sd_detect(block: IterativeRow, codebook: Codebook, w: int,
@@ -536,20 +525,12 @@ class SmConfig:
 
 
 def rc_detect_batch(y: np.ndarray, channel, config: RcConfig) -> np.ndarray:
-    """Sum the photodiode outputs of each row of y (B, n_rx) and slice
-    against the known level sums; returns the symbol index, which is also
-    the bit label."""
-    gains = float(_as_H(channel).sum())
-    levels = np.array([config.level(m) * gains for m in range(1, config.M + 1)])
-    totals = y.sum(axis=1)
-    # |total - level| in ml_detect_batch's row slices, in one scratch array
-    rows, slices = _row_slices(len(y), len(levels))
-    dist = np.empty((min(rows, len(y)), len(levels)))
-    out = np.empty(len(y), dtype=np.int64)
-    for sl in slices:
-        d = np.subtract.outer(totals[sl], levels, out=dist[:sl.stop - sl.start])
-        out[sl] = np.argmin(np.abs(d, out=d), axis=1)
-    return out
+    """Sum the photodiode outputs of each row of y (B, n_rx) and slice it to
+    the nearest known level sum, ties to the lowest; returns the symbol
+    index, which is also the bit label.  The level sums level(m) sum(H) are
+    linear in m, so they are ml_detect_batch's means of one scalar entry."""
+    levels = config.level(np.arange(1, config.M + 1)) * float(_as_H(channel).sum())
+    return ml_detect_batch(y.sum(axis=1)[:, None], levels[:, None], config.M)
 
 
 def sm_detect_batch(y: np.ndarray, channel, config: SmConfig) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from pmvlc import analysis, scenarios
 from pmvlc.channel import build_channel, fixture_h06_blocked, square_grid_geometry
 from pmvlc.cli import PRESETS, codebook_report, main, preset_scenarios
-from pmvlc.codebook import combine_codebooks, enumerate_weight_w
+from pmvlc.codebook import combine_codebooks, enumerate_weight_w, permutation_table
 from pmvlc.scenarios import (
     _GEOMETRY_KEYS,
     CB1_PERMS,
@@ -30,8 +30,8 @@ MINIMAL = "detectors = ml\nebn0_db = 90,100\ncodebook = cb1\n"
 
 
 def first_components(book):
-    # each entry's first component as 1-based symbols, read from the arrays
-    return tuple(map(tuple, (book.codewords[book.components[:, 0]] + 1).tolist()))
+    # each entry's first component as 1-based symbols, read from the table
+    return tuple(map(tuple, (permutation_table(book.L)[0][book.components[:, 0]] + 1).tolist()))
 
 
 class TestScenarioParsing:
@@ -245,7 +245,7 @@ class TestCodebookReport:
         # the book's arrays, so a mismatch names the line
         parts = [enumerate_weight_w(L, w) for w in weights]
         book = combine_codebooks(parts) if len(parts) > 1 else parts[0]
-        table = ["".join(map(str, p)) for p in (book.codewords + 1).tolist()]
+        table = ["".join(map(str, p)) for p in permutation_table(L)[1]]
         want = [f"  {idx:4d}  w={sum(j >= 0 for j in row)}  {' + '.join(table[j] for j in row if j >= 0)}"
                 for idx, row in enumerate(book.components.tolist(), 1)]
         text = codebook_report(L, weights)

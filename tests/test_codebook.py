@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 import math
 from itertools import combinations, permutations, product
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from pmvlc import analysis, codebook
 from pmvlc.analysis import SimConfig
 from pmvlc.channel import fixture_h02
-from pmvlc.codebook import Codebook, _has_duplicate, combine_codebooks, enumerate_weight_w
+from pmvlc.codebook import Codebook, combine_codebooks, enumerate_weight_w, permutation_table
 from pmvlc.detectors import signal_stack
 from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
@@ -41,19 +42,14 @@ def book_of(*entries):
     # given order and decomposition: no canonicalising, no checks but the
     # constructor's own
     L = len(entries[0][0])
-    table = sorted({p for comps in entries for p in comps})
-    index = {p: i for i, p in enumerate(table)}
+    row = permutation_table(L)[1].index
     w = max(map(len, entries))
-    comps = np.array([[index[p] for p in e] + [-1] * (w - len(e)) for e in entries], dtype=np.intp)
-    # each entry's mask ORs its cells, so components that share a cell set it once
-    masks = [sum({1 << (r * L + c - 1) for p in e for r, c in enumerate(p)}) for e in entries]
-    keys = np.array([list(m.to_bytes((L * L + 7) // 8, "little")) for m in masks], dtype=np.uint8)
-    return Codebook(L, np.array(table, dtype=np.intp).reshape(-1, L) - 1, comps, keys)
+    return Codebook(L, [[row(p) for p in e] + [-1] * (w - len(e)) for e in entries])
 
 
 def component_symbols(book):
-    # each entry's components as 1-based symbol tuples, read from the arrays
-    table = [tuple(p) for p in (book.codewords + 1).tolist()]
+    # each entry's components as 1-based symbol tuples, read from the table
+    table = permutation_table(book.L)[1]
     return [tuple(table[j] for j in row if j >= 0) for row in book.components.tolist()]
 
 
@@ -124,7 +120,10 @@ def entry_lines_oracle(book, sep):
 
 
 def book_keys(book):
-    return [int.from_bytes(k.tobytes(), "little") for k in book.keys]
+    # Independent oracle for the cell masks: bit r*L + c - 1 for symbol c in
+    # row r of every component, read from the table
+    return [sum(1 << (r * book.L + c - 1) for p in comps for r, c in enumerate(p))
+            for comps in component_symbols(book)]
 
 
 def cell_count_oracle(book):
@@ -212,8 +211,9 @@ class TestCyclicLatin:
 
 
 class TestCodewordMatrix:
-    """Entry matrices: keyed by their cell bitmask and, when enumerated,
-    stored under the canonical decomposition."""
+    """Entry matrices: keyed by their cell bitmask, which the constructor
+    derives, and, when enumerated, stored under the canonical
+    decomposition."""
 
     def test_paired_sum_matches_displayed_block(self):
         cb = book_of(((2, 3, 1, 4), (3, 1, 4, 2)))
@@ -225,43 +225,40 @@ class TestCodewordMatrix:
         # (1234)+(2143) and (1243)+(2134) sum to the same matrix; the
         # enumerated entry must hold the smaller pair.
         book = enumerate_weight_w(4, 2)
-        key = book_of(((1, 2, 4, 3), (2, 1, 3, 4))).keys[0].tobytes()
-        (i,) = [i for i, k in enumerate(book.keys) if k.tobytes() == key]
+        key = book_keys(book_of(((1, 2, 4, 3), (2, 1, 3, 4))))[0]
+        i = book_keys(book).index(key)
         assert listing(book.subset([i]), " ") == "1234 2143\n"
 
     def test_entries_are_read_only(self):
         cb = book_of(((2, 1, 3),))
-        assert cb.keys.dtype == np.uint8
-        for a in (cb.codewords, cb.components, cb.keys, cb.matrix_stack, cb.weight_array):
+        assert cb.components.dtype == np.intp
+        for a in (cb.components, cb.matrix_stack, cb.weight_array):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             cb.matrix_stack[0, 0, 0] = 1
 
     def test_equality_is_on_entries(self):
         # a hand-built entry and the enumerated entry with its cells share a key
-        assert book_of(((1, 2, 3, 4),)).keys.tobytes() == enumerate_weight_w(4, 1).keys[0].tobytes()
+        assert book_keys(book_of(((1, 2, 3, 4),)))[0] == book_keys(enumerate_weight_w(4, 1))[0]
 
     def test_two_decompositions_compare_and_hash_equal(self):
         # (1234)+(2143) and (1243)+(2134) are one matrix written under two
         # decompositions: the key follows the cells alone
         a, b = book_of(((1, 2, 3, 4), (2, 1, 4, 3))), book_of(((1, 2, 4, 3), (2, 1, 3, 4)))
-        assert a.keys.tobytes() == b.keys.tobytes()
+        assert book_keys(a) == book_keys(b)
         np.testing.assert_array_equal(a.matrix_stack, b.matrix_stack)
         with pytest.raises(ValueError, match="duplicate matrix in codebook"):
             book_of(((1, 2, 3, 4), (2, 1, 4, 3)), ((1, 2, 4, 3), (2, 1, 3, 4)))
-        assert book_of(((1, 2, 3, 4), (2, 3, 4, 1))).keys.tobytes() != a.keys.tobytes()
+        assert book_keys(book_of(((1, 2, 3, 4), (2, 3, 4, 1)))) != book_keys(a)
 
-    @pytest.mark.parametrize("L,key_bytes", [(2, 1), (3, 2), (4, 2), (8, 8), (9, 11)])
-    def test_duplicate_check_reads_every_key_word(self, L, key_bytes):
-        # two entries differing only in the last two rows: at L = 9 their
-        # 11-byte keys share the first 8 bytes, the whole first uint64 word
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_duplicate_check_reads_every_cell(self, L):
+        # two entries differing only in the last two rows, the mask's top bits
         ident = tuple(range(1, L + 1))
         entries = [(ident,), (ident[:-2] + ident[:-3:-1],)]
         book = book_of(*entries)
-        assert book.keys.shape == (2, key_bytes)
-        if L == 9:
-            assert listing(book, " ") == "123456789\n123456798\n"
-            assert book.keys[0, :8].tobytes() == book.keys[1, :8].tobytes()
+        first, second = book_keys(book)
+        assert (first ^ second).bit_length() == L * L
         for repeat in entries:
             with pytest.raises(ValueError, match="duplicate matrix in codebook"):
                 book_of(*entries, repeat)
@@ -272,6 +269,7 @@ class TestCodewordMatrix:
         book = enumerate_weight_w(3, 1).subset([3])
         assert component_symbols(book) == [((2, 3, 1),)]
         assert book_keys(book) == [(1 << 1) | (1 << 5) | (1 << 6)]
+        np.testing.assert_array_equal(book.matrix_stack[0], _perm(2, 3, 1))
 
     @pytest.mark.parametrize("L,ws", [(3, (1, 2)), (4, (1, 2, 3)), (5, (1, 2, 3, 4)), (6, (1, 2))])
     def test_entries_and_matrix_stack_match_cell_oracle(self, L, ws):
@@ -280,6 +278,42 @@ class TestCodewordMatrix:
             oracle = cell_count_oracle(book)
             assert oracle.max() == 1  # disjoint components
             np.testing.assert_array_equal(book.matrix_stack, oracle)
+
+
+class TestConstructor:
+    """Codebook(L, components, label) takes rows of permutation_table(L) and
+    derives each entry's cell mask; it rejects any entry that is not a sum
+    of disjoint permutation matrices."""
+
+    def test_rejects_components_that_share_a_cell(self):
+        # (1234) + (1243) would be a weight-2 entry with six ones, so its
+        # slots would send powers [0.5, 0.5, 1, 1], not unit power each
+        with pytest.raises(ValueError, match="components of an entry share a cell"):
+            book_of(((1, 2, 3, 4), (1, 2, 4, 3)))
+
+    @pytest.mark.parametrize("row", [-2, 24, 99])
+    def test_rejects_a_row_outside_the_table(self, row):
+        # row -2 would otherwise count as no component, an entry of weight 0
+        with pytest.raises(ValueError, match=rf"^component row {row} outside 0\.\.23$"):
+            Codebook(4, [[5], [row]])
+
+    @pytest.mark.parametrize("components", [[[0], [-1]], [[-1, 0]], [[0, -1], [-1, 9]]])
+    def test_rejects_an_entry_without_a_leading_component(self, components):
+        with pytest.raises(ValueError, match="components must come first, then -1 past its weight"):
+            Codebook(4, components)
+
+    @pytest.mark.parametrize("L", [1, 7])
+    def test_rejects_a_length_outside_the_table_range(self, L):
+        # books index permutation_table(L), which stops at ENUMERATION_MAX_L
+        with pytest.raises(ValueError, match="L must be in 2..6"):
+            Codebook(L, [[0]])
+
+    def test_takes_no_key_to_disagree_with_the_components(self):
+        # the cells come from the rows alone: a book holds nothing else
+        assert list(inspect.signature(Codebook).parameters) == ["L", "components", "label"]
+        book = combine_codebooks([enumerate_weight_w(5, w).subset(range(0, 40, 3)) for w in (1, 2, 3, 4)])
+        np.testing.assert_array_equal(book.matrix_stack,
+                                      [sum(_perm(*p) for p in comps) for comps in component_symbols(book)])
 
 
 def _perm(*symbols):
@@ -402,27 +436,16 @@ class TestCombine:
         assert book_keys(both) == book_keys(ordered)
         assert listing(both, " ") == listing(ordered, " ")
 
-    def test_merges_unequal_codeword_tables(self):
-        # hand-built books each hold only the codewords they use, so the
-        # combined order must come from the codewords, not the table rows
-        a = book_of(((4, 3, 2, 1),), ((2, 1, 4, 3),))
-        b = book_of(((3, 4, 1, 2),), ((1, 2, 3, 4), (2, 1, 4, 3)), ((1, 2, 4, 3),))
-        assert len(a.codewords) == 2 and len(b.codewords) == 4
-        both = combine_codebooks([a, b])
-        assert listing(both, " ") == "1243\n2143\n3412\n4321\n1234 2143\n"
-        assert both.weight_array.tolist() == [1, 1, 1, 1, 2]
-        assert book_keys(both) == book_keys(book_of(
-            ((1, 2, 4, 3),), ((2, 1, 4, 3),), ((3, 4, 1, 2),), ((4, 3, 2, 1),), ((1, 2, 3, 4), (2, 1, 4, 3))))
-
-    @pytest.mark.parametrize("k", [128, 129])
-    def test_sorts_tables_either_side_of_a_compact_type(self, k):
+    @pytest.mark.parametrize("L", [5, 6])
+    def test_sorts_tables_either_side_of_a_compact_type(self, L):
         # the sort holds table rows in the smallest signed type that holds
-        # them: 128 codewords fit int8, 129 need int16; the output is intp
-        perms = list(permutations(range(1, 7)))[:k]
-        parts = [book_of(*[(p,) for p in perms[half]]) for half in (slice(k // 2, None), slice(k // 2))]
-        both = combine_codebooks(parts)
-        assert component_symbols(both) == [(p,) for p in perms]
-        assert both.components.dtype == np.intp and len(both.codewords) == k
+        # them: L = 5's 120 rows fit int8, L = 6's 720 need int16; the
+        # output is intp
+        w1 = enumerate_weight_w(L, 1)
+        half = w1.size // 2
+        both = combine_codebooks([w1.subset(range(half, w1.size)), w1.subset(range(half))])
+        assert component_symbols(both) == [(p,) for p in permutation_table(L)[1]]
+        assert both.components.dtype == np.intp
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -508,7 +531,7 @@ class TestEntriesView:
         assert [len(entry.components) for entry in cb.entries] == cb.weight_array.tolist()
         for i, entry in enumerate(cb.entries):
             for slot, comp in enumerate(entry.components):
-                assert comp.symbols == tuple((cb.codewords[cb.components[i, slot]] + 1).tolist())
+                assert comp.symbols == tuple((permutation_table(cb.L)[0][cb.components[i, slot]] + 1).tolist())
 
 
 class TestBitMapping:
@@ -594,12 +617,6 @@ class TestEntryLines:
         lines = listing(book, " + ", ("<", (idx, 4), "|", (book.weight_array, 1), ">")).splitlines()
         assert lines == [f"<{v:4d}|1>{c}" for v, c in zip(idx, listing(book, " + ").splitlines())]
 
-    def test_rejects_two_digit_symbols(self):
-        # one digit per symbol: from L = 10 a codeword has no digit string
-        book = book_of((tuple(range(10, 0, -1)),))
-        with pytest.raises(ValueError, match="L must be at most 9, got 10"):
-            listing(book, " ")
-
     @pytest.mark.parametrize("sep", ["", " ", " + ", "|", ", "])
     def test_joins_components_with_sep_and_pads_nothing(self, sep):
         # a mixed-weight book: the -1 slots past a lighter entry's weight
@@ -643,30 +660,6 @@ class TestEntryLines:
             listing(book, " ", ((np.arange(2 + extra), 1),))
 
 
-class TestDuplicateCheck:
-    """The constructor's duplicate check over whole little-endian uint64
-    words of the key bytes, against a set of those bytes."""
-
-    @pytest.mark.parametrize("L", range(2, 10))
-    def test_matches_a_set_of_key_bytes(self, L):
-        rng = np.random.default_rng(L)
-        keys = np.unique(rng.integers(0, 256, size=(40, (L * L + 7) // 8), dtype=np.uint8), axis=0)
-        rng.shuffle(keys)
-        assert not _has_duplicate(keys)
-        for i in (0, len(keys) // 2, len(keys) - 1):
-            planted = np.insert(keys, rng.integers(len(keys) + 1), keys[i], axis=0)
-            assert len({k.tobytes() for k in planted}) == len(planted) - 1
-            assert _has_duplicate(planted)
-
-    @pytest.mark.parametrize("L", range(2, 10))
-    def test_keys_differing_only_in_the_last_byte_are_distinct(self, L):
-        # the last key byte sits in the last, zero-padded uint64 word
-        keys = np.full((2, (L * L + 7) // 8), 0xFF, dtype=np.uint8)
-        keys[1, -1] ^= 1
-        assert not _has_duplicate(keys)
-        assert _has_duplicate(keys[[0, 1, 0]])
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(1, 5))))
 def test_matrix_invariants(perm):
@@ -680,9 +673,14 @@ def test_matrix_invariants(perm):
 @given(st.permutations(list(range(1, 5))), st.permutations(list(range(1, 5))))
 def test_distance_symmetry(p1, p2):
     # a pair sums, in either order and to one matrix, to a weight-2 entry of
-    # the enumerated book exactly when it is at distance L
+    # the enumerated book exactly when it is at distance L; a closer pair
+    # shares a cell, which the constructor rejects
     assert hamming(p1, p2) == hamming(p2, p1)
-    key = book_of((tuple(p1), tuple(p2))).keys[0].tobytes()
-    assert book_of((tuple(p2), tuple(p1))).keys[0].tobytes() == key
-    enumerated = {k.tobytes() for k in enumerate_weight_w(4, 2).keys}
-    assert (key in enumerated) == (hamming(p1, p2) == 4)
+    if hamming(p1, p2) < 4:
+        for pair in ((p1, p2), (p2, p1)):
+            with pytest.raises(ValueError, match="components of an entry share a cell"):
+                book_of((tuple(pair[0]), tuple(pair[1])))
+        return
+    key = book_keys(book_of((tuple(p1), tuple(p2))))
+    assert book_keys(book_of((tuple(p2), tuple(p1)))) == key
+    assert key[0] in book_keys(enumerate_weight_w(4, 2))

@@ -18,7 +18,6 @@ from pmvlc.analysis import SimConfig
 from pmvlc.channel import build_channel, fixture_h02, square_grid_geometry
 from pmvlc.codebook import (
     ENUMERATION_MAX_L,
-    Codebook,
     combine_codebooks,
     enumerate_weight_w,
     permutation_table,
@@ -63,7 +62,7 @@ def block_for(codebook, q, m, pam):
 
 def component(codebook, i, slot=0):
     # 1-based symbols of entry i's component in the given slot
-    return tuple((codebook.codewords[codebook.components[i, slot]] + 1).tolist())
+    return tuple((permutation_table(codebook.L)[0][codebook.components[i, slot]] + 1).tolist())
 
 
 def perm_codebook(perms):
@@ -848,23 +847,15 @@ class TestBatchTables:
         assert got.tolist() == want
 
 
-    @pytest.mark.parametrize("name", ["combined32", "w2sel8", "w2sel8-compact", "w2full", "L6w2"])
+    @pytest.mark.parametrize("name", ["combined32", "w2sel8", "w2full", "L6w2"])
     @pytest.mark.parametrize("scale", [1.0, 1e-4])
     def test_component_totals_sum_to_the_support_metric(self, name, scale):
         # a multiweight candidate's score is the sum of its components'
         # ranking totals; it equals the entry's negated support sum from the
         # full product, across several slices, to rtol 1e-12 (and 1e-12 of
-        # the scale, as a sum near zero keeps no relative precision).
-        # w2sel8-compact holds only the codewords its entries use, so its
-        # table rows are not the ranking's
-        if name == "w2sel8-compact":
-            used = np.unique(W2SEL8.components)
-            book = Codebook(4, W2SEL8.codewords[used], np.searchsorted(used, W2SEL8.components),
-                            W2SEL8.keys, name)
-            assert len(book.codewords) == 16
-        else:
-            book = {"combined32": COMBINED32, "w2sel8": W2SEL8, "w2full": W2FULL,
-                    "L6w2": enumerate_weight_w(6, 2)}[name]
+        # the scale, as a sum near zero keeps no relative precision)
+        book = {"combined32": COMBINED32, "w2sel8": W2SEL8, "w2full": W2FULL,
+                "L6w2": enumerate_weight_w(6, 2)}[name]
         rng = np.random.default_rng(71)
         n = 600 if book.L == 4 else 16
         q = rng.integers(book.size, size=n)
