@@ -263,6 +263,17 @@ class TestCodewordMatrix:
             with pytest.raises(ValueError, match="duplicate matrix in codebook"):
                 book_of(*entries, repeat)
 
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_duplicate_check_reads_the_lowest_cell(self, L):
+        # two entries differing only in the first two rows, the mask's low bits
+        ident = tuple(range(1, L + 1))
+        entries = [(ident,), (ident[1::-1] + ident[2:],)]
+        first, second = book_keys(book_of(*entries))
+        assert (first ^ second) & -(first ^ second) == 1
+        for repeat in entries:
+            with pytest.raises(ValueError, match="duplicate matrix in codebook"):
+                book_of(*entries, repeat)
+
     def test_key_is_the_cell_bitmask(self):
         # bit r*L + c - 1 is set for symbol c in row r; (2, 3, 1) is the
         # fourth L = 3 permutation in lexicographic order
@@ -658,6 +669,31 @@ class TestEntryLines:
         book = enumerate_weight_w(4, 2).subset([0, 1])
         with pytest.raises(ValueError, match=f"head field has {2 + extra} values for 2 entries"):
             listing(book, " ", ((np.arange(2 + extra), 1),))
+
+
+class TestDuplicateCheck:
+    """The constructor's duplicate check, one sort of the derived uint64
+    masks, against a set of the oracle's masks."""
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_matches_a_set_of_cell_masks(self, L):
+        rng = np.random.default_rng(L)
+        # up to 40 entries of every weight but L = 6's third, drawn at random
+        book = combine_codebooks([enumerate_weight_w(L, w) for w in range(1, 3 if L == 6 else L)])
+        comps = book.components[rng.permutation(book.size)[:40]]
+        assert len(set(book_keys(Codebook(L, comps)))) == len(comps)
+        for i in (0, len(comps) // 2, len(comps) - 1):
+            # the repeat lists its components in reverse: another
+            # decomposition of the same matrix
+            w = int((comps[i] >= 0).sum())
+            repeat = np.concatenate((comps[i, :w][::-1], comps[i, w:]))
+            planted = np.insert(comps, rng.integers(len(comps) + 1), repeat, axis=0)
+            table = permutation_table(L)[1]
+            masks = [sum(1 << (r * L + c - 1) for j in row if j >= 0 for r, c in enumerate(table[j]))
+                     for row in planted.tolist()]
+            assert len(set(masks)) == len(planted) - 1
+            with pytest.raises(ValueError, match="duplicate matrix in codebook"):
+                Codebook(L, planted)
 
 
 @settings(max_examples=30, deadline=None)

@@ -847,23 +847,25 @@ class TestBatchTables:
         assert got.tolist() == want
 
 
-    @pytest.mark.parametrize("name", ["combined32", "w2sel8", "w2full", "L6w2"])
+    @pytest.mark.parametrize("name", ["combined32", "w2sel8", "w2full", "w3full", "L6w2"])
     @pytest.mark.parametrize("scale", [1.0, 1e-4])
     def test_component_totals_sum_to_the_support_metric(self, name, scale):
         # a multiweight candidate's score is the sum of its components'
         # ranking totals; it equals the entry's negated support sum from the
         # full product, across several slices, to rtol 1e-12 (and 1e-12 of
-        # the scale, as a sum near zero keeps no relative precision)
+        # the scale, as a sum near zero keeps no relative precision).
+        # w3full checks the three-component sums of the L = 4, w = 3 class
         book = {"combined32": COMBINED32, "w2sel8": W2SEL8, "w2full": W2FULL,
-                "L6w2": enumerate_weight_w(6, 2)}[name]
+                "w3full": enumerate_weight_w(4, 3), "L6w2": enumerate_weight_w(6, 2)}[name]
+        w = max(book.weights_present)
         rng = np.random.default_rng(71)
         n = 600 if book.L == 4 else 16
         q = rng.integers(book.size, size=n)
         Y = scale * (book.matrix_stack[q] + rng.normal(0, 0.3, (n, book.L, book.L)))
         full = -np.einsum("bij,qij->bq", Y, book.matrix_stack)
         totals = np.array([row.total for row in iterative_rows(Y)])
-        parts = detectors._walk_plan(book, 2, None)[3]
-        idx = book.weight_class_indices(2)
+        parts = detectors._walk_plan(book, w, None)[3]
+        idx = book.weight_class_indices(w)
         assert sorted(parts) == idx.tolist()
         got = totals[:, [parts[i] for i in idx.tolist()]].sum(axis=2)
         np.testing.assert_allclose(got, full[:, idx], rtol=1e-12, atol=1e-12 * scale)
