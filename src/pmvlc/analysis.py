@@ -14,24 +14,28 @@ op model lives in that module.
 
 Reproducibility contract: a record depends only on (master seed, scheme,
 detector, grid index, batch index).  Batches are fixed-size and each seeds
-its own generator from that tuple.  Grid points run in parallel, but each
-point runs its batches 0, 1, ... in order and stops at the first one after
-which the cumulative stopping rule holds, so no batch is computed and
+its own generator from that tuple.  The pool runs batches, not points (see
+monte_carlo_ber): the workers go round robin over the points, but each
+point runs its batches 0, 1, ... one at a time and stops at the first one
+after which the cumulative stopping rule holds, so no batch is computed and
 dropped, and the output is byte-identical for any worker count.
 
-Memory is stable from batch to batch: each grid point receives all of its
-batches into one buffer (see _simulate_point), and the coherent kernels
-work in fixed-size row slices, so a steady-state batch page-faults a few
-times at most instead of hundreds.
+Memory is stable from batch to batch: each worker receives all of its
+batches into one buffer, and the coherent and bf kernels work in fixed-size
+row slices, so a steady-state batch page-faults a few times at most instead
+of hundreds.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import add
 from typing import Callable, Iterator
 
 import numpy as np
@@ -375,38 +379,47 @@ def _simulate_batch(config: SimConfig, link: _Link, Y: np.ndarray, sigma, point_
     return int(errors.sum()), len(Y), ops
 
 
-def _simulate_point(config: SimConfig, link: _Link, point_idx: int, ebn0_db: float) -> BerRecord:
-    """Batches 0, 1, ... of one grid point, in order, until the cumulative
-    bit-error target or the block cap is reached.
-
-    Every batch is received into one (BATCH_BLOCKS, ...) buffer, allocated
-    here and owned by this point's task alone.  A fresh 0.5-1 MB array per
-    batch would sit at glibc malloc's dynamic mmap and trim thresholds, go
-    back to the system when freed and be page-faulted in again by the next
-    batch: about 224 minor faults per batch before any decoding.
-    """
-    sigma = np.sqrt(n0_for_bits(ebn0_db, link.bits) / 2.0)
-    Y = np.empty((BATCH_BLOCKS, *link.means.shape[1:]))
-    errors = blocks = ops = 0
-    while errors < config.errors_target and blocks < config.block_cap:
-        e, nblocks, nops = _simulate_batch(config, link, Y, sigma, point_idx, blocks // BATCH_BLOCKS)
-        errors += e
-        blocks += nblocks
-        ops += nops
-    return BerRecord(scheme=config.scheme, detector=config.detector, ebn0_db=float(ebn0_db),
-                     ber=errors / (blocks * link.bits), bit_errors=errors,
-                     bits=blocks * link.bits, blocks=blocks, seed=config.seed, ops=ops)
-
-
 def monte_carlo_ber(config: SimConfig, threads: int = 1) -> list[BerRecord]:
-    """Simulate the configured detector over the Eb/N0 grid, up to `threads`
-    grid points at a time; records come back in grid order."""
+    """Simulate the configured detector over the Eb/N0 grid; records come
+    back in grid order.
+
+    The pool runs batches: each of min(threads, points) workers takes the
+    point at the head of a ready queue, runs its next batch and puts it at
+    the back while its stopping rule allows another, so the workers go round
+    robin over the points and no point has two batches in flight.  A worker
+    receives all its batches into one (BATCH_BLOCKS, ...) buffer: a fresh
+    0.5-1 MB array per batch would sit at glibc malloc's mmap and trim
+    thresholds and be page-faulted in again, about 224 minor faults a batch.
+    """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    link = _link(config)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda p: _simulate_point(config, link, *p),
-                             enumerate(config.ebn0_grid)))
+    link, grid = _link(config), config.ebn0_grid
+    sigmas = [np.sqrt(n0_for_bits(db, link.bits) / 2.0) for db in grid]
+    totals = [(0, 0, 0)] * len(grid)  # bit errors, blocks, ops per point
+    ready, lock = deque(range(len(grid))), threading.Lock()
+
+    def work():
+        Y = np.empty((BATCH_BLOCKS, *link.means.shape[1:]))
+        while True:
+            with lock:
+                if not ready:
+                    return
+                p = ready.popleft()
+            # p is this worker's until it goes back on the queue
+            batch = _simulate_batch(config, link, Y, sigmas[p], p, totals[p][1] // BATCH_BLOCKS)
+            errors, blocks, ops = totals[p] = tuple(map(add, totals[p], batch))
+            if errors < config.errors_target and blocks < config.block_cap:
+                with lock:
+                    ready.append(p)
+
+    workers = min(threads, len(grid))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for job in [pool.submit(work) for _ in range(workers)]:
+            job.result()
+    return [BerRecord(scheme=config.scheme, detector=config.detector, ebn0_db=float(db),
+                      ber=errors / (blocks * link.bits), bit_errors=errors,
+                      bits=blocks * link.bits, blocks=blocks, seed=config.seed, ops=ops)
+            for db, (errors, blocks, ops) in zip(grid, totals)]
 
 
 def write_ber_csv(records, path):

@@ -185,8 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False, parents=[out])
     run.add_argument("--seed", type=int, default=None,
                      help="master seed override")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for the Monte Carlo pool")
+    run.add_argument("--threads", type=int, default=1, help="Monte Carlo worker threads, each "
+                     "running one batch at a time; any count gives the same output")
     run.add_argument("--errors-target", type=int, default=None,
                      help="stop a point after this many bit errors")
     run.add_argument("--block-cap", type=int, default=None,

@@ -99,9 +99,16 @@ def received_means(codebook: Codebook, pam: PamConfig, channel) -> np.ndarray:
 
 
 def _best_support(Y: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Row of `stack` with the smallest negated support sum, that is the
-    largest support sum, per block; ties resolve to the lowest row."""
-    return np.argmax(np.einsum("bij,qij->bq", Y, stack), axis=1)
+    """Row of `stack` with the largest support sum (the smallest negated
+    one) per block, ties to the lowest row: one matrix product per row slice
+    of _SLICE_CELLS (rows, Q) cells into one scratch array, as ml_detect_batch."""
+    Yf, S = Y.reshape(len(Y), -1), stack.reshape(len(stack), -1).T
+    rows, slices = _row_slices(len(Y), len(stack))
+    sums = np.empty((min(rows, len(Y)), len(stack)))
+    out = np.empty(len(Y), dtype=np.intp)
+    for sl in slices:
+        out[sl] = np.argmax(np.matmul(Yf[sl], S, out=sums[:sl.stop - sl.start]), axis=1)
+    return out
 
 
 def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float | None) -> np.ndarray:

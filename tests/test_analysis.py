@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -385,6 +387,53 @@ class TestHarnessDeterminism:
         assert len(calls) == sum(r.blocks for r in records) // BATCH_BLOCKS
         assert sorted(calls) == [(0, 0), (1, 0)]
 
+    # three points of three batches each: no point stops before its block cap
+    FIXED_CAP = dict(scheme="c32", detector="ml", ebn0_grid=(90.0, 91.0, 92.0), channel=H02,
+                     codebook=COMBINED32, pam=M1, errors_target=10 ** 9,
+                     block_cap=3 * BATCH_BLOCKS, seed=2)
+
+    def test_one_thread_goes_round_robin_over_the_points(self, monkeypatch):
+        inner, calls = analysis._simulate_batch, []
+
+        def recording(config, link, Y, sigma, point_idx, batch_idx):
+            calls.append((point_idx, batch_idx))
+            return inner(config, link, Y, sigma, point_idx, batch_idx)
+
+        monkeypatch.setattr(analysis, "_simulate_batch", recording)
+        monte_carlo_ber(SimConfig(**self.FIXED_CAP), threads=1)
+        assert calls == [(p, b) for b in range(3) for p in range(3)]
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_one_batch_per_point_and_per_worker_in_flight(self, monkeypatch, threads):
+        inner, lock = analysis._simulate_batch, threading.Lock()
+        flying, most, buffers, calls = set(), [0], [], []
+
+        def counting(config, link, Y, sigma, point_idx, batch_idx):
+            with lock:
+                assert point_idx not in flying
+                flying.add(point_idx)
+                most[0] = max(most[0], len(flying))
+                buffers.append(Y)
+                calls.append((point_idx, batch_idx))
+            try:
+                time.sleep(0.002)  # hold the batch in flight while others start
+                return inner(config, link, Y, sigma, point_idx, batch_idx)
+            finally:
+                with lock:
+                    flying.remove(point_idx)
+
+        monkeypatch.setattr(analysis, "_simulate_batch", counting)
+        cfg = SimConfig(**self.FIXED_CAP)
+        records = monte_carlo_ber(cfg, threads=threads)
+        workers = min(threads, len(cfg.ebn0_grid))
+        assert 1 < most[0] <= workers
+        # one reused buffer per worker, not one per point
+        assert len({id(Y) for Y in buffers}) <= workers
+        # each point's batches in order, none past the cap
+        for p in range(3):
+            assert [b for q, b in calls if q == p] == [0, 1, 2]
+        assert records == monte_carlo_ber(cfg, threads=1)
+
     def test_stops_at_error_target(self):
         cfg = SimConfig(scheme="c32", detector="ml", ebn0_grid=(90.0,),
                         channel=H02, codebook=COMBINED32, pam=M1,
@@ -529,9 +578,9 @@ class TestPerBlockCalls:
 
 
 class TestReceivedBuffer:
-    """Each grid point receives all of its batches into one buffer, which
-    must hold bit for bit what a fresh means[tx] + rng.normal(0, sigma)
-    array held."""
+    """Each worker receives all of its batches into one buffer, which must
+    hold bit for bit what a fresh means[tx] + rng.normal(0, sigma) array
+    held."""
 
     @pytest.mark.parametrize("detector,book,M", [
         ("ml", "combined32", 16), ("bf", "full24", 4), ("rc", None, 1), ("sm", None, 1),
@@ -552,22 +601,20 @@ class TestReceivedBuffer:
         cfg = SimConfig(scheme="s", detector=detector, ebn0_grid=(94.0, 100.0), channel=H02,
                         codebook=named_codebook(book) if book else None, pam=PamConfig(M=M),
                         errors_target=10 ** 9, block_cap=3 * BATCH_BLOCKS, seed=4)
-        monte_carlo_ber(cfg)  # one thread: point 0's batches, then point 1's
+        monte_carlo_ber(cfg)  # one thread, round robin: (0, 0), (1, 0), (0, 1), (1, 1), ...
         assert len(seen) == 6
         link = build(cfg)
         means, bits = link.means, link.bits
         for k, (_, Y, tx) in enumerate(seen):
-            point, batch = divmod(k, 3)
+            batch, point = divmod(k, 2)
             rng = analysis._batch_rng(cfg, point, batch)
             want_tx = rng.integers(len(means), size=BATCH_BLOCKS)
             sigma = np.sqrt(n0_for_bits(cfg.ebn0_grid[point], bits) / 2.0)
             want = means[want_tx] + rng.normal(0.0, sigma, size=(BATCH_BLOCKS, *means.shape[1:]))
             np.testing.assert_array_equal(tx, want_tx)
             np.testing.assert_array_equal(Y.view(np.int64), want.view(np.int64))
-        buffers = [buf for buf, _, _ in seen]
-        assert buffers[0] is buffers[1] is buffers[2]
-        assert buffers[3] is buffers[4] is buffers[5]
-        assert buffers[0] is not buffers[3]
+        # one buffer per in-flight batch, and one thread runs one at a time
+        assert all(buf is seen[0][0] for buf, _, _ in seen)
 
 
 class TestHarnessLabelRule:

@@ -40,6 +40,7 @@ from pmvlc.detectors import (
     signal_stack,
     sm_detect_batch,
 )
+from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
 
 H02 = fixture_h02().H
@@ -301,6 +302,60 @@ class TestBfSd:
         assert bf_sd_detect(Y, FULL24, 1).op_count == 24 * 1 * 4
         sub8 = FULL24.subset(range(8), label="sub8")
         assert bf_sd_detect(Y, sub8, 1).op_count == 8 * 1 * 4
+
+    @pytest.mark.parametrize("cells", [None, 100])
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_best_support_is_the_einsum_argmax(self, monkeypatch, name, scale, cells):
+        # noisy h02 blocks of every entry, in several slices (at the package's
+        # slice size, and at 100 cells, a few rows each): every class's pick
+        # is the argmax of the whole-batch einsum of the support sums
+        if cells:
+            monkeypatch.setattr(detectors, "_SLICE_CELLS", cells)
+        book, rng = named_codebook(name), np.random.default_rng(47)
+        q = rng.integers(book.size, size=1500)
+        Y = H02 @ book.matrix_stack[q] / H02.max()
+        Y = scale * (Y + rng.normal(0, 0.3, Y.shape))
+        for w in book.weights_present:
+            stack = book.matrix_stack[book.weight_class_indices(w)]
+            want = np.argmax(np.einsum("bij,qij->bq", Y, stack), axis=1)
+            np.testing.assert_array_equal(detectors._best_support(Y, stack), want)
+
+    def test_best_support_ties_go_to_the_lowest_row(self):
+        # a constant block scores every entry of a class alike, in every
+        # slice; a block that is the sum of entries 3 and 7 scores those two
+        # alike, above the rest
+        for book in (FULL24, W2SEL8, COMBINED32):
+            for w in book.weights_present:
+                stack = book.matrix_stack[book.weight_class_indices(w)]
+                for value in (1.0, 0.25):
+                    got = detectors._best_support(np.full((1500, 4, 4), value), stack)
+                    assert not got.any()
+        stack = FULL24.matrix_stack
+        sums = np.einsum("ij,qij->q", stack[3] + stack[7], stack)
+        assert sums[3] == sums[7] == sums.max() and (sums == sums.max()).sum() == 2
+        got = detectors._best_support(np.repeat((stack[3] + stack[7])[None], 5, axis=0), stack)
+        assert got.tolist() == [3] * 5
+
+    def test_best_support_products_stay_within_a_slice(self, monkeypatch):
+        # each support-sum product holds at most _SLICE_CELLS cells, and the
+        # slices cover the batch
+        products, inner = [], np.matmul
+
+        def recording(a, b, **kw):
+            out = inner(a, b, **kw)
+            products.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "matmul", recording)
+        rng = np.random.default_rng(9)
+        Y = rng.normal(0, 1, (3000, 4, 4))
+        for book in (FULL24, COMBINED32, W2SEL8):
+            products.clear()
+            got = detectors._best_support(Y, book.matrix_stack)
+            assert len(got) == len(Y) and len(products) >= 2
+            assert all(r * q <= detectors._SLICE_CELLS and q == book.size for r, q in products)
+            assert sum(r for r, _ in products) == len(Y)
 
 
 class TestEstimateIntensity:
