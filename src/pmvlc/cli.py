@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    BATCH_BLOCKS,
     ber_union_bound,
     monte_carlo_ber,
     write_ber_csv,
@@ -188,9 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=int, default=1, help="Monte Carlo worker threads, each "
                      "running one batch at a time; any count gives the same output")
     run.add_argument("--errors-target", type=int, default=None,
-                     help="stop a point after this many bit errors")
+                     help=f"stop a point after the {BATCH_BLOCKS}-block batch that reaches this many bit errors")
     run.add_argument("--block-cap", type=int, default=None,
-                     help="hard per-point block limit")
+                     help=f"stop a point after the {BATCH_BLOCKS}-block batch that reaches this many blocks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("codebook", help="print per-weight counts and entry listing")

@@ -12,12 +12,13 @@ A Codebook is built from, and held as, one integer array: each entry's
 component rows in the cached lexicographic table permutation_table(L), -1
 past its weight.  The constructor checks the entries by their cell bitmasks
 (bit r*L + c - 1 set for symbol c in row r, one uint64 each), and the 0/1
-matrices are built from the rows only when read.  Enumeration extends index
-tuples over the table with numpy and keeps the first tuple per matrix, its
-canonical decomposition.  The CLI report's entry lines are written from the
-arrays as byte matrices of a few thousand entries each, each codeword as its
-digits.  Books are built by enumeration, subset, combine_codebooks or the
-Codebook constructor; there is no text import or export.
+matrices are built from the rows only when read.  Enumeration adds one
+component at a time to tuples of table rows with disjoint cell masks and
+keeps the first tuple per mask, its canonical decomposition.  The CLI
+report's entry lines are written from the arrays as byte matrices of a few
+thousand entries each, each codeword as its digits.  Books are built by
+enumeration, subset, combine_codebooks or the Codebook constructor; there is
+no text import or export.
 """
 
 from __future__ import annotations
@@ -76,68 +77,56 @@ def _number_columns(values, width: int) -> np.ndarray:
     return out
 
 
-def _grow(tup: np.ndarray, key: np.ndarray, w: int, later_far: np.ndarray, cells: np.ndarray):
-    # Yields, in lexicographic order, pieces of the ascending w-tuples that
-    # extend the rows of tup, with their cell masks.  Row j of later_far
-    # packs, as little-endian uint64 words, the later codewords that differ
-    # from j everywhere.  Rows are extended 1024 at a time, so the arrays
-    # held at once stay bounded at any w.
-    if tup.shape[1] == w:
-        yield tup, key
-        return
-    for lo in range(0, len(tup), 1024):
-        t = tup[lo:lo + 1024]
-        # every later codeword that differs everywhere from all of the row's
-        fits = np.bitwise_and.reduce(later_far[t], axis=1)
-        rows, word = np.nonzero(fits)
-        hit, bit = np.nonzero(np.unpackbits(fits[rows, word].view(np.uint8).reshape(-1, 8),
-                                            axis=1, bitorder="little"))
-        rows, nxt = rows[hit], (word[hit] * 64 + bit).astype(np.int16)  # L! <= 720
-        yield from _grow(np.column_stack((t[rows], nxt)), key[lo:lo + 1024][rows] | cells[nxt],
-                         w, later_far, cells)
+def _as_indices(values, lo: int, n: int, name: str) -> np.ndarray:
+    # values as intp, each in lo..n - 1; a non-integer (a boolean too) raises
+    # instead of being truncated to an index, and the range is checked in
+    # the input's own type, before a large unsigned value could wrap
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer, not {arr.dtype}")
+    outside = arr[(arr < lo) | (arr >= n)]
+    if len(outside):
+        raise ValueError(f"{name} {outside[0]} outside 0..{n - 1}")
+    return arr.astype(np.intp, copy=False)
 
 
 def _first_per_mask(keys: list, tuples: list) -> tuple[list, list]:
-    # a stable sort keeps equal masks in the order met, so the first of each
-    # run is the first seen; its indices, sorted, keep first-seen order
+    # np.unique's return_index (a stable sort) is each mask's first occurrence
     key, tup = np.concatenate(keys), np.concatenate(tuples)
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    first = order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    first.sort()
+    keys.clear(), tuples.clear()  # the pieces go before unique's sort copies
+    first = np.sort(np.unique(key, return_index=True)[1])
     return [key[first]], [tup[first]]
 
 
 def enumerate_weight_w(L: int, w: int) -> "Codebook":
     """All weight-w matrices built from w pairwise distance-L codewords.
 
-    Ascending index tuples into permutation_table(L) grow one codeword at a
-    time, and a tuple's matrix is the OR of its codewords' cell masks.
-    Distinct tuples can sum to one matrix, so only the first per mask is
-    kept: tuples are met in lexicographic order, so it is the canonical
-    (lexicographically smallest) decomposition, and first-seen order is the
-    canonical order.
+    Tuples of permutation_table(L) rows grow one component at a time: each
+    kept tuple takes every later row whose cell mask misses its own, and of
+    the tuples sharing a mask only the first in lexicographic order is kept,
+    the matrix's canonical (smallest) decomposition, in canonical order.
+    Dropping the others at every step is exact: every row inside a regular
+    0/1 matrix extends to a decomposition (König), so each prefix of a
+    canonical tuple is canonical for its own partial matrix.
     """
     if not 2 <= L <= ENUMERATION_MAX_L:
         raise ValueError(f"L must be in 2..{ENUMERATION_MAX_L}")
     if not 1 <= w <= L - 1:
         raise ValueError(f"w must be in 1..{L - 1}")
-    table, _ = permutation_table(L)
-    P = len(table)
-    far = np.ones((P, P), dtype=bool)
-    for col in table.T:
-        far &= col[:, None] != col[None, :]
     cells = _cell_masks(L)
-    later_far = np.packbits(np.triu(far, 1), axis=1, bitorder="little")
-    later_far = np.pad(later_far, ((0, 0), (0, -later_far.shape[1] % 8))).view("<u8")
-    keys, tuples = [], []
-    for tup, key in _grow(np.arange(P, dtype=np.int16)[:, None], cells, w, later_far, cells):
-        keys.append(key)
-        tuples.append(tup)
-        # drop repeats now and then; 2**19 tops the largest book, L = 6, w = 3 (297 200)
-        if sum(map(len, keys)) > 1 << 19:
-            keys, tuples = _first_per_mask(keys, tuples)
-    (key,), (tup,) = _first_per_mask(keys, tuples)
+    rows = np.arange(len(cells), dtype=np.int16)  # L! <= 720
+    key, tup = cells, rows[:, None]
+    for _ in range(w - 1):
+        keys, tuples = [], []
+        for lo in range(0, len(tup), 256):  # 256 tuples at a time bound the arrays held
+            k, t = key[lo:lo + 256], tup[lo:lo + 256]
+            i, nxt = np.nonzero(((k[:, None] & cells) == 0) & (rows > t[:, -1:]))
+            keys.append(k[i] | cells[nxt])
+            tuples.append(np.column_stack((t[i], rows[nxt])))
+            # drop repeats now and then; the L = 6, w = 3 step meets 1.8 M tuples
+            if sum(map(len, keys)) > 1 << 19:
+                keys, tuples = _first_per_mask(keys, tuples)
+        (key,), (tup,) = _first_per_mask(keys, tuples)
     return Codebook(L, tup.astype(np.intp), label=f"P({L},{len(key)},w={w})")
 
 
@@ -156,21 +145,19 @@ class Codebook:
     permutation_table(L) each entry sums, -1 past its weight (2 <= L <=
     ENUMERATION_MAX_L).  The constructor ORs each entry's uint64 cell mask
     from the cached per-row masks, one component column at a time, and
-    raises ValueError for a row outside the table, an entry that does not
-    start with a component or has -1 before one, components that share a
-    cell, or two entries of one matrix (equal masks).
+    raises ValueError for a component that is not an integer (booleans
+    included), a row outside the table, an entry that does not start with a
+    component or has -1 before one, components that share a cell, or two
+    entries of one matrix (equal masks).
     """
 
     def __init__(self, L: int, components, label: str = ""):
         if not 2 <= L <= ENUMERATION_MAX_L:
             raise ValueError(f"L must be in 2..{ENUMERATION_MAX_L}")
-        components = np.asarray(components, dtype=np.intp)
+        cells = _cell_masks(L)
+        components = _as_indices(components, -1, len(cells), "component row")
         if components.ndim != 2 or not components.size:
             raise ValueError("codebook must contain at least one entry")
-        cells = _cell_masks(L)
-        outside = components[(components < -1) | (components >= len(cells))]
-        if len(outside):
-            raise ValueError(f"component row {outside[0]} outside 0..{len(cells) - 1}")
         used = components >= 0
         if not (used[:, 0].all() and (used[:, :-1] >= used[:, 1:]).all()):
             raise ValueError("an entry's components must come first, then -1 past its weight")
@@ -286,10 +273,7 @@ class Codebook:
         return MappingProxyType(table)
 
     def subset(self, indices, label: str = "") -> "Codebook":
-        idx = np.fromiter(indices, dtype=np.intp)
-        outside = idx[(idx < 0) | (idx >= self.size)]
-        if len(outside):
-            raise ValueError(f"index {outside[0]} outside 0..{self.size - 1}")
+        idx = _as_indices(list(indices), 0, self.size, "index")
         return Codebook(self.L, self.components[idx], label or self.label)
 
 

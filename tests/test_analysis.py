@@ -450,6 +450,14 @@ class TestHarnessDeterminism:
         assert rec.blocks == 2 * BATCH_BLOCKS
         assert rec.ber == 0.0
 
+    @pytest.mark.parametrize("cap, batches", [(1, 1), (BATCH_BLOCKS + 1, 2)])
+    def test_block_cap_rounds_up_to_whole_batches(self, cap, batches):
+        # the cap is read once per batch: a point ends with the batch that reaches it
+        cfg = SimConfig(scheme="c32", detector="ml", ebn0_grid=(140.0,),
+                        channel=H02, codebook=COMBINED32, pam=M1,
+                        errors_target=100, block_cap=cap, seed=2)
+        assert monte_carlo_ber(cfg)[0].blocks == batches * BATCH_BLOCKS
+
     @pytest.mark.parametrize("M", [1, 4, 16])
     @pytest.mark.parametrize("book", sorted(CODEBOOKS))
     def test_guess_detector_near_half(self, book, M):

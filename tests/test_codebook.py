@@ -319,6 +319,22 @@ class TestConstructor:
         with pytest.raises(ValueError, match="L must be in 2..6"):
             Codebook(L, [[0]])
 
+    @pytest.mark.parametrize("components", [[[0.7]], [["3"]], [[True], [False]], [[5, 2.0]]],
+                             ids=["float", "str", "bool", "mixed"])
+    def test_rejects_components_that_are_not_integers(self, components):
+        # each would otherwise be truncated to a row: 0.7 to row 0, "3" to row 3
+        with pytest.raises(ValueError, match="^component row must be an integer"):
+            Codebook(4, components)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_takes_components_of_any_integer_type(self, dtype):
+        assert Codebook(4, np.array([[3], [1]], dtype=dtype)).components.tolist() == [[3], [1]]
+
+    def test_checks_unsigned_rows_before_they_wrap(self):
+        # 2**64 - 1 would wrap to -1 as intp and read as no component
+        with pytest.raises(ValueError, match=r"^component row 18446744073709551615 outside 0\.\.23$"):
+            Codebook(4, np.array([[3, 2**64 - 1]], dtype=np.uint64))
+
     def test_takes_no_key_to_disagree_with_the_components(self):
         # the cells come from the rows alone: a book holds nothing else
         assert list(inspect.signature(Codebook).parameters) == ["L", "components", "label"]
@@ -392,6 +408,21 @@ class TestEnumeration:
         book = enumerate_weight_w(L, w)
         assert book_keys(book) == keys
         assert component_symbols(book) == sets
+
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    def test_prefixes_are_entries_of_the_weight_below(self, L):
+        # a canonical decomposition's prefixes are canonical for their own
+        # partial matrices, so each weight grows from the book below it alone
+        for w in range(2, L):
+            below = {tuple(row) for row in enumerate_weight_w(L, w - 1).components.tolist()}
+            assert {tuple(row[:-1]) for row in enumerate_weight_w(L, w).components.tolist()} <= below
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_masks_are_the_complements_of_weight_L_minus_w(self, L):
+        full = (1 << L * L) - 1
+        for w in range(1, L):
+            assert set(book_keys(enumerate_weight_w(L, w))) == {
+                full ^ k for k in book_keys(enumerate_weight_w(L, L - w))}
 
     def test_holds_arrays_not_objects(self):
         # enumerating, combining and reading the decoder tables of the
@@ -480,6 +511,13 @@ class TestSubset:
     def test_rejects_an_index_outside_the_book(self, indices, bad):
         # a negative index would wrap to an entry from the end
         with pytest.raises(ValueError, match=rf"^index {bad} outside 0\.\.23$"):
+            enumerate_weight_w(4, 1).subset(indices)
+
+    @pytest.mark.parametrize("indices", [[True, False], [1.9], np.array([0.0, 3.0]), ("3",)],
+                             ids=["bool-mask", "float", "float-array", "str"])
+    def test_rejects_indices_that_are_not_integers(self, indices):
+        # a boolean mask would be read as entries 1 and 0, and 1.9 as entry 1
+        with pytest.raises(ValueError, match="^index must be an integer"):
             enumerate_weight_w(4, 1).subset(indices)
 
     def test_rejects_an_empty_selection(self):
