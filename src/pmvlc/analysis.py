@@ -41,7 +41,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import detectors
-from .channel import ChannelMatrix, n0_for_bits
+from .channel import ChannelMatrix, fixture_h02, n0_for_bits
 from .codebook import Codebook
 from .detectors import (
     RcConfig,
@@ -59,7 +59,6 @@ from .detectors import (
     ml_op_count,
     rc_detect_batch,
     received_means,
-    sm_detect_batch,
 )
 from .txcodec import PamConfig
 
@@ -98,12 +97,6 @@ class BoundCurve:
 def bit_distance(a, b) -> np.ndarray:
     """Number of differing bits between integer labels a and b."""
     return np.bitwise_count(np.bitwise_xor(a, b))
-
-
-def _check_finite(ebn0_grid):
-    # nan gives a BER of 1/2 at a nan point, inf a noiseless one
-    if not np.isfinite(np.asarray(ebn0_grid, dtype=np.float64)).all():
-        raise ValueError(f"Eb/N0 values must be finite, got {tuple(ebn0_grid)}")
 
 
 def distance_spectrum(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,11 +191,10 @@ def ber_union_bound(codebook: Codebook, pam: PamConfig, H, ebn0_grid,
     distance d_k: 2 sum_k w_k Q(sqrt(d_k / 2 N0)) / (n bits), w_k being the
     summed bit distance of the unordered pairs at d_k.
     """
-    _check_finite(ebn0_grid)
-    HS, bits = received_means(codebook, pam, H), codebook.bits_per_block(pam.M)
-    d2, _, weights = distance_spectrum(HS)
-    values = [float(2.0 * np.sum(weights * pair_tail(d2, n0_for_bits(db, bits))) / (len(HS) * bits))
-              for db in ebn0_grid]
+    bits = codebook.bits_per_block(pam.M)
+    n0s = [n0_for_bits(db, bits) for db in ebn0_grid]  # checks every point first
+    d2, _, weights = distance_spectrum(received_means(codebook, pam, H))  # 2**bits means
+    values = [float(2.0 * np.sum(weights * pair_tail(d2, n0)) / (2 ** bits * bits)) for n0 in n0s]
     return BoundCurve(scheme=scheme, ebn0_db=tuple(float(x) for x in ebn0_grid),
                       values=tuple(values))
 
@@ -228,10 +220,10 @@ class SimConfig:
     """Everything one BER sweep needs, already resolved to objects.
 
     Each field's default is the library default, and __post_init__ is the
-    one check of each setting.  calibration is the blind detectors' channel
-    knowledge (CSI): its sum is their level scale and it is the joint weight
-    rule's reference channel; None leaves them blind (see _link).  rc and sm
-    default to the library sizes at the channel's LED count.
+    one check of each setting.  calibration, "blind" or "csi", is the blind
+    detectors' channel knowledge (see _link).  Each Eb/N0 point must give a
+    noise density at the link's bits (n0_for_bits).  rc and sm default to
+    the library sizes at the channel's LED count.
     """
 
     scheme: str
@@ -246,7 +238,7 @@ class SimConfig:
     block_cap: int = 10_000_000
     seed: int = 0
     weight_mode: str = "genie"
-    calibration: np.ndarray | None = None
+    calibration: str = "blind"
     e_max: int | None = None
 
     def __post_init__(self):
@@ -262,7 +254,7 @@ class SimConfig:
             if baseline.L != L:
                 raise ValueError(f"{self.detector} L = {baseline.L}, but the channel has {L} LEDs")
             try:
-                baseline.bits  # raises for sizes that give no whole, positive bit count
+                bits = baseline.bits  # raises for sizes that give no whole, positive bit count
             except ValueError as exc:
                 raise ValueError(f"{self.detector} M = {baseline.M}: {exc}") from None
         elif self.codebook is None:
@@ -271,9 +263,12 @@ class SimConfig:
             raise ValueError(f"codebook L = {self.codebook.L}, but the channel has {L} LEDs")
         elif self.detector == "bb" and self.codebook.weights_present != (1,):
             raise ValueError("bb detector requires a weight-1 codebook")
+        else:
+            bits = self.codebook.bits_per_block(self.pam.M)
         if len(self.ebn0_grid) == 0:
             raise ValueError("empty Eb/N0 grid")
-        _check_finite(self.ebn0_grid)
+        for db in self.ebn0_grid:
+            n0_for_bits(db, bits)
         if (np.diff(self.ebn0_grid) <= 0).any():
             raise ValueError("Eb/N0 grid must be strictly ascending")
         for key in ("errors_target", "block_cap", "e_max"):
@@ -284,6 +279,8 @@ class SimConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.weight_mode not in ("genie", "joint"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
+        if not isinstance(self.calibration, str) or self.calibration not in ("blind", "csi"):
+            raise ValueError(f"calibration must be blind or csi, not {self.calibration!r}")
 
 
 def _batch_rng(config: SimConfig, point_idx: int, batch_idx: int) -> np.random.Generator:
@@ -319,11 +316,12 @@ def _link(config: SimConfig) -> _Link:
     H = _as_H(config.channel)
     det = config.detector
     if det in ("rc", "sm"):
-        cfg, detect = (config.rc, rc_detect_batch) if det == "rc" else (config.sm, sm_detect_batch)
-        return _Link(cfg.signals @ H.T, cfg.bits,
-                     lambda Y, tx, rng: (detect(Y, H, cfg), 0))
+        cfg = config.rc if det == "rc" else config.sm
+        means = cfg.signals @ H.T  # sm is ml over its own alphabet
+        return _Link(means, cfg.bits, lambda Y, tx, rng: (
+            rc_detect_batch(Y, H, cfg) if det == "rc" else ml_detect_batch(Y, means, cfg.M), 0))
 
-    cb, pam, cal = config.codebook, config.pam, config.calibration
+    cb, pam = config.codebook, config.pam
     HS, bits = received_means(cb, pam, H), cb.bits_per_block(pam.M)
     if det == "ml":
         # scores only the 2**bits signaling means
@@ -346,17 +344,18 @@ def _link(config: SimConfig) -> _Link:
                                            repeat(cb), w.tolist(), repeat(config.e_max)))
     else:  # bb
         pick = lambda Y, w: _decisions(map(bb_detect, bb_rows(Y, cb), repeat(cb)))
-    # sum(H), the blind level scale, per batch: the calibration's, or the batch's
-    # mean block sum, as E[sum(Y)] = sum(H) over uniform labels at unit mean
-    # power (a truncated alphabet skews it: 127/128 for combined32 at M = 3)
-    total = None if cal is None else float(_as_H(cal).sum())
+    # the channel knowledge: under csi, sum(H) is the level scale and H the
+    # joint rule's reference; blind, each batch's mean block sum (E[sum(Y)] =
+    # sum(H) over uniform labels at unit mean power; 127/128 of it for the
+    # truncated combined32 at M = 3) and the h02 profile (no blind rule yet)
+    csi = config.calibration == "csi"
+    total, reference = (float(H.sum()), H) if csi else (None, fixture_h02().H)
 
     def decode(Y, tx, rng):
-        g = float(Y.sum()) / len(Y) if total is None else total
+        m = estimate_intensity_batch(Y, pam, total if csi else float(Y.sum()) / len(Y))
         w = (cb.weight_array[tx // pam.M] if config.weight_mode == "genie"
-             else classify_weight_batch(Y, cb, pam, cal, g))
+             else classify_weight_batch(Y, cb, pam, m, reference))
         q, ops = pick(Y, w)
-        m = estimate_intensity_batch(Y, pam, g)
         return np.where(q >= 0, q * pam.M + m - 1, -1), ops
     return _Link(HS, bits, decode)
 

@@ -152,10 +152,17 @@ def apply_blockage(channel: ChannelMatrix | np.ndarray, pairs) -> ChannelMatrix:
 
 def n0_for_bits(ebn0_db: float, bits: int) -> float:
     """Noise density giving the requested per-bit SNR.  Transmit power is
-    fixed at unit mean (see pmvlc.txcodec), so Eb = 1/bits."""
+    fixed at unit mean (see pmvlc.txcodec), so Eb = 1/bits.  Raises
+    ValueError unless the density is positive and finite."""
     if bits < 1:
         raise ValueError("bits must be positive")
-    return 1.0 / bits / (10.0 ** (ebn0_db / 10.0))
+    try:
+        n0 = 1.0 / bits / (10.0 ** (ebn0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10**(dB/10) out of range
+        n0 = 0.0
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"Eb/N0 must be finite and give N0 in (0, inf) at {bits} bits; got {ebn0_db} dB")
+    return n0
 
 
 def _load_fixture(name: str) -> np.ndarray:

@@ -24,9 +24,9 @@ per-component metrics because components never overlap.
                       every weight slot's walk (murty_iter) reads the block's
                       one row of rank_assignments, which ranks all L!
                       assignments of a slice of blocks at once, so L <= 6
-* rc_detect_batch, sm_detect_batch single-slot repetition-coding and
-                      spatial-modulation baselines; each returns the symbol
-                      index, which is the bit label
+* rc_detect_batch     repetition-coding baseline: the slot sum sliced to the
+                      nearest level sum, as the symbol index (the bit label);
+                      spatial modulation is ml over its own alphabet's means
 
 The nearest-mean rules (ml, sm, rc) share one kernel, ml_detect_batch.
 PAM levels are linear in m, so the means of one entry (for sm, one LED;
@@ -41,10 +41,10 @@ for OpenBLAS to run it on the calling thread.
 The blind rules pick an entry within a given weight class and nothing
 else.  The weight class (the sent one under genie, else the joint rule of
 classify_weight_batch) and the PAM level (estimate_intensity_batch) are side
-decisions, which the harness (analysis._link) makes once per batch.  The
-level is the block sum sliced by one scalar, gain_sum = sum(H); the joint
-weight decision takes an optional gain matrix, `calibration`, as its
-reference channel (CSI), else the h02 profile.
+decisions, which the harness (analysis._link) makes once per batch, the
+level first: the block sum sliced by one scalar, gain_sum = sum(H).  The
+joint rule takes that level and a reference gain matrix, both from the
+link's channel knowledge (analysis.SimConfig.calibration).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix, fixture_h02
+from .channel import ChannelMatrix
 from .codebook import ENUMERATION_MAX_L, Codebook, permutation_cells, permutation_table
 from .txcodec import PamConfig, pam_intensity
 
@@ -134,31 +134,28 @@ def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float | No
     return np.clip(m, 1, pam.M).astype(np.int64)
 
 
-def classify_weight_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig,
-                          calibration: np.ndarray | None = None,
-                          gain_sum: float | None = None) -> np.ndarray:
-    """Joint weight decision for each received block in Y (B, L, L): slice
-    the level once from gain_sum, decode each class blind at that level,
-    reconstruct each candidate against the calibration matrix (the h02
-    profile when there is none: no blind weight rule yet), and keep the
-    class with the smallest residual; equal residuals go to the lowest
-    weight.  A one-weight book needs no decision.  The genie rule, the true
-    weights, is the harness's (analysis._link).
+def classify_weight_batch(Y: np.ndarray, codebook: Codebook, pam: PamConfig, m: np.ndarray,
+                          reference: np.ndarray) -> np.ndarray:
+    """Joint weight decision for each received block in Y (B, L, L) at its
+    level m (B,): decode each class blind, reconstruct each pick at that
+    level through the reference gain matrix and keep the class with the
+    smallest residual; equal residuals go to the lowest weight.  A one-weight
+    book needs no decision.  The genie rule, the level and the reference are
+    the harness's (analysis._link).
     """
     weights = codebook.weights_present
-    B = len(Y)
     if len(weights) == 1:
-        return np.full(B, weights[0], dtype=np.int64)
-    H_ref = _as_H(calibration) if calibration is not None else fixture_h02().H
-    m = estimate_intensity_batch(Y, pam, gain_sum)
-    residuals = np.empty((len(weights), B))
+        return np.full(len(Y), weights[0], dtype=np.int64)
+    # row q M + m - 1 is H_ref a_m P_q, bit for bit one block's matmul (not
+    # einsum's rounding), for every row: a pick may lie past the signaling rows
+    means = reference @ signal_stack(codebook, pam)
+    residuals = np.empty((len(weights), len(Y)))
     # in row slices, as ml_detect_batch: no temporary grows with B
-    for sl in _row_slices(B, max(codebook.size, codebook.L ** 2))[1]:
+    for sl in _row_slices(len(Y), max(codebook.size, codebook.L ** 2))[1]:
         for k, w in enumerate(weights):
-            stack = codebook.matrix_stack[codebook.weight_class_indices(w)]
-            P = stack[_best_support(Y[sl], stack)]
-            a = pam_intensity(m[sl], pam.M, w)
-            residuals[k, sl] = ((Y[sl] - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2))
+            idx = codebook.weight_class_indices(w)
+            q = idx[_best_support(Y[sl], codebook.matrix_stack[idx])]
+            residuals[k, sl] = ((Y[sl] - means[q * pam.M + m[sl] - 1]) ** 2).sum(axis=(1, 2))
     return np.asarray(weights, dtype=np.int64)[np.argmin(residuals, axis=0)]
 
 
@@ -538,11 +535,3 @@ def rc_detect_batch(y: np.ndarray, channel, config: RcConfig) -> np.ndarray:
     linear in m, so they are ml_detect_batch's means of one scalar entry."""
     levels = config.level(np.arange(1, config.M + 1)) * float(_as_H(channel).sum())
     return ml_detect_batch(y.sum(axis=1)[:, None], levels[:, None], config.M)
-
-
-def sm_detect_batch(y: np.ndarray, channel, config: SmConfig) -> np.ndarray:
-    """Joint ML over (LED, level) for each row of y (B, n_rx): the nearest
-    received mean config.signals @ H.T, ties to the lowest.  Its rows are
-    level(m) H[:, k], LED-major, so ml_detect_batch slices the level per
-    LED.  Returns the symbol index, which is the bit label."""
-    return ml_detect_batch(y, config.signals @ _as_H(channel).T, config.M)

@@ -200,7 +200,7 @@ class Scenario:
     seed: int = SimConfig.seed
     weight_mode: str = SimConfig.weight_mode
     e_max: int | None = SimConfig.e_max
-    calibration: str = "blind"
+    calibration: str = SimConfig.calibration
     rc_m: int = RcConfig.M
     sm_m: int = SmConfig.M
     scheme: str = field(init=False, default="")
@@ -214,8 +214,6 @@ class Scenario:
             raise ConfigError("scenario lists no detectors")
         if len(set(self.detectors)) != len(self.detectors):
             raise ConfigError(f"detectors repeat: {', '.join(self.detectors)}")
-        if self.calibration not in ("blind", "csi"):
-            raise ConfigError(f"calibration must be blind or csi, not {self.calibration!r}")
         if self.codebook is not None:
             self.scheme = scheme_label(self.codebook, self.pam)
         try:
@@ -245,7 +243,7 @@ def _sim_config(scenario: Scenario, detector: str) -> SimConfig:
         block_cap=scenario.block_cap,
         seed=scenario.seed,
         weight_mode=scenario.weight_mode,
-        calibration=scenario.channel.H if scenario.calibration == "csi" else None,
+        calibration=scenario.calibration,
         e_max=scenario.e_max,
     )
 

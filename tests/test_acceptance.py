@@ -132,7 +132,7 @@ def test_criterion_03_zero_noise_roundtrip():
                     got = _iterative(Y, cb, w)
                     assert got.q == q, f"it {name} M={M} q={q} m={m}"
                     if len(cb.weights_present) > 1:
-                        joint = int(classify_weight_batch(Y[None], cb, pam, gain_sum=g)[0])
+                        joint = int(classify_weight_batch(Y[None], cb, pam, np.array([level]), H02.H)[0])
                         got = bf_sd_detect(Y, cb, joint)
                         assert (joint, got.q) == (w, q), f"joint {name} M={M} q={q}"
                     checked += 1

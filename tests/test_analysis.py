@@ -42,7 +42,6 @@ from pmvlc.detectors import (
     rc_detect_batch,
     received_means,
     signal_stack,
-    sm_detect_batch,
 )
 from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
@@ -155,7 +154,7 @@ class TestUnionBound:
                 BoundCurve("x", (0.0,), (value,))
 
     @pytest.mark.parametrize("grid", [(math.nan,), (100.0, math.nan), (math.inf,),
-                                      (-math.inf, 100.0)])
+                                      (-math.inf, 100.0), (4000.0,), (-4000.0,), (-3100.0,)])
     def test_rejects_non_finite_ebn0(self, grid):
         with pytest.raises(ValueError, match="finite"):
             ber_union_bound(PM16, M1, H02, grid)
@@ -499,8 +498,10 @@ class TestHarnessDeterminism:
         ({"detector": "bf", "codebook": enumerate_weight_w(5, 1)},
          "codebook L = 5, but the channel has 4 LEDs"),
         ({"detector": "ml", "ebn0_grid": (96.0, 100.0, 100.0)}, "strictly ascending"),
+        # calibration names the channel knowledge; it no longer takes a gain matrix
+        ({"detector": "bf", "calibration": H02.H}, "calibration must be blind or csi"),
     ], ids=["weight_mode", "e_max", "bb-multiweight", "rc-size", "sm-size", "seed", "rc-L",
-            "sm-L", "codebook-L", "repeated-grid-point"])
+            "sm-L", "codebook-L", "repeated-grid-point", "calibration-matrix"])
     def test_rejects_bad_setting(self, setting, match):
         with pytest.raises(ValueError, match=match):
             SimConfig(**{"scheme": "x", "ebn0_grid": (100.0,), "channel": H02,
@@ -639,7 +640,7 @@ class TestHarnessLabelRule:
     def test_undecided_or_unlabelled_block_loses_every_bit(self, detector, book, q, want):
         cb, pam = named_codebook(book), PamConfig(M=2)
         config = SimConfig(scheme=book, detector=detector, ebn0_grid=(400.0,), channel=self.H06,
-                           codebook=cb, pam=pam, calibration=self.H06.H)
+                           codebook=cb, pam=pam, calibration="csi")
         link = analysis._link(config)
         bits = cb.bits_per_block(pam.M)
         # full24 signals 32 of its 48 (entry, level) pairs, so entry 20 at
@@ -667,7 +668,7 @@ class TestHarnessLabelRule:
         for det in ("bf", "iterative"):
             cfg = SimConfig(scheme="c32", detector=det, ebn0_grid=(100.0,), channel=H,
                             codebook=COMBINED32, pam=pam, errors_target=1,
-                            block_cap=BATCH_BLOCKS, calibration=H.H, weight_mode="joint")
+                            block_cap=BATCH_BLOCKS, calibration="csi", weight_mode="joint")
             link = analysis._link(cfg)
             Y = np.random.default_rng(3).normal(0.0, 1e-5, (8, 4, 4))
             rx, _ = link.decode(Y, np.zeros(8, dtype=np.int64), None)
@@ -692,7 +693,7 @@ class TestBlindLevelScale:
     def test_blind_matches_csi_on_the_06_grid(self):
         bits = COMBINED32.bits_per_block(4)
         compared = []
-        for blind, csi in zip(self._run(None), self._run(self.H06.H)):
+        for blind, csi in zip(self._run("blind"), self._run("csi")):
             if not 1e-4 <= csi.ber <= 1e-1:
                 continue
             # errors come in per-block clusters of at most `bits`
@@ -769,12 +770,12 @@ class TestBatchPathsMatchScalarDetectors:
         means = cfg.signals @ H02.H.T
         Y = means[rng.integers(16, size=128)] + rng.normal(0.0, math.sqrt(n0 / 2), size=(128, 4))
         want = np.argmin(((Y[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
-        np.testing.assert_array_equal(sm_detect_batch(Y, H02, cfg), want)
+        np.testing.assert_array_equal(ml_detect_batch(Y, means, cfg.M), want)
 
     @pytest.mark.parametrize("M", [1, 2, 4, 8])
     @pytest.mark.parametrize("spacing", [0.2, 0.6])
     def test_sm_means_are_led_columns_at_each_level(self, M, spacing):
-        # the received means the harness sends and sm_detect_batch scores
+        # the received means the harness sends and scores with ml_detect_batch
         # are bit for bit level(m) H[:, k], LED-major
         H = H02.H if spacing == 0.2 else build_channel(square_grid_geometry(tx_spacing=0.6)).H
         cfg = SmConfig(L=4, M=M)
@@ -838,7 +839,7 @@ class TestNearestMeanKernel:
             n0 = n0_for_bits(db, cfg.bits)
             Y = means[rng.integers(len(means), size=1024)] + rng.normal(
                 0.0, math.sqrt(n0 / 2), size=(1024, 4))
-            np.testing.assert_array_equal(sm_detect_batch(Y, H, cfg), _brute_nearest(Y, means))
+            np.testing.assert_array_equal(ml_detect_batch(Y, means, cfg.M), _brute_nearest(Y, means))
 
     def test_ties_break_to_the_lowest_index(self):
         # integer data keeps every score exact; level-1 means (2, 0), (0, 2)

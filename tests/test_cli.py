@@ -394,6 +394,7 @@ class TestCommandLine:
         ("bf", "m = 0"), ("iterative", "e_max = 0"),
         ("bf", "errors_target = 0"), ("bf", "block_cap = 0"), ("rc", "rc_m = 12"),
         ("sm", "sm_m = 3"), ("rc", "rc_m = 1"), ("bf", "weight_mode = energy"),
+        ("bf", "calibration = foo"),
     ], ids=lambda v: v.replace(" ", ""))
     def test_bad_scenario_values_exit_one(self, tmp_path, capsys, detector, line):
         scen = tmp_path / "bad.ini"
@@ -410,6 +411,19 @@ class TestCommandLine:
         assert main(["simulate", "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "bad_ber.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["4000", "-4000", "-3100"])
+    def test_out_of_range_ebn0_exit_one_before_any_output(self, tmp_path, capsys, grid):
+        # finite, but 10**(dB/10) or the noise density overflows: the checked
+        # scenario fails before the summary header, for the bound as well
+        scen = tmp_path / "bad.ini"
+        scen.write_text(f"codebook = cb1\ndetectors = ml,bf\nebn0_db = {grid}\nblock_cap = 4096\n")
+        for command in ("simulate", "bound"):
+            assert main([command, "--scenario", str(scen), "--out-dir", str(tmp_path)]) == 1
+            captured = capsys.readouterr()
+            assert "config error" in captured.err and "must be finite" in captured.err
+            assert captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("line", ["tx_spacing = nan", "height = inf", "a_pd = inf",
                                       "rx_offset_y = nan"])

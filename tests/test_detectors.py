@@ -38,7 +38,6 @@ from pmvlc.detectors import (
     rank_assignments,
     rc_detect_batch,
     signal_stack,
-    sm_detect_batch,
 )
 from pmvlc.scenarios import CODEBOOKS, named_codebook
 from pmvlc.txcodec import PamConfig, pam_intensity
@@ -90,6 +89,12 @@ def iterative_one(Y, codebook, w, e_max=None):
 
 def bb_one(Y, codebook):
     return bb_detect(next(bb_rows(batch_of_one(Y), codebook)), codebook)
+
+
+def joint_weights(Y, codebook, pam, reference, gain_sum):
+    # the joint rule at the level the harness slices from gain_sum
+    m = estimate_intensity_batch(Y, pam, gain_sum)
+    return classify_weight_batch(Y, codebook, pam, m, reference)
 
 
 def brute_force_all(C):
@@ -414,25 +419,27 @@ class TestEstimateIntensity:
         with pytest.raises(ValueError, match="M = 4 needs gain_sum"):
             estimate_intensity_batch(Y[None], pam, None)
         assert estimate_intensity_batch(Y[None], pam, H02.sum())[0] == 2
-        with pytest.raises(ValueError, match="needs gain_sum"):
-            classify_weight_batch(Y[None], COMBINED32, pam)
+        # the joint rule takes the harness's level and reference, not a scale
+        assert not {"calibration", "gain_sum"} & set(inspect.signature(classify_weight_batch).parameters)
         side = {"pam", "true_weight", "weight_mode", "calibration", "gain_sum"}
         for decoder in (detectors.bf_detect_batch, bf_sd_detect, iterative_sd_detect, bb_detect):
             assert not side & set(inspect.signature(decoder).parameters), decoder.__name__
 
 
 def test_default_profile_loaded_once(monkeypatch):
-    # joint classification reads the h02 profile; repeated decisions must
-    # not parse the fixture file again
+    # a blind joint link reads the h02 profile as its reference; repeated
+    # links and decisions must not parse the fixture file again
     loads = []
     real = channel._load_fixture
     monkeypatch.setattr(channel, "_load_fixture", lambda name: loads.append(name) or real(name))
     channel.fixture_h02.cache_clear()
     try:
         pam = PamConfig(M=4)
+        cfg = SimConfig(scheme="t", detector="bf", ebn0_grid=(100.0,), channel=H02,
+                        codebook=COMBINED32, pam=pam, weight_mode="joint")
         for q in (1, 25, 32):
             Y = (H02 @ block_for(COMBINED32, q, 3, pam))[None]
-            classify_weight_batch(Y, COMBINED32, pam, gain_sum=H02.sum())
+            analysis._link(cfg).decode(Y, np.zeros(1, dtype=np.int64), None)
     finally:
         channel.fixture_h02.cache_clear()
     assert loads == ["h02.txt"]
@@ -440,7 +447,7 @@ def test_default_profile_loaded_once(monkeypatch):
 
 class TestClassifyWeight:
     @staticmethod
-    def harness_weights(monkeypatch, Y, tx, pam, mode="genie", calibration=None):
+    def harness_weights(monkeypatch, Y, tx, pam, mode="genie", calibration="blind"):
         # the weight class per block that the harness (analysis._link) hands
         # the bf kernel for one batch
         seen, inner = [], analysis.bf_detect_batch
@@ -471,27 +478,28 @@ class TestClassifyWeight:
         Y = np.stack([H02 @ block_for(COMBINED32, 1, 1, M1)] * 3)
         tx = [24, 30, 0]
         np.testing.assert_array_equal(
-            self.harness_weights(monkeypatch, Y, tx, M1, calibration=H02), [2, 2, 1])
+            self.harness_weights(monkeypatch, Y, tx, M1, calibration="csi"), [2, 2, 1])
         monkeypatch.undo()
         np.testing.assert_array_equal(
-            self.harness_weights(monkeypatch, Y, tx, M1, "joint", calibration=H02), [1, 1, 1])
+            self.harness_weights(monkeypatch, Y, tx, M1, "joint", calibration="csi"), [1, 1, 1])
 
     def test_single_weight_shortcut(self):
-        got = classify_weight_batch(np.zeros((2, 4, 4)), FULL24, M1)
+        got = classify_weight_batch(np.zeros((2, 4, 4)), FULL24, M1, np.ones(2, dtype=np.int64), H02)
         np.testing.assert_array_equal(got, 1)
 
     def test_noiseless_classification(self):
         pam = PamConfig(M=2)
         Y = np.stack([H02 @ block_for(COMBINED32, q, 2, pam)
                       for q in range(1, COMBINED32.size + 1)])
-        got = classify_weight_batch(Y, COMBINED32, pam, calibration=H02, gain_sum=H02.sum())
+        got = joint_weights(Y, COMBINED32, pam, H02, H02.sum())
         np.testing.assert_array_equal(got, COMBINED32.weight_array)
 
-    def test_joint_with_default_profile(self):
+    def test_joint_with_default_profile(self, monkeypatch):
+        # a blind link's joint rule reads the h02 profile as its reference
         pam = PamConfig(M=1)
         qs = (1, 25, 32)
         Y = np.stack([H02 @ block_for(COMBINED32, q, 1, pam) for q in qs])
-        got = classify_weight_batch(Y, COMBINED32, pam)
+        got = self.harness_weights(monkeypatch, Y, np.zeros(3), pam, "joint")
         np.testing.assert_array_equal(got, COMBINED32.weight_array[np.array(qs) - 1])
 
     def test_unknown_mode(self):
@@ -501,10 +509,15 @@ class TestClassifyWeight:
             SimConfig(scheme="t", detector="bf", ebn0_grid=(100.0,), channel=H02,
                       codebook=COMBINED32, weight_mode="oracle")
 
-    def test_joint_row_slices_match_the_whole_batch_rule(self, monkeypatch):
+    @pytest.mark.parametrize("M, reference", [(4, "06"), (3, "06"), (4, "h02")],
+                             ids=["M4", "M3", "M4-h02-reference"])
+    def test_joint_row_slices_match_the_whole_batch_rule(self, monkeypatch, M, reference):
         # each class's support pick and residual run in row slices; every
-        # decision must be the whole-batch rule's, across several slices
-        pam, n = PamConfig(M=4), 1500
+        # decision must be the whole-batch rule's, across several slices.
+        # M = 3 puts blind picks past the signaling rows, and the h02
+        # reference is not the 0.6 m channel the blocks were sent over
+        H_ref = H06 if reference == "06" else H02
+        pam, n = PamConfig(M=M), 1500
         rng = np.random.default_rng(83)
         S = signal_stack(COMBINED32, pam)
         tx = rng.integers(len(S), size=n)
@@ -517,12 +530,12 @@ class TestClassifyWeight:
             stack = COMBINED32.matrix_stack[COMBINED32.weight_class_indices(w)]
             P = stack[np.argmin(-np.einsum("bij,qij->bq", Y, stack), axis=1)]
             a = pam_intensity(m, pam.M, w)
-            residuals.append(((Y - H06 @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2)))
+            residuals.append(((Y - H_ref @ (a[:, None, None] * P)) ** 2).sum(axis=(1, 2)))
         want = np.array(COMBINED32.weights_present)[np.argmin(residuals, axis=0)]
         rows, inner = [], detectors._best_support
         monkeypatch.setattr(detectors, "_best_support",
                             lambda Yb, stack: rows.append(len(Yb)) or inner(Yb, stack))
-        got = classify_weight_batch(Y, COMBINED32, pam, calibration=H06, gain_sum=g)
+        got = classify_weight_batch(Y, COMBINED32, pam, m, H_ref)
         np.testing.assert_array_equal(got, want)
         # both classes are chosen, and the noise moves some blocks across
         assert set(got.tolist()) == {1, 2}
@@ -543,7 +556,7 @@ class TestClassifyWeight:
         qs = rng.integers(1, COMBINED32.size + 1, size=64)
         Y = np.stack([H02 @ block_for(COMBINED32, int(q), 2, pam) for q in qs])
         Y = Y + rng.normal(0, 2e-5, Y.shape)
-        got = classify_weight_batch(Y, COMBINED32, pam, gain_sum=H02.sum())
+        got = joint_weights(Y, COMBINED32, pam, H02, H02.sum())
         for b in range(len(Y)):
             best_w, best_res = None, np.inf
             m = estimate_intensity_batch(Y[b][None], pam, H02.sum())[0]
@@ -558,7 +571,7 @@ class TestClassifyWeight:
     def test_joint_ties_go_to_lowest_weight(self):
         # a zero reference profile makes every class residual equal to |Y|^2
         Y = np.random.default_rng(37).normal(0, 1, (16, 4, 4))
-        got = classify_weight_batch(Y, COMBINED32, M1, calibration=np.zeros((4, 4)))
+        got = classify_weight_batch(Y, COMBINED32, M1, np.ones(16, dtype=np.int64), np.zeros((4, 4)))
         np.testing.assert_array_equal(got, 1)
 
 
@@ -738,7 +751,7 @@ class TestIterativeSd:
                 w = int(book.weight_array[q - 1])
                 Y = H02 @ block_for(book, q, m, pam) + rng.normal(0, sigma, (4, 4))
                 if mode == "joint":
-                    w = int(classify_weight_batch(Y[None], book, pam, gain_sum=H02.sum())[0])
+                    w = int(joint_weights(Y[None], book, pam, H02, H02.sum())[0])
                 r = iterative_one(Y, book, w, e_max)
                 want, fell_back = iterative_reference(Y, book, w, e_max)
                 assert (r.q, r.iterations, r.op_count) == want
@@ -777,7 +790,7 @@ class TestBatchTables:
         pam = PamConfig(M=4)
         cfg = SimConfig(scheme="t", detector="iterative", ebn0_grid=(100.0,), channel=H,
                         codebook=book, pam=pam, weight_mode=mode,
-                        calibration=H if mode == "joint" else None, e_max=e_max)
+                        calibration="csi" if mode == "joint" else "blind", e_max=e_max)
         seen, inner = [], analysis.iterative_sd_detect
 
         def recorded(row, codebook, w, budget):
@@ -796,7 +809,7 @@ class TestBatchTables:
         # the weight class per block: the sent entry's under genie, which the
         # harness looks up itself, else the joint rule's
         want_w = (book.weight_array[tx // pam.M] if mode == "genie"
-                  else classify_weight_batch(Y, book, pam, H, float(H.sum())))
+                  else joint_weights(Y, book, pam, H, float(H.sum())))
         assert [w for _, w, _ in seen] == want_w.tolist()
         fallbacks = 0
         for (y, w, r), label in zip(seen, rx.tolist()):
@@ -935,16 +948,15 @@ class TestEmptyBatch:
             Y, np.einsum("ij,kjl->kil", H02, signal_stack(COMBINED32, M1)), 1),
         "ml-M16": lambda Y: ml_detect_batch(
             Y, np.einsum("ij,kjl->kil", H02, signal_stack(COMBINED32, PamConfig(M=16))), 16),
-        "sm": lambda Y: sm_detect_batch(Y[:, 0], H02, SmConfig()),
+        "sm": lambda Y: ml_detect_batch(Y[:, 0], SmConfig().signals @ H02.T, SmConfig().M),
         "rc": lambda Y: rc_detect_batch(Y[:, 0], H02, RcConfig()),
         "bf": lambda Y: detectors.bf_detect_batch(Y, COMBINED32, np.empty(0, dtype=np.int64)),
         "level": lambda Y: estimate_intensity_batch(Y, PamConfig(M=16), float(H02.sum())),
         # the genie weights are the harness's lookup: its decode of no blocks
         "weight-genie": lambda Y: analysis._link(SimConfig(
             scheme="t", detector="bf", ebn0_grid=(100.0,), channel=H02, codebook=COMBINED32,
-            pam=PamConfig(M=16), calibration=H02)).decode(Y, np.empty(0, dtype=np.int64), None)[0],
-        "weight-joint": lambda Y: classify_weight_batch(
-            Y, COMBINED32, PamConfig(M=16), H02, float(H02.sum())),
+            pam=PamConfig(M=16), calibration="csi")).decode(Y, np.empty(0, dtype=np.int64), None)[0],
+        "weight-joint": lambda Y: joint_weights(Y, COMBINED32, PamConfig(M=16), H02, float(H02.sum())),
     }
 
     @pytest.mark.parametrize("kernel", list(KERNELS))
@@ -1057,9 +1069,12 @@ class TestBaselines:
         np.testing.assert_array_equal(got, np.arange(16))
 
     def test_sm_roundtrip_all_symbols(self):
+        # sm decodes as the harness holds it: ml over its own received means
         cfg = SmConfig(L=4, M=4)
         assert cfg.signals.shape == (16, 4)
-        got = sm_detect_batch(cfg.signals @ H02.T, H02, cfg)
+        link = analysis._link(SimConfig(scheme="sm", detector="sm", ebn0_grid=(100.0,),
+                                        channel=H02, sm=cfg))
+        got, _ = link.decode(cfg.signals @ H02.T, np.arange(16), None)
         np.testing.assert_array_equal(got, np.arange(16))
 
     def test_rc_slot_power_matches_mean_intensity(self):
