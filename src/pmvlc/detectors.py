@@ -111,7 +111,7 @@ def _best_support(Y: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float | None) -> np.ndarray:
+def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float) -> np.ndarray:
     """Level index per block of Y (B, L, L) from the sum of all its cells.
 
     Every row of P_q has w ones and a_m = 2m / (w (M + 1)), so the cells of
@@ -120,11 +120,8 @@ def estimate_intensity_batch(Y: np.ndarray, pam: PamConfig, gain_sum: float | No
     analysis._link for its blind estimate).  Ties between neighboring levels
     resolve to the lower index, and the result is clipped to 1..M.  M = 1,
     and a zero gain_sum, which carries no level, return 1 without reading Y
-    (as ml_detect_batch does for a zero-energy entry); at M > 1 a missing
-    gain_sum raises ValueError.
+    (as ml_detect_batch does for a zero-energy entry).
     """
-    if gain_sum is None and pam.M > 1:
-        raise ValueError(f"level estimation at M = {pam.M} needs gain_sum, the channel's sum(H)")
     if pam.M == 1 or gain_sum == 0:
         return np.ones(len(Y), dtype=np.int64)
     x = np.einsum("bij->b", Y) * ((pam.M + 1) / (2.0 * gain_sum))
